@@ -44,7 +44,7 @@ def max_affine_value_np(A, b, sigma, x):
 
 def max_affine_eval_np(A, b, sigma, x):
     vals = A @ x + b
-    j = int(np.argmax(vals))  # first maximizer = smallest index
+    j = int(vals.argmax())  # first maximizer = smallest index
     v = float(vals[j])
     g = A[j].copy()
     if sigma > 0.0:

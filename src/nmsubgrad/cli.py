@@ -297,6 +297,8 @@ def _write_trace_json(report, path: str, f_star=None) -> None:
 def cmd_bench(args) -> int:
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = json.load(fh)
+    if not isinstance(plan, dict):
+        raise UsageError(f"{args.plan}: plan must be a JSON object, got {type(plan).__name__}")
     problem_kind = plan.get("problem", "maxaffine")
     if problem_kind not in ("maxaffine", "fermatweber"):
         raise UsageError(f"unknown problem kind {problem_kind!r}")

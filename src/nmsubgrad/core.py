@@ -333,12 +333,16 @@ def _config_items(cfg: SolverConfig) -> dict:
 
 
 def _config_from_items(items: dict) -> SolverConfig:
+    try:
+        gamma = _gamma_from_items(items) if "gamma.kind" in items else SqrtInverse()
+    except KeyError as exc:
+        raise ConfigError(f"config is missing field {exc}") from None
     cfg = SolverConfig(
         c=float(items.get("c", 1.0)),
         beta=float(items.get("beta", 0.9)),
         rho=float(items.get("rho", 0.8)),
         alpha1=float(items.get("alpha1", 0.1)),
-        gamma=_gamma_from_items(items) if "gamma.kind" in items else SqrtInverse(),
+        gamma=gamma,
         max_iters=int(items.get("max_iters", 3000)),
         backtrack_cap=int(items.get("backtrack_cap", 500)),
         seed=int(items.get("seed", 0)),
@@ -351,7 +355,10 @@ def config_to_json(cfg: SolverConfig) -> str:
 
 
 def config_from_json(text: str) -> SolverConfig:
-    return _config_from_items(json.loads(text))
+    items = json.loads(text)
+    if not isinstance(items, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(items).__name__}")
+    return _config_from_items(items)
 
 
 def config_to_keyvalues(cfg: SolverConfig) -> str:

@@ -17,8 +17,7 @@ additive gamma_k slack is what lets the objective increase between iterates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from .core import BacktrackFailureError, OracleError, SolverConfig
 __all__ = ["LineSearchOutcome", "nonmonotone_backtrack"]
 
 
-@dataclass(frozen=True)
-class LineSearchOutcome:
+class LineSearchOutcome(NamedTuple):
     """ell: accepted rung (>= 1); x_next: projected trial point; f_next: its
     value; alpha_next = beta**(ell-1)*alpha_k; step = beta*alpha_next, the
     size actually applied; trials: number of objective evaluations spent."""

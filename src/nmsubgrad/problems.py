@@ -433,7 +433,14 @@ class ProblemSpec:
     """Everything a solver run needs: oracles, a projector, and (when known)
     the optimum for gap reporting. value(x) -> float; eval(x) -> (float,
     subgradient). L is a subgradient-norm bound valid on the set, None when
-    unavailable."""
+    unavailable.
+
+    From make_problem, value(x) runs one full oracle evaluation and parks the
+    subgradient it computed; the next eval(x) on a point with the same bytes
+    and dtype takes that subgradient instead of evaluating again. The slot
+    holds one entry per problem and is emptied by every eval, so no
+    subgradient array is handed out twice. The package is single-threaded:
+    one problem must not be evaluated from two threads at once."""
 
     n: int
     value: Callable[[np.ndarray], float]
@@ -460,19 +467,52 @@ class ProblemSpec:
         return contains(self.cset, x, tol)
 
 
+def _parked_oracles(kernel, data: tuple, n: int):
+    """value and eval closures over one (value, subgradient) kernel called as
+    kernel(*data, x). value parks what the kernel returned, keyed on the
+    point's bytes and dtype; eval takes it back once on a match, so an
+    accepted line-search trial costs one kernel call, and an in-place change
+    to the point between the two calls is a miss, never a stale hit."""
+    shape = (n,)
+    parked = None  # (x bytes, x dtype, f, g) of the last value call
+
+    def value(x: np.ndarray) -> float:
+        nonlocal parked
+        if x.shape != shape:
+            raise ValueError(f"point has shape {x.shape}, instance expects {shape}")
+        f, g = kernel(*data, x)
+        parked = (x.tobytes(), x.dtype, f, g)
+        return f
+
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal parked
+        if x.shape != shape:
+            raise ValueError(f"point has shape {x.shape}, instance expects {shape}")
+        hit = parked
+        if hit is not None:
+            parked = None
+            if hit[0] == x.tobytes() and hit[1] == x.dtype:
+                return hit[2], hit[3]
+        return kernel(*data, x)
+
+    return value, evaluate
+
+
 def make_problem(inst: Instance, cset: SetDescriptor | None = None) -> ProblemSpec:
     """Bundle an instance with a constraint set. A planted optimum must be
     feasible, otherwise the certificate would not transfer to the constrained
     problem."""
     cset = WholeSpace() if cset is None else cset
     if isinstance(inst, MaxAffineInstance):
-        value = lambda x, _i=inst: max_affine_value(_i, x)
-        evaluate = lambda x, _i=inst: max_affine_eval(_i, x)
+        value, evaluate = _parked_oracles(
+            _kernels.max_affine_eval, (inst.A, inst.b, inst.sigma), inst.n
+        )
         x_star, f_star = inst.x_star, inst.f_star
         sigma = inst.sigma
     elif isinstance(inst, FermatWeberInstance):
-        value = lambda x, _i=inst: fermat_weber_value(_i, x)
-        evaluate = lambda x, _i=inst: fermat_weber_eval(_i, x)
+        value, evaluate = _parked_oracles(
+            _kernels.fermat_weber_eval, (inst.anchors, inst.weights), inst.n
+        )
         x_star, f_star = None, None
         sigma = 0.0
     else:
@@ -547,6 +587,16 @@ def instance_to_obj(inst: Instance, cset: SetDescriptor | None = None) -> dict:
 
 
 def instance_from_obj(obj: dict) -> tuple[Instance, SetDescriptor]:
+    """Inverse of instance_to_obj; a malformed object raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"instance must be a JSON object, got {type(obj).__name__}")
+    try:
+        return _instance_from_fields(obj)
+    except KeyError as exc:
+        raise ValueError(f"instance is missing field {exc}") from None
+
+
+def _instance_from_fields(obj: dict) -> tuple[Instance, SetDescriptor]:
     kind = obj.get("type")
     cset = _set_from_obj(obj.get("set", {"kind": "rn"}))
     if kind == "maxaffine":

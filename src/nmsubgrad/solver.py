@@ -126,14 +126,14 @@ def solve_nonmonotone(
     from .linesearch import nonmonotone_backtrack
 
     cfg = validate_config(cfg)
-    gammas = gamma_values(cfg.gamma, cfg.max_iters + 1)  # fails fast on short tables
+    gammas = gamma_values(cfg.gamma, cfg.max_iters + 1).tolist()  # fails fast on short tables
     x = _start_point(problem, x0)
     f = problem.value(x)
     alpha = cfg.alpha1
     records: list[IterationRecord] = []
 
     for k in range(1, cfg.max_iters + 1):
-        gamma_k = float(gammas[k - 1])
+        gamma_k = gammas[k - 1]
         if not math.isfinite(f):
             records.append(_terminal(k, x, f, gamma_k, alpha, snorm=math.nan))
             return build_report(records, TERMINATION_BACKTRACK_FAILURE)
@@ -171,7 +171,7 @@ def solve_nonmonotone(
     # budget exhausted: record the landed iterate (its subgradient is
     # evaluated so the trace is uniform and a zero there is still reported)
     k = cfg.max_iters + 1
-    gamma_k = float(gammas[k - 1])
+    gamma_k = gammas[k - 1]
     _, s = problem.eval(x)
     snorm_sq = float(np.dot(s, s))
     snorm = math.sqrt(snorm_sq) if math.isfinite(snorm_sq) else math.inf

@@ -231,3 +231,48 @@ def test_unknown_subcommand_is_exit_2():
 
 def test_no_arguments_is_exit_2():
     assert run_cli() == 2
+
+
+# ----- malformed input files: one error line, exit 2 -----
+
+
+def _assert_usage_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def test_run_instance_without_matrix_is_exit_2(planted_instance, tmp_path, capsys):
+    with open(planted_instance) as fh:
+        obj = json.load(fh)
+    del obj["A"]
+    path = tmp_path / "no_a.json"
+    path.write_text(json.dumps(obj))
+    rc = run_cli("run", str(path), "--out", str(tmp_path / "t.csv"))
+    assert "'A'" in _assert_usage_error(rc, capsys)
+
+
+def test_run_instance_that_is_a_list_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]")
+    rc = run_cli("run", str(path), "--out", str(tmp_path / "t.csv"))
+    _assert_usage_error(rc, capsys)
+
+
+def test_bench_plan_that_is_a_list_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text("[]")
+    rc = run_cli("bench", str(path), "--out-dir", str(tmp_path / "out"))
+    _assert_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize("text", ["[0.5, 0.9]", '{"gamma.kind": "power_inverse"}'],
+                         ids=["list", "missing_field"])
+def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    rc = run_cli("run", planted_instance, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "t.csv"))
+    _assert_usage_error(rc, capsys)

@@ -351,3 +351,80 @@ def test_problem_spec_checks_star_consistency():
             n=prob.n, value=prob.value, eval=prob.eval, cset=prob.cset,
             x_star=inst.x_star, f_star=inst.f_star + 1.0,
         )
+
+
+# ----- parked oracle: value(x) hands its subgradient to the next eval(x) -----
+
+
+def _oracle_cases():
+    ball = Ball(center=np.zeros(3), radius=2.0)
+    return [
+        ("maxaffine", plant_optimum_max_affine(2, 3, 9, spread=0.5), None),
+        ("maxaffine_sigma", plant_optimum_max_affine(2, 3, 9, spread=0.5, sigma=0.7), ball),
+        ("fermatweber", gen_fermat_weber(2, 3, 11), None),
+    ]
+
+
+ORACLE_CASES = _oracle_cases()
+ORACLE_IDS = [name for name, _, _ in ORACLE_CASES]
+
+
+def _plain_value(inst, x):
+    if isinstance(inst, MaxAffineInstance):
+        return max_affine_value(inst, x)
+    return fermat_weber_value(inst, x)
+
+
+@pytest.mark.parametrize("name,inst,cset", ORACLE_CASES, ids=ORACLE_IDS)
+def test_parked_eval_matches_fresh_eval(name, inst, cset):
+    prob = make_problem(inst, cset)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = rng.standard_normal(inst.n)
+        f = prob.value(x)
+        v, g = prob.eval(x)
+        v_fresh, g_fresh = make_problem(inst, cset).eval(x.copy())
+        # the value oracle agrees bit for bit with the value-only kernel
+        assert f == _plain_value(inst, x)
+        assert v == f == v_fresh
+        np.testing.assert_array_equal(g, g_fresh)
+
+
+@pytest.mark.parametrize("name,inst,cset", ORACLE_CASES, ids=ORACLE_IDS)
+def test_parked_eval_misses_after_in_place_change(name, inst, cset):
+    prob = make_problem(inst, cset)
+    x = np.full(inst.n, 0.25)
+    prob.value(x)
+    x[0] += 1.0
+    v, g = prob.eval(x)
+    v_fresh, g_fresh = make_problem(inst, cset).eval(x.copy())
+    assert v == v_fresh
+    np.testing.assert_array_equal(g, g_fresh)
+
+
+@pytest.mark.parametrize("name,inst,cset", ORACLE_CASES, ids=ORACLE_IDS)
+def test_parked_subgradient_is_handed_out_once(name, inst, cset):
+    prob = make_problem(inst, cset)
+    x = np.full(inst.n, -0.5)
+    prob.value(x)
+    _, g1 = prob.eval(x)
+    _, g2 = prob.eval(x)
+    assert g1 is not g2
+    assert not np.shares_memory(g1, g2)
+    np.testing.assert_array_equal(g1, g2)
+    g1[:] = np.nan  # a caller scribbling on its copy leaves the next one alone
+    _, g3 = prob.eval(x)
+    np.testing.assert_array_equal(g3, g2)
+
+
+@pytest.mark.parametrize("name,inst,cset", ORACLE_CASES, ids=ORACLE_IDS)
+def test_parked_oracles_reject_wrong_shapes(name, inst, cset):
+    prob = make_problem(inst, cset)
+    good = np.zeros(inst.n)
+    prob.value(good)
+    # a length-1 point would broadcast silently against the anchors
+    for bad in (np.zeros(1), np.zeros(inst.n + 1), np.zeros((inst.n, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            prob.value(bad)
+        with pytest.raises(ValueError, match="shape"):
+            prob.eval(bad)

@@ -3,15 +3,22 @@ import math
 import numpy as np
 import pytest
 
+import nmsubgrad._kernels as kernels
+import nmsubgrad.linesearch as linesearch
 from nmsubgrad import (
     Ball,
+    Box,
     ConstantLength,
     ConstantStep,
     MaxAffineInstance,
     NonsummableDiminishing,
+    ProblemSpec,
     SolverConfig,
     SqrtInverse,
     SquareSummable,
+    audit_stepwise,
+    constants,
+    gen_fermat_weber,
     make_problem,
     plant_optimum_max_affine,
     read_trace_csv,
@@ -20,6 +27,7 @@ from nmsubgrad import (
     write_trace_csv,
 )
 from nmsubgrad.core import (
+    TERMINATION_BACKTRACK_FAILURE,
     TERMINATION_MAX_ITERS,
     TERMINATION_ZERO_SUBGRADIENT,
 )
@@ -221,3 +229,160 @@ def test_read_trace_csv_rejects_garbage(tmp_path):
     p2.write_text("k,f,alpha,ell,gamma,snorm\n1,2.0,0.1\n")
     with pytest.raises(ValueError):
         read_trace_csv(str(p2))
+
+
+# ----- oracle calls per run -----
+
+
+def _count_trials(monkeypatch):
+    """Sum of line-search trials, seen through the module attribute the
+    solver resolves at call time."""
+    seen = {"searches": 0, "trials": 0}
+    real = linesearch.nonmonotone_backtrack
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen["searches"] += 1
+        seen["trials"] += out.trials
+        return out
+
+    monkeypatch.setattr(linesearch, "nonmonotone_backtrack", counted)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["maxaffine", "maxaffine_sigma", "fermatweber"])
+def test_one_kernel_call_per_trial_point(kind, monkeypatch):
+    kernel_name = "fermat_weber_eval" if kind == "fermatweber" else "max_affine_eval"
+    calls = {"kernel": 0, "value": 0, "eval": 0}
+    real_kernel = getattr(kernels, kernel_name)
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return real_kernel(*args)
+
+    monkeypatch.setattr(kernels, kernel_name, counted_kernel)
+    if kind != "fermatweber":
+        sigma = 0.5 if kind == "maxaffine_sigma" else 0.0
+        inst = plant_optimum_max_affine(3, 4, 12, spread=0.5, sigma=sigma)
+        prob = make_problem(inst, Ball(center=np.zeros(4), radius=1.0))
+    else:
+        prob = make_problem(gen_fermat_weber(3, 3, 15), Box(lo=-np.ones(3), hi=np.ones(3)))
+
+    def counting(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    counted = ProblemSpec(n=prob.n, value=counting("value", prob.value),
+                          eval=counting("eval", prob.eval), cset=prob.cset,
+                          sigma=prob.sigma, L=prob.L)
+    seen = _count_trials(monkeypatch)
+    calls["kernel"] = 0  # drop the plant check's call at construction
+    report = solve_nonmonotone(counted, CFG)
+    assert report.termination == TERMINATION_MAX_ITERS
+    assert seen["searches"] == CFG.max_iters
+    assert calls["value"] == seen["trials"] + 1
+    assert calls["eval"] == len(report.records)
+    # every eval took the subgradient parked by the value call at its point
+    assert calls["kernel"] == calls["value"]
+    # and the trace is the one a problem without counting wrappers gives
+    plain = solve_nonmonotone(prob, CFG)
+    assert [r.f for r in plain.records] == [r.f for r in report.records]
+    assert [r.snorm for r in plain.records] == [r.snorm for r in report.records]
+
+
+# ----- every termination path of the backtracking solver -----
+
+
+class FailingOracles:
+    """A real problem's oracles that break on command. Calls count from 1:
+    value call number nan_value_at returns NaN, computed by the real oracle at
+    a NaN point so it is parked like any trial value; eval call number
+    inf_eval_at returns an infinite subgradient."""
+
+    def __init__(self, problem, nan_value_at=None, inf_eval_at=None):
+        self.problem = problem
+        self.nan_value_at = nan_value_at
+        self.inf_eval_at = inf_eval_at
+        self.values = 0
+        self.evals = 0
+
+    def value(self, x):
+        self.values += 1
+        if self.values == self.nan_value_at:
+            return self.problem.value(np.full_like(x, np.nan))
+        return self.problem.value(x)
+
+    def eval(self, x):
+        self.evals += 1
+        f, g = self.problem.eval(x)
+        if self.evals == self.inf_eval_at:
+            g = np.full_like(g, np.inf)
+        return f, g
+
+    def spec(self):
+        p = self.problem
+        return ProblemSpec(n=p.n, value=self.value, eval=self.eval, cset=p.cset,
+                           sigma=p.sigma, L=p.L)
+
+
+def _assert_partial_trace_audits(report, prob, cfg):
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    audit = audit_stepwise(report, prob, cfg, tc)
+    assert audit.passed, [(ch.name, ch.status, ch.detail) for ch in audit.checks]
+    last = report.records[-1]
+    assert last.ell == 0
+    assert all(r.ell >= 1 for r in report.records[:-1])
+
+
+def test_nan_at_start_is_backtrack_failure():
+    prob = _planted(seed=10)
+    oracles = FailingOracles(prob, nan_value_at=1)
+    report = solve_nonmonotone(oracles.spec(), CFG)
+    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert len(report.records) == 1
+    assert math.isnan(report.records[0].f)
+    assert math.isnan(report.records[0].snorm)
+    assert oracles.evals == 0
+    _assert_partial_trace_audits(report, prob, CFG)
+
+
+def test_nan_trial_mid_run_is_backtrack_failure():
+    prob = _planted(seed=11)
+    oracles = FailingOracles(prob, nan_value_at=20)
+    report = solve_nonmonotone(oracles.spec(), CFG)
+    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert oracles.values == 20
+    assert 2 <= len(report.records) <= 19
+    last = report.records[-1]
+    assert math.isfinite(last.f)
+    _assert_partial_trace_audits(report, prob, CFG)
+    # the NaN trial's parked value is never picked up at a real point
+    v, g = prob.eval(last.x)
+    v_fresh, g_fresh = _planted(seed=11).eval(last.x.copy())
+    assert v == v_fresh == last.f
+    np.testing.assert_array_equal(g, g_fresh)
+
+
+def test_infinite_subgradient_is_backtrack_failure():
+    prob = _planted(seed=12)
+    oracles = FailingOracles(prob, inf_eval_at=10)
+    report = solve_nonmonotone(oracles.spec(), CFG)
+    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert len(report.records) == 10
+    assert report.records[-1].snorm == math.inf
+    _assert_partial_trace_audits(report, prob, CFG)
+
+
+def test_backtrack_cap_exhaustion_is_backtrack_failure():
+    # with one rung the accepted size never shrinks, so the size cap
+    # alpha1 <= c * zeta / sqrt(k) must fail by k = 26
+    cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=0.1,
+                       gamma=SqrtInverse(0.5), max_iters=80, backtrack_cap=1)
+    prob = _planted(seed=13)
+    report = solve_nonmonotone(prob, cfg)
+    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert 2 <= len(report.records) <= 26
+    assert all(r.ell == 1 for r in report.records[:-1])
+    _assert_partial_trace_audits(report, prob, cfg)
