@@ -11,6 +11,7 @@ errors. All outputs are deterministic for fixed inputs and written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from .analysis import (
     merge_reports,
 )
 from .core import (
+    SCALAR_FIELDS,
     ConfigError,
     SolverConfig,
     SqrtInverse,
@@ -65,9 +67,6 @@ from .solver import (
 
 METHODS = ("nonmonotone", "constant", "fixedlength", "nonsum", "sqrsum")
 
-# default constants of the prefixed rules; a bench plan can override them
-STEP_CONSTANTS = {"constant": 0.1, "fixedlength": 0.2, "nonsum": 0.1, "sqrsum": 0.5}
-
 _RULES = {
     "constant": ConstantStep,
     "fixedlength": ConstantLength,
@@ -95,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="plant a certified optimum (x_star, f_star)")
     ga.add_argument("--active", type=int, default=None,
                     help="planted active piece count (default n+1)")
-    ga.add_argument("--spread", type=float, default=1.0,
+    ga.add_argument("--spread", type=float, default=None,
                     help="planted distance of x_star from the origin")
-    ga.add_argument("--active-scale", type=float, default=1.0,
+    ga.add_argument("--active-scale", type=float, default=None,
                     help="multiplier on the planted active gradients")
-    ga.add_argument("--sigma", type=float, default=0.0,
+    ga.add_argument("--sigma", type=float, default=None,
                     help="strong-convexity modulus of the added quadratic")
     _add_set_flags(ga)
     ga.add_argument("--out", required=True)
@@ -108,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     gf.add_argument("--seed", type=int, default=0)
     gf.add_argument("--n", type=int, default=2)
     gf.add_argument("--m", type=int, default=27)
-    gf.add_argument("--scale", type=float, default=10.0)
+    gf.add_argument("--scale", type=float, default=None)
     gf.add_argument("--from-csv", default=None,
                     help="read anchors from lat,lon rows (integer parts, sign-flipped)")
     _add_set_flags(gf)
@@ -123,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--rho", type=float, default=None)
     r.add_argument("--alpha1", type=float, default=None)
     r.add_argument("--backtrack-cap", type=int, default=None)
-    r.add_argument("--iters", type=int, default=None)
+    r.add_argument("--iters", type=int, default=None, dest="max_iters", metavar="ITERS")
     r.add_argument("--seed", type=int, default=None, help="recorded in the config")
     r.add_argument("--step-const", type=float, default=None,
                    help="constant of the prefixed rule (method-specific default)")
@@ -139,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("check", help="audit a trace against its instance")
     k.add_argument("trace")
     k.add_argument("instance")
-    k.add_argument("--c", type=float, default=1.0)
-    k.add_argument("--beta", type=float, default=0.9)
-    k.add_argument("--rho", type=float, default=0.8)
+    k.add_argument("--c", type=float, default=None)
+    k.add_argument("--beta", type=float, default=None)
+    k.add_argument("--rho", type=float, default=None)
     k.add_argument("--zeta", type=float, default=None,
                    help="declare gamma_k = zeta/sqrt(k); inferred from the trace otherwise")
     k.add_argument("--out", default=None, help="write the audit report JSON here")
@@ -163,6 +162,12 @@ def _build_set(args, n: int):
     return Box(lo=np.full(n, args.box_lo), hi=np.full(n, args.box_hi))
 
 
+def _given(args, names) -> dict:
+    """The flags among names given on the command line; the others are left
+    out, so the function they are passed to applies its own defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 # ----- gen -----
 
 
@@ -170,12 +175,11 @@ def cmd_gen(args) -> int:
     if args.family == "maxaffine":
         if args.planted:
             inst = plant_optimum_max_affine(
-                args.seed, args.n, args.m,
-                active_count=args.active, spread=args.spread, sigma=args.sigma,
-                active_scale=args.active_scale,
+                args.seed, args.n, args.m, active_count=args.active,
+                **_given(args, ("spread", "sigma", "active_scale")),
             )
         else:
-            inst = gen_max_affine(args.seed, args.n, args.m, sigma=args.sigma)
+            inst = gen_max_affine(args.seed, args.n, args.m, **_given(args, ("sigma",)))
         cset = _build_set(args, args.n)
         if inst.x_star is not None and not _feasible(cset, inst.x_star):
             raise UsageError(
@@ -192,7 +196,7 @@ def cmd_gen(args) -> int:
                 )
             inst = FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
         else:
-            inst = gen_fermat_weber(args.seed, args.n, args.m, scale=args.scale)
+            inst = gen_fermat_weber(args.seed, args.n, args.m, **_given(args, ("scale",)))
         cset = _build_set(args, inst.n)
         save_instance(args.out, inst, cset)
     print(args.out)
@@ -209,7 +213,7 @@ def _feasible(cset, x) -> bool:
 
 
 def _run_config(args) -> SolverConfig:
-    base = None
+    base = SolverConfig()
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -217,28 +221,15 @@ def _run_config(args) -> SolverConfig:
             base = config_from_json(text)
         except json.JSONDecodeError:
             base = config_from_keyvalues(text)
-    c = args.c if args.c is not None else (base.c if base else 1.0)
-    beta = args.beta if args.beta is not None else (base.beta if base else 0.9)
-    rho = args.rho if args.rho is not None else (base.rho if base else 0.8)
-    alpha1 = args.alpha1 if args.alpha1 is not None else (base.alpha1 if base else 0.1)
-    cap = args.backtrack_cap if args.backtrack_cap is not None else (
-        base.backtrack_cap if base else 500
-    )
-    iters = args.iters if args.iters is not None else (base.max_iters if base else 3000)
-    seed = args.seed if args.seed is not None else (base.seed if base else 0)
+    given = _given(args, SCALAR_FIELDS)
     if args.zeta is not None:
-        gamma = SqrtInverse(zeta=args.zeta)
-    elif base is not None:
-        gamma = base.gamma
-    else:
-        gamma = SqrtInverse()
-    return validate_config(SolverConfig(
-        c=c, beta=beta, rho=rho, alpha1=alpha1, gamma=gamma,
-        max_iters=iters, backtrack_cap=cap, seed=seed,
-    ))
+        given["gamma"] = SqrtInverse(zeta=args.zeta)
+    return validate_config(dataclasses.replace(base, **given))
 
 
 def _make_rule(method: str, const: float | None):
+    """The method's step rule, with the rule's own default constant unless
+    one is given."""
     cls = _RULES[method]
     return cls() if const is None else cls(a=const)
 
@@ -302,53 +293,75 @@ def cmd_bench(args) -> int:
     problem_kind = plan.get("problem", "maxaffine")
     if problem_kind not in ("maxaffine", "fermatweber"):
         raise UsageError(f"unknown problem kind {problem_kind!r}")
-    methods = plan.get("methods", list(METHODS))
+    methods = _plan_part(plan, "methods", list, list(METHODS))
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
-    solver_over = plan.get("solver", {})
-    step_over = dict(STEP_CONSTANTS)
-    step_over.update(plan.get("step_constants", {}))
+    solver = _plan_part(plan, "solver", dict, {})
+    steps = _plan_part(plan, "step_constants", dict, {})
+    try:
+        solver_over = {name: SCALAR_FIELDS[name](solver[name]) for name in _BENCH_SOLVER_FIELDS
+                       if name in solver}
+        step_over = {method: float(steps[method]) for method in _RULES if method in steps}
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"plan solver or step constant is not a number: {exc}") from None
     out_dir = args.out_dir or plan.get("out_dir")
     if not out_dir:
         raise UsageError("no output directory: pass --out-dir or set out_dir in the plan")
-    os.makedirs(out_dir, exist_ok=True)
-    configs = plan.get("configs")
+    if not isinstance(out_dir, str):
+        raise UsageError(f"out_dir must be a string, got {type(out_dir).__name__}")
+    configs = _plan_part(plan, "configs", list, [])
     if not configs:
         raise UsageError("plan has no configs")
+    fields = [_bench_config_fields(conf) for conf in configs]
+    os.makedirs(out_dir, exist_ok=True)
     written = []
-    for conf in configs:
-        written.append(_bench_one_config(problem_kind, conf, methods, solver_over, step_over, out_dir))
+    for conf, conf_fields in zip(configs, fields):
+        written.append(_bench_one_config(
+            problem_kind, conf, conf_fields, methods, solver_over, step_over, out_dir
+        ))
     for path in written:
         print(path)
     return 0
 
 
-def _bench_config_fields(conf) -> tuple[int, int, float, int, list[int]]:
+# the solver fields a plan's "solver" object may set; iterations and seeds
+# come from each config
+_BENCH_SOLVER_FIELDS = ("c", "beta", "rho", "alpha1", "backtrack_cap")
+
+
+def _plan_part(plan: dict, key: str, kind: type, default):
+    value = plan.get(key, default)
+    if not isinstance(value, kind):
+        want = "an object" if kind is dict else "a list"
+        raise UsageError(f"plan field {key!r} must be {want}, got {type(value).__name__}")
+    return value
+
+
+def _bench_config_fields(conf) -> tuple[int, int, SqrtInverse, int, list[int]]:
+    if not isinstance(conf, dict):
+        raise UsageError(f"each entry of 'configs' must be an object, got {type(conf).__name__}")
     try:
         n = int(conf["n"])
         m = int(conf["m"])
-        zeta = float(conf.get("zeta", 1.0))
+        gamma = SqrtInverse(zeta=float(conf["zeta"])) if "zeta" in conf else SqrtInverse()
         iters = int(conf["iters"])
-        seeds = [int(s) for s in conf["seeds"]]
+        seeds = conf["seeds"]
+        if not isinstance(seeds, list):
+            raise UsageError(f"config field 'seeds' must be a list, got {type(seeds).__name__}")
+        seeds = [int(s) for s in seeds]
     except KeyError as exc:
-        raise UsageError(f"config is missing field {exc}")
+        raise UsageError(f"config is missing field {exc}") from None
+    except TypeError as exc:
+        raise UsageError(f"config field has the wrong type: {exc}") from None
     if not seeds:
         raise UsageError("config has an empty seed list")
-    return n, m, zeta, iters, seeds
+    return n, m, gamma, iters, seeds
 
 
-def _bench_one_config(kind, conf, methods, solver_over, step_over, out_dir) -> str:
-    n, m, zeta, iters, seeds = _bench_config_fields(conf)
-    cfg = validate_config(SolverConfig(
-        c=float(solver_over.get("c", 1.0)),
-        beta=float(solver_over.get("beta", 0.9)),
-        rho=float(solver_over.get("rho", 0.8)),
-        alpha1=float(solver_over.get("alpha1", 0.1)),
-        gamma=SqrtInverse(zeta=zeta),
-        max_iters=iters,
-        backtrack_cap=int(solver_over.get("backtrack_cap", 500)),
-    ))
+def _bench_one_config(kind, conf, fields, methods, solver_over, step_over, out_dir) -> str:
+    n, m, gamma, iters, seeds = fields
+    cfg = validate_config(SolverConfig(**solver_over, gamma=gamma, max_iters=iters))
     fw = kind == "fermatweber"
     x_cols = [f"x{i+1}" for i in range(n)] if fw else []
     header = ["method", "seed"] + x_cols + ["gap", "it_best", "status"]
@@ -362,7 +375,7 @@ def _bench_one_config(kind, conf, methods, solver_over, step_over, out_dir) -> s
                     report = solve_nonmonotone(problem, cfg)
                 else:
                     report = solve_prefixed(
-                        problem, _RULES[method](a=float(step_over[method])), iters
+                        problem, _make_rule(method, step_over.get(method)), iters
                     )
                 gap = report.f_best - f_star
                 cells = [method, str(seed)]
@@ -392,43 +405,20 @@ def _bench_one_config(kind, conf, methods, solver_over, step_over, out_dir) -> s
 
 def _bench_problem(kind, conf, seed, n, m):
     if kind == "maxaffine":
-        inst = plant_optimum_max_affine(
-            seed, n, m,
-            active_count=conf.get("active"),
-            spread=float(conf.get("spread", 1.0)),
-            sigma=float(conf.get("sigma", 0.0)),
-            active_scale=float(conf.get("active_scale", 1.0)),
-        )
+        shape = {key: float(conf[key]) for key in ("spread", "sigma", "active_scale")
+                 if key in conf}
+        inst = plant_optimum_max_affine(seed, n, m, active_count=conf.get("active"), **shape)
         return make_problem(inst), inst.f_star
     if "anchors_csv" in conf:
         anchors = read_anchor_csv(conf["anchors_csv"])
         inst = FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
+    elif "anchor_scale" in conf:
+        inst = gen_fermat_weber(seed, n, m, scale=float(conf["anchor_scale"]))
     else:
-        inst = gen_fermat_weber(seed, n, m, scale=float(conf.get("anchor_scale", 10.0)))
+        inst = gen_fermat_weber(seed, n, m)
     _, f_star = weiszfeld(inst)
-    problem = make_problem(inst)
-    return ProblemWithStar(problem, f_star), f_star
-
-
-class ProblemWithStar:
-    """Wrap a problem with an externally computed optimal value."""
-
-    def __init__(self, problem, f_star):
-        self._p = problem
-        self.n = problem.n
-        self.value = problem.value
-        self.eval = problem.eval
-        self.cset = problem.cset
-        self.sigma = problem.sigma
-        self.L = problem.L
-        self.x_star = problem.x_star
-        self.f_star = f_star
-
-    def project(self, y):
-        return self._p.project(y)
-
-    def contains(self, x, tol=1e-9):
-        return self._p.contains(x, tol)
+    problem = dataclasses.replace(make_problem(inst), f_star=f_star)
+    return problem, f_star
 
 
 def _best_iterate(report):
@@ -464,12 +454,12 @@ def cmd_check(args) -> int:
     gammas = np.array([r.gamma for r in report.records])
     gamma_seq = _infer_gamma(gammas, args.zeta)
     cfg = SolverConfig(
-        c=args.c, beta=args.beta, rho=args.rho,
+        **_given(args, ("c", "beta", "rho")),
         gamma=gamma_seq, max_iters=max(1, len(report.records) - 1),
     )
     tc = None
-    if problem.L is not None and 0.5 < args.rho < 1.0:
-        tc = constants(args.rho, args.beta, problem.L, c=args.c)
+    if problem.L is not None and 0.5 < cfg.rho < 1.0:
+        tc = constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
     x1 = project(cset, np.zeros(problem.n))  # the default start convention
     merged = merge_reports(
         audit_stepwise(report, problem, cfg, tc),

@@ -299,7 +299,9 @@ def _gamma_to_items(seq: GammaSequence) -> dict:
 def _gamma_from_items(items: dict) -> GammaSequence:
     kind = items.get("gamma.kind")
     if kind == "sqrt_inverse":
-        return SqrtInverse(zeta=float(items.get("gamma.zeta", 1.0)))
+        if "gamma.zeta" not in items:
+            return SqrtInverse()
+        return SqrtInverse(zeta=float(items["gamma.zeta"]))
     if kind == "power_inverse":
         return PowerInverse(
             zeta=float(items["gamma.zeta"]), theta=float(items["gamma.theta"])
@@ -318,36 +320,34 @@ def _gamma_from_items(items: dict) -> GammaSequence:
     raise ConfigError(f"unknown gamma.kind: {kind!r}")
 
 
+# the scalar SolverConfig fields, each with the type its serialized text parses to
+SCALAR_FIELDS = {
+    "c": float,
+    "beta": float,
+    "rho": float,
+    "alpha1": float,
+    "max_iters": int,
+    "backtrack_cap": int,
+    "seed": int,
+}
+
+
 def _config_items(cfg: SolverConfig) -> dict:
-    items = {
-        "c": cfg.c,
-        "beta": cfg.beta,
-        "rho": cfg.rho,
-        "alpha1": cfg.alpha1,
-        "max_iters": cfg.max_iters,
-        "backtrack_cap": cfg.backtrack_cap,
-        "seed": cfg.seed,
-    }
+    items = {name: getattr(cfg, name) for name in SCALAR_FIELDS}
     items.update(_gamma_to_items(cfg.gamma))
     return items
 
 
 def _config_from_items(items: dict) -> SolverConfig:
-    try:
-        gamma = _gamma_from_items(items) if "gamma.kind" in items else SqrtInverse()
-    except KeyError as exc:
-        raise ConfigError(f"config is missing field {exc}") from None
-    cfg = SolverConfig(
-        c=float(items.get("c", 1.0)),
-        beta=float(items.get("beta", 0.9)),
-        rho=float(items.get("rho", 0.8)),
-        alpha1=float(items.get("alpha1", 0.1)),
-        gamma=gamma,
-        max_iters=int(items.get("max_iters", 3000)),
-        backtrack_cap=int(items.get("backtrack_cap", 500)),
-        seed=int(items.get("seed", 0)),
-    )
-    return validate_config(cfg)
+    """A config from the fields present in items; absent ones keep the
+    SolverConfig defaults."""
+    given = {name: cast(items[name]) for name, cast in SCALAR_FIELDS.items() if name in items}
+    if "gamma.kind" in items:
+        try:
+            given["gamma"] = _gamma_from_items(items)
+        except KeyError as exc:
+            raise ConfigError(f"config is missing field {exc}") from None
+    return validate_config(SolverConfig(**given))
 
 
 def config_to_json(cfg: SolverConfig) -> str:

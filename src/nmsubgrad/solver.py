@@ -132,7 +132,7 @@ def solve_nonmonotone(
     alpha = cfg.alpha1
     records: list[IterationRecord] = []
 
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, cfg.max_iters + 2):
         gamma_k = gammas[k - 1]
         if not math.isfinite(f):
             records.append(_terminal(k, x, f, gamma_k, alpha, snorm=math.nan))
@@ -143,9 +143,13 @@ def solve_nonmonotone(
         if snorm_sq == 0.0:
             records.append(_terminal(k, x, f, gamma_k, alpha, snorm=0.0))
             return build_report(records, TERMINATION_ZERO_SUBGRADIENT)
-        if not math.isfinite(snorm_sq):
+        # past the budget, the landed iterate's row: its subgradient is
+        # evaluated so the trace is uniform and a zero there is reported
+        last = k > cfg.max_iters
+        if last or not math.isfinite(snorm_sq):
             records.append(_terminal(k, x, f, gamma_k, alpha, snorm=snorm))
-            return build_report(records, TERMINATION_BACKTRACK_FAILURE)
+            tag = TERMINATION_MAX_ITERS if last else TERMINATION_BACKTRACK_FAILURE
+            return build_report(records, tag)
         try:
             out = nonmonotone_backtrack(
                 problem.value, problem.project, x, f, s, alpha, gamma_k, cfg
@@ -167,18 +171,7 @@ def solve_nonmonotone(
             )
         )
         x, f, alpha = out.x_next, out.f_next, out.alpha_next
-
-    # budget exhausted: record the landed iterate (its subgradient is
-    # evaluated so the trace is uniform and a zero there is still reported)
-    k = cfg.max_iters + 1
-    gamma_k = gammas[k - 1]
-    _, s = problem.eval(x)
-    snorm_sq = float(np.dot(s, s))
-    snorm = math.sqrt(snorm_sq) if math.isfinite(snorm_sq) else math.inf
-    records.append(_terminal(k, x, f, gamma_k, alpha, snorm=snorm))
-    if snorm_sq == 0.0:
-        return build_report(records, TERMINATION_ZERO_SUBGRADIENT)
-    return build_report(records, TERMINATION_MAX_ITERS)
+    raise AssertionError("unreachable")
 
 
 def _terminal(k, x, f, gamma, alpha, snorm) -> IterationRecord:

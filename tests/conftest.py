@@ -8,12 +8,6 @@ import nmsubgrad as ns
 ACCEPTANCE_LINES: list[str] = []
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # jit compilation must not be billed to whichever test runs first
-    ns.warmup()
-
-
 def _benchmark_configs():
     """The three instance shapes shared by the audit and comparison tests.
 

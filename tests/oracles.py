@@ -8,6 +8,7 @@ speed. Tests compare package outputs against these.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def max_affine_value_ref(A, b, x, sigma=0.0):
@@ -75,12 +76,16 @@ def backtrack_ref(value, projector, x_k, f_k, s_k, alpha_k, gamma_k,
 
     Condition one is written in its original beta^ell * alpha <= c*beta*gamma
     form on purpose, to cross-check the package's algebraically rearranged
-    version.
+    version. It is evaluated exactly on the float inputs, so rounding cannot
+    turn an exact tie (say c == alpha and gamma == beta) into a rejection.
     """
     snorm_sq = sum(s * s for s in s_k)
+    lhs = Fraction(alpha_k)
+    rhs = Fraction(c) * Fraction(beta) * Fraction(gamma_k)
     for ell in range(1, cap + 1):
         step = beta**ell * alpha_k
-        if not step <= c * beta * gamma_k:
+        lhs *= Fraction(beta)
+        if not lhs <= rhs:
             continue
         x_trial = projector([xi - step * si for xi, si in zip(x_k, s_k)])
         f_trial = value(x_trial)

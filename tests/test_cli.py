@@ -268,6 +268,28 @@ def test_bench_plan_that_is_a_list_is_exit_2(tmp_path, capsys):
     _assert_usage_error(rc, capsys)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("solver", [1]),
+    ("step_constants", [1]),
+    ("configs", [[1, 2]]),
+    ("seeds", 3),
+    ("methods", "nonmonotone"),
+])
+def test_bench_malformed_plan_is_exit_2(tmp_path, capsys, field, value):
+    path = _small_plan(tmp_path)
+    with open(path) as fh:
+        plan = json.load(fh)
+    if field == "seeds":
+        plan["configs"][0]["seeds"] = value
+    else:
+        plan[field] = value
+    with open(path, "w") as fh:
+        json.dump(plan, fh)
+    rc = run_cli("bench", path)
+    assert repr(field) in _assert_usage_error(rc, capsys)
+    assert not os.path.exists(tmp_path / "out")
+
+
 @pytest.mark.parametrize("text", ["[0.5, 0.9]", '{"gamma.kind": "power_inverse"}'],
                          ids=["list", "missing_field"])
 def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmsubgrad import (
@@ -88,6 +88,9 @@ def test_outcome_internal_laws():
     rho=st.floats(0.55, 0.95),
     beta=st.floats(0.5, 0.95),
 )
+# an exact size-cap tie: beta*alpha == c*gamma in floats and exactly
+@example(seed=28, alpha=0.6127122621003389, gamma=0.83984375, c=0.6127122621003389,
+         rho=0.8, beta=0.83984375)
 def test_matches_reference_scan(seed, alpha, gamma, c, rho, beta):
     inst = plant_optimum_max_affine(seed, 3, 7, spread=1.0)
     prob = make_problem(inst)

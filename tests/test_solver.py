@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -299,12 +300,14 @@ class FailingOracles:
     """A real problem's oracles that break on command. Calls count from 1:
     value call number nan_value_at returns NaN, computed by the real oracle at
     a NaN point so it is parked like any trial value; eval call number
-    inf_eval_at returns an infinite subgradient."""
+    inf_eval_at returns an infinite subgradient, and eval call number
+    zero_eval_at a zero one."""
 
-    def __init__(self, problem, nan_value_at=None, inf_eval_at=None):
+    def __init__(self, problem, nan_value_at=None, inf_eval_at=None, zero_eval_at=None):
         self.problem = problem
         self.nan_value_at = nan_value_at
         self.inf_eval_at = inf_eval_at
+        self.zero_eval_at = zero_eval_at
         self.values = 0
         self.evals = 0
 
@@ -319,6 +322,8 @@ class FailingOracles:
         f, g = self.problem.eval(x)
         if self.evals == self.inf_eval_at:
             g = np.full_like(g, np.inf)
+        if self.evals == self.zero_eval_at:
+            g = np.zeros_like(g)
         return f, g
 
     def spec(self):
@@ -386,3 +391,48 @@ def test_backtrack_cap_exhaustion_is_backtrack_failure():
     assert 2 <= len(report.records) <= 26
     assert all(r.ell == 1 for r in report.records[:-1])
     _assert_partial_trace_audits(report, prob, cfg)
+
+
+# ----- the landed iterate after the last step -----
+
+
+def test_zero_subgradient_at_landed_iterate():
+    prob = _planted(seed=14)
+    oracles = FailingOracles(prob, zero_eval_at=CFG.max_iters + 1)
+    report = solve_nonmonotone(oracles.spec(), CFG)
+    assert report.termination == TERMINATION_ZERO_SUBGRADIENT
+    assert len(report.records) == CFG.max_iters + 1
+    assert oracles.evals == CFG.max_iters + 1
+    last = report.records[-1]
+    assert (last.k, last.ell, last.snorm) == (CFG.max_iters + 1, 0, 0.0)
+    _assert_partial_trace_audits(report, prob, CFG)
+
+
+def test_infinite_subgradient_at_landed_iterate_is_max_iters():
+    prob = _planted(seed=15)
+    oracles = FailingOracles(prob, inf_eval_at=CFG.max_iters + 1)
+    report = solve_nonmonotone(oracles.spec(), CFG)
+    assert report.termination == TERMINATION_MAX_ITERS
+    assert len(report.records) == CFG.max_iters + 1
+    last = report.records[-1]
+    assert (last.k, last.ell, last.snorm) == (CFG.max_iters + 1, 0, math.inf)
+
+
+# ----- golden trace of the acceptance fixture -----
+
+# sha256 of the f, alpha, ell, gamma, snorm columns of the 60 fixture runs, in
+# fixture order; ell hashed as int64 and the other columns as float64. A
+# refactor of the solver, line search, oracles or kernels must keep it.
+FIXTURE_TRACE_SHA256 = "4a3c431e280eca9852141bbf2726cddf7d82dfd823e2499b389bc82124c8f525"
+
+
+def test_fixture_traces_match_golden_digest(audit_runs):
+    runs, _ = audit_runs
+    h = hashlib.sha256()
+    reports = [report for entries in runs.values() for _, _, _, report in entries]
+    assert len(reports) == 60
+    for report in reports:
+        for name in ("f", "alpha", "ell", "gamma", "snorm"):
+            dtype = np.int64 if name == "ell" else np.float64
+            h.update(np.asarray([getattr(r, name) for r in report.records], dtype=dtype).tobytes())
+    assert h.hexdigest() == FIXTURE_TRACE_SHA256
