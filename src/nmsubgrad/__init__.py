@@ -8,143 +8,21 @@ optima, and an audit layer that re-checks per-iteration inequalities and
 convergence-rate bounds on recorded runs.
 """
 
+from . import analysis, core, linesearch, problems, solver
 from ._kernels import BACKEND
-from .core import (
-    BacktrackFailureError,
-    ConfigError,
-    ExplicitTable,
-    GammaDiagnostics,
-    IterationRecord,
-    OracleError,
-    PowerInverse,
-    RunReport,
-    SolverConfig,
-    SqrtInverse,
-    StronglyConvexHarmonic,
-    TheoryRegimeWarning,
-    config_from_json,
-    config_from_keyvalues,
-    config_to_json,
-    config_to_keyvalues,
-    gamma_value,
-    gamma_values,
-    sequence_diagnostics,
-    validate_config,
-)
-from .problems import (
-    Ball,
-    Box,
-    FermatWeberInstance,
-    MaxAffineInstance,
-    NonnegativeOrthant,
-    ProblemSpec,
-    WholeSpace,
-    contains,
-    diameter_sq,
-    fermat_weber_eval,
-    fermat_weber_value,
-    gen_fermat_weber,
-    gen_max_affine,
-    lipschitz_bound,
-    load_instance,
-    make_problem,
-    max_affine_eval,
-    max_affine_value,
-    plant_optimum_max_affine,
-    project,
-    read_anchor_csv,
-    save_instance,
-    weiszfeld,
-)
-from .linesearch import LineSearchOutcome, nonmonotone_backtrack
-from .solver import (
-    ConstantLength,
-    ConstantStep,
-    NonsummableDiminishing,
-    SquareSummable,
-    read_trace_csv,
-    solve_nonmonotone,
-    solve_prefixed,
-    write_trace_csv,
-)
-from .analysis import (
-    AuditReport,
-    CheckResult,
-    TheoryConstants,
-    audit_rate_bounds,
-    audit_report_to_json,
-    audit_stepwise,
-    check_sum_lemmas,
-    constants,
-    merge_reports,
-    sum_lemma_sweep,
-)
+from .core import *
+from .problems import *
+from .linesearch import *
+from .solver import *
+from .analysis import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "BacktrackFailureError",
-    "ConfigError",
-    "ExplicitTable",
-    "GammaDiagnostics",
-    "IterationRecord",
-    "OracleError",
-    "PowerInverse",
-    "RunReport",
-    "SolverConfig",
-    "SqrtInverse",
-    "StronglyConvexHarmonic",
-    "TheoryRegimeWarning",
-    "config_from_json",
-    "config_from_keyvalues",
-    "config_to_json",
-    "config_to_keyvalues",
-    "gamma_value",
-    "gamma_values",
-    "sequence_diagnostics",
-    "validate_config",
-    "Ball",
-    "Box",
-    "FermatWeberInstance",
-    "MaxAffineInstance",
-    "NonnegativeOrthant",
-    "ProblemSpec",
-    "WholeSpace",
-    "contains",
-    "diameter_sq",
-    "fermat_weber_eval",
-    "fermat_weber_value",
-    "gen_fermat_weber",
-    "gen_max_affine",
-    "lipschitz_bound",
-    "load_instance",
-    "make_problem",
-    "max_affine_eval",
-    "max_affine_value",
-    "plant_optimum_max_affine",
-    "project",
-    "read_anchor_csv",
-    "save_instance",
-    "weiszfeld",
-    "LineSearchOutcome",
-    "nonmonotone_backtrack",
-    "ConstantLength",
-    "ConstantStep",
-    "NonsummableDiminishing",
-    "SquareSummable",
-    "read_trace_csv",
-    "solve_nonmonotone",
-    "solve_prefixed",
-    "write_trace_csv",
-    "AuditReport",
-    "CheckResult",
-    "TheoryConstants",
-    "audit_rate_bounds",
-    "audit_report_to_json",
-    "audit_stepwise",
-    "check_sum_lemmas",
-    "constants",
-    "merge_reports",
-    "sum_lemma_sweep",
+    *core.__all__,
+    *problems.__all__,
+    *linesearch.__all__,
+    *solver.__all__,
+    *analysis.__all__,
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import statistics
 import sys
@@ -33,6 +32,7 @@ from .core import (
     SolverConfig,
     SqrtInverse,
     ExplicitTable,
+    _config_from_items,
     config_from_json,
     config_from_keyvalues,
     validate_config,
@@ -42,6 +42,7 @@ from .problems import (
     Box,
     WholeSpace,
     _atomic_write,
+    contains,
     gen_fermat_weber,
     gen_max_affine,
     lipschitz_bound,
@@ -59,6 +60,8 @@ from .solver import (
     ConstantStep,
     NonsummableDiminishing,
     SquareSummable,
+    _check_rule,
+    _trace_rows,
     read_trace_csv,
     solve_nonmonotone,
     solve_prefixed,
@@ -84,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
+    g.set_defaults(handler=cmd_gen)
     gsub = g.add_subparsers(dest="family", required=True)
 
     ga = gsub.add_parser("maxaffine", help="max-of-affine instance")
@@ -114,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     gf.add_argument("--out", required=True)
 
     r = sub.add_parser("run", help="solve one instance, write trace + summary")
+    r.set_defaults(handler=cmd_run)
     r.add_argument("instance")
     r.add_argument("--method", choices=METHODS, default="nonmonotone")
     r.add_argument("--zeta", type=float, default=None, help="gamma_k = zeta/sqrt(k)")
@@ -132,10 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--format", choices=("csv", "json"), default="csv")
 
     b = sub.add_parser("bench", help="run a benchmark plan")
+    b.set_defaults(handler=cmd_bench)
     b.add_argument("plan")
     b.add_argument("--out-dir", default=None, help="overrides the plan's out_dir")
 
     k = sub.add_parser("check", help="audit a trace against its instance")
+    k.set_defaults(handler=cmd_check)
     k.add_argument("trace")
     k.add_argument("instance")
     k.add_argument("--c", type=float, default=None)
@@ -181,7 +188,7 @@ def cmd_gen(args) -> int:
         else:
             inst = gen_max_affine(args.seed, args.n, args.m, **_given(args, ("sigma",)))
         cset = _build_set(args, args.n)
-        if inst.x_star is not None and not _feasible(cset, inst.x_star):
+        if inst.x_star is not None and not contains(cset, inst.x_star):
             raise UsageError(
                 "planted optimum lies outside the requested set; "
                 "enlarge the set or drop --planted"
@@ -201,12 +208,6 @@ def cmd_gen(args) -> int:
         save_instance(args.out, inst, cset)
     print(args.out)
     return 0
-
-
-def _feasible(cset, x) -> bool:
-    from .problems import contains
-
-    return contains(cset, x)
 
 
 # ----- run -----
@@ -229,9 +230,11 @@ def _run_config(args) -> SolverConfig:
 
 def _make_rule(method: str, const: float | None):
     """The method's step rule, with the rule's own default constant unless
-    one is given."""
+    one is given; a constant that is not positive is a ValueError."""
     cls = _RULES[method]
-    return cls() if const is None else cls(a=const)
+    rule = cls() if const is None else cls(a=float(const))
+    _check_rule(rule)
+    return rule
 
 
 def cmd_run(args) -> int:
@@ -270,16 +273,10 @@ def _summary_path(out: str) -> str:
 
 
 def _write_trace_json(report, path: str, f_star=None) -> None:
-    rows = []
-    best = math.inf
-    for r in report.records:
-        best = min(best, r.f)
-        row = {"k": r.k, "f": r.f, "alpha": r.alpha, "ell": r.ell,
-               "gamma": r.gamma, "snorm": r.snorm}
-        if f_star is not None:
-            row["fbest_gap"] = best - f_star
-        rows.append(row)
-    _atomic_write(path, json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    rows = _trace_rows(report, f_star)
+    columns = next(rows)
+    objs = [dict(zip(columns, row)) for row in rows]
+    _atomic_write(path, json.dumps(objs, sort_keys=True, indent=2) + "\n")
 
 
 # ----- bench -----
@@ -290,6 +287,7 @@ def cmd_bench(args) -> int:
         plan = json.load(fh)
     if not isinstance(plan, dict):
         raise UsageError(f"{args.plan}: plan must be a JSON object, got {type(plan).__name__}")
+    _reject_unknown("plan", plan, _PLAN_KEYS)
     problem_kind = plan.get("problem", "maxaffine")
     if problem_kind not in ("maxaffine", "fermatweber"):
         raise UsageError(f"unknown problem kind {problem_kind!r}")
@@ -297,14 +295,8 @@ def cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
-    solver = _plan_part(plan, "solver", dict, {})
-    steps = _plan_part(plan, "step_constants", dict, {})
-    try:
-        solver_over = {name: SCALAR_FIELDS[name](solver[name]) for name in _BENCH_SOLVER_FIELDS
-                       if name in solver}
-        step_over = {method: float(steps[method]) for method in _RULES if method in steps}
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"plan solver or step constant is not a number: {exc}") from None
+    base = _bench_solver(_plan_part(plan, "solver", dict, {}))
+    rules = _bench_rules(_plan_part(plan, "step_constants", dict, {}))
     out_dir = args.out_dir or plan.get("out_dir")
     if not out_dir:
         raise UsageError("no output directory: pass --out-dir or set out_dir in the plan")
@@ -313,21 +305,29 @@ def cmd_bench(args) -> int:
     configs = _plan_part(plan, "configs", list, [])
     if not configs:
         raise UsageError("plan has no configs")
-    fields = [_bench_config_fields(conf) for conf in configs]
+    fields = [_bench_config_fields(conf, base) for conf in configs]
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for conf, conf_fields in zip(configs, fields):
-        written.append(_bench_one_config(
-            problem_kind, conf, conf_fields, methods, solver_over, step_over, out_dir
-        ))
+        written.append(_bench_one_config(problem_kind, conf, conf_fields, methods, rules, out_dir))
     for path in written:
         print(path)
     return 0
 
 
-# the solver fields a plan's "solver" object may set; iterations and seeds
-# come from each config
-_BENCH_SOLVER_FIELDS = ("c", "beta", "rho", "alpha1", "backtrack_cap")
+_PLAN_KEYS = ("problem", "methods", "solver", "step_constants", "configs", "out_dir")
+
+# the keys of a config entry: the common ones, the max-affine generator's
+# shape, and the Fermat-Weber anchors
+_MAXAFFINE_SHAPE = ("spread", "sigma", "active_scale")
+_CONFIG_KEYS = ("n", "m", "zeta", "iters", "seeds", "active", *_MAXAFFINE_SHAPE,
+                "anchors_csv", "anchor_scale")
+
+
+def _reject_unknown(where: str, obj: dict, known) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise UsageError(f"{where} has unknown field(s) {', '.join(map(repr, unknown))}")
 
 
 def _plan_part(plan: dict, key: str, kind: type, default):
@@ -338,9 +338,36 @@ def _plan_part(plan: dict, key: str, kind: type, default):
     return value
 
 
-def _bench_config_fields(conf) -> tuple[int, int, SqrtInverse, int, list[int]]:
+def _bench_solver(solver: dict) -> SolverConfig:
+    """The plan's "solver" object, read like a --config file; iterations,
+    seeds and the slack sequence come from each config."""
+    own = sorted(key for key in solver if key in ("max_iters", "seed") or key.startswith("gamma."))
+    if own:
+        raise UsageError(
+            f"plan field 'solver' sets {', '.join(map(repr, own))}, which each config sets"
+        )
+    try:
+        return _config_from_items(solver)
+    except ConfigError as exc:
+        raise UsageError(f"plan field 'solver': {exc}") from None
+
+
+def _bench_rules(steps: dict) -> dict:
+    """Every prefixed method's step rule, with the plan's constant where given."""
+    _reject_unknown("plan field 'step_constants'", steps, _RULES)
+    rules = {}
+    for method in _RULES:
+        try:
+            rules[method] = _make_rule(method, steps.get(method))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"plan field 'step_constants', {method!r}: {exc}") from None
+    return rules
+
+
+def _bench_config_fields(conf, base: SolverConfig) -> tuple[int, int, SolverConfig, list[int]]:
     if not isinstance(conf, dict):
         raise UsageError(f"each entry of 'configs' must be an object, got {type(conf).__name__}")
+    _reject_unknown("config", conf, _CONFIG_KEYS)
     try:
         n = int(conf["n"])
         m = int(conf["m"])
@@ -356,12 +383,12 @@ def _bench_config_fields(conf) -> tuple[int, int, SqrtInverse, int, list[int]]:
         raise UsageError(f"config field has the wrong type: {exc}") from None
     if not seeds:
         raise UsageError("config has an empty seed list")
-    return n, m, gamma, iters, seeds
+    cfg = validate_config(dataclasses.replace(base, gamma=gamma, max_iters=iters))
+    return n, m, cfg, seeds
 
 
-def _bench_one_config(kind, conf, fields, methods, solver_over, step_over, out_dir) -> str:
-    n, m, gamma, iters, seeds = fields
-    cfg = validate_config(SolverConfig(**solver_over, gamma=gamma, max_iters=iters))
+def _bench_one_config(kind, conf, fields, methods, rules, out_dir) -> str:
+    n, m, cfg, seeds = fields
     fw = kind == "fermatweber"
     x_cols = [f"x{i+1}" for i in range(n)] if fw else []
     header = ["method", "seed"] + x_cols + ["gap", "it_best", "status"]
@@ -374,13 +401,11 @@ def _bench_one_config(kind, conf, fields, methods, solver_over, step_over, out_d
                 if method == "nonmonotone":
                     report = solve_nonmonotone(problem, cfg)
                 else:
-                    report = solve_prefixed(
-                        problem, _make_rule(method, step_over.get(method)), iters
-                    )
+                    report = solve_prefixed(problem, rules[method], cfg.max_iters)
                 gap = report.f_best - f_star
                 cells = [method, str(seed)]
                 if fw:
-                    xb = _best_iterate(report)
+                    xb = report.records[report.it_best - 1].x
                     cells += [repr(float(v)) for v in xb]
                 cells += [repr(float(gap)), str(report.it_best), report.termination]
                 gaps.append(gap)
@@ -405,8 +430,7 @@ def _bench_one_config(kind, conf, fields, methods, solver_over, step_over, out_d
 
 def _bench_problem(kind, conf, seed, n, m):
     if kind == "maxaffine":
-        shape = {key: float(conf[key]) for key in ("spread", "sigma", "active_scale")
-                 if key in conf}
+        shape = {key: float(conf[key]) for key in _MAXAFFINE_SHAPE if key in conf}
         inst = plant_optimum_max_affine(seed, n, m, active_count=conf.get("active"), **shape)
         return make_problem(inst), inst.f_star
     if "anchors_csv" in conf:
@@ -419,13 +443,6 @@ def _bench_problem(kind, conf, seed, n, m):
     _, f_star = weiszfeld(inst)
     problem = dataclasses.replace(make_problem(inst), f_star=f_star)
     return problem, f_star
-
-
-def _best_iterate(report):
-    for r in report.records:
-        if r.k == report.it_best:
-            return r.x
-    raise AssertionError("it_best not found in records")
 
 
 # ----- check -----
@@ -488,19 +505,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        if args.command == "check":
-            return cmd_check(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+        return args.handler(args)
+    except (UsageError, ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

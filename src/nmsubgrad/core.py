@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -79,6 +79,8 @@ def as_point(x) -> np.ndarray:
 #
 # All kinds are positive and non-increasing in k. Values are defined for
 # k >= 1; an ExplicitTable raises past its end instead of extending silently.
+# Each kind's _at(k, xp) is its one formula: xp is math for a single int k
+# (Python float arithmetic) and numpy for the float64 array [1, ..., n].
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,9 @@ class SqrtInverse:
     def __post_init__(self):
         if not (self.zeta > 0.0 and math.isfinite(self.zeta)):
             raise ConfigError(f"zeta must be positive and finite, got {self.zeta}")
+
+    def _at(self, k, xp):
+        return self.zeta / xp.sqrt(k)
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,9 @@ class PowerInverse:
             raise ConfigError(f"zeta must be positive and finite, got {self.zeta}")
         if not (0.0 < self.theta < 1.0):
             raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
+
+    def _at(self, k, xp):
+        return self.zeta / k ** (1.0 - self.theta / 2.0)
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,9 @@ class StronglyConvexHarmonic:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
+
+    def _at(self, k, xp):
+        return 2.0 / (self.sigma * self.beta * self.big_theta * k)
 
 
 @dataclass(frozen=True)
@@ -139,47 +150,47 @@ class ExplicitTable:
         if np.any(np.diff(arr) > 0.0):
             raise ConfigError("gamma table must be non-increasing")
 
+    def _at(self, k, xp):
+        last = k if xp is math else len(k)
+        if last > len(self.values):
+            raise ValueError(
+                f"gamma table has {len(self.values)} entries, index {last} is out of range"
+            )
+        if xp is math:
+            return self.values[k - 1]
+        return np.asarray(self.values[:last], dtype=np.float64)
+
 
 GammaSequence = Union[SqrtInverse, PowerInverse, StronglyConvexHarmonic, ExplicitTable]
 
+# the one place each kind's serialized name is written
+_GAMMA_KINDS = {
+    "sqrt_inverse": SqrtInverse,
+    "power_inverse": PowerInverse,
+    "strongly_convex_harmonic": StronglyConvexHarmonic,
+    "table": ExplicitTable,
+}
+_GAMMA_TYPES = tuple(_GAMMA_KINDS.values())
+
 
 def gamma_value(seq: GammaSequence, k: int) -> float:
-    """gamma_k for 1-based k."""
+    """gamma_k for 1-based k, in Python float arithmetic."""
     if k < 1:
         raise ValueError(f"gamma index must be >= 1, got {k}")
-    if isinstance(seq, SqrtInverse):
-        return seq.zeta / math.sqrt(k)
-    if isinstance(seq, PowerInverse):
-        return seq.zeta / k ** (1.0 - seq.theta / 2.0)
-    if isinstance(seq, StronglyConvexHarmonic):
-        return 2.0 / (seq.sigma * seq.beta * seq.big_theta * k)
-    if isinstance(seq, ExplicitTable):
-        if k > len(seq.values):
-            raise ValueError(
-                f"gamma table has {len(seq.values)} entries, index {k} is out of range"
-            )
-        return seq.values[k - 1]
-    raise TypeError(f"not a gamma sequence: {seq!r}")
+    return _sequence(seq)._at(k, math)
 
 
 def gamma_values(seq: GammaSequence, n: int) -> np.ndarray:
     """Vectorized [gamma_1, ..., gamma_n]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    k = np.arange(1, n + 1, dtype=np.float64)
-    if isinstance(seq, SqrtInverse):
-        return seq.zeta / np.sqrt(k)
-    if isinstance(seq, PowerInverse):
-        return seq.zeta / k ** (1.0 - seq.theta / 2.0)
-    if isinstance(seq, StronglyConvexHarmonic):
-        return 2.0 / (seq.sigma * seq.beta * seq.big_theta * k)
-    if isinstance(seq, ExplicitTable):
-        if n > len(seq.values):
-            raise ValueError(
-                f"gamma table has {len(seq.values)} entries, index {n} is out of range"
-            )
-        return np.asarray(seq.values[:n], dtype=np.float64)
-    raise TypeError(f"not a gamma sequence: {seq!r}")
+    return _sequence(seq)._at(np.arange(1, n + 1, dtype=np.float64), np)
+
+
+def _sequence(seq) -> GammaSequence:
+    if not isinstance(seq, _GAMMA_TYPES):
+        raise TypeError(f"not a gamma sequence: {seq!r}")
+    return seq
 
 
 @dataclass(frozen=True)
@@ -256,9 +267,7 @@ def validate_config(cfg: SolverConfig) -> SolverConfig:
         problems.append(f"max_iters must be an integer >= 1, got {cfg.max_iters}")
     if not isinstance(cfg.backtrack_cap, int) or cfg.backtrack_cap < 1:
         problems.append(f"backtrack_cap must be an integer >= 1, got {cfg.backtrack_cap}")
-    if not isinstance(
-        cfg.gamma, (SqrtInverse, PowerInverse, StronglyConvexHarmonic, ExplicitTable)
-    ):
+    if not isinstance(cfg.gamma, _GAMMA_TYPES):
         problems.append(f"gamma is not a recognized sequence: {cfg.gamma!r}")
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
@@ -270,54 +279,6 @@ def validate_config(cfg: SolverConfig) -> SolverConfig:
             stacklevel=2,
         )
     return cfg
-
-
-_GAMMA_KINDS = {
-    SqrtInverse: "sqrt_inverse",
-    PowerInverse: "power_inverse",
-    StronglyConvexHarmonic: "strongly_convex_harmonic",
-    ExplicitTable: "table",
-}
-
-
-def _gamma_to_items(seq: GammaSequence) -> dict:
-    items = {"gamma.kind": _GAMMA_KINDS[type(seq)]}
-    if isinstance(seq, SqrtInverse):
-        items["gamma.zeta"] = seq.zeta
-    elif isinstance(seq, PowerInverse):
-        items["gamma.zeta"] = seq.zeta
-        items["gamma.theta"] = seq.theta
-    elif isinstance(seq, StronglyConvexHarmonic):
-        items["gamma.sigma"] = seq.sigma
-        items["gamma.beta"] = seq.beta
-        items["gamma.big_theta"] = seq.big_theta
-    else:
-        items["gamma.values"] = list(seq.values)
-    return items
-
-
-def _gamma_from_items(items: dict) -> GammaSequence:
-    kind = items.get("gamma.kind")
-    if kind == "sqrt_inverse":
-        if "gamma.zeta" not in items:
-            return SqrtInverse()
-        return SqrtInverse(zeta=float(items["gamma.zeta"]))
-    if kind == "power_inverse":
-        return PowerInverse(
-            zeta=float(items["gamma.zeta"]), theta=float(items["gamma.theta"])
-        )
-    if kind == "strongly_convex_harmonic":
-        return StronglyConvexHarmonic(
-            sigma=float(items["gamma.sigma"]),
-            beta=float(items["gamma.beta"]),
-            big_theta=float(items["gamma.big_theta"]),
-        )
-    if kind == "table":
-        values = items["gamma.values"]
-        if isinstance(values, str):
-            values = [float(v) for v in values.split(",")]
-        return ExplicitTable(values=tuple(float(v) for v in values))
-    raise ConfigError(f"unknown gamma.kind: {kind!r}")
 
 
 # the scalar SolverConfig fields, each with the type its serialized text parses to
@@ -338,15 +299,55 @@ def _config_items(cfg: SolverConfig) -> dict:
     return items
 
 
+def _gamma_to_items(seq: GammaSequence) -> dict:
+    kind = next(name for name, cls in _GAMMA_KINDS.items() if cls is type(seq))
+    items = {"gamma.kind": kind}
+    for f in fields(seq):
+        value = getattr(seq, f.name)
+        items["gamma." + f.name] = list(value) if isinstance(value, tuple) else value
+    return items
+
+
+def _floats(text) -> tuple:
+    """A table's values, from a list or from comma-separated text."""
+    return tuple(float(v) for v in (text.split(",") if isinstance(text, str) else text))
+
+
+def _parse(items: dict, key: str, cast):
+    try:
+        return cast(items[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {key!r}: {exc}") from None
+
+
+def _gamma_from_items(items: dict) -> GammaSequence:
+    kind = items["gamma.kind"]
+    cls = _GAMMA_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown gamma.kind: {kind!r}")
+    params = {}
+    for f in fields(cls):
+        key = "gamma." + f.name
+        if key in items:
+            params[f.name] = _parse(items, key, float if f.type == "float" else _floats)
+        elif f.default is MISSING:
+            raise ConfigError(f"config is missing field {key!r}")
+    return cls(**params)
+
+
 def _config_from_items(items: dict) -> SolverConfig:
     """A config from the fields present in items; absent ones keep the
-    SolverConfig defaults."""
-    given = {name: cast(items[name]) for name, cast in SCALAR_FIELDS.items() if name in items}
+    SolverConfig defaults. A key that is neither a scalar field nor a field
+    of the kind named by gamma.kind is an error."""
+    given = {name: _parse(items, name, cast)
+             for name, cast in SCALAR_FIELDS.items() if name in items}
+    known = set(SCALAR_FIELDS)
     if "gamma.kind" in items:
-        try:
-            given["gamma"] = _gamma_from_items(items)
-        except KeyError as exc:
-            raise ConfigError(f"config is missing field {exc}") from None
+        given["gamma"] = _gamma_from_items(items)
+        known.update(_gamma_to_items(given["gamma"]))
+    unknown = sorted(set(items) - known)
+    if unknown:
+        raise ConfigError("unknown config field(s): " + ", ".join(map(repr, unknown)))
     return validate_config(SolverConfig(**given))
 
 

@@ -373,28 +373,30 @@ def weiszfeld(
         x = (weights[:, None] * anchors).sum(axis=0) / weights.sum()
     else:
         x = as_point(x0).copy()
-    f = fermat_weber_value(inst, x)
-    for _ in range(max_iters):
+    _check_dim(inst.n, x)
+
+    def distances(x):
+        # the same arithmetic as the fermat_weber_value kernel, so f is its value
         diff = x - anchors
         d = np.sqrt((diff**2).sum(axis=1))
+        return diff, d, float(np.dot(weights, d))
+
+    diff, d, f = distances(x)
+    for _ in range(max_iters):
         hit = np.nonzero(d == 0.0)[0]
         if hit.size:
             j = int(hit[0])
-            rest = d > 0.0
-            resid = (
-                (diff[rest] * (weights[rest] / d[rest])[:, None]).sum(axis=0)
-                if rest.any()
-                else np.zeros(inst.n)
-            )
+            rest = d > 0.0  # all-False sums to the zero vector
+            resid = (diff[rest] * (weights[rest] / d[rest])[:, None]).sum(axis=0)
             rnorm = float(np.linalg.norm(resid))
             if rnorm <= weights[j]:
-                return x, fermat_weber_value(inst, x)
+                return x, f
             x = x - (tol / rnorm) * resid
-            f = fermat_weber_value(inst, x)
+            diff, d, f = distances(x)
             continue
         inv = weights / d
         x_new = (inv[:, None] * anchors).sum(axis=0) / inv.sum()
-        f_new = fermat_weber_value(inst, x_new)
+        diff, d, f_new = distances(x_new)
         if abs(f - f_new) < tol:
             return x_new, f_new
         x, f = x_new, f_new

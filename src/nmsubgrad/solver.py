@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Union
 
 import numpy as np
@@ -33,7 +34,7 @@ from .core import (
     gamma_values,
     validate_config,
 )
-from .problems import ProblemSpec
+from .problems import ProblemSpec, _atomic_write
 
 __all__ = [
     "ConstantStep",
@@ -256,25 +257,30 @@ def solve_prefixed(
 # f_star. Iterates are not serialized. Floats are written with repr, which
 # round-trips exactly.
 
+_GAP_COLUMNS = ("k", "f", "fbest_gap", "alpha", "ell", "gamma", "snorm")
+_COLUMNS = tuple(c for c in _GAP_COLUMNS if c != "fbest_gap")
+_INT_COLUMNS = ("k", "ell")
 
-def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -> None:
-    import os
 
-    with_gap = f_star is not None
-    header = "k,f,fbest_gap,alpha,ell,gamma,snorm" if with_gap else "k,f,alpha,ell,gamma,snorm"
-    lines = [header]
+def _trace_rows(report: RunReport, f_star: float | None):
+    """Yield the column names, then one tuple of values per record in that
+    order. Every trace writer goes through here."""
+    yield _GAP_COLUMNS if f_star is not None else _COLUMNS
     best = math.inf
     for r in report.records:
         best = min(best, r.f)
-        cells = [str(r.k), repr(float(r.f))]
-        if with_gap:
-            cells.append(repr(float(best - f_star)))
-        cells += [repr(float(r.alpha)), str(r.ell), repr(float(r.gamma)), repr(float(r.snorm))]
-        lines.append(",".join(cells))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+        gap = () if f_star is None else (best - f_star,)
+        yield (r.k, r.f, *gap, r.alpha, r.ell, r.gamma, r.snorm)
+
+
+def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -> None:
+    rows = _trace_rows(report, f_star)
+    columns = next(rows)
+    ints = [c in _INT_COLUMNS for c in columns]
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join([str(v) if i else repr(float(v)) for i, v in zip(ints, row)]))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
@@ -284,51 +290,35 @@ def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty trace")
-    header = lines[0].split(",")
-    expected_with_gap = ["k", "f", "fbest_gap", "alpha", "ell", "gamma", "snorm"]
-    expected_plain = ["k", "f", "alpha", "ell", "gamma", "snorm"]
-    if header == expected_with_gap:
-        with_gap = True
-    elif header == expected_plain:
-        with_gap = False
-    else:
-        raise ValueError(f"{path}: unrecognized trace header {header!r}")
+    header = tuple(lines[0].split(","))
+    if header not in (_GAP_COLUMNS, _COLUMNS):
+        raise ValueError(f"{path}: unrecognized trace header {list(header)!r}")
+    with_gap = header == _GAP_COLUMNS
+    take = itemgetter(*map(header.index, _COLUMNS))
+    gap_at = header.index("fbest_gap") if with_gap else None
     records = []
     gaps = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-        it = iter(cells)
-        k = int(next(it))
-        f = float(next(it))
+        k, f, alpha, ell, gamma, snorm = take(cells)
         if with_gap:
-            gaps.append(float(next(it)))
-        alpha = float(next(it))
-        ell = int(next(it))
-        gamma = float(next(it))
-        snorm = float(next(it))
+            gaps.append(float(cells[gap_at]))
         # step/alpha_next are not serialized; auditors re-derive them from
         # (alpha, ell) and beta, so corrupt columns stay detectable
         records.append(
             IterationRecord(
-                k=k,
+                k=int(k),
                 x=None,
-                f=f,
-                gamma=gamma,
-                alpha=alpha,
-                ell=ell,
+                f=float(f),
+                gamma=float(gamma),
+                alpha=float(alpha),
+                ell=int(ell),
                 step=math.nan,
-                snorm=snorm,
+                snorm=float(snorm),
                 alpha_next=math.nan,
             )
         )
-    fs = [r.f for r in records]
-    best = min(fs)
-    report = RunReport(
-        records=tuple(records),
-        f_best=best,
-        it_best=records[fs.index(best)].k,
-        termination="unknown",
-    )
+    report = build_report(records, "unknown")
     return report, (np.asarray(gaps) if with_gap else None)

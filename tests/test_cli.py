@@ -268,33 +268,49 @@ def test_bench_plan_that_is_a_list_is_exit_2(tmp_path, capsys):
     _assert_usage_error(rc, capsys)
 
 
+# "seeds" and "sigm" go into the first config, every other field into the
+# plan; the error names the field and, for an object, each of its keys
 @pytest.mark.parametrize("field, value", [
     ("solver", [1]),
     ("step_constants", [1]),
     ("configs", [[1, 2]]),
     ("seeds", 3),
     ("methods", "nonmonotone"),
+    ("solver", {"max_iters": 5}),
+    ("step_constants", {"sqrsumm": 9.0}),
+    ("method", "nonmonotone"),
+    ("sigm", 0.5),
+    ("step_constants", {"sqrsum": -1}),
+    ("solver", {"rh0": 0.3}),
 ])
 def test_bench_malformed_plan_is_exit_2(tmp_path, capsys, field, value):
     path = _small_plan(tmp_path)
     with open(path) as fh:
         plan = json.load(fh)
-    if field == "seeds":
-        plan["configs"][0]["seeds"] = value
+    if field in ("seeds", "sigm"):
+        plan["configs"][0][field] = value
     else:
         plan[field] = value
     with open(path, "w") as fh:
         json.dump(plan, fh)
     rc = run_cli("bench", path)
-    assert repr(field) in _assert_usage_error(rc, capsys)
+    line = _assert_usage_error(rc, capsys)
+    assert repr(field) in line
+    if isinstance(value, dict):
+        assert all(repr(key) in line for key in value), line
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("text", ["[0.5, 0.9]", '{"gamma.kind": "power_inverse"}'],
-                         ids=["list", "missing_field"])
-def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text):
+@pytest.mark.parametrize("text, named", [
+    ("[0.5, 0.9]", "list"),
+    ('{"gamma.kind": "power_inverse"}', "'gamma.zeta'"),
+    ('{"rho": 0.7, "max_iter": 5}', "'max_iter'"),
+    ("rho = 0.7\nrh0 = 0.3\n", "'rh0'"),
+], ids=["list", "missing_field", "unknown_json_field", "unknown_keyvalue_field"])
+def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text, named):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
     rc = run_cli("run", planted_instance, "--config", str(cfg_path),
                  "--out", str(tmp_path / "t.csv"))
-    _assert_usage_error(rc, capsys)
+    assert named in _assert_usage_error(rc, capsys)
+    assert not os.path.exists(tmp_path / "t.csv")

@@ -243,6 +243,7 @@ def test_config_json_roundtrip_all_kinds():
         cfg = SolverConfig(c=1.25, beta=0.85, rho=0.7, alpha1=0.3,
                            gamma=gamma, max_iters=17, backtrack_cap=33, seed=5)
         assert config_from_json(config_to_json(cfg)) == cfg
+        assert config_from_keyvalues(config_to_keyvalues(cfg)) == cfg
 
 
 def test_config_keyvalues_roundtrip():
@@ -278,6 +279,36 @@ def test_config_from_json_rejects_unknown_gamma():
     obj["gamma.kind"] = "geometric"
     with pytest.raises(ConfigError):
         config_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("items, named", [
+    ({"rho": 0.7, "max_iter": 5}, "'max_iter'"),
+    ({"gamma.zeta": 2.0}, "'gamma.zeta'"),
+    ({"gamma.kind": "sqrt_inverse", "gamma.theta": 0.5}, "'gamma.theta'"),
+    ({"rho": [0.7]}, "'rho'"),
+], ids=["scalar_typo", "gamma_field_without_kind", "other_kinds_field", "wrong_type"])
+def test_config_rejects_unknown_or_malformed_fields(items, named):
+    with pytest.raises(ConfigError, match=named):
+        config_from_json(json.dumps(items))
+    text = "".join(f"{key} = {value}\n" for key, value in items.items())
+    with pytest.raises(ConfigError, match=named):
+        config_from_keyvalues(text)
+
+
+# ----- package namespace -----
+
+
+def test_package_all_is_the_modules_lists():
+    import nmsubgrad
+    from nmsubgrad import analysis, core, linesearch, problems, solver
+
+    names = nmsubgrad.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(nmsubgrad, name) for name in names)
+    modules = (core, problems, linesearch, solver, analysis)
+    assert set(names) == {"BACKEND"}.union(*(m.__all__ for m in modules))
+    # the package exports the problems wrappers, not the raw kernels
+    assert nmsubgrad.max_affine_value is problems.max_affine_value
 
 
 # ----- run reports -----

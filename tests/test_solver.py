@@ -300,12 +300,14 @@ class FailingOracles:
     """A real problem's oracles that break on command. Calls count from 1:
     value call number nan_value_at returns NaN, computed by the real oracle at
     a NaN point so it is parked like any trial value; eval call number
-    inf_eval_at returns an infinite subgradient, and eval call number
-    zero_eval_at a zero one."""
+    nan_eval_at returns a NaN value, eval call number inf_eval_at an infinite
+    subgradient, and eval call number zero_eval_at a zero one."""
 
-    def __init__(self, problem, nan_value_at=None, inf_eval_at=None, zero_eval_at=None):
+    def __init__(self, problem, nan_value_at=None, nan_eval_at=None, inf_eval_at=None,
+                 zero_eval_at=None):
         self.problem = problem
         self.nan_value_at = nan_value_at
+        self.nan_eval_at = nan_eval_at
         self.inf_eval_at = inf_eval_at
         self.zero_eval_at = zero_eval_at
         self.values = 0
@@ -320,6 +322,8 @@ class FailingOracles:
     def eval(self, x):
         self.evals += 1
         f, g = self.problem.eval(x)
+        if self.evals == self.nan_eval_at:
+            f = math.nan
         if self.evals == self.inf_eval_at:
             g = np.full_like(g, np.inf)
         if self.evals == self.zero_eval_at:
@@ -391,6 +395,26 @@ def test_backtrack_cap_exhaustion_is_backtrack_failure():
     assert 2 <= len(report.records) <= 26
     assert all(r.ell == 1 for r in report.records[:-1])
     _assert_partial_trace_audits(report, prob, cfg)
+
+
+# the prefixed solver stops on a non-finite value or subgradient norm with the
+# same tag; the row that stops it is the last one
+def test_prefixed_nan_value_is_backtrack_failure():
+    oracles = FailingOracles(_planted(seed=16), nan_eval_at=7)
+    report = solve_prefixed(oracles.spec(), ConstantStep(0.1), 40)
+    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert oracles.evals == len(report.records) == 7
+    assert math.isnan(report.records[-1].f)
+    assert math.isfinite(report.f_best)
+
+
+def test_prefixed_infinite_subgradient_is_backtrack_failure():
+    oracles = FailingOracles(_planted(seed=17), inf_eval_at=7)
+    report = solve_prefixed(oracles.spec(), ConstantStep(0.1), 40)
+    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert oracles.evals == len(report.records) == 7
+    last = report.records[-1]
+    assert math.isfinite(last.f) and last.snorm == math.inf
 
 
 # ----- the landed iterate after the last step -----
