@@ -141,20 +141,6 @@ def _skip(name: str, why: str) -> CheckResult:
 # ----- stepwise audit -----
 
 
-def _trace_arrays(report: RunReport):
-    rec = report.records
-    return {
-        "k": np.array([r.k for r in rec], dtype=np.int64),
-        "f": np.array([r.f for r in rec]),
-        "gamma": np.array([r.gamma for r in rec]),
-        "alpha": np.array([r.alpha for r in rec]),
-        "ell": np.array([r.ell for r in rec], dtype=np.int64),
-        "step": np.array([r.step for r in rec]),
-        "snorm": np.array([r.snorm for r in rec]),
-        "alpha_next": np.array([r.alpha_next for r in rec]),
-    }
-
-
 def audit_stepwise(
     report: RunReport,
     problem: ProblemSpec | None,
@@ -171,28 +157,26 @@ def audit_stepwise(
     quasi_fejer        ||x_{k+1}-x*||^2 <= ||x_k-x*||^2 + (beta*c/rho)*gamma_k^2
                        (needs iterates, x*, and rho > 1/2)
     """
-    arr = _trace_arrays(report)
-    n_rows = len(report.records)
-    K = n_rows - 1  # rows 1..K are steps, row K+1 is the landed iterate
+    K = len(report.k) - 1  # rows 1..K are steps, row K+1 is the landed iterate
     names = ["consistency", "step_upper_bound", "step_lower_bound",
              "sufficient_decrease", "quasi_fejer"]
-    if K < 1 or not np.any(arr["ell"][:K] >= 1):
+    if K < 1 or not np.any(report.ell[:K] >= 1):
         why = "no line-search rows (prefixed-step trace or single-iterate run)"
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
 
     beta, c, rho = cfg.beta, cfg.c, cfg.rho
-    ks = arr["k"][:K]
-    ell = arr["ell"][:K]
-    alpha = arr["alpha"][:K]
-    gamma = arr["gamma"][:K]
-    snorm = arr["snorm"][:K]
-    f = arr["f"]
+    ks = report.k[:K]
+    ell = report.ell[:K]
+    alpha = report.alpha[:K]
+    gamma = report.gamma[:K]
+    snorm = report.snorm[:K]
+    f = report.f
 
     derived_next = beta ** (ell - 1).astype(np.float64) * alpha
-    recorded_next = arr["alpha_next"][:K]
+    recorded_next = report.alpha_next[:K]
     # CSV traces do not carry alpha_next/step; fall back to the derived law
     eff_next = np.where(np.isfinite(recorded_next), recorded_next, derived_next)
-    recorded_step = arr["step"][:K]
+    recorded_step = report.step[:K]
     eff_step = np.where(np.isfinite(recorded_step), recorded_step, beta * eff_next)
 
     checks: list[CheckResult] = []
@@ -204,7 +188,7 @@ def audit_stepwise(
                                   "step row with ell < 1"))
     else:
         lhs_parts = [np.abs(eff_next - derived_next) / _scale(eff_next, derived_next)]
-        chain = arr["alpha"][1 : K + 1]
+        chain = report.alpha[1 : K + 1]
         lhs_parts.append(np.abs(chain - eff_next) / _scale(chain, eff_next))
         lhs_parts.append(np.abs(eff_step - beta * eff_next) / _scale(eff_step, beta * eff_next))
         dev = np.vstack(lhs_parts).max(axis=0)
@@ -215,22 +199,21 @@ def audit_stepwise(
     if tc is None:
         checks.append(_skip("step_lower_bound", "no Lipschitz constant supplied"))
     else:
-        gamma_next = arr["gamma"][1 : K + 1]
+        gamma_next = report.gamma[1 : K + 1]
         checks.append(_worst("step_lower_bound", tc.theta * gamma_next, eff_next, ks))
 
     decrease_rhs = f[:K] - rho * eff_step * snorm**2 + gamma
     checks.append(_worst("sufficient_decrease", f[1 : K + 1], decrease_rhs, ks))
 
-    xs = [r.x for r in report.records]
     x_star = problem.x_star if problem is not None else None
-    if any(x is None for x in xs):
+    if report.xs is None:
         checks.append(_skip("quasi_fejer", "trace carries no iterates (CSV round-trip)"))
     elif x_star is None:
         checks.append(_skip("quasi_fejer", "no known optimum"))
     elif rho <= 0.5:
         checks.append(_skip("quasi_fejer", "rho <= 1/2"))
     else:
-        X = np.vstack(xs)
+        X = np.array(report.xs)
         dist_sq = ((X - x_star[None, :]) ** 2).sum(axis=1)
         rhs = dist_sq[:K] + (beta * c / rho) * gamma**2
         checks.append(_worst("quasi_fejer", dist_sq[1 : K + 1], rhs, ks))
@@ -260,11 +243,10 @@ def audit_rate_bounds(
     rate_strongly_convex  8*beta*c / (rho*sigma*beta*theta*Gamma*(N+1))
                           (sigma > 0 with the matching harmonic gamma)
     """
-    arr = _trace_arrays(report)
-    K = len(report.records) - 1
+    K = len(report.k) - 1
     names = ["rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
              "rate_strongly_convex"]
-    if K < 1 or not np.any(arr["ell"][:K] >= 1):
+    if K < 1 or not np.any(report.ell[:K] >= 1):
         why = "no line-search rows (prefixed-step trace or single-iterate run)"
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
     if tc is None:
@@ -273,15 +255,15 @@ def audit_rate_bounds(
     if f_star is None:
         return AuditReport(checks=tuple(_skip(n, "no known optimal value") for n in names))
 
-    if x1 is None and report.records[0].x is not None:
-        x1 = report.records[0].x
+    if x1 is None and report.xs is not None:
+        x1 = report.xs[0]
     x_star = problem.x_star if problem is not None else None
 
     beta, c, rho = cfg.beta, cfg.c, cfg.rho
     Gamma = tc.gamma_big
-    gap = np.minimum.accumulate(arr["f"][:K]) - f_star  # best gap over iterates 1..N
+    gap = np.minimum.accumulate(report.f[:K]) - f_star  # best gap over iterates 1..N
     Ns = np.arange(1, K + 1, dtype=np.int64)
-    gamma = arr["gamma"]
+    gamma = report.gamma
     sum_sq = np.cumsum(gamma[:K] ** 2)
     sum_shift = np.cumsum(gamma[1 : K + 1])
 

@@ -32,10 +32,10 @@ from .core import (
     SolverConfig,
     SqrtInverse,
     ExplicitTable,
+    _check_config,
     _config_from_items,
     config_from_json,
     config_from_keyvalues,
-    validate_config,
 )
 from .problems import (
     Ball,
@@ -61,7 +61,7 @@ from .solver import (
     NonsummableDiminishing,
     SquareSummable,
     _check_rule,
-    _trace_rows,
+    _trace_columns,
     read_trace_csv,
     solve_nonmonotone,
     solve_prefixed,
@@ -225,7 +225,7 @@ def _run_config(args) -> SolverConfig:
     given = _given(args, SCALAR_FIELDS)
     if args.zeta is not None:
         given["gamma"] = SqrtInverse(zeta=args.zeta)
-    return validate_config(dataclasses.replace(base, **given))
+    return _check_config(dataclasses.replace(base, **given))
 
 
 def _make_rule(method: str, const: float | None):
@@ -255,7 +255,7 @@ def cmd_run(args) -> int:
         "f_best": report.f_best,
         "it_best": report.it_best,
         "termination": report.termination,
-        "n_rows": len(report.records),
+        "n_rows": len(report.k),
     }
     if f_star is not None:
         summary["f_star"] = f_star
@@ -273,9 +273,8 @@ def _summary_path(out: str) -> str:
 
 
 def _write_trace_json(report, path: str, f_star=None) -> None:
-    rows = _trace_rows(report, f_star)
-    columns = next(rows)
-    objs = [dict(zip(columns, row)) for row in rows]
+    cols = _trace_columns(report, f_star)
+    objs = [dict(zip(cols, row)) for row in zip(*cols.values())]
     _atomic_write(path, json.dumps(objs, sort_keys=True, indent=2) + "\n")
 
 
@@ -305,7 +304,7 @@ def cmd_bench(args) -> int:
     configs = _plan_part(plan, "configs", list, [])
     if not configs:
         raise UsageError("plan has no configs")
-    fields = [_bench_config_fields(conf, base) for conf in configs]
+    fields = [_bench_config_fields(problem_kind, conf, base) for conf in configs]
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for conf, conf_fields in zip(configs, fields):
@@ -317,11 +316,17 @@ def cmd_bench(args) -> int:
 
 _PLAN_KEYS = ("problem", "methods", "solver", "step_constants", "configs", "out_dir")
 
-# the keys of a config entry: the common ones, the max-affine generator's
-# shape, and the Fermat-Weber anchors
-_MAXAFFINE_SHAPE = ("spread", "sigma", "active_scale")
-_CONFIG_KEYS = ("n", "m", "zeta", "iters", "seeds", "active", *_MAXAFFINE_SHAPE,
-                "anchors_csv", "anchor_scale")
+# the shape keys of a config entry for each problem kind: plan key ->
+# (generator keyword, parse type)
+_SHAPE = {
+    "maxaffine": {"spread": ("spread", float), "sigma": ("sigma", float),
+                  "active_scale": ("active_scale", float), "active": ("active_count", int)},
+    "fermatweber": {"anchor_scale": ("scale", float)},
+}
+# the keys of a config entry: the common ones, each kind's shape, and the
+# Fermat-Weber anchors
+_CONFIG_KEYS = ("n", "m", "zeta", "iters", "seeds", *_SHAPE["maxaffine"],
+                *_SHAPE["fermatweber"], "anchors_csv")
 
 
 def _reject_unknown(where: str, obj: dict, known) -> None:
@@ -364,7 +369,9 @@ def _bench_rules(steps: dict) -> dict:
     return rules
 
 
-def _bench_config_fields(conf, base: SolverConfig) -> tuple[int, int, SolverConfig, list[int]]:
+def _bench_config_fields(kind: str, conf, base: SolverConfig):
+    """(n, m, solver config, seeds, generator shape keywords) of one config
+    entry; a malformed entry is a UsageError."""
     if not isinstance(conf, dict):
         raise UsageError(f"each entry of 'configs' must be an object, got {type(conf).__name__}")
     _reject_unknown("config", conf, _CONFIG_KEYS)
@@ -383,12 +390,19 @@ def _bench_config_fields(conf, base: SolverConfig) -> tuple[int, int, SolverConf
         raise UsageError(f"config field has the wrong type: {exc}") from None
     if not seeds:
         raise UsageError("config has an empty seed list")
-    cfg = validate_config(dataclasses.replace(base, gamma=gamma, max_iters=iters))
-    return n, m, cfg, seeds
+    shape = {}
+    for key, (keyword, cast) in _SHAPE[kind].items():
+        if key in conf:
+            try:
+                shape[keyword] = cast(conf[key])
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"config field {key!r}: {exc}") from None
+    cfg = _check_config(dataclasses.replace(base, gamma=gamma, max_iters=iters))
+    return n, m, cfg, seeds, shape
 
 
 def _bench_one_config(kind, conf, fields, methods, rules, out_dir) -> str:
-    n, m, cfg, seeds = fields
+    n, m, cfg, seeds, shape = fields
     fw = kind == "fermatweber"
     x_cols = [f"x{i+1}" for i in range(n)] if fw else []
     header = ["method", "seed"] + x_cols + ["gap", "it_best", "status"]
@@ -397,7 +411,7 @@ def _bench_one_config(kind, conf, fields, methods, rules, out_dir) -> str:
         gaps, bests = [], []
         for seed in seeds:
             try:
-                problem, f_star = _bench_problem(kind, conf, seed, n, m)
+                problem, f_star = _bench_problem(kind, conf, seed, n, m, shape)
                 if method == "nonmonotone":
                     report = solve_nonmonotone(problem, cfg)
                 else:
@@ -405,7 +419,7 @@ def _bench_one_config(kind, conf, fields, methods, rules, out_dir) -> str:
                 gap = report.f_best - f_star
                 cells = [method, str(seed)]
                 if fw:
-                    xb = report.records[report.it_best - 1].x
+                    xb = report.xs[report.it_best - 1]
                     cells += [repr(float(v)) for v in xb]
                 cells += [repr(float(gap)), str(report.it_best), report.termination]
                 gaps.append(gap)
@@ -428,18 +442,15 @@ def _bench_one_config(kind, conf, fields, methods, rules, out_dir) -> str:
     return path
 
 
-def _bench_problem(kind, conf, seed, n, m):
+def _bench_problem(kind, conf, seed, n, m, shape):
     if kind == "maxaffine":
-        shape = {key: float(conf[key]) for key in _MAXAFFINE_SHAPE if key in conf}
-        inst = plant_optimum_max_affine(seed, n, m, active_count=conf.get("active"), **shape)
+        inst = plant_optimum_max_affine(seed, n, m, **shape)
         return make_problem(inst), inst.f_star
     if "anchors_csv" in conf:
         anchors = read_anchor_csv(conf["anchors_csv"])
         inst = FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
-    elif "anchor_scale" in conf:
-        inst = gen_fermat_weber(seed, n, m, scale=float(conf["anchor_scale"]))
     else:
-        inst = gen_fermat_weber(seed, n, m)
+        inst = gen_fermat_weber(seed, n, m, **shape)
     _, f_star = weiszfeld(inst)
     problem = dataclasses.replace(make_problem(inst), f_star=f_star)
     return problem, f_star
@@ -468,11 +479,10 @@ def cmd_check(args) -> int:
     report, _ = read_trace_csv(args.trace)
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
-    gammas = np.array([r.gamma for r in report.records])
-    gamma_seq = _infer_gamma(gammas, args.zeta)
+    gamma_seq = _infer_gamma(report.gamma, args.zeta)
     cfg = SolverConfig(
         **_given(args, ("c", "beta", "rho")),
-        gamma=gamma_seq, max_iters=max(1, len(report.records) - 1),
+        gamma=gamma_seq, max_iters=max(1, len(report.k) - 1),
     )
     tc = None
     if problem.L is not None and 0.5 < cfg.rho < 1.0:

@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -254,6 +255,20 @@ class SolverConfig:
 def validate_config(cfg: SolverConfig) -> SolverConfig:
     """Check every field, reporting all violations at once. Warns (without
     failing) when rho <= 1/2."""
+    _check_config(cfg)
+    if cfg.rho <= 0.5:
+        warnings.warn(
+            f"rho = {cfg.rho} <= 1/2: complexity constants are non-positive, "
+            "rate audits will not apply",
+            TheoryRegimeWarning,
+            stacklevel=2,
+        )
+    return cfg
+
+
+def _check_config(cfg: SolverConfig) -> SolverConfig:
+    """validate_config without the warning: the readers and the command line
+    check a config, and the solver that runs it warns."""
     problems = []
     if not (cfg.c > 0.0 and math.isfinite(cfg.c)):
         problems.append(f"c must be positive and finite, got {cfg.c}")
@@ -271,13 +286,6 @@ def validate_config(cfg: SolverConfig) -> SolverConfig:
         problems.append(f"gamma is not a recognized sequence: {cfg.gamma!r}")
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
-    if cfg.rho <= 0.5:
-        warnings.warn(
-            f"rho = {cfg.rho} <= 1/2: complexity constants are non-positive, "
-            "rate audits will not apply",
-            TheoryRegimeWarning,
-            stacklevel=2,
-        )
     return cfg
 
 
@@ -348,7 +356,7 @@ def _config_from_items(items: dict) -> SolverConfig:
     unknown = sorted(set(items) - known)
     if unknown:
         raise ConfigError("unknown config field(s): " + ", ".join(map(repr, unknown)))
-    return validate_config(SolverConfig(**given))
+    return _check_config(SolverConfig(**given))
 
 
 def config_to_json(cfg: SolverConfig) -> str:
@@ -410,31 +418,70 @@ class IterationRecord:
     alpha_next: float
 
 
-@dataclass(frozen=True)
+_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
+
+
+@dataclass(frozen=True, eq=False)
 class RunReport:
-    """A full run: every visited iterate plus how the run ended.
+    """A full run: one column per IterationRecord field, with one entry per
+    visited iterate, plus how the run ended.
+
+    k and ell are int64 arrays; f, gamma, alpha, step, snorm and alpha_next
+    are float64 arrays. xs is the list of iterates the solver visited (its own
+    arrays, not copies), or None for a trace re-read from CSV. records is a
+    derived view, rebuilt on every access.
 
     f_best is the minimum recorded objective value and it_best the first k
     attaining it. termination is one of the TERMINATION_* constants ("unknown"
     only for traces reconstructed from CSV).
     """
 
-    records: tuple[IterationRecord, ...]
+    k: np.ndarray
+    xs: list[np.ndarray] | None
+    f: np.ndarray
+    gamma: np.ndarray
+    alpha: np.ndarray
+    ell: np.ndarray
+    step: np.ndarray
+    snorm: np.ndarray
+    alpha_next: np.ndarray
     f_best: float
     it_best: int
     termination: str
 
     @property
+    def records(self) -> tuple[IterationRecord, ...]:
+        xs = repeat(None) if self.xs is None else self.xs
+        return tuple(map(
+            IterationRecord, self.k.tolist(), xs, self.f.tolist(), self.gamma.tolist(),
+            self.alpha.tolist(), self.ell.tolist(), self.step.tolist(), self.snorm.tolist(),
+            self.alpha_next.tolist(),
+        ))
+
+    @property
     def n_steps(self) -> int:
-        return sum(1 for r in self.records if r.ell >= 1)
+        return int(np.count_nonzero(self.ell >= 1))
+
+
+def _report(columns, termination: str) -> RunReport:
+    """A report from columns in IterationRecord field order: sequences of
+    Python values, except the iterates, which may be None. f_best and it_best
+    are min() and the first index() over f as given, so a NaN keeps the
+    meaning it has for them."""
+    k, xs, f = columns[:3]
+    if not k:
+        raise ValueError("a run must visit at least one iterate")
+    best = min(f)
+    arrays = {name: np.array(col, dtype=np.int64 if name in ("k", "ell") else np.float64)
+              for name, col in zip(_RECORD_FIELDS, columns) if name != "x"}
+    return RunReport(**arrays, xs=None if xs is None else list(xs), f_best=best,
+                     it_best=k[f.index(best)], termination=termination)
 
 
 def build_report(records: list[IterationRecord], termination: str) -> RunReport:
-    if not records:
-        raise ValueError("a run must visit at least one iterate")
-    fs = [r.f for r in records]
-    best = min(fs)
-    it_best = records[fs.index(best)].k
-    return RunReport(
-        records=tuple(records), f_best=best, it_best=it_best, termination=termination
-    )
+    """A report from IterationRecord rows; if any row has no iterate, the
+    report has none."""
+    columns = [[getattr(r, name) for r in records] for name in _RECORD_FIELDS]
+    if any(x is None for x in columns[1]):
+        columns[1] = None
+    return _report(columns, termination)

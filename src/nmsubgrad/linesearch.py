@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import BacktrackFailureError, OracleError, SolverConfig
 
-__all__ = ["LineSearchOutcome", "nonmonotone_backtrack"]
+__all__ = ["LineSearchOutcome", "beta_ladder", "nonmonotone_backtrack"]
 
 
 class LineSearchOutcome(NamedTuple):
@@ -39,29 +39,39 @@ class LineSearchOutcome(NamedTuple):
     trials: int
 
 
+def beta_ladder(cfg: SolverConfig) -> list[float]:
+    """[beta**0, ..., beta**(cap-1)], the rung factors of every search in a
+    run, in Python float arithmetic (bit-identical to beta ** (ell - 1))."""
+    beta = cfg.beta
+    return [beta**j for j in range(cfg.backtrack_cap)]
+
+
 def nonmonotone_backtrack(
     value: Callable[[np.ndarray], float],
     projector: Callable[[np.ndarray], np.ndarray],
     x_k: np.ndarray,
     f_k: float,
     s_k: np.ndarray,
+    snorm_sq: float,
     alpha_k: float,
     gamma_k: float,
     cfg: SolverConfig,
+    ladder: list[float],
 ) -> LineSearchOutcome:
-    """Smallest-ell search; raises BacktrackFailureError past cfg.backtrack_cap
-    and OracleError on a non-finite trial value."""
-    snorm_sq = float(np.dot(s_k, s_k))
-    if snorm_sq == 0.0:
-        raise ValueError("zero subgradient: caller must stop before searching")
-    if not math.isfinite(snorm_sq):
+    """Smallest-ell search over the rungs of ladder (beta_ladder(cfg));
+    snorm_sq is ||s_k||^2 as the caller computed it. Raises
+    BacktrackFailureError past the last rung and OracleError on a non-finite
+    trial value or snorm_sq."""
+    if not 0.0 < snorm_sq < math.inf:
+        if snorm_sq == 0.0:
+            raise ValueError("zero subgradient: caller must stop before searching")
         raise OracleError("subgradient norm overflowed")
-    c, beta, rho = cfg.c, cfg.beta, cfg.rho
-    cap = cfg.backtrack_cap
+    beta, rho = cfg.beta, cfg.rho
+    size_cap = cfg.c * gamma_k
     trials = 0
-    for ell in range(1, cap + 1):
-        candidate = beta ** (ell - 1) * alpha_k
-        if candidate > c * gamma_k:
+    for ell, rung in enumerate(ladder, 1):
+        candidate = rung * alpha_k
+        if candidate > size_cap:
             continue  # size cap fails; shrinking beta**ell will fix it, no oracle call
         step = beta * candidate
         x_trial = projector(x_k - step * s_k)
@@ -70,15 +80,8 @@ def nonmonotone_backtrack(
         if not math.isfinite(f_trial):
             raise OracleError(f"objective value {f_trial!r} at trial ell={ell}")
         if f_trial <= f_k - rho * step * snorm_sq + gamma_k:
-            return LineSearchOutcome(
-                ell=ell,
-                x_next=x_trial,
-                f_next=float(f_trial),
-                alpha_next=candidate,
-                step=step,
-                trials=trials,
-            )
+            return LineSearchOutcome(ell, x_trial, float(f_trial), candidate, step, trials)
     raise BacktrackFailureError(
-        f"no acceptable step within {cap} backtracking trials "
+        f"no acceptable step within {len(ladder)} backtracking trials "
         f"(alpha_k={alpha_k!r}, gamma_k={gamma_k!r})"
     )

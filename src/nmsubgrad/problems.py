@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -555,13 +556,20 @@ def _set_to_obj(cset: SetDescriptor) -> dict:
 
 
 def _set_from_obj(obj: dict) -> SetDescriptor:
+    if not isinstance(obj, dict):
+        raise ValueError(f"set must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind in _SET_KINDS:
         return _SET_KINDS[kind]()
     if kind == "box":
         return Box(lo=np.asarray(obj["lo"]), hi=np.asarray(obj["hi"]))
     if kind == "ball":
-        return Ball(center=np.asarray(obj["center"]), radius=float(obj["radius"]))
+        radius = obj["radius"]
+        # the exact compare also keeps an int too large for a float out
+        if (isinstance(radius, bool) or not isinstance(radius, (int, float))
+                or not abs(radius) <= sys.float_info.max):
+            raise ValueError(f"ball radius must be a finite number, got {radius!r}")
+        return Ball(center=np.asarray(obj["center"]), radius=float(radius))
     raise ValueError(f"unknown set kind: {kind!r}")
 
 

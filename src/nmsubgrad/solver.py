@@ -15,22 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Union
 
 import numpy as np
 
 from .core import (
     BacktrackFailureError,
-    IterationRecord,
     OracleError,
     RunReport,
     SolverConfig,
     TERMINATION_BACKTRACK_FAILURE,
     TERMINATION_MAX_ITERS,
     TERMINATION_ZERO_SUBGRADIENT,
+    _report,
     as_point,
-    build_report,
     gamma_values,
     validate_config,
 )
@@ -124,69 +122,47 @@ def solve_nonmonotone(
     (backtracking cap exhausted / non-finite oracle values), in which case the
     partial trace is returned with the matching termination tag.
     """
-    from .linesearch import nonmonotone_backtrack
+    from .linesearch import beta_ladder, nonmonotone_backtrack
 
     cfg = validate_config(cfg)
     gammas = gamma_values(cfg.gamma, cfg.max_iters + 1).tolist()  # fails fast on short tables
+    ladder = beta_ladder(cfg)
+    max_iters = cfg.max_iters
+    value, evaluate, project = problem.value, problem.eval, problem.project
     x = _start_point(problem, x0)
-    f = problem.value(x)
+    f = value(x)
     alpha = cfg.alpha1
-    records: list[IterationRecord] = []
+    rows = []  # one tuple per step, in IterationRecord field order
+    tag = TERMINATION_BACKTRACK_FAILURE  # unless a break below names another cause
 
-    for k in range(1, cfg.max_iters + 2):
-        gamma_k = gammas[k - 1]
+    # every exit breaks out with the last iterate still unrecorded; past the
+    # budget, its subgradient is evaluated so the trace is uniform and a zero
+    # there is reported
+    for k, gamma_k in enumerate(gammas, 1):
         if not math.isfinite(f):
-            records.append(_terminal(k, x, f, gamma_k, alpha, snorm=math.nan))
-            return build_report(records, TERMINATION_BACKTRACK_FAILURE)
-        _, s = problem.eval(x)
+            snorm = math.nan
+            break
+        _, s = evaluate(x)
         snorm_sq = float(np.dot(s, s))
         snorm = math.sqrt(snorm_sq) if math.isfinite(snorm_sq) else math.inf
         if snorm_sq == 0.0:
-            records.append(_terminal(k, x, f, gamma_k, alpha, snorm=0.0))
-            return build_report(records, TERMINATION_ZERO_SUBGRADIENT)
-        # past the budget, the landed iterate's row: its subgradient is
-        # evaluated so the trace is uniform and a zero there is reported
-        last = k > cfg.max_iters
-        if last or not math.isfinite(snorm_sq):
-            records.append(_terminal(k, x, f, gamma_k, alpha, snorm=snorm))
-            tag = TERMINATION_MAX_ITERS if last else TERMINATION_BACKTRACK_FAILURE
-            return build_report(records, tag)
+            tag = TERMINATION_ZERO_SUBGRADIENT
+            break
+        if k > max_iters:
+            tag = TERMINATION_MAX_ITERS
+            break
+        if not math.isfinite(snorm_sq):
+            break
         try:
-            out = nonmonotone_backtrack(
-                problem.value, problem.project, x, f, s, alpha, gamma_k, cfg
+            ell, x_next, f_next, alpha_next, step, _ = nonmonotone_backtrack(
+                value, project, x, f, s, snorm_sq, alpha, gamma_k, cfg, ladder
             )
         except (BacktrackFailureError, OracleError):
-            records.append(_terminal(k, x, f, gamma_k, alpha, snorm=snorm))
-            return build_report(records, TERMINATION_BACKTRACK_FAILURE)
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x,
-                f=f,
-                gamma=gamma_k,
-                alpha=alpha,
-                ell=out.ell,
-                step=out.step,
-                snorm=snorm,
-                alpha_next=out.alpha_next,
-            )
-        )
-        x, f, alpha = out.x_next, out.f_next, out.alpha_next
-    raise AssertionError("unreachable")
-
-
-def _terminal(k, x, f, gamma, alpha, snorm) -> IterationRecord:
-    return IterationRecord(
-        k=k,
-        x=x,
-        f=f,
-        gamma=gamma,
-        alpha=alpha,
-        ell=0,
-        step=0.0,
-        snorm=snorm,
-        alpha_next=alpha,
-    )
+            break
+        rows.append((k, x, f, gamma_k, alpha, ell, step, snorm, alpha_next))
+        x, f, alpha = x_next, f_next, alpha_next
+    rows.append((k, x, f, gamma_k, alpha, 0, 0.0, snorm, alpha))
+    return _report(list(zip(*rows)), tag)
 
 
 # ----- prefixed-step solver -----
@@ -205,49 +181,27 @@ def solve_prefixed(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     x = _start_point(problem, x0)
-    records: list[IterationRecord] = []
+    nan = math.nan
+    rows = []
 
     for k in range(1, max_iters + 2):
         f, s = problem.eval(x)
         snorm_sq = float(np.dot(s, s))
         snorm = math.sqrt(snorm_sq) if math.isfinite(snorm_sq) else math.inf
-        last = k == max_iters + 1
-        if snorm_sq == 0.0 or last or not math.isfinite(f) or not math.isfinite(snorm_sq):
-            records.append(
-                IterationRecord(
-                    k=k,
-                    x=x,
-                    f=f,
-                    gamma=math.nan,
-                    alpha=math.nan,
-                    ell=0,
-                    step=0.0,
-                    snorm=snorm,
-                    alpha_next=math.nan,
-                )
-            )
-            if snorm_sq == 0.0:
-                return build_report(records, TERMINATION_ZERO_SUBGRADIENT)
-            if last:
-                return build_report(records, TERMINATION_MAX_ITERS)
-            return build_report(records, TERMINATION_BACKTRACK_FAILURE)
+        if snorm_sq == 0.0:
+            tag = TERMINATION_ZERO_SUBGRADIENT
+            break
+        if k > max_iters:
+            tag = TERMINATION_MAX_ITERS
+            break
+        if not (math.isfinite(f) and math.isfinite(snorm_sq)):
+            tag = TERMINATION_BACKTRACK_FAILURE
+            break
         size = rule.size(k, snorm)
-        x_next = problem.project(x - size * s)
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x,
-                f=f,
-                gamma=math.nan,
-                alpha=size,
-                ell=0,
-                step=size,
-                snorm=snorm,
-                alpha_next=math.nan,
-            )
-        )
-        x = x_next
-    raise AssertionError("unreachable")
+        rows.append((k, x, f, nan, size, 0, size, snorm, nan))
+        x = problem.project(x - size * s)
+    rows.append((k, x, f, nan, nan, 0, 0.0, snorm, nan))
+    return _report(list(zip(*rows)), tag)
 
 
 # ----- trace serialization -----
@@ -262,30 +216,31 @@ _COLUMNS = tuple(c for c in _GAP_COLUMNS if c != "fbest_gap")
 _INT_COLUMNS = ("k", "ell")
 
 
-def _trace_rows(report: RunReport, f_star: float | None):
-    """Yield the column names, then one tuple of values per record in that
-    order. Every trace writer goes through here."""
-    yield _GAP_COLUMNS if f_star is not None else _COLUMNS
-    best = math.inf
-    for r in report.records:
-        best = min(best, r.f)
-        gap = () if f_star is None else (best - f_star,)
-        yield (r.k, r.f, *gap, r.alpha, r.ell, r.gamma, r.snorm)
+def _trace_columns(report: RunReport, f_star: float | None) -> dict[str, list]:
+    """The serialized columns by name, in order, as lists of Python values.
+    Every trace writer goes through here."""
+    if f_star is None:
+        return {name: getattr(report, name).tolist() for name in _COLUMNS}
+    f_star = float(f_star)
+    best, gaps = math.inf, []
+    for v in report.f.tolist():
+        best = min(best, v)
+        gaps.append(best - f_star)
+    return {name: gaps if name == "fbest_gap" else getattr(report, name).tolist()
+            for name in _GAP_COLUMNS}
 
 
 def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -> None:
-    rows = _trace_rows(report, f_star)
-    columns = next(rows)
-    ints = [c in _INT_COLUMNS for c in columns]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join([str(v) if i else repr(float(v)) for i, v in zip(ints, row)]))
+    cols = _trace_columns(report, f_star)
+    cells = [map(str if name in _INT_COLUMNS else repr, col) for name, col in cols.items()]
+    lines = [",".join(cols)]
+    lines += map(",".join, zip(*cells))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
-    """Rebuild a RunReport (x = None on every row, termination = "unknown")
-    plus the fbest_gap column when present."""
+    """Rebuild a RunReport (no iterates, termination = "unknown") plus the
+    fbest_gap column when present."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -293,32 +248,19 @@ def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
     header = tuple(lines[0].split(","))
     if header not in (_GAP_COLUMNS, _COLUMNS):
         raise ValueError(f"{path}: unrecognized trace header {list(header)!r}")
-    with_gap = header == _GAP_COLUMNS
-    take = itemgetter(*map(header.index, _COLUMNS))
-    gap_at = header.index("fbest_gap") if with_gap else None
-    records = []
-    gaps = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for lineno, cells in enumerate(rows, start=2):
         if len(cells) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-        k, f, alpha, ell, gamma, snorm = take(cells)
-        if with_gap:
-            gaps.append(float(cells[gap_at]))
-        # step/alpha_next are not serialized; auditors re-derive them from
-        # (alpha, ell) and beta, so corrupt columns stay detectable
-        records.append(
-            IterationRecord(
-                k=int(k),
-                x=None,
-                f=float(f),
-                gamma=float(gamma),
-                alpha=float(alpha),
-                ell=int(ell),
-                step=math.nan,
-                snorm=float(snorm),
-                alpha_next=math.nan,
-            )
-        )
-    report = build_report(records, "unknown")
-    return report, (np.asarray(gaps) if with_gap else None)
+    col = {name: list(map(int if name in _INT_COLUMNS else float, cells))
+           for name, cells in zip(header, list(zip(*rows)) or [()] * len(header))}
+    # step/alpha_next are not serialized; auditors re-derive them from
+    # (alpha, ell) and beta, so corrupt columns stay detectable
+    missing = [math.nan] * len(rows)
+    report = _report(
+        (col["k"], None, col["f"], col["gamma"], col["alpha"], col["ell"], missing,
+         col["snorm"], missing),
+        "unknown",
+    )
+    gaps = col.get("fbest_gap")
+    return report, (None if gaps is None else np.asarray(gaps))

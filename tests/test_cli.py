@@ -1,8 +1,10 @@
 import json
 import os
+import warnings
 
 import pytest
 
+from nmsubgrad import TheoryRegimeWarning
 from nmsubgrad.cli import main
 
 
@@ -268,8 +270,8 @@ def test_bench_plan_that_is_a_list_is_exit_2(tmp_path, capsys):
     _assert_usage_error(rc, capsys)
 
 
-# "seeds" and "sigm" go into the first config, every other field into the
-# plan; the error names the field and, for an object, each of its keys
+# "seeds", "sigm" and "spread" go into the first config, every other field
+# into the plan; the error names the field and, for an object, each of its keys
 @pytest.mark.parametrize("field, value", [
     ("solver", [1]),
     ("step_constants", [1]),
@@ -282,12 +284,13 @@ def test_bench_plan_that_is_a_list_is_exit_2(tmp_path, capsys):
     ("sigm", 0.5),
     ("step_constants", {"sqrsum": -1}),
     ("solver", {"rh0": 0.3}),
+    ("spread", "x"),
 ])
 def test_bench_malformed_plan_is_exit_2(tmp_path, capsys, field, value):
     path = _small_plan(tmp_path)
     with open(path) as fh:
         plan = json.load(fh)
-    if field in ("seeds", "sigm"):
+    if field in ("seeds", "sigm", "spread"):
         plan["configs"][0][field] = value
     else:
         plan[field] = value
@@ -314,3 +317,43 @@ def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text
                  "--out", str(tmp_path / "t.csv"))
     assert named in _assert_usage_error(rc, capsys)
     assert not os.path.exists(tmp_path / "t.csv")
+
+
+@pytest.mark.parametrize("cset, named", [
+    ([], "set"),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": [1]}, "radius"),
+], ids=["set_not_object", "ball_radius_list"])
+def test_run_malformed_set_is_exit_2(planted_instance, tmp_path, capsys, cset, named):
+    with open(planted_instance) as fh:
+        obj = json.load(fh)
+    obj["set"] = cset
+    path = tmp_path / "bad_set.json"
+    path.write_text(json.dumps(obj))
+    rc = run_cli("run", str(path), "--out", str(tmp_path / "t.csv"))
+    assert named in _assert_usage_error(rc, capsys)
+    assert not os.path.exists(tmp_path / "t.csv")
+
+
+# ----- rho <= 1/2: one warning per command -----
+
+
+def test_small_rho_warns_once_per_command(planted_instance, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"rho": 0.4}')
+    plan = _small_plan(tmp_path)
+    with open(plan) as fh:
+        obj = json.load(fh)
+    obj["solver"]["rho"] = 0.4
+    with open(plan, "w") as fh:
+        json.dump(obj, fh)
+    commands = (
+        ["run", planted_instance, "--config", str(cfg_path), "--iters", "20",
+         "--out", str(tmp_path / "t.csv")],
+        ["bench", plan],
+    )
+    for argv in commands:
+        # the default action prints a warning once per place that raises it
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("default")
+            assert run_cli(*argv) == 0
+        assert [w.category for w in seen] == [TheoryRegimeWarning], argv[0]

@@ -330,3 +330,16 @@ def test_build_report_best_is_first_minimum():
 def test_build_report_requires_records():
     with pytest.raises(ValueError):
         build_report([], "max_iters")
+
+
+# f_best and it_best are min() and list.index() over the f values as given:
+# a NaN first wins (no later value compares below it), a NaN later is passed over
+@pytest.mark.parametrize("fs, it_best", [
+    ([math.nan, 3.0, 1.0], 1),
+    ([3.0, math.nan, 1.0, 2.0], 3),
+], ids=["nan_first", "nan_mid"])
+def test_build_report_best_with_nan(fs, it_best):
+    rep = build_report([_rec(k, f) for k, f in enumerate(fs, 1)], "backtrack_failure")
+    assert rep.it_best == it_best
+    best = fs[it_best - 1]
+    assert rep.f_best == best or (math.isnan(rep.f_best) and math.isnan(best))

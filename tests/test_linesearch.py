@@ -9,6 +9,7 @@ from nmsubgrad import (
     BacktrackFailureError,
     OracleError,
     SolverConfig,
+    beta_ladder,
     make_problem,
     nonmonotone_backtrack,
     plant_optimum_max_affine,
@@ -35,8 +36,8 @@ CFG = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=0.1)
 def test_first_rung_accepted():
     out = nonmonotone_backtrack(
         _linear_value, _identity_projector,
-        x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]),
-        alpha_k=0.05, gamma_k=0.1, cfg=CFG,
+        x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]), snorm_sq=1.0,
+        alpha_k=0.05, gamma_k=0.1, cfg=CFG, ladder=beta_ladder(CFG),
     )
     assert out.ell == 1
     assert out.alpha_next == 0.05  # beta**0 * alpha
@@ -52,8 +53,8 @@ def test_first_rung_accepted():
 def test_size_cap_forces_eighth_rung():
     out = nonmonotone_backtrack(
         _linear_value, _identity_projector,
-        x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]),
-        alpha_k=0.2, gamma_k=0.1, cfg=CFG,
+        x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]), snorm_sq=1.0,
+        alpha_k=0.2, gamma_k=0.1, cfg=CFG, ladder=beta_ladder(CFG),
     )
     # smallest ell with 0.9**(ell-1) * 0.2 <= 0.1 is 8
     assert out.ell == 8
@@ -66,8 +67,8 @@ def test_size_cap_forces_eighth_rung():
 def test_outcome_internal_laws():
     out = nonmonotone_backtrack(
         _linear_value, _identity_projector,
-        x_k=np.array([1.0]), f_k=1.0, s_k=np.array([1.0]),
-        alpha_k=0.37, gamma_k=0.05, cfg=CFG,
+        x_k=np.array([1.0]), f_k=1.0, s_k=np.array([1.0]), snorm_sq=1.0,
+        alpha_k=0.37, gamma_k=0.05, cfg=CFG, ladder=beta_ladder(CFG),
     )
     assert out.step == pytest.approx(CFG.beta * out.alpha_next, rel=1e-15)
     assert out.alpha_next == pytest.approx(
@@ -101,7 +102,8 @@ def test_matches_reference_scan(seed, alpha, gamma, c, rho, beta):
         return
     cfg = SolverConfig(c=c, beta=beta, rho=rho, alpha1=alpha)
     out = nonmonotone_backtrack(
-        prob.value, prob.project, x_k, f_k, s_k, alpha, gamma, cfg
+        prob.value, prob.project, x_k, f_k, s_k, float(np.dot(s_k, s_k)), alpha, gamma,
+        cfg, beta_ladder(cfg),
     )
     ref = backtrack_ref(
         prob.value, lambda p: prob.project(np.asarray(p)),
@@ -130,7 +132,8 @@ def test_accepted_rung_is_minimal(seed, alpha, gamma):
     if snorm_sq == 0.0:
         return
     out = nonmonotone_backtrack(
-        prob.value, prob.project, x_k, f_k, s_k, alpha, gamma, CFG
+        prob.value, prob.project, x_k, f_k, s_k, snorm_sq, alpha, gamma, CFG,
+        beta_ladder(CFG),
     )
     beta, c, rho = CFG.beta, CFG.c, CFG.rho
     # the accepted rung satisfies both conditions
@@ -152,8 +155,8 @@ def test_zero_subgradient_is_callers_problem():
     with pytest.raises(ValueError, match="zero subgradient"):
         nonmonotone_backtrack(
             _linear_value, _identity_projector,
-            x_k=np.array([0.0]), f_k=0.0, s_k=np.array([0.0]),
-            alpha_k=0.1, gamma_k=0.1, cfg=CFG,
+            x_k=np.array([0.0]), f_k=0.0, s_k=np.array([0.0]), snorm_sq=0.0,
+            alpha_k=0.1, gamma_k=0.1, cfg=CFG, ladder=beta_ladder(CFG),
         )
 
 
@@ -164,8 +167,8 @@ def test_nan_objective_raises_oracle_error():
     with pytest.raises(OracleError):
         nonmonotone_backtrack(
             bad_value, _identity_projector,
-            x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]),
-            alpha_k=0.05, gamma_k=0.1, cfg=CFG,
+            x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]), snorm_sq=1.0,
+            alpha_k=0.05, gamma_k=0.1, cfg=CFG, ladder=beta_ladder(CFG),
         )
 
 
@@ -177,6 +180,6 @@ def test_cap_exhaustion_raises():
     with pytest.raises(BacktrackFailureError):
         nonmonotone_backtrack(
             stubborn, _identity_projector,
-            x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]),
-            alpha_k=0.05, gamma_k=0.1, cfg=cfg,
+            x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]), snorm_sq=1.0,
+            alpha_k=0.05, gamma_k=0.1, cfg=cfg, ladder=beta_ladder(cfg),
         )

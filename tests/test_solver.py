@@ -208,6 +208,30 @@ def test_trace_csv_roundtrip(tmp_path):
     assert all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:]))  # non-increasing
 
 
+def test_records_and_csv_rebuild_the_columns(tmp_path):
+    prob = _planted(seed=9)
+    report = solve_nonmonotone(prob, CFG)
+    names = ("k", "f", "gamma", "alpha", "ell", "step", "snorm", "alpha_next")
+    records = report.records
+    assert len(records) == len(report.k) == len(report.xs)
+    for name in names:
+        column = getattr(report, name)
+        assert column.dtype == (np.int64 if name in ("k", "ell") else np.float64)
+        np.testing.assert_array_equal(np.array([getattr(r, name) for r in records]), column)
+    assert all(r.x is x for r, x in zip(records, report.xs))  # the driver's arrays
+    assert records is not report.records  # a view, rebuilt on each access
+
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(report, path, f_star=prob.f_star)
+    loaded, _ = read_trace_csv(path)
+    assert loaded.xs is None
+    for name in ("k", "f", "gamma", "alpha", "ell", "snorm"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(report, name))
+        assert getattr(loaded, name).dtype == getattr(report, name).dtype
+    assert np.isnan(loaded.step).all() and np.isnan(loaded.alpha_next).all()
+    assert all(r.x is None for r in loaded.records)
+
+
 def test_trace_csv_without_fstar_drops_gap_column(tmp_path):
     prob = _planted(seed=10)
     report = solve_nonmonotone(prob, CFG)
