@@ -1,7 +1,10 @@
 """Hot numeric kernels: objective evaluations and projections.
 
 Each kernel is one vectorized numpy function over plain arrays; the oracles in
-`problems` call them with an instance's arrays. `BACKEND` names the
+`problems` call them with an instance's arrays. Each objective formula is
+written once, in its `*_eval` kernel, which returns the value and a
+subgradient; the `*_value` kernels take the value from it and are kept for the
+value-only callers and the `kernels.value_us` probe. `BACKEND` names the
 implementation so benchmark records can say what they timed.
 """
 
@@ -23,14 +26,6 @@ __all__ = [
 BACKEND = "numpy"
 
 
-def max_affine_value(A, b, sigma, x):
-    vals = A @ x + b
-    v = float(vals.max())
-    if sigma > 0.0:
-        v += 0.5 * sigma * float(np.dot(x, x))
-    return v
-
-
 def max_affine_eval(A, b, sigma, x):
     vals = A @ x + b
     j = int(vals.argmax())  # first maximizer = smallest index
@@ -42,11 +37,6 @@ def max_affine_eval(A, b, sigma, x):
     return v, g
 
 
-def fermat_weber_value(anchors, weights, x):
-    d = np.sqrt(((x - anchors) ** 2).sum(axis=1))
-    return float(np.dot(weights, d))
-
-
 def fermat_weber_eval(anchors, weights, x):
     diff = x - anchors
     d = np.sqrt((diff**2).sum(axis=1))
@@ -55,6 +45,14 @@ def fermat_weber_eval(anchors, weights, x):
     nz = d > 0.0
     g = (diff[nz] * (weights[nz] / d[nz])[:, None]).sum(axis=0)
     return v, np.ascontiguousarray(g)
+
+
+def max_affine_value(A, b, sigma, x):
+    return max_affine_eval(A, b, sigma, x)[0]
+
+
+def fermat_weber_value(anchors, weights, x):
+    return fermat_weber_eval(anchors, weights, x)[0]
 
 
 def project_ball(center, radius, y):

@@ -30,7 +30,6 @@ __all__ = [
     "audit_rate_bounds",
     "merge_reports",
     "audit_report_to_json",
-    "check_sum_lemmas",
     "sum_lemma_sweep",
 ]
 
@@ -323,32 +322,6 @@ def audit_rate_bounds(
 # ----- summation lemmas -----
 
 
-def check_sum_lemmas(a: float, d: float, N: int) -> tuple[bool, bool | None]:
-    """Direct-summation check of the two harmonic-vs-sqrt sum bounds.
-
-    First (N >= 1):  (d + a*sum_{k<=N} 1/k) / sum_{k<=N} 1/sqrt(k+1)
-                       <= 4*(d + a + a*ln N) / sqrt(N)
-    Second (N >= 2): same shape with both sums over k = ceil(N/2)..N and
-                     right side 4*(d + a*ln 3) / sqrt(N+2); None when N < 2.
-    """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    if a < 0.0 or d < 0.0:
-        raise ValueError("a and d must be nonnegative")
-    k = np.arange(1, N + 1, dtype=np.float64)
-    lhs1 = (d + a * float((1.0 / k).sum())) / float((1.0 / np.sqrt(k + 1.0)).sum())
-    rhs1 = 4.0 * (d + a + a * math.log(N)) / math.sqrt(N)
-    ok1 = (lhs1 - rhs1) / max(1.0, abs(lhs1), abs(rhs1)) <= REL_SLACK
-    if N < 2:
-        return bool(ok1), None
-    start = math.ceil(N / 2)
-    kh = np.arange(start, N + 1, dtype=np.float64)
-    lhs2 = (d + a * float((1.0 / kh).sum())) / float((1.0 / np.sqrt(kh + 1.0)).sum())
-    rhs2 = 4.0 * (d + a * math.log(3.0)) / math.sqrt(N + 2.0)
-    ok2 = (lhs2 - rhs2) / max(1.0, abs(lhs2), abs(rhs2)) <= REL_SLACK
-    return bool(ok1), bool(ok2)
-
-
 @dataclass(frozen=True)
 class SumLemmaSweep:
     all_hold: bool
@@ -359,7 +332,14 @@ class SumLemmaSweep:
 
 
 def sum_lemma_sweep(a_values, d_values, n_max: int) -> SumLemmaSweep:
-    """Vectorized check_sum_lemmas over every N in 2..n_max and each (a, d)."""
+    """Both harmonic-vs-sqrt sum bounds over every N in 2..n_max and each
+    (a, d), from cumulative sums.
+
+    First:  (d + a*sum_{k<=N} 1/k) / sum_{k<=N} 1/sqrt(k+1)
+              <= 4*(d + a + a*ln N) / sqrt(N)
+    Second: the same shape with both sums over k = ceil(N/2)..N and right
+            side 4*(d + a*ln 3) / sqrt(N+2).
+    """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     k = np.arange(1, n_max + 1, dtype=np.float64)

@@ -306,9 +306,7 @@ def cmd_bench(args) -> int:
         raise UsageError("plan has no configs")
     fields = [_bench_config_fields(problem_kind, conf, base) for conf in configs]
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for conf, conf_fields in zip(configs, fields):
-        written.append(_bench_one_config(problem_kind, conf, conf_fields, methods, rules, out_dir))
+    written = [_bench_one_config(problem_kind, f, methods, rules, out_dir) for f in fields]
     for path in written:
         print(path)
     return 0
@@ -323,10 +321,13 @@ _SHAPE = {
                   "active_scale": ("active_scale", float), "active": ("active_count", int)},
     "fermatweber": {"anchor_scale": ("scale", float)},
 }
-# the keys of a config entry: the common ones, each kind's shape, and the
-# Fermat-Weber anchors
-_CONFIG_KEYS = ("n", "m", "zeta", "iters", "seeds", *_SHAPE["maxaffine"],
-                *_SHAPE["fermatweber"], "anchors_csv")
+# the keys of a config entry for each problem kind: the common ones, the
+# kind's shape, and the Fermat-Weber anchors
+_COMMON_KEYS = ("n", "m", "zeta", "iters", "seeds")
+_CONFIG_KEYS = {
+    "maxaffine": (*_COMMON_KEYS, *_SHAPE["maxaffine"]),
+    "fermatweber": (*_COMMON_KEYS, *_SHAPE["fermatweber"], "anchors_csv"),
+}
 
 
 def _reject_unknown(where: str, obj: dict, known) -> None:
@@ -370,11 +371,11 @@ def _bench_rules(steps: dict) -> dict:
 
 
 def _bench_config_fields(kind: str, conf, base: SolverConfig):
-    """(n, m, solver config, seeds, generator shape keywords) of one config
-    entry; a malformed entry is a UsageError."""
+    """(n, m, solver config, seeds, generator shape keywords, anchors or None)
+    of one config entry; a malformed entry is a UsageError."""
     if not isinstance(conf, dict):
         raise UsageError(f"each entry of 'configs' must be an object, got {type(conf).__name__}")
-    _reject_unknown("config", conf, _CONFIG_KEYS)
+    _reject_unknown("config", conf, _CONFIG_KEYS[kind])
     try:
         n = int(conf["n"])
         m = int(conf["m"])
@@ -397,12 +398,19 @@ def _bench_config_fields(kind: str, conf, base: SolverConfig):
                 shape[keyword] = cast(conf[key])
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"config field {key!r}: {exc}") from None
+    anchors = None
+    if "anchors_csv" in conf:
+        try:
+            # fspath keeps a number from being opened as a file descriptor
+            anchors = read_anchor_csv(os.fspath(conf["anchors_csv"]))
+        except (TypeError, ValueError, OSError) as exc:
+            raise UsageError(f"config field 'anchors_csv': {exc}") from None
     cfg = _check_config(dataclasses.replace(base, gamma=gamma, max_iters=iters))
-    return n, m, cfg, seeds, shape
+    return n, m, cfg, seeds, shape, anchors
 
 
-def _bench_one_config(kind, conf, fields, methods, rules, out_dir) -> str:
-    n, m, cfg, seeds, shape = fields
+def _bench_one_config(kind, fields, methods, rules, out_dir) -> str:
+    n, m, cfg, seeds, shape, anchors = fields
     fw = kind == "fermatweber"
     x_cols = [f"x{i+1}" for i in range(n)] if fw else []
     header = ["method", "seed"] + x_cols + ["gap", "it_best", "status"]
@@ -411,7 +419,7 @@ def _bench_one_config(kind, conf, fields, methods, rules, out_dir) -> str:
         gaps, bests = [], []
         for seed in seeds:
             try:
-                problem, f_star = _bench_problem(kind, conf, seed, n, m, shape)
+                problem, f_star = _bench_problem(kind, seed, n, m, shape, anchors)
                 if method == "nonmonotone":
                     report = solve_nonmonotone(problem, cfg)
                 else:
@@ -442,12 +450,11 @@ def _bench_one_config(kind, conf, fields, methods, rules, out_dir) -> str:
     return path
 
 
-def _bench_problem(kind, conf, seed, n, m, shape):
+def _bench_problem(kind, seed, n, m, shape, anchors):
     if kind == "maxaffine":
         inst = plant_optimum_max_affine(seed, n, m, **shape)
         return make_problem(inst), inst.f_star
-    if "anchors_csv" in conf:
-        anchors = read_anchor_csv(conf["anchors_csv"])
+    if anchors is not None:
         inst = FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
     else:
         inst = gen_fermat_weber(seed, n, m, **shape)
@@ -480,10 +487,10 @@ def cmd_check(args) -> int:
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
     gamma_seq = _infer_gamma(report.gamma, args.zeta)
-    cfg = SolverConfig(
+    cfg = _check_config(SolverConfig(
         **_given(args, ("c", "beta", "rho")),
         gamma=gamma_seq, max_iters=max(1, len(report.k) - 1),
-    )
+    ))
     tc = None
     if problem.L is not None and 0.5 < cfg.rho < 1.0:
         tc = constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -377,7 +377,7 @@ def weiszfeld(
     _check_dim(inst.n, x)
 
     def distances(x):
-        # the same arithmetic as the fermat_weber_value kernel, so f is its value
+        # the same arithmetic as the fermat_weber_eval kernel, so f is its value
         diff = x - anchors
         d = np.sqrt((diff**2).sum(axis=1))
         return diff, d, float(np.dot(weights, d))
@@ -466,9 +466,6 @@ class ProblemSpec:
     def project(self, y: np.ndarray) -> np.ndarray:
         return project(self.cset, y)
 
-    def contains(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
-        return contains(self.cset, x, tol)
-
 
 def _parked_oracles(kernel, data: tuple, n: int):
     """value and eval closures over one (value, subgradient) kernel called as
@@ -539,91 +536,70 @@ def make_problem(inst: Instance, cset: SetDescriptor | None = None) -> ProblemSp
 
 
 # ----- serialization -----
+#
+# An instance file is the instance's dataclass fields plus "type", with the
+# constraint set's fields plus "kind" under "set". Arrays are written as
+# nested lists, and a None field is left out; reading it back, null in an
+# optional field means absent.
 
-_SET_KINDS = {"rn": WholeSpace, "orthant": NonnegativeOrthant}
-
-
-def _set_to_obj(cset: SetDescriptor) -> dict:
-    if isinstance(cset, WholeSpace):
-        return {"kind": "rn"}
-    if isinstance(cset, NonnegativeOrthant):
-        return {"kind": "orthant"}
-    if isinstance(cset, Box):
-        return {"kind": "box", "lo": cset.lo.tolist(), "hi": cset.hi.tolist()}
-    if isinstance(cset, Ball):
-        return {"kind": "ball", "center": cset.center.tolist(), "radius": cset.radius}
-    raise TypeError(f"not a set descriptor: {cset!r}")
+_SET_KINDS = {"rn": WholeSpace, "orthant": NonnegativeOrthant, "box": Box, "ball": Ball}
+_INSTANCE_TYPES = {"maxaffine": MaxAffineInstance, "fermatweber": FermatWeberInstance}
 
 
-def _set_from_obj(obj: dict) -> SetDescriptor:
+def _to_obj(tag: str, names: dict, value) -> dict:
+    name = {cls: name for name, cls in names.items()}.get(type(value))
+    if name is None:
+        raise TypeError(f"no {tag} name for {value!r}")
+    obj = {tag: name}
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if v is not None:
+            obj[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+    return obj
+
+
+def _from_obj(what: str, tag: str, names: dict, obj):
+    """The dataclass that obj's tag names, built from obj's fields: an array
+    field must convert to float64 and a scalar field must be a finite JSON
+    number. The class constructor checks the values."""
     if not isinstance(obj, dict):
-        raise ValueError(f"set must be a JSON object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind in _SET_KINDS:
-        return _SET_KINDS[kind]()
-    if kind == "box":
-        return Box(lo=np.asarray(obj["lo"]), hi=np.asarray(obj["hi"]))
-    if kind == "ball":
-        radius = obj["radius"]
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    name = obj.get(tag)
+    cls = names.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValueError(f"unknown {what} {tag}: {name!r}")
+    kwargs = {}
+    for f in fields(cls):
+        raw = obj.get(f.name)
+        if raw is None:
+            if f.default is MISSING:
+                raise ValueError(f"{what} is missing field {f.name!r}")
+        elif f.type.startswith("np.ndarray"):  # annotations are kept as source text
+            try:
+                kwargs[f.name] = np.asarray(raw, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{what} field {f.name!r} is not a numeric array: {exc}") from None
         # the exact compare also keeps an int too large for a float out
-        if (isinstance(radius, bool) or not isinstance(radius, (int, float))
-                or not abs(radius) <= sys.float_info.max):
-            raise ValueError(f"ball radius must be a finite number, got {radius!r}")
-        return Ball(center=np.asarray(obj["center"]), radius=float(radius))
-    raise ValueError(f"unknown set kind: {kind!r}")
+        elif (isinstance(raw, bool) or not isinstance(raw, (int, float))
+                or not abs(raw) <= sys.float_info.max):
+            raise ValueError(f"{what} field {f.name!r} must be a finite number, got {raw!r}")
+        else:
+            kwargs[f.name] = float(raw)
+    return cls(**kwargs)
 
 
 def instance_to_obj(inst: Instance, cset: SetDescriptor | None = None) -> dict:
-    if isinstance(inst, MaxAffineInstance):
-        obj = {
-            "type": "maxaffine",
-            "A": inst.A.tolist(),
-            "b": inst.b.tolist(),
-            "sigma": inst.sigma,
-        }
-        if inst.x_star is not None:
-            obj["x_star"] = inst.x_star.tolist()
-            obj["f_star"] = inst.f_star
-    elif isinstance(inst, FermatWeberInstance):
-        obj = {
-            "type": "fermatweber",
-            "anchors": inst.anchors.tolist(),
-            "weights": inst.weights.tolist(),
-        }
-    else:
-        raise TypeError(f"not an instance: {inst!r}")
-    obj["set"] = _set_to_obj(WholeSpace() if cset is None else cset)
+    obj = _to_obj("type", _INSTANCE_TYPES, inst)
+    obj["set"] = _to_obj("kind", _SET_KINDS, WholeSpace() if cset is None else cset)
     return obj
 
 
 def instance_from_obj(obj: dict) -> tuple[Instance, SetDescriptor]:
     """Inverse of instance_to_obj; a malformed object raises ValueError."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"instance must be a JSON object, got {type(obj).__name__}")
-    try:
-        return _instance_from_fields(obj)
-    except KeyError as exc:
-        raise ValueError(f"instance is missing field {exc}") from None
-
-
-def _instance_from_fields(obj: dict) -> tuple[Instance, SetDescriptor]:
-    kind = obj.get("type")
-    cset = _set_from_obj(obj.get("set", {"kind": "rn"}))
-    if kind == "maxaffine":
-        inst = MaxAffineInstance(
-            A=np.asarray(obj["A"]),
-            b=np.asarray(obj["b"]),
-            sigma=float(obj.get("sigma", 0.0)),
-            x_star=np.asarray(obj["x_star"]) if "x_star" in obj else None,
-            f_star=obj.get("f_star"),
-        )
-        return inst, cset
-    if kind == "fermatweber":
-        inst = FermatWeberInstance(
-            anchors=np.asarray(obj["anchors"]), weights=np.asarray(obj["weights"])
-        )
-        return inst, cset
-    raise ValueError(f"unknown instance type: {kind!r}")
+    inst = _from_obj("instance", "type", _INSTANCE_TYPES, obj)
+    if "set" not in obj:
+        return inst, WholeSpace()
+    return inst, _from_obj("set", "kind", _SET_KINDS, obj["set"])
 
 
 def save_instance(path: str, inst: Instance, cset: SetDescriptor | None = None) -> None:

@@ -10,6 +10,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from nmsubgrad.analysis import REL_SLACK
+
 
 def max_affine_value_ref(A, b, x, sigma=0.0):
     best = -math.inf
@@ -140,3 +144,30 @@ def sum_lemma_sides_ref(a, d, N):
     )
     rhs2 = 4.0 * (d + a * math.log(3.0)) / math.sqrt(N + 2)
     return lhs1, rhs1, lhs2, rhs2
+
+
+def check_sum_lemmas(a: float, d: float, N: int) -> tuple[bool, bool | None]:
+    """Direct-summation check of the two harmonic-vs-sqrt sum bounds, a scalar
+    cross-check of analysis.sum_lemma_sweep.
+
+    First (N >= 1):  (d + a*sum_{k<=N} 1/k) / sum_{k<=N} 1/sqrt(k+1)
+                       <= 4*(d + a + a*ln N) / sqrt(N)
+    Second (N >= 2): same shape with both sums over k = ceil(N/2)..N and
+                     right side 4*(d + a*ln 3) / sqrt(N+2); None when N < 2.
+    """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    if a < 0.0 or d < 0.0:
+        raise ValueError("a and d must be nonnegative")
+    k = np.arange(1, N + 1, dtype=np.float64)
+    lhs1 = (d + a * float((1.0 / k).sum())) / float((1.0 / np.sqrt(k + 1.0)).sum())
+    rhs1 = 4.0 * (d + a + a * math.log(N)) / math.sqrt(N)
+    ok1 = (lhs1 - rhs1) / max(1.0, abs(lhs1), abs(rhs1)) <= REL_SLACK
+    if N < 2:
+        return bool(ok1), None
+    start = math.ceil(N / 2)
+    kh = np.arange(start, N + 1, dtype=np.float64)
+    lhs2 = (d + a * float((1.0 / kh).sum())) / float((1.0 / np.sqrt(kh + 1.0)).sum())
+    rhs2 = 4.0 * (d + a * math.log(3.0)) / math.sqrt(N + 2.0)
+    ok2 = (lhs2 - rhs2) / max(1.0, abs(lhs2), abs(rhs2)) <= REL_SLACK
+    return bool(ok1), bool(ok2)

@@ -14,7 +14,6 @@ from nmsubgrad import (
     audit_rate_bounds,
     audit_report_to_json,
     audit_stepwise,
-    check_sum_lemmas,
     constants,
     lipschitz_bound,
     make_problem,
@@ -26,7 +25,7 @@ from nmsubgrad import (
 )
 from nmsubgrad.core import build_report
 
-from oracles import sum_lemma_sides_ref
+from oracles import check_sum_lemmas, sum_lemma_sides_ref
 
 PARAMS = dict(c=1.0, beta=0.9, rho=0.8, alpha1=0.1)
 

@@ -178,18 +178,36 @@ def test_check_missing_trace_is_exit_2(planted_instance, tmp_path):
     assert run_cli("check", str(tmp_path / "no.csv"), planted_instance) == 2
 
 
+# exit 1 means a failed audit, so an invalid solver flag is a usage error
+@pytest.mark.parametrize("flags, named", [
+    (["--rho", "0"], "rho"),
+    (["--rho", "nan"], "rho"),
+    (["--rho", "1.5"], "rho"),
+    (["--rho", "0.3", "--beta", "2"], "beta"),
+], ids=["rho_zero", "rho_nan", "rho_above_one", "beta_two"])
+def test_check_invalid_solver_flag_is_exit_2(planted_instance, tmp_path, capsys, flags, named):
+    trace = str(tmp_path / "t.csv")
+    assert run_cli("run", planted_instance, "--zeta", "0.5", "--iters", "50",
+                   "--out", trace) == 0
+    capsys.readouterr()
+    report = tmp_path / "audit.json"
+    rc = run_cli("check", trace, planted_instance, *flags, "--out", str(report))
+    assert named in _assert_usage_error(rc, capsys)
+    assert not report.exists()
+
+
 # ----- bench -----
 
 
-def _small_plan(tmp_path):
+def _small_plan(tmp_path, problem="maxaffine"):
+    shape = {"spread": 0.05, "active_scale": 2.0} if problem == "maxaffine" else {}
     plan = {
-        "problem": "maxaffine",
+        "problem": problem,
         "methods": ["nonmonotone", "sqrsum"],
         "solver": {"c": 1.0, "beta": 0.9, "rho": 0.8, "alpha1": 0.1},
         "step_constants": {"sqrsum": 0.5},
         "configs": [
-            {"n": 2, "m": 10, "zeta": 0.5, "iters": 80, "seeds": [0, 1],
-             "spread": 0.05, "active_scale": 2.0},
+            {"n": 2, "m": 10, "zeta": 0.5, "iters": 80, "seeds": [0, 1], **shape},
         ],
         "out_dir": str(tmp_path / "out"),
     }
@@ -270,7 +288,13 @@ def test_bench_plan_that_is_a_list_is_exit_2(tmp_path, capsys):
     _assert_usage_error(rc, capsys)
 
 
-# "seeds", "sigm" and "spread" go into the first config, every other field
+# the cases whose plan is the Fermat-Weber one: a max-affine shape key and an
+# anchors file that does not exist; every other case uses the max-affine plan
+_FERMATWEBER_CASES = (("spread", 0.5), ("anchors_csv", "no_such_anchors.csv"))
+_CONFIG_FIELDS = ("seeds", "sigm", "spread", "anchor_scale", "anchors_csv")
+
+
+# the fields in _CONFIG_FIELDS go into the first config, every other field
 # into the plan; the error names the field and, for an object, each of its keys
 @pytest.mark.parametrize("field, value", [
     ("solver", [1]),
@@ -285,12 +309,16 @@ def test_bench_plan_that_is_a_list_is_exit_2(tmp_path, capsys):
     ("step_constants", {"sqrsum": -1}),
     ("solver", {"rh0": 0.3}),
     ("spread", "x"),
+    ("anchor_scale", 3.0),
+    ("spread", 0.5),
+    ("anchors_csv", "no_such_anchors.csv"),
 ])
 def test_bench_malformed_plan_is_exit_2(tmp_path, capsys, field, value):
-    path = _small_plan(tmp_path)
+    fermatweber = (field, value) in _FERMATWEBER_CASES
+    path = _small_plan(tmp_path, "fermatweber" if fermatweber else "maxaffine")
     with open(path) as fh:
         plan = json.load(fh)
-    if field in ("seeds", "sigm", "spread"):
+    if field in _CONFIG_FIELDS:
         plan["configs"][0][field] = value
     else:
         plan[field] = value
@@ -322,12 +350,33 @@ def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text
 @pytest.mark.parametrize("cset, named", [
     ([], "set"),
     ({"kind": "ball", "center": [0.0, 0.0], "radius": [1]}, "radius"),
-], ids=["set_not_object", "ball_radius_list"])
+    ({"kind": "box", "lo": {}, "hi": [1.0, 1.0]}, "'lo'"),
+], ids=["set_not_object", "ball_radius_list", "box_lo_object"])
 def test_run_malformed_set_is_exit_2(planted_instance, tmp_path, capsys, cset, named):
     with open(planted_instance) as fh:
         obj = json.load(fh)
     obj["set"] = cset
     path = tmp_path / "bad_set.json"
+    path.write_text(json.dumps(obj))
+    rc = run_cli("run", str(path), "--out", str(tmp_path / "t.csv"))
+    assert named in _assert_usage_error(rc, capsys)
+    assert not os.path.exists(tmp_path / "t.csv")
+
+
+# each case updates the planted max-affine instance's fields; the Fermat-Weber
+# case changes its type, and the reader ignores the max-affine fields left over
+@pytest.mark.parametrize("fields, named", [
+    ({"A": {}}, "'A'"),
+    ({"A": [[10**400, 0.0]] * 10}, "'A'"),
+    ({"type": "fermatweber", "anchors": "x", "weights": [1.0, 1.0]}, "'anchors'"),
+    ({"sigma": "0.5"}, "'sigma'"),
+], ids=["matrix_object", "matrix_huge_int", "anchors_string", "sigma_string"])
+def test_run_malformed_instance_field_is_exit_2(planted_instance, tmp_path, capsys,
+                                                fields, named):
+    with open(planted_instance) as fh:
+        obj = json.load(fh)
+    obj.update(fields)
+    path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     rc = run_cli("run", str(path), "--out", str(tmp_path / "t.csv"))
     assert named in _assert_usage_error(rc, capsys)

@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmsubgrad import (
@@ -288,6 +289,94 @@ def test_instance_obj_rejects_unknown_kind():
     obj["type"] = "quadratic"
     with pytest.raises(ValueError):
         instance_from_obj(obj)
+
+
+_ROUNDTRIP_SETS = {
+    "rn": WholeSpace(),
+    "orthant": NonnegativeOrthant(),
+    "box": Box(lo=-np.ones(3), hi=np.array([1.0, 2.0, 3.0])),
+    "ball": Ball(center=np.array([0.5, 0.0, -0.5]), radius=2.0),
+}
+_ROUNDTRIP_INSTANCES = {
+    "maxaffine_planted": plant_optimum_max_affine(5, 3, 7, spread=0.4, sigma=0.5),
+    "maxaffine": gen_max_affine(1, 3, 6),
+    "fermatweber": gen_fermat_weber(2, 3, 5, scale=3.0),
+}
+
+
+@pytest.mark.parametrize("cset", _ROUNDTRIP_SETS.values(), ids=_ROUNDTRIP_SETS)
+@pytest.mark.parametrize("inst", _ROUNDTRIP_INSTANCES.values(), ids=_ROUNDTRIP_INSTANCES)
+def test_instance_obj_roundtrip_is_byte_identical(inst, cset):
+    text = json.dumps(instance_to_obj(inst, cset), sort_keys=True, indent=2)
+    again = instance_from_obj(json.loads(text))
+    assert json.dumps(instance_to_obj(*again), sort_keys=True, indent=2) == text
+
+
+def test_instance_obj_null_optional_field_reads_as_absent():
+    obj = instance_to_obj(gen_max_affine(0, 2, 3))
+    obj["f_star"] = None
+    inst, _ = instance_from_obj(obj)
+    assert inst.f_star is None and inst.x_star is None
+
+
+# JSON-shaped values: scalars of every JSON kind (NaN, infinities and ints of
+# any size included), nested lists and objects, and numeric vectors and
+# 3-column matrices, which fit the round-trip instances' dimension
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+_NUMBERS = st.floats(-10.0, 10.0) | st.integers(-3, 3)
+_FIELD_VALUES = (
+    _JSON
+    | _NUMBERS
+    | st.lists(_NUMBERS, min_size=1, max_size=4)
+    | st.lists(st.lists(_NUMBERS, min_size=3, max_size=3), max_size=4)
+)
+_VALID_TEXTS = [
+    json.dumps(instance_to_obj(inst, cset))
+    for inst in _ROUNDTRIP_INSTANCES.values() for cset in _ROUNDTRIP_SETS.values()
+]
+# the fields a mutation may replace or drop; "set." names a field of the set
+_FIELD_NAMES = ["type", "A", "b", "sigma", "x_star", "f_star", "anchors", "weights", "set",
+                "set.kind", "set.lo", "set.hi", "set.center", "set.radius"]
+_DROP = object()
+
+
+@st.composite
+def _mutated_instance_objs(draw):
+    """A valid instance object with up to three fields replaced or dropped."""
+    obj = json.loads(draw(st.sampled_from(_VALID_TEXTS)))
+    changes = draw(st.dictionaries(st.sampled_from(_FIELD_NAMES),
+                                   _FIELD_VALUES | st.just(_DROP), max_size=3))
+    for name, value in changes.items():
+        target = obj
+        if name.startswith("set."):
+            target, name = obj.get("set"), name[len("set."):]
+            if not isinstance(target, dict):
+                continue
+        if value is _DROP:
+            target.pop(name, None)
+        else:
+            target[name] = value
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_instance_objs() | _JSON)
+@example({"type": "maxaffine", "A": [[10**400]], "b": [0.0]})
+@example({"type": "maxaffine", "A": [[1.0]], "b": [0.0], "sigma": 10**400})
+@example({"type": "maxaffine", "A": [[1.0]], "b": [0.0], "set": {"kind": "box", "lo": {}}})
+@example({"type": "fermatweber", "anchors": "x", "weights": [1.0]})
+@example({"type": [], "set": {"kind": {}}})
+def test_instance_from_obj_returns_or_raises_value_error(obj):
+    try:
+        inst, cset = instance_from_obj(obj)
+    except ValueError:
+        return
+    assert isinstance(inst, (MaxAffineInstance, FermatWeberInstance))
+    assert isinstance(cset, (WholeSpace, NonnegativeOrthant, Box, Ball))
 
 
 # ----- anchor CSV convention -----
