@@ -6,6 +6,17 @@ written once, in its `*_eval` kernel, which returns the value and a
 subgradient; the `*_value` kernels take the value from it and are kept for the
 value-only callers and the `kernels.value_us` probe. `BACKEND` names the
 implementation so benchmark records can say what they timed.
+
+The Fermat-Weber kernel takes anchors as an (m, n) array and works on
+`anchors.T`, one row per coordinate; `FermatWeberInstance` stores its anchors
+column-major, so that view is contiguous. Its two sums run in index order
+whatever the anchors' memory layout: a squared distance adds the coordinates
+first to last, as a reduction across the rows does (for m = 1 numpy sums the
+one contiguous column pairwise instead, from n = 8 on), and each subgradient
+coordinate adds the anchors' terms first to last through `row_sums`, a scan
+that never takes numpy's pairwise path along a contiguous row. `weiszfeld`
+uses `fermat_weber_distances` and `row_sums` too, so its value is the
+kernel's value bit for bit.
 """
 
 from __future__ import annotations
@@ -37,14 +48,30 @@ def max_affine_eval(A, b, sigma, x):
     return v, g
 
 
+def fermat_weber_distances(anchors, weights, x):
+    """(x - a_i) as an (n, m) array, the distances d_i and sum_i w_i d_i."""
+    diff = np.subtract(x[:, None], anchors.T, order="C")
+    d = np.sqrt((diff**2).sum(axis=0))
+    return diff, d, float(np.dot(weights, d))
+
+
 def fermat_weber_eval(anchors, weights, x):
-    diff = x - anchors
-    d = np.sqrt((diff**2).sum(axis=1))
-    v = float(np.dot(weights, d))
-    # anchor-coincident terms contribute nothing to the subgradient
+    diff, d, v = fermat_weber_distances(anchors, weights, x)
     nz = d > 0.0
-    g = (diff[nz] * (weights[nz] / d[nz])[:, None]).sum(axis=0)
-    return v, np.ascontiguousarray(g)
+    if nz.all():
+        diff *= weights / d
+        return v, row_sums(diff)
+    # anchor-coincident terms contribute nothing to the subgradient
+    return v, row_sums(diff[:, nz] * (weights[nz] / d[nz]))
+
+
+def row_sums(r):
+    """Sum of each row of the 2-D array r, added first to last from +0.0, as
+    numpy reduces across rows; r is overwritten. Zero columns sum to zero."""
+    if r.shape[1] == 0:
+        return np.zeros(r.shape[0])
+    # + 0.0 turns a -0.0 total into +0.0 and copies the strided last column
+    return np.add.accumulate(r, axis=1, out=r)[:, -1] + 0.0
 
 
 def max_affine_value(A, b, sigma, x):

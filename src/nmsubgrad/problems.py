@@ -160,8 +160,8 @@ class MaxAffineInstance:
     def __post_init__(self):
         A = np.ascontiguousarray(self.A, dtype=np.float64)
         b = np.ascontiguousarray(self.b, dtype=np.float64)
-        if A.ndim != 2:
-            raise ValueError(f"A must be 2-D, got shape {A.shape}")
+        if A.ndim != 2 or 0 in A.shape:
+            raise ValueError(f"A must be a non-empty 2-D array, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b must have shape ({A.shape[0]},), got {b.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
@@ -215,15 +215,18 @@ def planted_certificate_residual(inst: MaxAffineInstance) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FermatWeberInstance:
-    """f(x) = sum_i w_i ||x - a_i|| with positive weights."""
+    """f(x) = sum_i w_i ||x - a_i|| with positive weights.
+
+    anchors is stored column-major, so anchors.T, one row per coordinate, is
+    the contiguous array the kernel works on."""
 
     anchors: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        anchors = np.ascontiguousarray(self.anchors, dtype=np.float64)
+        anchors = np.asfortranarray(self.anchors, dtype=np.float64)
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if anchors.ndim != 2 or anchors.shape[0] < 1:
+        if anchors.ndim != 2 or 0 in anchors.shape:
             raise ValueError(f"anchors must be a non-empty 2-D array, got {anchors.shape}")
         if weights.shape != (anchors.shape[0],):
             raise ValueError(
@@ -371,33 +374,32 @@ def weiszfeld(
     """
     anchors, weights = inst.anchors, inst.weights
     if x0 is None:
-        x = (weights[:, None] * anchors).sum(axis=0) / weights.sum()
+        x = _kernels.row_sums(weights * anchors.T) / weights.sum()
     else:
         x = as_point(x0).copy()
     _check_dim(inst.n, x)
 
     def distances(x):
-        # the same arithmetic as the fermat_weber_eval kernel, so f is its value
-        diff = x - anchors
-        d = np.sqrt((diff**2).sum(axis=1))
-        return diff, d, float(np.dot(weights, d))
+        # the kernel's arithmetic, so f is its value
+        return _kernels.fermat_weber_distances(anchors, weights, x)[1:]
 
-    diff, d, f = distances(x)
+    d, f = distances(x)
     for _ in range(max_iters):
         hit = np.nonzero(d == 0.0)[0]
         if hit.size:
             j = int(hit[0])
-            rest = d > 0.0  # all-False sums to the zero vector
-            resid = (diff[rest] * (weights[rest] / d[rest])[:, None]).sum(axis=0)
+            # the kernel's subgradient drops the coincident terms: the force
+            # of the other anchors
+            resid = _kernels.fermat_weber_eval(anchors, weights, x)[1]
             rnorm = float(np.linalg.norm(resid))
             if rnorm <= weights[j]:
                 return x, f
             x = x - (tol / rnorm) * resid
-            diff, d, f = distances(x)
+            d, f = distances(x)
             continue
         inv = weights / d
-        x_new = (inv[:, None] * anchors).sum(axis=0) / inv.sum()
-        diff, d, f_new = distances(x_new)
+        x_new = _kernels.row_sums(inv * anchors.T) / inv.sum()
+        d, f_new = distances(x_new)
         if abs(f - f_new) < tol:
             return x_new, f_new
         x, f = x_new, f_new
@@ -558,10 +560,26 @@ def _to_obj(tag: str, names: dict, value) -> dict:
     return obj
 
 
+def _float_array(raw) -> np.ndarray:
+    """raw, a number or nested lists of numbers, as a float64 array. A bool or
+    a string anywhere in it is a TypeError, though numpy would convert it."""
+    todo = [[raw]]
+    while todo:
+        items = todo.pop()
+        kinds = set(map(type, items))  # exact types, so a bool is no int
+        if list in kinds:
+            kinds.discard(list)
+            todo.extend(v for v in items if type(v) is list)
+        if not kinds <= {int, float}:
+            bad = sorted(k.__name__ for k in kinds - {int, float})
+            raise TypeError(f"holds {', '.join(bad)}, not only numbers")
+    return np.asarray(raw, dtype=np.float64)
+
+
 def _from_obj(what: str, tag: str, names: dict, obj):
     """The dataclass that obj's tag names, built from obj's fields: an array
-    field must convert to float64 and a scalar field must be a finite JSON
-    number. The class constructor checks the values."""
+    field must be nested lists of JSON numbers and a scalar field a finite
+    JSON number. The class constructor checks the values."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     name = obj.get(tag)
@@ -576,7 +594,7 @@ def _from_obj(what: str, tag: str, names: dict, obj):
                 raise ValueError(f"{what} is missing field {f.name!r}")
         elif f.type.startswith("np.ndarray"):  # annotations are kept as source text
             try:
-                kwargs[f.name] = np.asarray(raw, dtype=np.float64)
+                kwargs[f.name] = _float_array(raw)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{what} field {f.name!r} is not a numeric array: {exc}") from None
         # the exact compare also keeps an int too large for a float out

@@ -257,10 +257,13 @@ def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
     # step/alpha_next are not serialized; auditors re-derive them from
     # (alpha, ell) and beta, so corrupt columns stay detectable
     missing = [math.nan] * len(rows)
-    report = _report(
-        (col["k"], None, col["f"], col["gamma"], col["alpha"], col["ell"], missing,
-         col["snorm"], missing),
-        "unknown",
-    )
+    try:
+        report = _report(
+            (col["k"], None, col["f"], col["gamma"], col["alpha"], col["ell"], missing,
+             col["snorm"], missing),
+            "unknown",
+        )
+    except OverflowError:  # an int cell outside int64
+        raise ValueError(f"{path}: integer cell out of range for int64") from None
     gaps = col.get("fbest_gap")
     return report, (None if gaps is None else np.asarray(gaps))

@@ -58,6 +58,22 @@ def fermat_weber_subgrad_ref(anchors, weights, x):
     return g
 
 
+def fermat_weber_subgrad_in_order_ref(anchors, weights, x):
+    """The Fermat-Weber subgradient with the kernel's arithmetic and every sum
+    taken first to last from +0.0: each squared distance over the coordinates,
+    each subgradient coordinate over the anchors (coincident ones dropped)."""
+    g = [0.0] * len(x)
+    for a, w in zip(anchors, weights):
+        sq = 0.0
+        for xi, ai in zip(x, a):
+            sq += (xi - ai) * (xi - ai)
+        d = math.sqrt(sq)
+        if d > 0.0:
+            for i in range(len(x)):
+                g[i] += (x[i] - a[i]) * (w / d)
+    return g
+
+
 def project_ball_ref(center, radius, y):
     d = math.sqrt(sum((yi - ci) ** 2 for yi, ci in zip(y, center)))
     if d <= radius:

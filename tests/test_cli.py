@@ -52,6 +52,16 @@ def test_gen_infeasible_plant_is_reported(tmp_path):
     assert rc == 2
 
 
+# a zero-size dimension is no instance
+@pytest.mark.parametrize("shape", [("--n", "0", "--m", "3"), ("--n", "2", "--m", "0")],
+                         ids=["n_zero", "m_zero"])
+def test_gen_zero_size_dimension_is_exit_2(tmp_path, capsys, shape):
+    out = tmp_path / "x.json"
+    rc = run_cli("gen", "maxaffine", *shape, "--out", str(out))
+    assert "A must be a non-empty 2-D array" in _assert_usage_error(rc, capsys)
+    assert not out.exists()
+
+
 # ----- run -----
 
 
@@ -176,6 +186,17 @@ def test_check_prefixed_trace_skips_cleanly(planted_instance, tmp_path, capsys):
 
 def test_check_missing_trace_is_exit_2(planted_instance, tmp_path):
     assert run_cli("check", str(tmp_path / "no.csv"), planted_instance) == 2
+
+
+def test_check_out_of_range_int_cell_is_exit_2(planted_instance, tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    assert run_cli("run", planted_instance, "--iters", "20", "--out", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    lines[1] = "99999999999999999999999" + lines[1][lines[1].index(","):]
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = run_cli("check", str(trace), planted_instance)
+    assert "out of range" in _assert_usage_error(rc, capsys)
 
 
 # exit 1 means a failed audit, so an invalid solver flag is a usage error
@@ -370,7 +391,10 @@ def test_run_malformed_set_is_exit_2(planted_instance, tmp_path, capsys, cset, n
     ({"A": [[10**400, 0.0]] * 10}, "'A'"),
     ({"type": "fermatweber", "anchors": "x", "weights": [1.0, 1.0]}, "'anchors'"),
     ({"sigma": "0.5"}, "'sigma'"),
-], ids=["matrix_object", "matrix_huge_int", "anchors_string", "sigma_string"])
+    ({"type": "fermatweber", "anchors": [[]], "weights": [1.0]}, "anchors must be a non-empty"),
+    ({"A": [["1.5", True]], "b": ["0"], "x_star": None, "f_star": None}, "'A'"),
+], ids=["matrix_object", "matrix_huge_int", "anchors_string", "sigma_string",
+        "anchors_zero_width", "matrix_string_and_bool"])
 def test_run_malformed_instance_field_is_exit_2(planted_instance, tmp_path, capsys,
                                                 fields, named):
     with open(planted_instance) as fh:

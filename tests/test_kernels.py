@@ -4,6 +4,7 @@ import pytest
 from nmsubgrad import _kernels as K
 
 from oracles import (
+    fermat_weber_subgrad_in_order_ref,
     fermat_weber_subgrad_ref,
     fermat_weber_value_ref,
     max_affine_subgrad_ref,
@@ -84,6 +85,49 @@ def test_fermat_weber_at_an_anchor():
     _, g = K.fermat_weber_eval(anchors, w, x)
     # the coincident term is dropped; only anchor 1 pulls
     np.testing.assert_allclose(g, [-5.0, 0.0], rtol=1e-15)
+
+
+# ----- Fermat-Weber: the same bits whatever the anchors' layout -----
+
+_FW_SHAPES = [(n, m) for n in (1, 2, 3, 7, 8, 10) for m in (1, 7, 8, 300)]
+
+
+def _fermat_weber_points(n, m):
+    """(anchors, weights, x) cases: x off every anchor, x on one anchor (the
+    masked path), every anchor on x, and x[0] = -0.0 against anchors whose
+    first coordinate is +0.0, so every term of g[0] is -0.0."""
+    rng = np.random.default_rng(1000 * n + m)
+    anchors = 10.0 * rng.standard_normal((m, n))
+    w = rng.uniform(0.5, 2.0, m)
+    off = rng.standard_normal(n)
+    on = anchors[m // 2].copy()
+    signed = anchors.copy()
+    signed[:, 0] = 0.0
+    x_neg = off.copy()
+    x_neg[0] = -0.0
+    return [(anchors, w, off), (anchors, w, on), (np.tile(on, (m, 1)), w, on),
+            (signed, w, x_neg)]
+
+
+@pytest.mark.parametrize("n, m", _FW_SHAPES)
+def test_fermat_weber_bits_do_not_depend_on_anchor_layout(n, m):
+    for anchors, w, x in _fermat_weber_points(n, m):
+        v_c, g_c = K.fermat_weber_eval(np.ascontiguousarray(anchors), w, x)
+        v_f, g_f = K.fermat_weber_eval(np.asfortranarray(anchors), w, x)
+        assert np.float64(v_c).tobytes() == np.float64(v_f).tobytes()
+        assert g_c.tobytes() == g_f.tobytes()
+        assert g_c.shape == (n,) and g_c.flags.c_contiguous
+        # a zero coordinate is +0.0, as a sum from +0.0 gives
+        assert not np.signbit(g_c[g_c == 0.0]).any()
+
+
+# for m = 1 numpy sums the (n, 1) squares pairwise from n = 8 on
+@pytest.mark.parametrize("n, m", [(n, m) for n, m in _FW_SHAPES if m > 1 or n < 8])
+def test_fermat_weber_sums_run_in_index_order(n, m):
+    for anchors, w, x in _fermat_weber_points(n, m):
+        _, g = K.fermat_weber_eval(np.asfortranarray(anchors), w, x)
+        want = fermat_weber_subgrad_in_order_ref(anchors.tolist(), w.tolist(), x.tolist())
+        assert g.tobytes() == np.asarray(want).tobytes()
 
 
 # ----- projections -----

@@ -370,6 +370,7 @@ def _mutated_instance_objs(draw):
 @example({"type": "maxaffine", "A": [[1.0]], "b": [0.0], "set": {"kind": "box", "lo": {}}})
 @example({"type": "fermatweber", "anchors": "x", "weights": [1.0]})
 @example({"type": [], "set": {"kind": {}}})
+@example({"type": "maxaffine", "A": [["1.5", True]], "b": ["0"]})
 def test_instance_from_obj_returns_or_raises_value_error(obj):
     try:
         inst, cset = instance_from_obj(obj)
@@ -377,6 +378,20 @@ def test_instance_from_obj_returns_or_raises_value_error(obj):
         return
     assert isinstance(inst, (MaxAffineInstance, FermatWeberInstance))
     assert isinstance(cset, (WholeSpace, NonnegativeOrthant, Box, Ball))
+    # an array field read was nested lists of numbers, with no bool or string
+    written = instance_to_obj(inst, cset)
+    for source, fields in ((obj, written), (obj.get("set"), written["set"])):
+        for name, value in fields.items():
+            if isinstance(value, list):
+                assert all(type(leaf) in (int, float) for leaf in _leaves(source[name]))
+
+
+def _leaves(value):
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
 
 
 # ----- anchor CSV convention -----

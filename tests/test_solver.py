@@ -1,8 +1,12 @@
 import hashlib
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nmsubgrad._kernels as kernels
 import nmsubgrad.linesearch as linesearch
@@ -14,6 +18,7 @@ from nmsubgrad import (
     MaxAffineInstance,
     NonsummableDiminishing,
     ProblemSpec,
+    RunReport,
     SolverConfig,
     SqrtInverse,
     SquareSummable,
@@ -25,6 +30,7 @@ from nmsubgrad import (
     read_trace_csv,
     solve_nonmonotone,
     solve_prefixed,
+    weiszfeld,
     write_trace_csv,
 )
 from nmsubgrad.core import (
@@ -256,6 +262,41 @@ def test_read_trace_csv_rejects_garbage(tmp_path):
         read_trace_csv(str(p2))
 
 
+_TRACE_HEADERS = ["k,f,alpha,ell,gamma,snorm", "k,f,fbest_gap,alpha,ell,gamma,snorm"]
+# cells a trace holds, and ones it should not: ints of any size, float reprs
+# (NaN and infinities included) and short strings of number-like characters
+_CELLS = (st.integers().map(str) | st.floats().map(repr)
+          | st.text(alphabet="0123456789.-+eEinfa_ x", max_size=4))
+
+
+@st.composite
+def _trace_texts(draw):
+    """Trace CSV text: a valid header over rows of 6 or 7 drawn cells, or any
+    text."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=40))
+    lines = [draw(st.sampled_from(_TRACE_HEADERS))]
+    for _ in range(draw(st.integers(0, 4))):
+        cells = draw(st.lists(_CELLS, min_size=6, max_size=7))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_texts())
+@example("k,f,alpha,ell,gamma,snorm\n99999999999999999999999,1.0,nan,0,0.1,1.0\n")
+def test_read_trace_csv_returns_or_raises_value_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            report, _ = read_trace_csv(path)
+        except ValueError:
+            return
+    assert isinstance(report, RunReport)
+
+
 # ----- oracle calls per run -----
 
 
@@ -466,12 +507,23 @@ def test_infinite_subgradient_at_landed_iterate_is_max_iters():
     assert (last.k, last.ell, last.snorm) == (CFG.max_iters + 1, 0, math.inf)
 
 
-# ----- golden trace of the acceptance fixture -----
+# ----- golden traces -----
 
 # sha256 of the f, alpha, ell, gamma, snorm columns of the 60 fixture runs, in
 # fixture order; ell hashed as int64 and the other columns as float64. A
 # refactor of the solver, line search, oracles or kernels must keep it.
 FIXTURE_TRACE_SHA256 = "4a3c431e280eca9852141bbf2726cddf7d82dfd823e2499b389bc82124c8f525"
+
+# the same columns for Fermat-Weber runs: the 3 x 5000 box run of the
+# kernel_heavy benchmark, then criterion 7's ten 2 x 27 runs, then the bytes of
+# the weiszfeld point and value on the 3 x 5000 instance
+FERMAT_WEBER_TRACE_SHA256 = "dcc2ebe7697de9a21192ed03fe96a643dd766fbff901e90f38282667cf2a3942"
+
+
+def _hash_trace_columns(h, report):
+    for name in ("f", "alpha", "ell", "gamma", "snorm"):
+        dtype = np.int64 if name == "ell" else np.float64
+        h.update(np.asarray(getattr(report, name), dtype=dtype).tobytes())
 
 
 def test_fixture_traces_match_golden_digest(audit_runs):
@@ -480,7 +532,20 @@ def test_fixture_traces_match_golden_digest(audit_runs):
     reports = [report for entries in runs.values() for _, _, _, report in entries]
     assert len(reports) == 60
     for report in reports:
-        for name in ("f", "alpha", "ell", "gamma", "snorm"):
-            dtype = np.int64 if name == "ell" else np.float64
-            h.update(np.asarray([getattr(r, name) for r in report.records], dtype=dtype).tobytes())
+        _hash_trace_columns(h, report)
     assert h.hexdigest() == FIXTURE_TRACE_SHA256
+
+
+def test_fermat_weber_traces_match_golden_digest():
+    params = dict(c=1.0, beta=0.9, rho=0.8, alpha1=0.1)
+    large = gen_fermat_weber(0, 3, 5000)
+    runs = [(large, Box(lo=np.full(3, -5.0), hi=np.full(3, 5.0)), 1.0, 1000)]
+    runs += [(gen_fermat_weber(seed, 2, 27), None, 2.0, 200) for seed in range(10)]
+    h = hashlib.sha256()
+    for inst, cset, zeta, iters in runs:
+        cfg = SolverConfig(gamma=SqrtInverse(zeta), max_iters=iters, **params)
+        _hash_trace_columns(h, solve_nonmonotone(make_problem(inst, cset), cfg))
+    x, f = weiszfeld(large)
+    h.update(x.tobytes())
+    h.update(np.float64(f).tobytes())
+    assert h.hexdigest() == FERMAT_WEBER_TRACE_SHA256
