@@ -27,13 +27,13 @@ from .analysis import (
     merge_reports,
 )
 from .core import (
-    SCALAR_FIELDS,
     ConfigError,
     SolverConfig,
     SqrtInverse,
     ExplicitTable,
+    _NUMBER_FIELDS,
     _check_config,
-    _config_from_items,
+    _read_fields,
     config_from_json,
     config_from_keyvalues,
 )
@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--alpha1", type=float, default=None)
     r.add_argument("--backtrack-cap", type=int, default=None)
     r.add_argument("--iters", type=int, default=None, dest="max_iters", metavar="ITERS")
-    r.add_argument("--seed", type=int, default=None, help="recorded in the config")
     r.add_argument("--step-const", type=float, default=None,
                    help="constant of the prefixed rule (method-specific default)")
     r.add_argument("--config", default=None,
@@ -222,7 +221,7 @@ def _run_config(args) -> SolverConfig:
             base = config_from_json(text)
         except json.JSONDecodeError:
             base = config_from_keyvalues(text)
-    given = _given(args, SCALAR_FIELDS)
+    given = _given(args, ("c", "beta", "rho", "alpha1", "max_iters", "backtrack_cap"))
     if args.zeta is not None:
         given["gamma"] = SqrtInverse(zeta=args.zeta)
     return _check_config(dataclasses.replace(base, **given))
@@ -232,7 +231,7 @@ def _make_rule(method: str, const: float | None):
     """The method's step rule, with the rule's own default constant unless
     one is given; a constant that is not positive is a ValueError."""
     cls = _RULES[method]
-    rule = cls() if const is None else cls(a=float(const))
+    rule = cls() if const is None else cls(a=const)
     _check_rule(rule)
     return rule
 
@@ -283,143 +282,137 @@ def _write_trace_json(report, path: str, f_star=None) -> None:
 
 def cmd_bench(args) -> int:
     with open(args.plan, "r", encoding="utf-8") as fh:
-        plan = json.load(fh)
-    if not isinstance(plan, dict):
-        raise UsageError(f"{args.plan}: plan must be a JSON object, got {type(plan).__name__}")
-    _reject_unknown("plan", plan, _PLAN_KEYS)
-    problem_kind = plan.get("problem", "maxaffine")
-    if problem_kind not in ("maxaffine", "fermatweber"):
-        raise UsageError(f"unknown problem kind {problem_kind!r}")
-    methods = _plan_part(plan, "methods", list, list(METHODS))
-    for m in methods:
+        plan = _Plan(**_read_fields("plan", json.load(fh), dataclasses.fields(_Plan)))
+    entry_cls = _ENTRIES.get(plan.problem)
+    if entry_cls is None:
+        raise UsageError(f"unknown problem kind {plan.problem!r}")
+    for m in plan.methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
-    base = _bench_solver(_plan_part(plan, "solver", dict, {}))
-    rules = _bench_rules(_plan_part(plan, "step_constants", dict, {}))
-    out_dir = args.out_dir or plan.get("out_dir")
+    base = _bench_solver(plan.solver)
+    rules = _bench_rules(plan.step_constants)
+    out_dir = args.out_dir or plan.out_dir
     if not out_dir:
         raise UsageError("no output directory: pass --out-dir or set out_dir in the plan")
-    if not isinstance(out_dir, str):
-        raise UsageError(f"out_dir must be a string, got {type(out_dir).__name__}")
-    configs = _plan_part(plan, "configs", list, [])
-    if not configs:
+    if not plan.configs:
         raise UsageError("plan has no configs")
-    fields = [_bench_config_fields(problem_kind, conf, base) for conf in configs]
+    benches = [_bench_config(f"'configs'[{i}]", entry_cls, conf, base)
+               for i, conf in enumerate(plan.configs)]
     os.makedirs(out_dir, exist_ok=True)
-    written = [_bench_one_config(problem_kind, f, methods, rules, out_dir) for f in fields]
+    written = [_bench_one_config(plan.problem, *bench, plan.methods, rules, out_dir)
+               for bench in benches]
     for path in written:
         print(path)
     return 0
 
 
-_PLAN_KEYS = ("problem", "methods", "solver", "step_constants", "configs", "out_dir")
+@dataclasses.dataclass(frozen=True)
+class _Plan:
+    """A bench plan file."""
 
-# the shape keys of a config entry for each problem kind: plan key ->
-# (generator keyword, parse type)
-_SHAPE = {
-    "maxaffine": {"spread": ("spread", float), "sigma": ("sigma", float),
-                  "active_scale": ("active_scale", float), "active": ("active_count", int)},
-    "fermatweber": {"anchor_scale": ("scale", float)},
-}
-# the keys of a config entry for each problem kind: the common ones, the
-# kind's shape, and the Fermat-Weber anchors
-_COMMON_KEYS = ("n", "m", "zeta", "iters", "seeds")
-_CONFIG_KEYS = {
-    "maxaffine": (*_COMMON_KEYS, *_SHAPE["maxaffine"]),
-    "fermatweber": (*_COMMON_KEYS, *_SHAPE["fermatweber"], "anchors_csv"),
-}
+    configs: list
+    problem: str = "maxaffine"
+    methods: list = METHODS
+    solver: dict = dataclasses.field(default_factory=dict)
+    step_constants: dict = dataclasses.field(default_factory=dict)
+    out_dir: str | None = None
 
 
-def _reject_unknown(where: str, obj: dict, known) -> None:
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise UsageError(f"{where} has unknown field(s) {', '.join(map(repr, unknown))}")
+@dataclasses.dataclass(frozen=True)
+class _Entry:
+    """The keys of every bench config entry; None means the default."""
+
+    n: int
+    m: int
+    iters: int
+    seeds: list[int]
+    zeta: float | None = None
 
 
-def _plan_part(plan: dict, key: str, kind: type, default):
-    value = plan.get(key, default)
-    if not isinstance(value, kind):
-        want = "an object" if kind is dict else "a list"
-        raise UsageError(f"plan field {key!r} must be {want}, got {type(value).__name__}")
-    return value
+@dataclasses.dataclass(frozen=True)
+class _MaxAffineEntry(_Entry):
+    spread: float | None = None
+    sigma: float | None = None
+    active_scale: float | None = None
+    active: int | None = None
+
+    def problems(self):
+        """(seed, problem, f_star) for each seed."""
+        for seed in self.seeds:
+            inst = plant_optimum_max_affine(seed, self.n, self.m, active_count=self.active,
+                                            **_given(self, ("spread", "sigma", "active_scale")))
+            yield seed, make_problem(inst), inst.f_star
+
+
+@dataclasses.dataclass(frozen=True)
+class _FermatWeberEntry(_Entry):
+    anchor_scale: float | None = None
+    anchors_csv: str | None = None
+
+    def problems(self):
+        """(seed, problem, f_star) for each seed, f_star from weiszfeld."""
+        anchors = None if self.anchors_csv is None else read_anchor_csv(self.anchors_csv)
+        scale = {} if self.anchor_scale is None else {"scale": self.anchor_scale}
+        for seed in self.seeds:
+            if anchors is not None:
+                inst = FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
+            else:
+                inst = gen_fermat_weber(seed, self.n, self.m, **scale)
+            _, f_star = weiszfeld(inst)
+            yield seed, dataclasses.replace(make_problem(inst), f_star=f_star), f_star
+
+
+_ENTRIES = {"maxaffine": _MaxAffineEntry, "fermatweber": _FermatWeberEntry}
+
+# the plan's "step_constants": an optional constant for each prefixed method
+_STEP_CONSTANTS = dataclasses.fields(dataclasses.make_dataclass(
+    "StepConstants", [(method, "float | None", dataclasses.field(default=None))
+                      for method in _RULES]))
 
 
 def _bench_solver(solver: dict) -> SolverConfig:
-    """The plan's "solver" object, read like a --config file; iterations,
-    seeds and the slack sequence come from each config."""
-    own = sorted(key for key in solver if key in ("max_iters", "seed") or key.startswith("gamma."))
-    if own:
-        raise UsageError(
-            f"plan field 'solver' sets {', '.join(map(repr, own))}, which each config sets"
-        )
-    try:
-        return _config_from_items(solver)
-    except ConfigError as exc:
-        raise UsageError(f"plan field 'solver': {exc}") from None
+    """The plan's "solver" object: the config's number fields but max_iters
+    and seed, which each config sets, as it sets the slack sequence."""
+    flds = [f for f in _NUMBER_FIELDS if f.name not in ("max_iters", "seed")]
+    return _check_config(SolverConfig(**_read_fields("plan field 'solver'", solver, flds)))
 
 
-def _bench_rules(steps: dict) -> dict:
+def _bench_rules(steps) -> dict:
     """Every prefixed method's step rule, with the plan's constant where given."""
-    _reject_unknown("plan field 'step_constants'", steps, _RULES)
+    consts = _read_fields("plan field 'step_constants'", steps, _STEP_CONSTANTS)
     rules = {}
     for method in _RULES:
         try:
-            rules[method] = _make_rule(method, steps.get(method))
-        except (TypeError, ValueError) as exc:
+            rules[method] = _make_rule(method, consts.get(method))
+        except ValueError as exc:
             raise UsageError(f"plan field 'step_constants', {method!r}: {exc}") from None
     return rules
 
 
-def _bench_config_fields(kind: str, conf, base: SolverConfig):
-    """(n, m, solver config, seeds, generator shape keywords, anchors or None)
-    of one config entry; a malformed entry is a UsageError."""
-    if not isinstance(conf, dict):
-        raise UsageError(f"each entry of 'configs' must be an object, got {type(conf).__name__}")
-    _reject_unknown("config", conf, _CONFIG_KEYS[kind])
+def _bench_config(what: str, entry_cls, conf, base: SolverConfig):
+    """(entry, solver config, [(seed, problem, f_star)]) of one config entry,
+    with each seed's problem built once; a malformed entry is a usage error."""
+    entry = entry_cls(**_read_fields(what, conf, dataclasses.fields(entry_cls)))
+    if not entry.seeds:
+        raise UsageError(f"{what} has an empty seed list")
+    gamma = SqrtInverse(**_given(entry, ("zeta",)))
+    cfg = _check_config(dataclasses.replace(base, gamma=gamma, max_iters=entry.iters))
     try:
-        n = int(conf["n"])
-        m = int(conf["m"])
-        gamma = SqrtInverse(zeta=float(conf["zeta"])) if "zeta" in conf else SqrtInverse()
-        iters = int(conf["iters"])
-        seeds = conf["seeds"]
-        if not isinstance(seeds, list):
-            raise UsageError(f"config field 'seeds' must be a list, got {type(seeds).__name__}")
-        seeds = [int(s) for s in seeds]
-    except KeyError as exc:
-        raise UsageError(f"config is missing field {exc}") from None
-    except TypeError as exc:
-        raise UsageError(f"config field has the wrong type: {exc}") from None
-    if not seeds:
-        raise UsageError("config has an empty seed list")
-    shape = {}
-    for key, (keyword, cast) in _SHAPE[kind].items():
-        if key in conf:
-            try:
-                shape[keyword] = cast(conf[key])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"config field {key!r}: {exc}") from None
-    anchors = None
-    if "anchors_csv" in conf:
-        try:
-            # fspath keeps a number from being opened as a file descriptor
-            anchors = read_anchor_csv(os.fspath(conf["anchors_csv"]))
-        except (TypeError, ValueError, OSError) as exc:
-            raise UsageError(f"config field 'anchors_csv': {exc}") from None
-    cfg = _check_config(dataclasses.replace(base, gamma=gamma, max_iters=iters))
-    return n, m, cfg, seeds, shape, anchors
+        runs = list(entry.problems())
+    except (ValueError, OSError, MemoryError) as exc:  # the entry names the culprit
+        raise UsageError(f"{what} = {conf!r}: {exc}") from None
+    return entry, cfg, runs
 
 
-def _bench_one_config(kind, fields, methods, rules, out_dir) -> str:
-    n, m, cfg, seeds, shape, anchors = fields
+def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir) -> str:
     fw = kind == "fermatweber"
-    x_cols = [f"x{i+1}" for i in range(n)] if fw else []
+    x_cols = [f"x{i+1}" for i in range(entry.n)] if fw else []
     header = ["method", "seed"] + x_cols + ["gap", "it_best", "status"]
     lines = [",".join(header)]
     for method in methods:
         gaps, bests = [], []
-        for seed in seeds:
+        for seed, problem, f_star in runs:
             try:
-                problem, f_star = _bench_problem(kind, seed, n, m, shape, anchors)
                 if method == "nonmonotone":
                     report = solve_nonmonotone(problem, cfg)
                 else:
@@ -444,23 +437,10 @@ def _bench_one_config(kind, fields, methods, rules, out_dir) -> str:
                 "aggregate",
             ]
             lines.append(",".join(cells))
-    name = f"bench_{kind}_n{n}_m{m}.csv"
+    name = f"bench_{kind}_n{entry.n}_m{entry.m}.csv"
     path = os.path.join(out_dir, name)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
-
-
-def _bench_problem(kind, seed, n, m, shape, anchors):
-    if kind == "maxaffine":
-        inst = plant_optimum_max_affine(seed, n, m, **shape)
-        return make_problem(inst), inst.f_star
-    if anchors is not None:
-        inst = FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
-    else:
-        inst = gen_fermat_weber(seed, n, m, **shape)
-    _, f_star = weiszfeld(inst)
-    problem = dataclasses.replace(make_problem(inst), f_star=f_star)
-    return problem, f_star
 
 
 # ----- check -----

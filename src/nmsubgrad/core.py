@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import repeat
@@ -46,7 +47,7 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Invalid solver or sequence parameters."""
+    """Invalid solver or sequence parameters, or a malformed input field."""
 
 
 class OracleError(RuntimeError):
@@ -289,20 +290,107 @@ def _check_config(cfg: SolverConfig) -> SolverConfig:
     return cfg
 
 
-# the scalar SolverConfig fields, each with the type its serialized text parses to
-SCALAR_FIELDS = {
-    "c": float,
-    "beta": float,
-    "rho": float,
-    "alpha1": float,
-    "max_iters": int,
-    "backtrack_cap": int,
-    "seed": int,
+# ----- reading JSON fields -----
+
+
+def _float_array(raw) -> np.ndarray:
+    """raw, a number or nested lists of numbers, as a float64 array. A bool or
+    a string anywhere in it is a TypeError, though numpy would convert it."""
+    todo = [[raw]]
+    while todo:
+        items = todo.pop()
+        kinds = set(map(type, items))  # exact types, so a bool is no int
+        if list in kinds:
+            kinds.discard(list)
+            todo.extend(v for v in items if type(v) is list)
+        if not kinds <= {int, float}:
+            bad = sorted(k.__name__ for k in kinds - {int, float})
+            raise TypeError(f"holds {', '.join(bad)}, not only numbers")
+    return np.asarray(raw, dtype=np.float64)
+
+
+# the JSON values a field of each scalar annotation takes, and their name (a
+# float's exact compare also keeps NaN and an int too large for a float out)
+_SCALAR_KINDS = {
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max, "a finite number"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "list[int]": (lambda v: type(v) is list and all(type(i) is int for i in v),
+                  "a list of integers"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
 }
 
 
+def _read_value(what: str, key: str, kind: str, raw):
+    """raw as the value of a field annotated kind: a scalar as it is (a float
+    field's number as a float), an array as float64 and a table as a tuple of
+    floats; ConfigError otherwise."""
+    if kind in _SCALAR_KINDS:
+        takes, want = _SCALAR_KINDS[kind]
+        if takes(raw):
+            return float(raw) if kind == "float" else raw
+    else:
+        try:
+            arr = _float_array(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{what} field {key!r} is not a numeric array: {exc}") from None
+        if kind == "np.ndarray":
+            return arr
+        if arr.ndim <= 1:  # a table: one number or a list of numbers
+            return tuple(arr.reshape(-1).tolist())
+        want = "a number or a list of numbers"
+    raise ConfigError(f"{what} field {key!r} must be {want}, got {raw!r}")
+
+
+def _read_fields(what: str, obj, flds, prefix: str = "") -> dict:
+    """The keyword arguments that the JSON object obj holds for the dataclass
+    fields flds, each under the key prefix + its name.
+
+    By annotation, a float field takes a finite JSON number, an int field a
+    JSON integer (not a bool or a float), a list[int] field a list of JSON
+    integers, an array or table field a JSON number or nested lists of them
+    (no bool or string inside), and a str, list or dict field a JSON string,
+    list or object. null in a field with a default means the field is absent.
+    One ConfigError names every missing and every unknown key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    flds = {prefix + f.name: f for f in flds}
+    missing = [key for key, f in flds.items() if obj.get(key) is None
+               and f.default is MISSING and f.default_factory is MISSING]
+    unknown = sorted(set(obj) - set(flds))
+    faults = [f"{what} {verb} field(s) {', '.join(map(repr, keys))}"
+              for verb, keys in (("is missing", missing), ("has unknown", unknown)) if keys]
+    if faults:
+        raise ConfigError("; ".join(faults))
+    # annotations are kept as source text; "| None" only marks an optional field
+    return {f.name: _read_value(what, key, f.type.removesuffix(" | None"), obj[key])
+            for key, f in flds.items() if obj.get(key) is not None}
+
+
+def _from_obj(what: str, tag: str, names: dict, obj, prefix: str = "", nested=None):
+    """The dataclass in names that obj's tag key names, built from obj's
+    other keys by _read_fields; the class constructor checks the values.
+    The key nested, if given, holds an object the caller reads."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    items = dict(obj)
+    items.pop(nested, None)
+    name = items.pop(tag, None)
+    cls = names.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown {what} {tag}: {name!r}")
+    return cls(**_read_fields(what, items, fields(cls), prefix))
+
+
+# ----- config serialization -----
+
+_NUMBER_FIELDS = [f for f in fields(SolverConfig) if f.name != "gamma"]
+
+
 def _config_items(cfg: SolverConfig) -> dict:
-    items = {name: getattr(cfg, name) for name in SCALAR_FIELDS}
+    items = {f.name: getattr(cfg, f.name) for f in _NUMBER_FIELDS}
     items.update(_gamma_to_items(cfg.gamma))
     return items
 
@@ -316,46 +404,17 @@ def _gamma_to_items(seq: GammaSequence) -> dict:
     return items
 
 
-def _floats(text) -> tuple:
-    """A table's values, from a list or from comma-separated text."""
-    return tuple(float(v) for v in (text.split(",") if isinstance(text, str) else text))
-
-
-def _parse(items: dict, key: str, cast):
-    try:
-        return cast(items[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field {key!r}: {exc}") from None
-
-
-def _gamma_from_items(items: dict) -> GammaSequence:
-    kind = items["gamma.kind"]
-    cls = _GAMMA_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ConfigError(f"unknown gamma.kind: {kind!r}")
-    params = {}
-    for f in fields(cls):
-        key = "gamma." + f.name
-        if key in items:
-            params[f.name] = _parse(items, key, float if f.type == "float" else _floats)
-        elif f.default is MISSING:
-            raise ConfigError(f"config is missing field {key!r}")
-    return cls(**params)
-
-
 def _config_from_items(items: dict) -> SolverConfig:
-    """A config from the fields present in items; absent ones keep the
-    SolverConfig defaults. A key that is neither a scalar field nor a field
-    of the kind named by gamma.kind is an error."""
-    given = {name: _parse(items, name, cast)
-             for name, cast in SCALAR_FIELDS.items() if name in items}
-    known = set(SCALAR_FIELDS)
-    if "gamma.kind" in items:
-        given["gamma"] = _gamma_from_items(items)
-        known.update(_gamma_to_items(given["gamma"]))
-    unknown = sorted(set(items) - known)
-    if unknown:
-        raise ConfigError("unknown config field(s): " + ", ".join(map(repr, unknown)))
+    """A config from the fields present in items, a JSON object; absent ones
+    keep the SolverConfig defaults. With gamma.kind given, the gamma.* keys
+    are the fields of the kind it names; without it, they are unknown."""
+    gamma = {}
+    if isinstance(items, dict) and "gamma.kind" in items:
+        gamma = {key: value for key, value in items.items() if key.startswith("gamma.")}
+        items = {key: value for key, value in items.items() if key not in gamma}
+    given = _read_fields("config", items, _NUMBER_FIELDS)
+    if gamma:
+        given["gamma"] = _from_obj("config", "gamma.kind", _GAMMA_KINDS, gamma, "gamma.")
     return _check_config(SolverConfig(**given))
 
 
@@ -364,10 +423,7 @@ def config_to_json(cfg: SolverConfig) -> str:
 
 
 def config_from_json(text: str) -> SolverConfig:
-    items = json.loads(text)
-    if not isinstance(items, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(items).__name__}")
-    return _config_from_items(items)
+    return _config_from_items(json.loads(text))
 
 
 def config_to_keyvalues(cfg: SolverConfig) -> str:
@@ -380,7 +436,20 @@ def config_to_keyvalues(cfg: SolverConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_value(text: str):
+    """Text as the JSON value it stands for: an int, else a float, else the
+    text itself."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
 def config_from_keyvalues(text: str) -> SolverConfig:
+    """The config of `key = value` lines, each value read as a JSON config
+    would hold it: comma-separated values are a list."""
     items: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -389,7 +458,8 @@ def config_from_keyvalues(text: str) -> SolverConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        items[key.strip()] = value.strip()
+        parts = [_text_value(part.strip()) for part in value.split(",")]
+        items[key.strip()] = parts if len(parts) > 1 else parts[0]
     return _config_from_items(items)
 
 
@@ -476,12 +546,3 @@ def _report(columns, termination: str) -> RunReport:
               for name, col in zip(_RECORD_FIELDS, columns) if name != "x"}
     return RunReport(**arrays, xs=None if xs is None else list(xs), f_best=best,
                      it_best=k[f.index(best)], termination=termination)
-
-
-def build_report(records: list[IterationRecord], termination: str) -> RunReport:
-    """A report from IterationRecord rows; if any row has no iterate, the
-    report has none."""
-    columns = [[getattr(r, name) for r in records] for name in _RECORD_FIELDS]
-    if any(x is None for x in columns[1]):
-        columns[1] = None
-    return _report(columns, termination)

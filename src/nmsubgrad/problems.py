@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
 
 from . import _kernels
-from .core import as_point
+from .core import _from_obj, as_point
 
 __all__ = [
     "WholeSpace",
@@ -192,12 +191,12 @@ class MaxAffineInstance:
 def _check_planted(inst: MaxAffineInstance) -> None:
     val = max_affine_value(inst, inst.x_star)
     scale = max(1.0, abs(inst.f_star))
-    if abs(val - inst.f_star) > 1e-12 * scale:
+    if abs(val - inst.f_star) > PLANT_TOL * scale:
         raise ValueError(
             f"planted value mismatch: f(x_star) = {val!r} but f_star = {inst.f_star!r}"
         )
     resid = planted_certificate_residual(inst)
-    if resid > 1e-12 * max(1.0, float(np.abs(inst.A).max())):
+    if resid > PLANT_TOL * max(1.0, float(np.abs(inst.A).max())):
         raise ValueError(f"planted certificate fails: |mean active grad + sigma*x*| = {resid}")
 
 
@@ -460,7 +459,7 @@ class ProblemSpec:
         if (self.x_star is not None) and (self.f_star is not None):
             val = self.value(self.x_star)
             scale = max(1.0, abs(self.f_star))
-            if abs(val - self.f_star) > 1e-12 * scale:
+            if abs(val - self.f_star) > PLANT_TOL * scale:
                 raise ValueError(
                     f"value at x_star is {val!r}, inconsistent with f_star = {self.f_star!r}"
                 )
@@ -503,7 +502,7 @@ def _parked_oracles(kernel, data: tuple, n: int):
 def make_problem(inst: Instance, cset: SetDescriptor | None = None) -> ProblemSpec:
     """Bundle an instance with a constraint set. A planted optimum must be
     feasible, otherwise the certificate would not transfer to the constrained
-    problem."""
+    problem. A box's or ball's vectors must have the instance's dimension."""
     cset = WholeSpace() if cset is None else cset
     if isinstance(inst, MaxAffineInstance):
         value, evaluate = _parked_oracles(
@@ -519,6 +518,11 @@ def make_problem(inst: Instance, cset: SetDescriptor | None = None) -> ProblemSp
         sigma = 0.0
     else:
         raise TypeError(f"not an instance: {inst!r}")
+    for f in fields(cset):
+        v = getattr(cset, f.name)
+        if isinstance(v, np.ndarray) and v.shape != (inst.n,):
+            raise ValueError(f"{type(cset).__name__} field {f.name!r} has length {len(v)}, "
+                             f"but the instance has n = {inst.n}")
     if x_star is not None and not contains(cset, x_star):
         raise ValueError("planted optimum lies outside the constraint set")
     try:
@@ -560,52 +564,6 @@ def _to_obj(tag: str, names: dict, value) -> dict:
     return obj
 
 
-def _float_array(raw) -> np.ndarray:
-    """raw, a number or nested lists of numbers, as a float64 array. A bool or
-    a string anywhere in it is a TypeError, though numpy would convert it."""
-    todo = [[raw]]
-    while todo:
-        items = todo.pop()
-        kinds = set(map(type, items))  # exact types, so a bool is no int
-        if list in kinds:
-            kinds.discard(list)
-            todo.extend(v for v in items if type(v) is list)
-        if not kinds <= {int, float}:
-            bad = sorted(k.__name__ for k in kinds - {int, float})
-            raise TypeError(f"holds {', '.join(bad)}, not only numbers")
-    return np.asarray(raw, dtype=np.float64)
-
-
-def _from_obj(what: str, tag: str, names: dict, obj):
-    """The dataclass that obj's tag names, built from obj's fields: an array
-    field must be nested lists of JSON numbers and a scalar field a finite
-    JSON number. The class constructor checks the values."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    name = obj.get(tag)
-    cls = names.get(name) if isinstance(name, str) else None
-    if cls is None:
-        raise ValueError(f"unknown {what} {tag}: {name!r}")
-    kwargs = {}
-    for f in fields(cls):
-        raw = obj.get(f.name)
-        if raw is None:
-            if f.default is MISSING:
-                raise ValueError(f"{what} is missing field {f.name!r}")
-        elif f.type.startswith("np.ndarray"):  # annotations are kept as source text
-            try:
-                kwargs[f.name] = _float_array(raw)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{what} field {f.name!r} is not a numeric array: {exc}") from None
-        # the exact compare also keeps an int too large for a float out
-        elif (isinstance(raw, bool) or not isinstance(raw, (int, float))
-                or not abs(raw) <= sys.float_info.max):
-            raise ValueError(f"{what} field {f.name!r} must be a finite number, got {raw!r}")
-        else:
-            kwargs[f.name] = float(raw)
-    return cls(**kwargs)
-
-
 def instance_to_obj(inst: Instance, cset: SetDescriptor | None = None) -> dict:
     obj = _to_obj("type", _INSTANCE_TYPES, inst)
     obj["set"] = _to_obj("kind", _SET_KINDS, WholeSpace() if cset is None else cset)
@@ -614,10 +572,9 @@ def instance_to_obj(inst: Instance, cset: SetDescriptor | None = None) -> dict:
 
 def instance_from_obj(obj: dict) -> tuple[Instance, SetDescriptor]:
     """Inverse of instance_to_obj; a malformed object raises ValueError."""
-    inst = _from_obj("instance", "type", _INSTANCE_TYPES, obj)
-    if "set" not in obj:
-        return inst, WholeSpace()
-    return inst, _from_obj("set", "kind", _SET_KINDS, obj["set"])
+    inst = _from_obj("instance", "type", _INSTANCE_TYPES, obj, nested="set")
+    cset = obj.get("set")  # null means absent, as in any optional field
+    return inst, WholeSpace() if cset is None else _from_obj("set", "kind", _SET_KINDS, cset)
 
 
 def save_instance(path: str, inst: Instance, cset: SetDescriptor | None = None) -> None:

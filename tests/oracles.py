@@ -8,11 +8,13 @@ speed. Tests compare package outputs against these.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 
 from nmsubgrad.analysis import REL_SLACK
+from nmsubgrad.core import IterationRecord, _report
 
 
 def max_affine_value_ref(A, b, x, sigma=0.0):
@@ -187,3 +189,12 @@ def check_sum_lemmas(a: float, d: float, N: int) -> tuple[bool, bool | None]:
     rhs2 = 4.0 * (d + a * math.log(3.0)) / math.sqrt(N + 2.0)
     ok2 = (lhs2 - rhs2) / max(1.0, abs(lhs2), abs(rhs2)) <= REL_SLACK
     return bool(ok1), bool(ok2)
+
+
+def build_report(records: list[IterationRecord], termination: str):
+    """A RunReport from IterationRecord rows, through the package's column
+    constructor; if any row has no iterate, the report has none."""
+    columns = [[getattr(r, f.name) for r in records] for f in fields(IterationRecord)]
+    if any(x is None for x in columns[1]):
+        columns[1] = None
+    return _report(columns, termination)

@@ -23,9 +23,7 @@ from nmsubgrad import (
     solve_prefixed,
     sum_lemma_sweep,
 )
-from nmsubgrad.core import build_report
-
-from oracles import check_sum_lemmas, sum_lemma_sides_ref
+from oracles import build_report, check_sum_lemmas, sum_lemma_sides_ref
 
 PARAMS = dict(c=1.0, beta=0.9, rho=0.8, alpha1=0.1)
 

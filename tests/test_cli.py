@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nmsubgrad import TheoryRegimeWarning
 from nmsubgrad.cli import main
@@ -124,6 +129,13 @@ def test_run_config_file_with_flag_override(planted_instance, tmp_path):
     assert rc == 0
     summary = json.loads(open(str(tmp_path / "t.summary.json")).read())
     assert summary["n_rows"] == 56
+
+
+def test_run_has_no_seed_flag(planted_instance, tmp_path):
+    # no solver reads a seed, so run does not take one
+    trace = tmp_path / "t.csv"
+    assert run_cli("run", planted_instance, "--seed", "7", "--out", str(trace)) == 2
+    assert not trace.exists()
 
 
 def test_run_missing_instance_is_exit_2(tmp_path):
@@ -312,7 +324,7 @@ def test_bench_plan_that_is_a_list_is_exit_2(tmp_path, capsys):
 # the cases whose plan is the Fermat-Weber one: a max-affine shape key and an
 # anchors file that does not exist; every other case uses the max-affine plan
 _FERMATWEBER_CASES = (("spread", 0.5), ("anchors_csv", "no_such_anchors.csv"))
-_CONFIG_FIELDS = ("seeds", "sigm", "spread", "anchor_scale", "anchors_csv")
+_CONFIG_FIELDS = ("seeds", "sigm", "spread", "anchor_scale", "anchors_csv", "n", "active")
 
 
 # the fields in _CONFIG_FIELDS go into the first config, every other field
@@ -333,6 +345,11 @@ _CONFIG_FIELDS = ("seeds", "sigm", "spread", "anchor_scale", "anchors_csv")
     ("anchor_scale", 3.0),
     ("spread", 0.5),
     ("anchors_csv", "no_such_anchors.csv"),
+    ("n", 2.9),
+    ("n", True),
+    ("seeds", [True]),
+    ("active", 100),
+    ("step_constants", {"sqrsum": "0.5"}),
 ])
 def test_bench_malformed_plan_is_exit_2(tmp_path, capsys, field, value):
     fermatweber = (field, value) in _FERMATWEBER_CASES
@@ -358,7 +375,10 @@ def test_bench_malformed_plan_is_exit_2(tmp_path, capsys, field, value):
     ('{"gamma.kind": "power_inverse"}', "'gamma.zeta'"),
     ('{"rho": 0.7, "max_iter": 5}', "'max_iter'"),
     ("rho = 0.7\nrh0 = 0.3\n", "'rh0'"),
-], ids=["list", "missing_field", "unknown_json_field", "unknown_keyvalue_field"])
+    ('{"max_iters": 2.5}', "'max_iters'"),
+    ('{"max_iters": true}', "'max_iters'"),
+], ids=["list", "missing_field", "unknown_json_field", "unknown_keyvalue_field",
+        "max_iters_float", "max_iters_bool"])
 def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text, named):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -372,7 +392,12 @@ def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text
     ([], "set"),
     ({"kind": "ball", "center": [0.0, 0.0], "radius": [1]}, "radius"),
     ({"kind": "box", "lo": {}, "hi": [1.0, 1.0]}, "'lo'"),
-], ids=["set_not_object", "ball_radius_list", "box_lo_object"])
+    ({"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+     "Ball field 'center' has length 3, but the instance has n = 2"),
+    ({"kind": "box", "lo": [-1.0], "hi": [1.0]},
+     "Box field 'lo' has length 1, but the instance has n = 2"),
+], ids=["set_not_object", "ball_radius_list", "box_lo_object", "ball_wrong_dimension",
+        "box_wrong_dimension"])
 def test_run_malformed_set_is_exit_2(planted_instance, tmp_path, capsys, cset, named):
     with open(planted_instance) as fh:
         obj = json.load(fh)
@@ -384,8 +409,9 @@ def test_run_malformed_set_is_exit_2(planted_instance, tmp_path, capsys, cset, n
     assert not os.path.exists(tmp_path / "t.csv")
 
 
-# each case updates the planted max-affine instance's fields; the Fermat-Weber
-# case changes its type, and the reader ignores the max-affine fields left over
+# each case updates the planted max-affine instance's fields; a case that
+# changes the type keeps only the instance's set, since the reader rejects
+# the max-affine fields as unknown to a Fermat-Weber instance
 @pytest.mark.parametrize("fields, named", [
     ({"A": {}}, "'A'"),
     ({"A": [[10**400, 0.0]] * 10}, "'A'"),
@@ -393,18 +419,99 @@ def test_run_malformed_set_is_exit_2(planted_instance, tmp_path, capsys, cset, n
     ({"sigma": "0.5"}, "'sigma'"),
     ({"type": "fermatweber", "anchors": [[]], "weights": [1.0]}, "anchors must be a non-empty"),
     ({"A": [["1.5", True]], "b": ["0"], "x_star": None, "f_star": None}, "'A'"),
+    ({"sigam": 0.5}, "'sigam'"),
 ], ids=["matrix_object", "matrix_huge_int", "anchors_string", "sigma_string",
-        "anchors_zero_width", "matrix_string_and_bool"])
+        "anchors_zero_width", "matrix_string_and_bool", "unknown_field"])
 def test_run_malformed_instance_field_is_exit_2(planted_instance, tmp_path, capsys,
                                                 fields, named):
     with open(planted_instance) as fh:
         obj = json.load(fh)
+    if "type" in fields:
+        obj = {"set": obj["set"]}
     obj.update(fields)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     rc = run_cli("run", str(path), "--out", str(tmp_path / "t.csv"))
     assert named in _assert_usage_error(rc, capsys)
     assert not os.path.exists(tmp_path / "t.csv")
+
+
+# ----- bench plan fuzzing -----
+
+# JSON-shaped values whose numbers stay small, so that a plan the reader
+# accepts solves in moments and allocates little
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats(-10.0, 10.0)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf")]) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+_PLAN_VALUES = (_SMALL_JSON | st.lists(st.integers(-1, 4), max_size=3)
+                | st.sampled_from(["maxaffine", "fermatweber", "nonmonotone", "sqrsum"]))
+_BASE_PLANS = [
+    {"problem": "maxaffine", "methods": ["nonmonotone", "sqrsum"],
+     "solver": {"rho": 0.8}, "step_constants": {"constant": 0.2},
+     "configs": [{"n": 2, "m": 4, "iters": 3, "seeds": [0], "zeta": 0.5, "spread": 0.1}]},
+    {"problem": "fermatweber", "methods": ["nonmonotone", "constant"],
+     "configs": [{"n": 2, "m": 3, "iters": 3, "seeds": [0, 1], "anchor_scale": 2.0}]},
+]
+_PLAN_KEYS = ["problem", "methods", "solver", "step_constants", "configs", "method",
+              "solver.rho", "solver.max_iters", "step_constants.sqrsum",
+              "step_constants.sqrsumm"]
+_ENTRY_KEYS = ["n", "m", "iters", "seeds", "zeta", "spread", "sigma", "active_scale", "active",
+               "anchor_scale", "anchors_csv", "sigm"]
+_DROP = object()
+
+
+@st.composite
+def _mutated_plans(draw):
+    """A small valid plan with up to three plan keys and three keys of its
+    first config entry replaced or dropped."""
+    plan = json.loads(json.dumps(draw(st.sampled_from(_BASE_PLANS))))
+    for keys, target in ((_PLAN_KEYS, plan), (_ENTRY_KEYS, plan["configs"][0])):
+        changes = draw(st.dictionaries(st.sampled_from(keys), _PLAN_VALUES | st.just(_DROP),
+                                       max_size=3))
+        for key, value in changes.items():
+            obj = target
+            if "." in key:
+                part, key = key.split(".")
+                obj = obj.get(part)
+                if not isinstance(obj, dict):
+                    continue
+            if value is _DROP:
+                obj.pop(key, None)
+            else:
+                obj[key] = value
+    return plan
+
+
+@pytest.mark.filterwarnings("ignore::nmsubgrad.core.TheoryRegimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(_mutated_plans() | _SMALL_JSON)
+@example({"problem": "maxaffine",
+          "configs": [{"n": 2.9, "m": 4, "iters": 3, "seeds": [0]}]})
+@example({"problem": "maxaffine",
+          "configs": [{"n": True, "m": 4, "iters": 3, "seeds": [True]}]})
+@example({"problem": "maxaffine",
+          "configs": [{"n": 2, "m": 4, "iters": 3, "seeds": [0], "active": 100}]})
+@example({"problem": "fermatweber",
+          "configs": [{"n": -1, "m": 3, "iters": 3, "seeds": [0]}]})
+@example({"problem": "maxaffine",
+          "configs": [{"n": 2, "m": 4, "iters": 3, "seeds": [-1]}]})
+@example({"problem": ["maxaffine"], "configs": []})
+def test_bench_plan_is_run_or_one_error_line(plan):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_dir = os.path.join(tmp, "plan.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump(plan, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run_cli("bench", path, "--out-dir", out_dir)
+        if rc == 0:
+            return
+        lines = err.getvalue().strip().splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        assert not os.path.exists(out_dir)
 
 
 # ----- rho <= 1/2: one warning per command -----

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmsubgrad import (
@@ -24,9 +24,9 @@ from nmsubgrad import (
     sequence_diagnostics,
     validate_config,
 )
-from nmsubgrad.core import IterationRecord, as_point, build_report
+from nmsubgrad.core import IterationRecord, as_point
 
-from oracles import gamma_ref
+from oracles import build_report, gamma_ref
 
 
 # ----- as_point -----
@@ -239,6 +239,7 @@ def test_config_json_roundtrip_all_kinds():
         PowerInverse(2.0, 0.75),
         StronglyConvexHarmonic(1.0, 0.9, 0.5),
         ExplicitTable((2.0, 1.0, 1.0)),
+        ExplicitTable((0.5,)),  # keyvalues writes a one-entry table as a bare number
     ):
         cfg = SolverConfig(c=1.25, beta=0.85, rho=0.7, alpha1=0.3,
                            gamma=gamma, max_iters=17, backtrack_cap=33, seed=5)
@@ -286,13 +287,116 @@ def test_config_from_json_rejects_unknown_gamma():
     ({"gamma.zeta": 2.0}, "'gamma.zeta'"),
     ({"gamma.kind": "sqrt_inverse", "gamma.theta": 0.5}, "'gamma.theta'"),
     ({"rho": [0.7]}, "'rho'"),
-], ids=["scalar_typo", "gamma_field_without_kind", "other_kinds_field", "wrong_type"])
+    ({"max_iters": 2.5}, "'max_iters'"),
+    ({"max_iters": True}, "'max_iters'"),
+    ({"gamma.kind": "table", "gamma.values": [[1.0]]}, "'gamma.values'"),
+], ids=["scalar_typo", "gamma_field_without_kind", "other_kinds_field", "wrong_type",
+        "int_field_float", "int_field_bool", "table_matrix"])
 def test_config_rejects_unknown_or_malformed_fields(items, named):
     with pytest.raises(ConfigError, match=named):
         config_from_json(json.dumps(items))
     text = "".join(f"{key} = {value}\n" for key, value in items.items())
     with pytest.raises(ConfigError, match=named):
         config_from_keyvalues(text)
+
+
+# ----- config reader fuzzing -----
+
+# JSON-shaped values: scalars of every JSON kind (NaN, infinities and ints of
+# any size included), and nested lists and objects
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+_NUMBERS = st.floats(-10.0, 10.0) | st.integers(-3, 3)
+_CONFIG_VALUES = (_JSON | _NUMBERS | st.lists(_NUMBERS, max_size=4)
+                  | st.sampled_from(["sqrt_inverse", "power_inverse", "table",
+                                     "strongly_convex_harmonic"]))
+_VALID_CONFIGS = [
+    json.loads(config_to_json(SolverConfig(gamma=gamma)))
+    for gamma in (SqrtInverse(0.5), PowerInverse(2.0, 0.75),
+                  StronglyConvexHarmonic(1.0, 0.9, 0.5), ExplicitTable((2.0, 1.0)))
+]
+# the keys a mutation may replace or drop: every config field, the fields of
+# every gamma kind, and two unknown keys
+_CONFIG_KEYS = sorted({key for items in _VALID_CONFIGS for key in items}
+                      | {"gamma", "gamma.sigmaa"})
+_DROP = object()
+
+
+@st.composite
+def _mutated_config_items(draw):
+    """A valid config's items with up to three keys replaced or dropped."""
+    items = dict(draw(st.sampled_from(_VALID_CONFIGS)))
+    changes = draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS),
+                                   _CONFIG_VALUES | st.just(_DROP), max_size=3))
+    for key, value in changes.items():
+        if value is _DROP:
+            items.pop(key, None)
+        else:
+            items[key] = value
+    return items
+
+
+def _read_or_config_error(read, text):
+    """read(text), or None when it raises ConfigError; a config it returns
+    writes itself back to the same config."""
+    try:
+        cfg = read(text)
+    except ConfigError:
+        return None
+    assert isinstance(cfg, SolverConfig)
+    assert config_from_json(config_to_json(cfg)) == cfg
+    assert config_from_keyvalues(config_to_keyvalues(cfg)) == cfg
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_config_items() | _JSON)
+@example({"max_iters": 2.5})
+@example({"max_iters": True})
+@example({"gamma.kind": "table", "gamma.values": 0.5})
+@example({"gamma.kind": "table", "gamma.values": [[1.0]]})
+@example({"gamma.kind": ["table"]})
+@example({"c": 10**400})
+def test_config_from_json_returns_or_raises_config_error(items):
+    _read_or_config_error(config_from_json, json.dumps(items))
+
+
+# values as key=value text: numbers in several spellings, lists, and words
+_TEXT_VALUES = (
+    st.text(alphabet="0123456789.,-+e_ nafity", max_size=8)
+    | _NUMBERS.map(repr)
+    | st.lists(_NUMBERS.map(repr), min_size=2, max_size=4).map(",".join)
+    | st.sampled_from(["sqrt_inverse", "table", "True", "nan", "1e999", "9" * 5000])
+)
+
+
+@st.composite
+def _keyvalue_texts(draw):
+    """A valid config's key=value text with up to three lines changed,
+    dropped or added, and now and then a line with no '='."""
+    items = {key: value for key, value in draw(_mutated_config_items()).items()
+             if isinstance(value, (int, float, str))}
+    text_items = {key: str(value) for key, value in items.items()}
+    changes = draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _TEXT_VALUES, max_size=3))
+    text_items.update(changes)
+    lines = [f"{key} = {value}" for key, value in text_items.items()]
+    lines += draw(st.lists(st.text(max_size=6), max_size=1))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keyvalue_texts() | st.text(max_size=20))
+@example("max_iters = 2.5\n")
+@example("max_iters = true\n")
+@example("gamma.kind = table\ngamma.values = 0.5\n")
+@example("gamma.kind = table\ngamma.values = 2.0,1.0,nan\n")
+@example("c = " + "9" * 5000 + "\n")
+@example("gamma.kind = sqrt_inverse,table\n")
+def test_config_from_keyvalues_returns_or_raises_config_error(text):
+    _read_or_config_error(config_from_keyvalues, text)
 
 
 # ----- package namespace -----

@@ -312,6 +312,17 @@ def test_instance_obj_roundtrip_is_byte_identical(inst, cset):
     assert json.dumps(instance_to_obj(*again), sort_keys=True, indent=2) == text
 
 
+def test_instance_obj_names_every_missing_and_unknown_key():
+    obj = {"type": "maxaffine", "a": [[1.0]], "sigam": 0.5, "set": {"kind": "ball"}}
+    with pytest.raises(ValueError) as err:
+        instance_from_obj(obj)
+    assert str(err.value) == ("instance is missing field(s) 'A', 'b'; "
+                              "instance has unknown field(s) 'a', 'sigam'")
+    obj = {"type": "maxaffine", "A": [[1.0]], "b": [0.0], "set": {"kind": "ball", "r": 1}}
+    with pytest.raises(ValueError, match=r"'center', 'radius'; set has unknown field\(s\) 'r'"):
+        instance_from_obj(obj)
+
+
 def test_instance_obj_null_optional_field_reads_as_absent():
     obj = instance_to_obj(gen_max_affine(0, 2, 3))
     obj["f_star"] = None
@@ -371,6 +382,7 @@ def _mutated_instance_objs(draw):
 @example({"type": "fermatweber", "anchors": "x", "weights": [1.0]})
 @example({"type": [], "set": {"kind": {}}})
 @example({"type": "maxaffine", "A": [["1.5", True]], "b": ["0"]})
+@example({"type": "maxaffine", "A": [[1.0]], "b": [0.0], "sigam": 0.5})
 def test_instance_from_obj_returns_or_raises_value_error(obj):
     try:
         inst, cset = instance_from_obj(obj)
@@ -378,9 +390,12 @@ def test_instance_from_obj_returns_or_raises_value_error(obj):
         return
     assert isinstance(inst, (MaxAffineInstance, FermatWeberInstance))
     assert isinstance(cset, (WholeSpace, NonnegativeOrthant, Box, Ball))
-    # an array field read was nested lists of numbers, with no bool or string
+    # every key read is a field, written back unless null, and an array field
+    # read was nested lists of numbers, with no bool or string
     written = instance_to_obj(inst, cset)
     for source, fields in ((obj, written), (obj.get("set"), written["set"])):
+        if source is not None:
+            assert {key for key, value in source.items() if value is not None} <= set(fields)
         for name, value in fields.items():
             if isinstance(value, list):
                 assert all(type(leaf) in (int, float) for leaf in _leaves(source[name]))
