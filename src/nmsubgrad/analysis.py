@@ -212,8 +212,7 @@ def audit_stepwise(
     elif rho <= 0.5:
         checks.append(_skip("quasi_fejer", "rho <= 1/2"))
     else:
-        X = np.array(report.xs)
-        dist_sq = ((X - x_star[None, :]) ** 2).sum(axis=1)
+        dist_sq = ((report.xs - x_star[None, :]) ** 2).sum(axis=1)
         rhs = dist_sq[:K] + (beta * c / rho) * gamma**2
         checks.append(_worst("quasi_fejer", dist_sq[1 : K + 1], rhs, ks))
 

@@ -33,6 +33,7 @@ from .core import (
     ExplicitTable,
     _NUMBER_FIELDS,
     _check_config,
+    _json_value,
     _read_fields,
     config_from_json,
     config_from_keyvalues,
@@ -282,7 +283,8 @@ def _write_trace_json(report, path: str, f_star=None) -> None:
 
 def cmd_bench(args) -> int:
     with open(args.plan, "r", encoding="utf-8") as fh:
-        plan = _Plan(**_read_fields("plan", json.load(fh), dataclasses.fields(_Plan)))
+        obj = _json_value(fh.read(), "plan")
+    plan = _Plan(**_read_fields("plan", obj, dataclasses.fields(_Plan)))
     entry_cls = _ENTRIES.get(plan.problem)
     if entry_cls is None:
         raise UsageError(f"unknown problem kind {plan.problem!r}")
@@ -350,8 +352,13 @@ class _FermatWeberEntry(_Entry):
     anchors_csv: str | None = None
 
     def problems(self):
-        """(seed, problem, f_star) for each seed, f_star from weiszfeld."""
+        """(seed, problem, f_star) for each seed, f_star from weiszfeld. An
+        anchors file must hold m rows of n columns."""
         anchors = None if self.anchors_csv is None else read_anchor_csv(self.anchors_csv)
+        if anchors is not None and anchors.shape != (self.m, self.n):
+            raise ValueError(f"anchors_csv {self.anchors_csv!r} holds {anchors.shape[0]} rows "
+                             f"of {anchors.shape[1]} columns, not m = {self.m} rows "
+                             f"of n = {self.n}")
         scale = {} if self.anchor_scale is None else {"scale": self.anchor_scale}
         for seed in self.seeds:
             if anchors is not None:

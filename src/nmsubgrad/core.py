@@ -13,7 +13,7 @@ import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import repeat
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -293,6 +293,15 @@ def _check_config(cfg: SolverConfig) -> SolverConfig:
 # ----- reading JSON fields -----
 
 
+def _json_value(text: str, what: str):
+    """The JSON value text holds. Nesting deeper than the parser can recurse
+    is a ConfigError naming what, as is any other malformed input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ConfigError(f"{what} is nested too deeply to read as JSON") from None
+
+
 def _float_array(raw) -> np.ndarray:
     """raw, a number or nested lists of numbers, as a float64 array. A bool or
     a string anywhere in it is a TypeError, though numpy would convert it."""
@@ -423,7 +432,7 @@ def config_to_json(cfg: SolverConfig) -> str:
 
 
 def config_from_json(text: str) -> SolverConfig:
-    return _config_from_items(json.loads(text))
+    return _config_from_items(_json_value(text, "config"))
 
 
 def config_to_keyvalues(cfg: SolverConfig) -> str:
@@ -466,8 +475,7 @@ def config_from_keyvalues(text: str) -> SolverConfig:
 # ----- run records -----
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One visited iterate.
 
     Rows where a line-search step was taken carry ell >= 1 and satisfy
@@ -488,7 +496,7 @@ class IterationRecord:
     alpha_next: float
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
+_RECORD_FIELDS = IterationRecord._fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,9 +505,10 @@ class RunReport:
     visited iterate, plus how the run ended.
 
     k and ell are int64 arrays; f, gamma, alpha, step, snorm and alpha_next
-    are float64 arrays. xs is the list of iterates the solver visited (its own
-    arrays, not copies), or None for a trace re-read from CSV. records is a
-    derived view, rebuilt on every access.
+    are float64 arrays. xs is one C-contiguous float64 array of shape
+    (rows, n) whose row i is the i-th visited iterate, or None for a trace
+    re-read from CSV. records is a derived view, rebuilt on every access; its
+    x fields are rows of xs.
 
     f_best is the minimum recorded objective value and it_best the first k
     attaining it. termination is one of the TERMINATION_* constants ("unknown"
@@ -507,7 +516,7 @@ class RunReport:
     """
 
     k: np.ndarray
-    xs: list[np.ndarray] | None
+    xs: np.ndarray | None
     f: np.ndarray
     gamma: np.ndarray
     alpha: np.ndarray
@@ -535,7 +544,8 @@ class RunReport:
 
 def _report(columns, termination: str) -> RunReport:
     """A report from columns in IterationRecord field order: sequences of
-    Python values, except the iterates, which may be None. f_best and it_best
+    Python values, except the iterates, a sequence of equal-length vectors
+    stacked here into one (rows, n) block, or None. f_best and it_best
     are min() and the first index() over f as given, so a NaN keeps the
     meaning it has for them."""
     k, xs, f = columns[:3]
@@ -544,5 +554,6 @@ def _report(columns, termination: str) -> RunReport:
     best = min(f)
     arrays = {name: np.array(col, dtype=np.int64 if name in ("k", "ell") else np.float64)
               for name, col in zip(_RECORD_FIELDS, columns) if name != "x"}
-    return RunReport(**arrays, xs=None if xs is None else list(xs), f_best=best,
-                     it_best=k[f.index(best)], termination=termination)
+    block = None if xs is None else np.array(xs, dtype=np.float64)
+    return RunReport(**arrays, xs=block, f_best=best, it_best=k[f.index(best)],
+                     termination=termination)

@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels
-from .core import _from_obj, as_point
+from .core import _from_obj, _json_value, as_point
 
 __all__ = [
     "WholeSpace",
@@ -584,7 +584,7 @@ def save_instance(path: str, inst: Instance, cset: SetDescriptor | None = None) 
 
 def load_instance(path: str) -> tuple[Instance, SetDescriptor]:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_obj(json.load(fh))
+        return instance_from_obj(_json_value(fh.read(), "instance"))
 
 
 def read_anchor_csv(path: str) -> np.ndarray:

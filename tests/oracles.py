@@ -8,7 +8,6 @@ speed. Tests compare package outputs against these.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -194,7 +193,7 @@ def check_sum_lemmas(a: float, d: float, N: int) -> tuple[bool, bool | None]:
 def build_report(records: list[IterationRecord], termination: str):
     """A RunReport from IterationRecord rows, through the package's column
     constructor; if any row has no iterate, the report has none."""
-    columns = [[getattr(r, f.name) for r in records] for f in fields(IterationRecord)]
+    columns = [[getattr(r, name) for r in records] for name in IterationRecord._fields]
     if any(x is None for x in columns[1]):
         columns[1] = None
     return _report(columns, termination)

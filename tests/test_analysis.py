@@ -117,7 +117,7 @@ def test_audit_is_repeatable():
 
 def _replace_record(report, idx, **changes):
     records = list(report.records)
-    records[idx] = dataclasses.replace(records[idx], **changes)
+    records[idx] = records[idx]._replace(**changes)
     return build_report(records, report.termination)
 
 

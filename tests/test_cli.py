@@ -321,9 +321,34 @@ def test_bench_plan_that_is_a_list_is_exit_2(tmp_path, capsys):
     _assert_usage_error(rc, capsys)
 
 
-# the cases whose plan is the Fermat-Weber one: a max-affine shape key and an
-# anchors file that does not exist; every other case uses the max-affine plan
-_FERMATWEBER_CASES = (("spread", 0.5), ("anchors_csv", "no_such_anchors.csv"))
+# JSON nested deeper than the parser can recurse, in the file each command reads
+@pytest.mark.parametrize("command, named", [
+    ("run", "instance"),
+    ("run --config", "config"),
+    ("bench", "plan"),
+], ids=["run_instance", "run_config", "bench_plan"])
+def test_deeply_nested_json_is_exit_2(planted_instance, tmp_path, capsys, command, named):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    before = sorted(os.listdir(tmp_path))
+    out = str(tmp_path / "out")
+    argv = {
+        "run": ["run", str(deep), "--out", out],
+        "run --config": ["run", planted_instance, "--config", str(deep), "--out", out],
+        "bench": ["bench", str(deep), "--out-dir", out],
+    }[command]
+    line = _assert_usage_error(run_cli(*argv), capsys)
+    assert named in line and "nested too deeply" in line
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+# the cases whose plan is the Fermat-Weber one (n = 2, m = 10): a max-affine
+# shape key, an anchors file that does not exist, and anchors files of 3
+# columns and of 3 rows, which the test writes; every other case uses the
+# max-affine plan
+_FERMATWEBER_CASES = (("spread", 0.5), ("anchors_csv", "no_such_anchors.csv"),
+                      ("anchors_csv", "three_columns.csv"), ("anchors_csv", "three_rows.csv"))
+_ANCHOR_FILES = {"three_columns.csv": (10, 3), "three_rows.csv": (3, 2)}
 _CONFIG_FIELDS = ("seeds", "sigm", "spread", "anchor_scale", "anchors_csv", "n", "active")
 
 
@@ -350,10 +375,16 @@ _CONFIG_FIELDS = ("seeds", "sigm", "spread", "anchor_scale", "anchors_csv", "n",
     ("seeds", [True]),
     ("active", 100),
     ("step_constants", {"sqrsum": "0.5"}),
+    ("anchors_csv", "three_columns.csv"),
+    ("anchors_csv", "three_rows.csv"),
 ])
-def test_bench_malformed_plan_is_exit_2(tmp_path, capsys, field, value):
+def test_bench_malformed_plan_is_exit_2(tmp_path, capsys, monkeypatch, field, value):
     fermatweber = (field, value) in _FERMATWEBER_CASES
     path = _small_plan(tmp_path, "fermatweber" if fermatweber else "maxaffine")
+    monkeypatch.chdir(tmp_path)  # where a relative anchors file is looked up
+    for name, (rows, cols) in _ANCHOR_FILES.items():
+        (tmp_path / name).write_text("".join(
+            ",".join(str(i + j) for j in range(cols)) + "\n" for i in range(rows)))
     with open(path) as fh:
         plan = json.load(fh)
     if field in _CONFIG_FIELDS:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -224,7 +225,8 @@ def test_records_and_csv_rebuild_the_columns(tmp_path):
         column = getattr(report, name)
         assert column.dtype == (np.int64 if name in ("k", "ell") else np.float64)
         np.testing.assert_array_equal(np.array([getattr(r, name) for r in records]), column)
-    assert all(r.x is x for r, x in zip(records, report.xs))  # the driver's arrays
+    for r, x in zip(records, report.xs):  # rows of the iterate block, bit for bit
+        assert r.x.tobytes() == x.tobytes()
     assert records is not report.records  # a view, rebuilt on each access
 
     path = str(tmp_path / "trace.csv")
@@ -480,6 +482,41 @@ def test_prefixed_infinite_subgradient_is_backtrack_failure():
     assert oracles.evals == len(report.records) == 7
     last = report.records[-1]
     assert math.isfinite(last.f) and last.snorm == math.inf
+
+
+# ----- the iterate block -----
+
+
+# on a ball, to the budget and stopped early by a zero subgradient at the
+# fifth eval: xs is one (rows, n) float64 block whose rows are, bit for bit,
+# the points the run evaluated, one eval per row
+@pytest.mark.parametrize("method", ["nonmonotone", "prefixed"])
+@pytest.mark.parametrize("zero_eval_at, termination", [
+    (None, TERMINATION_MAX_ITERS),
+    (5, TERMINATION_ZERO_SUBGRADIENT),
+], ids=["max_iters", "zero_subgradient"])
+def test_iterates_are_one_block_of_the_evaluated_points(method, zero_eval_at, termination):
+    inst = plant_optimum_max_affine(3, 4, 12, spread=0.5)
+    oracles = FailingOracles(make_problem(inst, Ball(center=np.zeros(4), radius=0.5)),
+                             zero_eval_at=zero_eval_at)
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return oracles.eval(x)
+
+    spec = dataclasses.replace(oracles.spec(), eval=recording)
+    x0 = np.ones(4)  # outside the ball, so the first row is projected onto it
+    if method == "nonmonotone":
+        report = solve_nonmonotone(spec, CFG, x0)
+    else:
+        report = solve_prefixed(spec, ConstantStep(0.1), CFG.max_iters, x0)
+    assert report.termination == termination
+    xs = report.xs
+    assert type(xs) is np.ndarray and xs.dtype == np.float64 and xs.flags.c_contiguous
+    assert xs.shape == (len(report.k), 4) == (len(seen), 4)
+    assert [row.tobytes() for row in xs] == [x.tobytes() for x in seen]
+    assert np.linalg.norm(xs, axis=1).max() == pytest.approx(0.5, rel=1e-12)
 
 
 # ----- the landed iterate after the last step -----
