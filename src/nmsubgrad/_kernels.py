@@ -7,6 +7,14 @@ subgradient; the `*_value` kernels take the value from it and are kept for the
 value-only callers and the `kernels.value_us` probe. `BACKEND` names the
 implementation so benchmark records can say what they timed.
 
+The kernels run once per oracle call on arrays as small as n = 2, so each
+numpy call takes the form with the least dispatch. A matrix-vector product is
+`A.dot(x)` with the offset added in place, and a dot product is `v.dot(w)`:
+the method form calls the same BLAS routine as `A @ x` and `np.dot` (dgemv,
+ddot) without the matmul or array-function dispatch, so the bits are the
+same. One entry is read out with `.item`, and a scalar square root is
+`math.sqrt`, correctly rounded as `np.sqrt` is.
+
 The Fermat-Weber kernel takes anchors as an (m, n) array and works on
 `anchors.T`, one row per coordinate; `FermatWeberInstance` stores its anchors
 column-major, so that view is contiguous. Its two sums run in index order
@@ -20,6 +28,8 @@ kernel's value bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,21 +48,20 @@ BACKEND = "numpy"
 
 
 def max_affine_eval(A, b, sigma, x):
-    vals = A @ x + b
-    j = int(vals.argmax())  # first maximizer = smallest index
-    v = float(vals[j])
-    g = A[j].copy()
+    vals = A.dot(x)
+    vals += b
+    j = vals.argmax()  # first maximizer = smallest index
+    v = vals.item(j)
     if sigma > 0.0:
-        v += 0.5 * sigma * float(np.dot(x, x))
-        g = g + sigma * x
-    return v, g
+        return v + 0.5 * sigma * float(x.dot(x)), A[j] + x * sigma
+    return v, A[j].copy()
 
 
 def fermat_weber_distances(anchors, weights, x):
     """(x - a_i) as an (n, m) array, the distances d_i and sum_i w_i d_i."""
     diff = np.subtract(x[:, None], anchors.T, order="C")
     d = np.sqrt((diff**2).sum(axis=0))
-    return diff, d, float(np.dot(weights, d))
+    return diff, d, float(weights.dot(d))
 
 
 def fermat_weber_eval(anchors, weights, x):
@@ -84,7 +93,7 @@ def fermat_weber_value(anchors, weights, x):
 
 def project_ball(center, radius, y):
     diff = y - center
-    dist = float(np.sqrt(np.dot(diff, diff)))
+    dist = math.sqrt(diff.dot(diff))
     if dist <= radius:
         return y.copy()
     return center + (radius / dist) * diff

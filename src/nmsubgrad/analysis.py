@@ -30,7 +30,6 @@ __all__ = [
     "audit_rate_bounds",
     "merge_reports",
     "audit_report_to_json",
-    "sum_lemma_sweep",
 ]
 
 REL_SLACK = 1e-9
@@ -316,60 +315,3 @@ def audit_rate_bounds(
         checks.append(_worst("rate_strongly_convex", gap, bound, Ns))
 
     return AuditReport(checks=tuple(checks))
-
-
-# ----- summation lemmas -----
-
-
-@dataclass(frozen=True)
-class SumLemmaSweep:
-    all_hold: bool
-    worst_violation_full: float
-    worst_violation_half: float
-    worst_case_full: tuple[float, float, int]
-    worst_case_half: tuple[float, float, int]
-
-
-def sum_lemma_sweep(a_values, d_values, n_max: int) -> SumLemmaSweep:
-    """Both harmonic-vs-sqrt sum bounds over every N in 2..n_max and each
-    (a, d), from cumulative sums.
-
-    First:  (d + a*sum_{k<=N} 1/k) / sum_{k<=N} 1/sqrt(k+1)
-              <= 4*(d + a + a*ln N) / sqrt(N)
-    Second: the same shape with both sums over k = ceil(N/2)..N and right
-            side 4*(d + a*ln 3) / sqrt(N+2).
-    """
-    if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
-    k = np.arange(1, n_max + 1, dtype=np.float64)
-    H = np.cumsum(1.0 / k)
-    S = np.cumsum(1.0 / np.sqrt(k + 1.0))
-    Ns = np.arange(2, n_max + 1, dtype=np.int64)
-    starts = (Ns + 1) // 2  # ceil(N/2)
-    H_half = H[Ns - 1] - np.where(starts >= 2, H[starts - 2], 0.0)
-    S_half = S[Ns - 1] - np.where(starts >= 2, S[starts - 2], 0.0)
-
-    worst_full = -math.inf
-    worst_half = -math.inf
-    case_full = case_half = (math.nan, math.nan, 0)
-    for a in a_values:
-        for d in d_values:
-            lhs = (d + a * H[Ns - 1]) / S[Ns - 1]
-            rhs = 4.0 * (d + a + a * np.log(Ns)) / np.sqrt(Ns)
-            viol = (lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-            i = int(np.argmax(viol))
-            if viol[i] > worst_full:
-                worst_full, case_full = float(viol[i]), (float(a), float(d), int(Ns[i]))
-            lhs2 = (d + a * H_half) / S_half
-            rhs2 = 4.0 * (d + a * math.log(3.0)) / np.sqrt(Ns + 2.0)
-            viol2 = (lhs2 - rhs2) / np.maximum(1.0, np.maximum(np.abs(lhs2), np.abs(rhs2)))
-            j = int(np.argmax(viol2))
-            if viol2[j] > worst_half:
-                worst_half, case_half = float(viol2[j]), (float(a), float(d), int(Ns[j]))
-    return SumLemmaSweep(
-        all_hold=(worst_full <= REL_SLACK and worst_half <= REL_SLACK),
-        worst_violation_full=worst_full,
-        worst_violation_half=worst_half,
-        worst_case_full=case_full,
-        worst_case_half=case_half,
-    )

@@ -218,9 +218,11 @@ def _run_config(args) -> SolverConfig:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-        try:
+        # text opening with "{" or "[" is JSON, so a JSON syntax error is
+        # reported as one, with its position
+        if text.lstrip()[:1] in ("{", "["):
             base = config_from_json(text)
-        except json.JSONDecodeError:
+        else:
             base = config_from_keyvalues(text)
     given = _given(args, ("c", "beta", "rho", "alpha1", "max_iters", "backtrack_cap"))
     if args.zeta is not None:

@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import repeat
 from typing import NamedTuple, Union
@@ -30,13 +31,10 @@ __all__ = [
     "GammaSequence",
     "gamma_value",
     "gamma_values",
-    "GammaDiagnostics",
-    "sequence_diagnostics",
     "SolverConfig",
     "validate_config",
     "config_to_json",
     "config_from_json",
-    "config_to_keyvalues",
     "config_from_keyvalues",
     "IterationRecord",
     "RunReport",
@@ -195,37 +193,6 @@ def _sequence(seq) -> GammaSequence:
     return seq
 
 
-@dataclass(frozen=True)
-class GammaDiagnostics:
-    """Finite-N surrogates for the summability conditions a slack sequence
-    must satisfy for the min-gap to vanish.
-
-    r3: sum(gamma_k^2, k<=N) / sum(gamma_{k+1}, k<=N)   -> 0 wanted
-    r4: sum(gamma_k^2, k<=N) / (N * gamma_{N+1})        -> 0 wanted
-    s5: sum(gamma_k^2, k<=N)                            bounded wanted
-    s6: sum(gamma_k,   k<=N)                            divergent wanted
-    """
-
-    N: int
-    r3: float
-    r4: float
-    s5: float
-    s6: float
-
-
-def sequence_diagnostics(seq: GammaSequence, N: int) -> GammaDiagnostics:
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    g = gamma_values(seq, N + 1)  # needs gamma_{N+1}
-    sq = g[:N] ** 2
-    s5 = float(sq.sum())
-    s6 = float(g[:N].sum())
-    shifted = float(g[1 : N + 1].sum())
-    r3 = s5 / shifted
-    r4 = s5 / (N * float(g[N]))
-    return GammaDiagnostics(N=N, r3=r3, r4=r4, s5=s5, s6=s6)
-
-
 # ----- solver configuration -----
 
 
@@ -236,7 +203,7 @@ class SolverConfig:
     c > 0 caps the accepted trial size at c*gamma_k; beta in (0,1) is the
     backtracking ratio; rho in (0,1) the sufficient-decrease factor; alpha1 > 0
     the initial trial size. rho > 1/2 is the regime where the complexity
-    constants are positive; `theory_regime` records that.
+    constants are positive; validate_config warns outside it.
     """
 
     c: float = 1.0
@@ -247,10 +214,6 @@ class SolverConfig:
     max_iters: int = 3000
     backtrack_cap: int = 500
     seed: int = 0
-
-    @property
-    def theory_regime(self) -> bool:
-        return self.rho > 0.5
 
 
 def validate_config(cfg: SolverConfig) -> SolverConfig:
@@ -435,16 +398,6 @@ def config_from_json(text: str) -> SolverConfig:
     return _config_from_items(_json_value(text, "config"))
 
 
-def config_to_keyvalues(cfg: SolverConfig) -> str:
-    """`key = value` lines; the table kind writes values comma-separated."""
-    lines = []
-    for key, value in sorted(_config_items(cfg).items()):
-        if isinstance(value, list):
-            value = ",".join(repr(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def _text_value(text: str):
     """Text as the JSON value it stands for: an int, else a float, else the
     text itself."""
@@ -499,6 +452,41 @@ class IterationRecord(NamedTuple):
 _RECORD_FIELDS = IterationRecord._fields
 
 
+class _Records(Sequence):
+    """RunReport.records: the report's rows as IterationRecords, each built
+    from the columns only when asked for."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: RunReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.k)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._build(index))
+        r = self._report
+        return IterationRecord(  # k.item raises IndexError past either end
+            r.k.item(index), None if r.xs is None else r.xs[index], r.f.item(index),
+            r.gamma.item(index), r.alpha.item(index), r.ell.item(index),
+            r.step.item(index), r.snorm.item(index), r.alpha_next.item(index),
+        )
+
+    def __iter__(self):
+        return self._build(slice(None))
+
+    def _build(self, rows: slice):
+        r = self._report
+        xs = repeat(None) if r.xs is None else r.xs[rows]
+        return map(
+            IterationRecord, r.k[rows].tolist(), xs, r.f[rows].tolist(),
+            r.gamma[rows].tolist(), r.alpha[rows].tolist(), r.ell[rows].tolist(),
+            r.step[rows].tolist(), r.snorm[rows].tolist(), r.alpha_next[rows].tolist(),
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class RunReport:
     """A full run: one column per IterationRecord field, with one entry per
@@ -507,8 +495,13 @@ class RunReport:
     k and ell are int64 arrays; f, gamma, alpha, step, snorm and alpha_next
     are float64 arrays. xs is one C-contiguous float64 array of shape
     (rows, n) whose row i is the i-th visited iterate, or None for a trace
-    re-read from CSV. records is a derived view, rebuilt on every access; its
-    x fields are rows of xs.
+    re-read from CSV.
+
+    records is a read-only Sequence view of the rows as IterationRecords,
+    made anew on every access and holding no record itself: len(records) is
+    len(k) and builds none, records[i] (negative i too) builds one, and a
+    slice (a tuple) or an iteration builds only the rows it covers. Each
+    record holds Python scalars, and its x is a row of xs (None without xs).
 
     f_best is the minimum recorded objective value and it_best the first k
     attaining it. termination is one of the TERMINATION_* constants ("unknown"
@@ -529,13 +522,8 @@ class RunReport:
     termination: str
 
     @property
-    def records(self) -> tuple[IterationRecord, ...]:
-        xs = repeat(None) if self.xs is None else self.xs
-        return tuple(map(
-            IterationRecord, self.k.tolist(), xs, self.f.tolist(), self.gamma.tolist(),
-            self.alpha.tolist(), self.ell.tolist(), self.step.tolist(), self.snorm.tolist(),
-            self.alpha_next.tolist(),
-        ))
+    def records(self) -> Sequence[IterationRecord]:
+        return _Records(self)
 
     @property
     def n_steps(self) -> int:

@@ -74,13 +74,13 @@ def nonmonotone_backtrack(
         if candidate > size_cap:
             continue  # size cap fails; shrinking beta**ell will fix it, no oracle call
         step = beta * candidate
-        x_trial = projector(x_k - step * s_k)
+        x_trial = projector(x_k - s_k * step)
         f_trial = value(x_trial)
         trials += 1
         if not math.isfinite(f_trial):
             raise OracleError(f"objective value {f_trial!r} at trial ell={ell}")
         if f_trial <= f_k - rho * step * snorm_sq + gamma_k:
-            return LineSearchOutcome(ell, x_trial, float(f_trial), candidate, step, trials)
+            return LineSearchOutcome._make((ell, x_trial, float(f_trial), candidate, step, trials))
     raise BacktrackFailureError(
         f"no acceptable step within {len(ladder)} backtracking trials "
         f"(alpha_k={alpha_k!r}, gamma_k={gamma_k!r})"

@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -470,31 +471,31 @@ class ProblemSpec:
 
 def _parked_oracles(kernel, data: tuple, n: int):
     """value and eval closures over one (value, subgradient) kernel called as
-    kernel(*data, x). value parks what the kernel returned, keyed on the
-    point's bytes and dtype; eval takes it back once on a match, so an
-    accepted line-search trial costs one kernel call, and an in-place change
-    to the point between the two calls is a miss, never a stale hit."""
+    kernel(*data, x), with data bound once. value parks what the kernel
+    returned, keyed on the point's bytes and dtype; eval takes it back once on
+    a match, so an accepted line-search trial costs one kernel call, and an
+    in-place change to the point between the two calls is a miss, never a
+    stale hit."""
     shape = (n,)
-    parked = None  # (x bytes, x dtype, f, g) of the last value call
+    kernel = partial(kernel, *data)
+    parked = None  # (x bytes, x dtype, (f, g)) of the last value call
 
     def value(x: np.ndarray) -> float:
         nonlocal parked
         if x.shape != shape:
             raise ValueError(f"point has shape {x.shape}, instance expects {shape}")
-        f, g = kernel(*data, x)
-        parked = (x.tobytes(), x.dtype, f, g)
-        return f
+        out = kernel(x)
+        parked = (x.tobytes(), x.dtype, out)
+        return out[0]
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal parked
         if x.shape != shape:
             raise ValueError(f"point has shape {x.shape}, instance expects {shape}")
-        hit = parked
-        if hit is not None:
-            parked = None
-            if hit[0] == x.tobytes() and hit[1] == x.dtype:
-                return hit[2], hit[3]
-        return kernel(*data, x)
+        hit, parked = parked, None
+        if hit is not None and hit[0] == x.tobytes() and hit[1] == x.dtype:
+            return hit[2]
+        return kernel(x)
 
     return value, evaluate
 

@@ -143,7 +143,7 @@ def solve_nonmonotone(
             snorm = math.nan
             break
         _, s = evaluate(x)
-        snorm_sq = float(np.dot(s, s))
+        snorm_sq = float(s.dot(s))
         snorm = math.sqrt(snorm_sq) if math.isfinite(snorm_sq) else math.inf
         if snorm_sq == 0.0:
             tag = TERMINATION_ZERO_SUBGRADIENT
@@ -186,7 +186,7 @@ def solve_prefixed(
 
     for k in range(1, max_iters + 2):
         f, s = problem.eval(x)
-        snorm_sq = float(np.dot(s, s))
+        snorm_sq = float(s.dot(s))
         snorm = math.sqrt(snorm_sq) if math.isfinite(snorm_sq) else math.inf
         if snorm_sq == 0.0:
             tag = TERMINATION_ZERO_SUBGRADIENT
@@ -199,7 +199,7 @@ def solve_prefixed(
             break
         size = rule.size(k, snorm)
         rows.append((k, x, f, nan, size, 0, size, snorm, nan))
-        x = problem.project(x - size * s)
+        x = problem.project(x - s * size)
     rows.append((k, x, f, nan, nan, 0, 0.0, snorm, nan))
     return _report(list(zip(*rows)), tag)
 

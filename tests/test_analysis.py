@@ -21,9 +21,8 @@ from nmsubgrad import (
     plant_optimum_max_affine,
     solve_nonmonotone,
     solve_prefixed,
-    sum_lemma_sweep,
 )
-from oracles import build_report, check_sum_lemmas, sum_lemma_sides_ref
+from oracles import build_report, check_sum_lemmas, sum_lemma_sides_ref, sum_lemma_sweep
 
 PARAMS = dict(c=1.0, beta=0.9, rho=0.8, alpha1=0.1)
 

