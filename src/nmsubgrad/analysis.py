@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,19 +99,7 @@ def merge_reports(*reports: AuditReport) -> AuditReport:
 
 
 def audit_report_to_json(report: AuditReport) -> str:
-    obj = {
-        "passed": report.passed,
-        "checks": [
-            {
-                "name": ch.name,
-                "status": ch.status,
-                "worst_violation": ch.worst_violation,
-                "worst_index": ch.worst_index,
-                "detail": ch.detail,
-            }
-            for ch in report.checks
-        ],
-    }
+    obj = {"passed": report.passed, "checks": [asdict(ch) for ch in report.checks]}
     return json.dumps(obj, sort_keys=True, indent=2)
 
 

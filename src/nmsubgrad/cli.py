@@ -5,7 +5,7 @@ trace and a summary), bench (run a plan of configs x methods x seeds, write
 per-config tables), check (audit a trace against its instance).
 
 Exit codes: 0 success, 1 at least one audit check failed, 2 usage or input
-errors. All outputs are deterministic for fixed inputs and written atomically.
+errors, an input too large to allocate among them. All outputs are deterministic for fixed inputs and written atomically.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from .core import (
     SqrtInverse,
     ExplicitTable,
     _NUMBER_FIELDS,
-    _check_config,
+    _config_from_items,
     _json_value,
     _read_fields,
-    config_from_json,
     config_from_keyvalues,
 )
 from .problems import (
@@ -77,10 +76,6 @@ _RULES = {
     "nonsum": NonsummableDiminishing,
     "sqrsum": SquareSummable,
 }
-
-
-class UsageError(Exception):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +184,7 @@ def cmd_gen(args) -> int:
             inst = gen_max_affine(args.seed, args.n, args.m, **_given(args, ("sigma",)))
         cset = _build_set(args, args.n)
         if inst.x_star is not None and not contains(cset, inst.x_star):
-            raise UsageError(
+            raise ConfigError(
                 "planted optimum lies outside the requested set; "
                 "enlarge the set or drop --planted"
             )
@@ -198,7 +193,7 @@ def cmd_gen(args) -> int:
         if args.from_csv is not None:
             anchors = read_anchor_csv(args.from_csv)
             if args.n != anchors.shape[1] and args.n != 2:
-                raise UsageError(
+                raise ConfigError(
                     f"--n {args.n} conflicts with csv width {anchors.shape[1]}"
                 )
             inst = FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
@@ -219,15 +214,15 @@ def _run_config(args) -> SolverConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
         # text opening with "{" or "[" is JSON, so a JSON syntax error is
-        # reported as one, with its position
+        # reported as one, with the file and the position
         if text.lstrip()[:1] in ("{", "["):
-            base = config_from_json(text)
+            base = _config_from_items(_json_value(text, f"config file {args.config!r}"))
         else:
             base = config_from_keyvalues(text)
     given = _given(args, ("c", "beta", "rho", "alpha1", "max_iters", "backtrack_cap"))
     if args.zeta is not None:
         given["gamma"] = SqrtInverse(zeta=args.zeta)
-    return _check_config(dataclasses.replace(base, **given))
+    return dataclasses.replace(base, **given)
 
 
 def _make_rule(method: str, const: float | None):
@@ -285,27 +280,30 @@ def _write_trace_json(report, path: str, f_star=None) -> None:
 
 def cmd_bench(args) -> int:
     with open(args.plan, "r", encoding="utf-8") as fh:
-        obj = _json_value(fh.read(), "plan")
+        obj = _json_value(fh.read(), f"plan file {args.plan!r}")
     plan = _Plan(**_read_fields("plan", obj, dataclasses.fields(_Plan)))
     entry_cls = _ENTRIES.get(plan.problem)
     if entry_cls is None:
-        raise UsageError(f"unknown problem kind {plan.problem!r}")
+        raise ConfigError(f"unknown problem kind {plan.problem!r}")
     for m in plan.methods:
         if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}")
+            raise ConfigError(f"unknown method {m!r}")
     base = _bench_solver(plan.solver)
     rules = _bench_rules(plan.step_constants)
     out_dir = args.out_dir or plan.out_dir
     if not out_dir:
-        raise UsageError("no output directory: pass --out-dir or set out_dir in the plan")
+        raise ConfigError("no output directory: pass --out-dir or set out_dir in the plan")
     if not plan.configs:
-        raise UsageError("plan has no configs")
+        raise ConfigError("plan has no configs")
     benches = [_bench_config(f"'configs'[{i}]", entry_cls, conf, base)
                for i, conf in enumerate(plan.configs)]
+    # every table is built before anything is written, so a run that fails
+    # leaves no output
+    tables = [_bench_one_config(plan.problem, *bench, plan.methods, rules, out_dir)
+              for bench in benches]
     os.makedirs(out_dir, exist_ok=True)
-    written = [_bench_one_config(plan.problem, *bench, plan.methods, rules, out_dir)
-               for bench in benches]
-    for path in written:
+    for path, lines in tables:
+        _atomic_write(path, "\n".join(lines) + "\n")
         print(path)
     return 0
 
@@ -383,7 +381,7 @@ def _bench_solver(solver: dict) -> SolverConfig:
     """The plan's "solver" object: the config's number fields but max_iters
     and seed, which each config sets, as it sets the slack sequence."""
     flds = [f for f in _NUMBER_FIELDS if f.name not in ("max_iters", "seed")]
-    return _check_config(SolverConfig(**_read_fields("plan field 'solver'", solver, flds)))
+    return SolverConfig(**_read_fields("plan field 'solver'", solver, flds))
 
 
 def _bench_rules(steps) -> dict:
@@ -394,26 +392,28 @@ def _bench_rules(steps) -> dict:
         try:
             rules[method] = _make_rule(method, consts.get(method))
         except ValueError as exc:
-            raise UsageError(f"plan field 'step_constants', {method!r}: {exc}") from None
+            raise ConfigError(f"plan field 'step_constants', {method!r}: {exc}") from None
     return rules
 
 
 def _bench_config(what: str, entry_cls, conf, base: SolverConfig):
     """(entry, solver config, [(seed, problem, f_star)]) of one config entry,
-    with each seed's problem built once; a malformed entry is a usage error."""
+    with each seed's problem built once; a malformed entry is a ConfigError."""
     entry = entry_cls(**_read_fields(what, conf, dataclasses.fields(entry_cls)))
     if not entry.seeds:
-        raise UsageError(f"{what} has an empty seed list")
+        raise ConfigError(f"{what} has an empty seed list")
     gamma = SqrtInverse(**_given(entry, ("zeta",)))
-    cfg = _check_config(dataclasses.replace(base, gamma=gamma, max_iters=entry.iters))
+    cfg = dataclasses.replace(base, gamma=gamma, max_iters=entry.iters)
     try:
         runs = list(entry.problems())
     except (ValueError, OSError, MemoryError) as exc:  # the entry names the culprit
-        raise UsageError(f"{what} = {conf!r}: {exc}") from None
+        raise ConfigError(f"{what} = {conf!r}: {exc}") from None
     return entry, cfg, runs
 
 
-def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir) -> str:
+def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
+    """(path, lines) of one config's table: a row per method and seed, whose
+    status is the run's termination, and a median row per method."""
     fw = kind == "fermatweber"
     x_cols = [f"x{i+1}" for i in range(entry.n)] if fw else []
     header = ["method", "seed"] + x_cols + ["gap", "it_best", "status"]
@@ -421,35 +421,28 @@ def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir) -> str:
     for method in methods:
         gaps, bests = [], []
         for seed, problem, f_star in runs:
-            try:
-                if method == "nonmonotone":
-                    report = solve_nonmonotone(problem, cfg)
-                else:
-                    report = solve_prefixed(problem, rules[method], cfg.max_iters)
-                gap = report.f_best - f_star
-                cells = [method, str(seed)]
-                if fw:
-                    xb = report.xs[report.it_best - 1]
-                    cells += [repr(float(v)) for v in xb]
-                cells += [repr(float(gap)), str(report.it_best), report.termination]
-                gaps.append(gap)
-                bests.append(report.it_best)
-            except Exception as exc:  # a failed run becomes a row, bench continues
-                cells = [method, str(seed)] + ["nan"] * len(x_cols)
-                cells += ["nan", "0", f"error:{type(exc).__name__}"]
+            if method == "nonmonotone":
+                report = solve_nonmonotone(problem, cfg)
+            else:
+                report = solve_prefixed(problem, rules[method], cfg.max_iters)
+            gap = report.f_best - f_star
+            cells = [method, str(seed)]
+            if fw:
+                xb = report.xs[report.it_best - 1]
+                cells += [repr(float(v)) for v in xb]
+            cells += [repr(float(gap)), str(report.it_best), report.termination]
+            gaps.append(gap)
+            bests.append(report.it_best)
             lines.append(",".join(cells))
-        if gaps:
-            cells = [method, "median"] + ["nan"] * len(x_cols)
-            cells += [
-                repr(float(statistics.median(gaps))),
-                repr(float(statistics.median(bests))),
-                "aggregate",
-            ]
-            lines.append(",".join(cells))
+        cells = [method, "median"] + ["nan"] * len(x_cols)
+        cells += [
+            repr(float(statistics.median(gaps))),
+            repr(float(statistics.median(bests))),
+            "aggregate",
+        ]
+        lines.append(",".join(cells))
     name = f"bench_{kind}_n{entry.n}_m{entry.m}.csv"
-    path = os.path.join(out_dir, name)
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    return os.path.join(out_dir, name), lines
 
 
 # ----- check -----
@@ -476,10 +469,10 @@ def cmd_check(args) -> int:
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
     gamma_seq = _infer_gamma(report.gamma, args.zeta)
-    cfg = _check_config(SolverConfig(
+    cfg = SolverConfig(
         **_given(args, ("c", "beta", "rho")),
         gamma=gamma_seq, max_iters=max(1, len(report.k) - 1),
-    ))
+    )
     tc = None
     if problem.L is not None and 0.5 < cfg.rho < 1.0:
         tc = constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
@@ -512,7 +505,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (UsageError, ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

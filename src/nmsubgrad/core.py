@@ -45,7 +45,10 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Invalid solver or sequence parameters, or a malformed input field."""
+    """Invalid solver or sequence parameters, or a malformed input file or
+    field. SolverConfig and each gamma sequence raise it from their own
+    constructors, the readers for bad JSON or a missing, unknown or mistyped
+    field; the command line prints it as one error line with exit 2."""
 
 
 class OracleError(RuntimeError):
@@ -202,8 +205,10 @@ class SolverConfig:
 
     c > 0 caps the accepted trial size at c*gamma_k; beta in (0,1) is the
     backtracking ratio; rho in (0,1) the sufficient-decrease factor; alpha1 > 0
-    the initial trial size. rho > 1/2 is the regime where the complexity
-    constants are positive; validate_config warns outside it.
+    the initial trial size. A config checks itself when it is made (and so
+    when dataclasses.replace makes one), naming every violation in one
+    ConfigError. rho > 1/2 is the regime where the complexity constants are
+    positive; validate_config warns outside it.
     """
 
     c: float = 1.0
@@ -215,11 +220,29 @@ class SolverConfig:
     backtrack_cap: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        problems = []
+        if not (self.c > 0.0 and math.isfinite(self.c)):
+            problems.append(f"c must be positive and finite, got {self.c}")
+        if not (0.0 < self.beta < 1.0):
+            problems.append(f"beta must lie in (0, 1), got {self.beta}")
+        if not (0.0 < self.rho < 1.0):
+            problems.append(f"rho must lie in (0, 1), got {self.rho}")
+        if not (self.alpha1 > 0.0 and math.isfinite(self.alpha1)):
+            problems.append(f"alpha1 must be positive and finite, got {self.alpha1}")
+        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+            problems.append(f"max_iters must be an integer >= 1, got {self.max_iters}")
+        if not isinstance(self.backtrack_cap, int) or self.backtrack_cap < 1:
+            problems.append(f"backtrack_cap must be an integer >= 1, got {self.backtrack_cap}")
+        if not isinstance(self.gamma, _GAMMA_TYPES):
+            problems.append(f"gamma is not a recognized sequence: {self.gamma!r}")
+        if problems:
+            raise ConfigError("invalid config: " + "; ".join(problems))
+
 
 def validate_config(cfg: SolverConfig) -> SolverConfig:
-    """Check every field, reporting all violations at once. Warns (without
-    failing) when rho <= 1/2."""
-    _check_config(cfg)
+    """cfg, with a warning (not a failure) when rho <= 1/2; the config
+    checked its fields when it was made."""
     if cfg.rho <= 0.5:
         warnings.warn(
             f"rho = {cfg.rho} <= 1/2: complexity constants are non-positive, "
@@ -230,37 +253,17 @@ def validate_config(cfg: SolverConfig) -> SolverConfig:
     return cfg
 
 
-def _check_config(cfg: SolverConfig) -> SolverConfig:
-    """validate_config without the warning: the readers and the command line
-    check a config, and the solver that runs it warns."""
-    problems = []
-    if not (cfg.c > 0.0 and math.isfinite(cfg.c)):
-        problems.append(f"c must be positive and finite, got {cfg.c}")
-    if not (0.0 < cfg.beta < 1.0):
-        problems.append(f"beta must lie in (0, 1), got {cfg.beta}")
-    if not (0.0 < cfg.rho < 1.0):
-        problems.append(f"rho must lie in (0, 1), got {cfg.rho}")
-    if not (cfg.alpha1 > 0.0 and math.isfinite(cfg.alpha1)):
-        problems.append(f"alpha1 must be positive and finite, got {cfg.alpha1}")
-    if not isinstance(cfg.max_iters, int) or cfg.max_iters < 1:
-        problems.append(f"max_iters must be an integer >= 1, got {cfg.max_iters}")
-    if not isinstance(cfg.backtrack_cap, int) or cfg.backtrack_cap < 1:
-        problems.append(f"backtrack_cap must be an integer >= 1, got {cfg.backtrack_cap}")
-    if not isinstance(cfg.gamma, _GAMMA_TYPES):
-        problems.append(f"gamma is not a recognized sequence: {cfg.gamma!r}")
-    if problems:
-        raise ConfigError("invalid config: " + "; ".join(problems))
-    return cfg
-
-
 # ----- reading JSON fields -----
 
 
 def _json_value(text: str, what: str):
-    """The JSON value text holds. Nesting deeper than the parser can recurse
-    is a ConfigError naming what, as is any other malformed input."""
+    """The JSON value text holds. A syntax error (with its position) or
+    nesting deeper than the parser can recurse is a ConfigError naming what,
+    where a reader of a file puts the file's path."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{what} is nested too deeply to read as JSON") from None
 
@@ -387,7 +390,7 @@ def _config_from_items(items: dict) -> SolverConfig:
     given = _read_fields("config", items, _NUMBER_FIELDS)
     if gamma:
         given["gamma"] = _from_obj("config", "gamma.kind", _GAMMA_KINDS, gamma, "gamma.")
-    return _check_config(SolverConfig(**given))
+    return SolverConfig(**given)
 
 
 def config_to_json(cfg: SolverConfig) -> str:

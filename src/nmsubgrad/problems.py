@@ -585,7 +585,7 @@ def save_instance(path: str, inst: Instance, cset: SetDescriptor | None = None) 
 
 def load_instance(path: str) -> tuple[Instance, SetDescriptor]:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_obj(_json_value(fh.read(), "instance"))
+        return instance_from_obj(_json_value(fh.read(), f"instance file {str(path)!r}"))
 
 
 def read_anchor_csv(path: str) -> np.ndarray:

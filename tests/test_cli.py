@@ -342,6 +342,54 @@ def test_deeply_nested_json_is_exit_2(planted_instance, tmp_path, capsys, comman
     assert sorted(os.listdir(tmp_path)) == before
 
 
+# a JSON syntax error (a trailing comma) in the file each command reads: the
+# one error line names the file and keeps the parser's position
+@pytest.mark.parametrize("command, text", [
+    ("run", '{"type": "maxaffine",}'),
+    ("run --config", '{"rho": 0.7,}'),
+    ("bench", '{"configs": [],}'),
+], ids=["run_instance", "run_config", "bench_plan"])
+def test_json_syntax_error_names_the_file(planted_instance, tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    before = sorted(os.listdir(tmp_path))
+    out = str(tmp_path / "out")
+    argv = {
+        "run": ["run", str(bad), "--out", out],
+        "run --config": ["run", planted_instance, "--config", str(bad), "--out", out],
+        "bench": ["bench", str(bad), "--out-dir", out],
+    }[command]
+    line = _assert_usage_error(run_cli(*argv), capsys)
+    assert repr(str(bad)) in line and "not valid JSON" in line
+    assert f"line 1 column {len(text)}" in line, line
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+# a budget too large to allocate is bad input like any other: one error line,
+# exit 2 and nothing written (nonmonotone only: a prefixed run allocates
+# nothing up front, so it grows its rows until memory runs out)
+_HUGE_ITERS = 10**15
+
+
+def test_run_budget_too_large_to_allocate_is_exit_2(planted_instance, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    rc = run_cli("run", planted_instance, "--iters", str(_HUGE_ITERS), "--out", str(out))
+    assert "allocate" in _assert_usage_error(rc, capsys)
+    assert not out.exists() and not (tmp_path / "t.summary.json").exists()
+
+
+def test_bench_budget_too_large_to_allocate_is_exit_2(tmp_path, capsys):
+    path = _small_plan(tmp_path)
+    with open(path) as fh:
+        plan = json.load(fh)
+    plan["methods"] = ["nonmonotone"]
+    plan["configs"][0]["iters"] = _HUGE_ITERS
+    with open(path, "w") as fh:
+        json.dump(plan, fh)
+    assert "allocate" in _assert_usage_error(run_cli("bench", path), capsys)
+    assert not os.path.exists(tmp_path / "out")
+
+
 # the cases whose plan is the Fermat-Weber one (n = 2, m = 10): a max-affine
 # shape key, an anchors file that does not exist, and anchors files of 3
 # columns and of 3 rows, which the test writes; every other case uses the

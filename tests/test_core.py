@@ -214,9 +214,8 @@ def test_validate_config_warns_small_rho():
 
 
 def test_validate_config_collects_every_violation():
-    bad = SolverConfig(c=-1.0, beta=2.0, rho=0.0, alpha1=0.0, max_iters=0)
     with pytest.raises(ConfigError) as err:
-        validate_config(bad)
+        validate_config(SolverConfig(c=-1.0, beta=2.0, rho=0.0, alpha1=0.0, max_iters=0))
     msg = str(err.value)
     for field in ("c ", "beta", "rho", "alpha1", "max_iters"):
         assert field in msg
