@@ -50,6 +50,7 @@ __all__ = [
 
 FEASIBILITY_TOL = 1e-9
 PLANT_TOL = 1e-12
+_ROW_BLOCK = 1 << 16  # entries per row block when a pass over A needs a temporary
 
 
 # ----- constraint sets -----
@@ -164,7 +165,8 @@ class MaxAffineInstance:
             raise ValueError(f"A must be a non-empty 2-D array, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b must have shape ({A.shape[0]},), got {b.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        # NaN propagates through min and max, so no (m, n) mask is needed
+        if not np.isfinite([A.min(), A.max(), b.min(), b.max()]).all():
             raise ValueError("A and b must be finite")
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
@@ -197,8 +199,13 @@ def _check_planted(inst: MaxAffineInstance) -> None:
             f"planted value mismatch: f(x_star) = {val!r} but f_star = {inst.f_star!r}"
         )
     resid = planted_certificate_residual(inst)
-    if resid > PLANT_TOL * max(1.0, float(np.abs(inst.A).max())):
+    if resid > PLANT_TOL * max(1.0, _abs_max(inst.A)):
         raise ValueError(f"planted certificate fails: |mean active grad + sigma*x*| = {resid}")
+
+
+def _abs_max(A: np.ndarray) -> float:
+    """max |a_ij|, equal to np.abs(A).max() without an |A| temporary."""
+    return max(float(A.max()), float(-A.min()))
 
 
 def planted_certificate_residual(inst: MaxAffineInstance) -> float:
@@ -415,9 +422,17 @@ def lipschitz_bound(inst: Instance, cset: SetDescriptor | None = None) -> float:
     Max-affine: max_j ||a_j||, plus sigma * sup||x|| over a bounded set when
     the quadratic term is present (unbounded set -> error then).
     Fermat-Weber: sum of the weights.
+
+    The row norms stream over blocks of whole rows, at most _ROW_BLOCK entries
+    each (one row when a row is longer), so no temporary the size of A is
+    made. The bits equal np.sqrt((A**2).sum(axis=1)).max(): each norm is still
+    one reduction over one contiguous row, and max is exact.
     """
     if isinstance(inst, MaxAffineInstance):
-        base = float(np.sqrt((inst.A**2).sum(axis=1)).max())
+        A = inst.A
+        rows = max(1, _ROW_BLOCK // A.shape[1])
+        base = max(float(np.sqrt((A[i : i + rows] ** 2).sum(axis=1)).max())
+                   for i in range(0, A.shape[0], rows))
         if inst.sigma > 0.0:
             if cset is None or radius_bound(cset) is None:
                 raise ValueError(
@@ -592,7 +607,9 @@ def read_anchor_csv(path: str) -> np.ndarray:
     """Anchor coordinates from `lat,lon` rows (a header line is skipped).
 
     Each value is truncated to its integer part and made non-positive,
-    matching the convention for south/west coordinates listed unsigned.
+    matching the convention for south/west coordinates listed unsigned. A
+    row that does not parse or holds a non-finite value raises ValueError
+    naming the file and the line.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -607,6 +624,8 @@ def read_anchor_csv(path: str) -> np.ndarray:
                 if lineno == 1:
                     continue  # header
                 raise ValueError(f"{path}:{lineno}: cannot parse row {raw!r}")
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in row {raw!r}")
             rows.append([-abs(math.trunc(v)) for v in vals])
     if not rows:
         raise ValueError(f"{path}: no anchor rows found")

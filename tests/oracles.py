@@ -92,6 +92,18 @@ def max_affine_eval_matmul_ref(A, b, sigma, x):
     return v, g
 
 
+# the full-array forms of the passes over a max-affine A, each with A-sized
+# temporaries: the bits that the package's block-streamed forms must reproduce
+
+
+def lipschitz_full_ref(A):
+    return float(np.sqrt((A**2).sum(axis=1)).max())
+
+
+def abs_max_full_ref(A):
+    return float(np.abs(A).max())
+
+
 def fermat_weber_value_dot_ref(anchors, weights, x):
     diff = np.subtract(x[:, None], anchors.T, order="C")
     return float(np.dot(weights, np.sqrt((diff**2).sum(axis=0))))

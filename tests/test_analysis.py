@@ -106,6 +106,43 @@ def test_audit_is_repeatable():
     assert first == second
 
 
+# the CLI's default case: alpha_1 = 0.1 < theta*gamma_1 (L < ~2.4 at zeta = 1)
+def _outside_regime_run(iters=500):
+    prob = make_problem(plant_optimum_max_affine(0, 2, 4))
+    cfg = SolverConfig(max_iters=iters)
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    assert cfg.alpha1 < tc.theta * 1.0
+    return prob, cfg, tc, solve_nonmonotone(prob, cfg)
+
+
+def test_lower_bound_outside_its_regime_is_the_unrolled_bound():
+    prob, cfg, tc, rep = _outside_regime_run()
+    # the run breaks theta*gamma_{k+1} <= alpha_{k+1}, as the regime allows
+    assert tc.theta * rep.gamma[1] > rep.alpha_next[0]
+    audit = audit_stepwise(rep, prob, cfg, tc)
+    assert audit.passed
+    lower = audit["step_lower_bound"]
+    assert lower.status == "passed"
+    assert "outside the regime alpha_1 >= theta*gamma_1 and theta <= beta*c" in lower.detail
+    rates = audit_rate_bounds(rep, prob, cfg, tc)
+    assert all(ch.status == "skipped" and "guaranteed only when" in ch.detail
+               for ch in rates.checks)
+    # inside the regime the check and its detail are as before
+    prob, cfg, rep = _planted_run()
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    assert audit_stepwise(rep, prob, cfg, tc)["step_lower_bound"].detail == ""
+
+
+def test_unrolled_lower_bound_catches_shrunk_steps():
+    prob, cfg, tc, rep = _outside_regime_run(iters=200)
+    records = [r._replace(alpha=r.alpha * 1e-6, alpha_next=r.alpha_next * 1e-6,
+                          step=r.step * 1e-6) if r.k >= 100 else r
+               for r in rep.records]
+    audit = audit_stepwise(build_report(records, rep.termination), prob, cfg, tc)
+    assert audit["step_lower_bound"].status == "failed"
+    assert audit["step_lower_bound"].worst_index >= 100
+
+
 # ----- fault injection -----
 #
 # A perturbed trace must be rejected. alpha is protected everywhere by the

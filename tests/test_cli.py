@@ -50,6 +50,38 @@ def test_gen_from_csv_dimension_mismatch_is_usage_error(tmp_path):
     assert rc == 2
 
 
+_NON_FINITE_CELLS = ["inf", "-inf", "nan", "1e400"]
+
+
+def _non_finite_anchors(tmp_path, cell, rows=10):
+    csv = tmp_path / "anchors.csv"
+    csv.write_text("lat,lon\n" + "".join(f"{i},{i + 1}\n" for i in range(rows - 1))
+                   + f"{cell},3\n")
+    return csv, f"{csv}:{rows + 1}: non-finite value"
+
+
+@pytest.mark.parametrize("cell", _NON_FINITE_CELLS)
+def test_gen_non_finite_anchor_is_exit_2(tmp_path, capsys, cell):
+    csv, named = _non_finite_anchors(tmp_path, cell)
+    out = tmp_path / "fw.json"
+    rc = run_cli("gen", "fermatweber", "--from-csv", str(csv), "--out", str(out))
+    assert named in _assert_usage_error(rc, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", _NON_FINITE_CELLS)
+def test_bench_non_finite_anchor_is_exit_2(tmp_path, capsys, cell):
+    csv, named = _non_finite_anchors(tmp_path, cell)
+    path = _small_plan(tmp_path, "fermatweber")
+    with open(path) as fh:
+        plan = json.load(fh)
+    plan["configs"][0]["anchors_csv"] = str(csv)
+    with open(path, "w") as fh:
+        json.dump(plan, fh)
+    assert named in _assert_usage_error(run_cli("bench", path), capsys)
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_gen_infeasible_plant_is_reported(tmp_path):
     rc = run_cli("gen", "maxaffine", "--n", "2", "--m", "8", "--planted",
                  "--spread", "50.0", "--set", "ball", "--radius", "1.0",
@@ -171,19 +203,45 @@ def test_check_writes_report_json(planted_instance, tmp_path):
     assert any(ch["name"] == "consistency" for ch in obj["checks"])
 
 
+def _tamper(trace, row, col, bend):
+    lines = open(trace).read().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = repr(bend(float(cells[col])))
+    lines[row] = ",".join(cells)
+    with open(trace, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def test_check_flags_corrupted_trace(planted_instance, tmp_path, capsys):
     trace = str(tmp_path / "t.csv")
     assert run_cli("run", planted_instance, "--zeta", "0.5", "--iters", "100",
                    "--out", trace) == 0
-    lines = open(trace).read().splitlines()
-    cells = lines[40].split(",")
-    cells[3] = repr(float(cells[3]) * 1.002)  # bend alpha off the ladder
-    lines[40] = ",".join(cells)
-    with open(trace, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _tamper(trace, 40, 3, lambda a: a * 1.002)  # bend alpha off the ladder
     rc = run_cli("check", trace, planted_instance, "--zeta", "0.5")
     assert rc == 1
     assert "audit FAILED" in capsys.readouterr().out
+
+
+# every flag at its default: alpha_1 = 0.1 lies below theta*gamma_1 here, so
+# the audit checks the unrolled lower bound and skips the rate bounds
+def test_check_passes_default_run_and_catches_tampering(tmp_path, capsys):
+    inst, trace = str(tmp_path / "inst.json"), str(tmp_path / "t.csv")
+    assert run_cli("gen", "maxaffine", "--n", "2", "--m", "4", "--planted", "--seed", "0",
+                   "--out", inst) == 0
+    assert run_cli("run", inst, "--iters", "500", "--out", trace) == 0
+    capsys.readouterr()
+    assert run_cli("check", trace, inst) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "audit passed"
+    assert "step_lower_bound: passed (worst at k=1) [outside the regime" in out
+    assert "rate_general: skipped [needs theta*gamma_{k+1} <= alpha_{k+1}" in out
+    clean = open(trace).read()
+    for col, bend in ((1, lambda f: f + 1.0), (3, lambda a: a * 1.002)):  # f, alpha
+        _tamper(trace, 40, col, bend)
+        assert run_cli("check", trace, inst) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "audit FAILED"
+        with open(trace, "w") as fh:
+            fh.write(clean)
 
 
 def test_check_prefixed_trace_skips_cleanly(planted_instance, tmp_path, capsys):

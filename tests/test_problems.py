@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from nmsubgrad import (
     save_instance,
     weiszfeld,
 )
+from nmsubgrad import problems
 from nmsubgrad.problems import (
     instance_from_obj,
     instance_to_obj,
@@ -36,7 +40,7 @@ from nmsubgrad.problems import (
     radius_bound,
 )
 
-from oracles import grid_min_2d
+from oracles import abs_max_full_ref, grid_min_2d, lipschitz_full_ref
 
 
 # ----- constraint sets -----
@@ -189,6 +193,62 @@ def test_lipschitz_adds_quadratic_on_bounded_set():
     assert lipschitz_bound(inst, ball) == pytest.approx(5.0 + 2.0 * 1.5, rel=1e-15)
     with pytest.raises(ValueError):
         lipschitz_bound(inst)  # unbounded set, sigma > 0
+
+
+# the last has one row per block; 1000 rows are not a multiple of the block
+_LARGE_SHAPES = [(1, 1), (3, 7), (1000, 200), (5000, 200), (3, 70000)]
+
+
+@pytest.mark.parametrize("shape", _LARGE_SHAPES, ids=str)
+def test_streamed_passes_match_full_array_forms(shape):
+    rng = np.random.default_rng(sum(shape))
+    # rows of very different scales, so the largest norm is one row's
+    A = rng.standard_normal(shape) * rng.uniform(0.01, 100.0, size=(shape[0], 1))
+    inst = MaxAffineInstance(A=A, b=np.zeros(shape[0]))
+    L = lipschitz_bound(inst)
+    assert L.hex() == lipschitz_full_ref(inst.A).hex()
+    assert problems._abs_max(inst.A).hex() == abs_max_full_ref(inst.A).hex()
+    assert problems._abs_max(-inst.A).hex() == abs_max_full_ref(inst.A).hex()
+
+
+def test_lipschitz_of_the_kernel_heavy_instance_keeps_its_bits():
+    inst = plant_optimum_max_affine(0, 200, 5000)
+    assert lipschitz_bound(inst).hex() == "0x1.a5e72ab428e4cp+7"
+
+
+def _traced_peak(call):
+    """Bytes call() allocates beyond what is live when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+def test_max_affine_passes_allocate_nothing_the_size_of_a():
+    rng = np.random.default_rng(0)
+    A, b = rng.standard_normal((5000, 200)), rng.standard_normal(5000)
+    peak, inst = _traced_peak(lambda: MaxAffineInstance(A=A, b=b))
+    assert peak < A.nbytes / 4
+    assert inst.A is A  # already contiguous float64: no copy
+    peak, _ = _traced_peak(lambda: lipschitz_bound(inst))
+    assert peak < A.nbytes / 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("where", ["A_last_block", "b"])
+def test_max_affine_rejects_non_finite_in_last_block_or_b(bad, where):
+    rng = np.random.default_rng(1)
+    A, b = rng.standard_normal((1000, 200)), rng.standard_normal(1000)
+    if where == "b":
+        b[-1] = bad
+    else:
+        A[-1, -1] = bad  # rows 981..999 are the last block of 327 rows
+    with pytest.raises(ValueError, match="must be finite"):
+        MaxAffineInstance(A=A, b=b)
 
 
 def test_lipschitz_fermat_weber_is_weight_sum():
@@ -433,6 +493,39 @@ def test_read_anchor_csv_rejects_empty(tmp_path):
     p.write_text("lat,lon\n")
     with pytest.raises(ValueError):
         read_anchor_csv(str(p))
+
+
+# cells of every kind a reader meets: numbers, non-finite and overflowing
+# spellings, blanks, words and stray separators
+_CSV_CELLS = (st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "", " ", "lat", "1_0",
+                               "0x10", "-0.0", "1e308", "+7", ";"])
+              | st.floats().map(repr) | st.integers(-10**20, 10**20).map(str))
+
+
+@st.composite
+def _anchor_csv_texts(draw):
+    rows = draw(st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=3), max_size=5))
+    return "\n".join(",".join(row) for row in rows) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_anchor_csv_texts() | st.text(st.characters(blacklist_categories=("Cs",)), max_size=30))
+@example("lat,lon\ninf,3\n")
+@example("nan,1\n")
+@example("1e400,2\n3,4\n")
+def test_read_anchor_csv_returns_or_raises_value_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "anchors.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            anchors = read_anchor_csv(path)
+        except ValueError as exc:
+            assert str(exc).startswith(path + ":"), exc
+            return
+    assert anchors.dtype == np.float64 and anchors.ndim == 2 and anchors.size > 0
+    assert np.all(np.isfinite(anchors)) and np.all(anchors <= 0.0)
+    np.testing.assert_array_equal(anchors, np.trunc(anchors))
 
 
 # ----- problem bundles -----

@@ -17,15 +17,20 @@ from nmsubgrad import (
     ConstantLength,
     ConstantStep,
     MaxAffineInstance,
+    NonnegativeOrthant,
     NonsummableDiminishing,
     ProblemSpec,
     RunReport,
     SolverConfig,
     SqrtInverse,
     SquareSummable,
+    WholeSpace,
+    audit_rate_bounds,
     audit_stepwise,
     constants,
+    contains,
     gen_fermat_weber,
+    gen_max_affine,
     make_problem,
     plant_optimum_max_affine,
     read_trace_csv,
@@ -586,6 +591,89 @@ def test_infinite_subgradient_at_landed_iterate_is_max_iters():
     assert len(report.records) == CFG.max_iters + 1
     last = report.records[-1]
     assert (last.k, last.ell, last.snorm) == (CFG.max_iters + 1, 0, math.inf)
+
+
+# ----- property: every run the solver makes passes its own audit -----
+
+_KNOWN_TAGS = (TERMINATION_MAX_ITERS, TERMINATION_ZERO_SUBGRADIENT,
+               TERMINATION_BACKTRACK_FAILURE)
+
+
+def _property_problem(seed, family, n, extra, set_kind, sigma):
+    """A small problem of the family on the set; a plant the set excludes is
+    dropped, and box and ball sit around the plant (the origin otherwise)."""
+    m = n + 1 + extra
+    if family == "fermatweber":
+        inst = gen_fermat_weber(seed, n, m)
+    elif family == "planted":
+        inst = plant_optimum_max_affine(seed, n, m, spread=0.5, sigma=sigma)
+    else:
+        inst = gen_max_affine(seed, n, m, sigma=sigma)
+    center = np.zeros(n) if getattr(inst, "x_star", None) is None else inst.x_star
+    cset = {"rn": WholeSpace(), "orthant": NonnegativeOrthant(),
+            "box": Box(lo=center - 1.0, hi=center + 1.0),
+            "ball": Ball(center=center, radius=1.0)}[set_kind]
+    if family == "planted" and not contains(cset, inst.x_star):
+        inst = MaxAffineInstance(A=inst.A, b=inst.b, sigma=sigma)
+    return make_problem(inst, cset)
+
+
+def _assert_tag_matches_trace(report, max_iters):
+    rows = len(report.k)
+    assert report.termination in _KNOWN_TAGS
+    assert report.ell[-1] == 0
+    if report.termination == TERMINATION_MAX_ITERS:
+        assert rows == max_iters + 1
+    elif report.termination == TERMINATION_ZERO_SUBGRADIENT:
+        assert report.snorm[-1] == 0.0
+    else:
+        assert rows <= max_iters and report.snorm[-1] != 0.0
+
+
+@pytest.mark.filterwarnings("ignore::nmsubgrad.core.TheoryRegimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    family=st.sampled_from(["planted", "plain", "fermatweber"]),
+    n=st.integers(1, 4),
+    extra=st.integers(0, 6),
+    set_kind=st.sampled_from(["rn", "orthant", "box", "ball"]),
+    sigma=st.sampled_from([0.0, 0.5]),
+    beta=st.floats(0.05, 0.99),
+    rho=st.floats(0.51, 0.99),
+    c=st.floats(0.01, 100.0),
+    alpha1=st.floats(1e-4, 1e3),
+    zeta=st.floats(1e-3, 10.0),
+    cap=st.integers(1, 60),
+    iters=st.integers(1, 300),
+)
+# the minimal case outside the regime alpha_1 >= theta*gamma_1: the run is
+# correct, and theta*gamma_2 <= alpha_2 fails on it
+@example(seed=0, family="plain", n=1, extra=0, set_kind="rn", sigma=0.0, beta=0.5,
+         rho=0.75, c=1.0, alpha1=0.5, zeta=1.0, cap=1, iters=1)
+def test_every_run_passes_its_audit(seed, family, n, extra, set_kind, sigma, beta, rho,
+                                    c, alpha1, zeta, cap, iters):
+    prob = _property_problem(seed, family, n, extra, set_kind, sigma)
+    cfg = SolverConfig(c=c, beta=beta, rho=rho, alpha1=alpha1, gamma=SqrtInverse(zeta),
+                       max_iters=iters, backtrack_cap=cap)
+    tc = None if prob.L is None else constants(rho, beta, prob.L, c)
+    report = solve_nonmonotone(prob, cfg)
+    _assert_tag_matches_trace(report, iters)
+    for audit in (audit_stepwise(report, prob, cfg, tc),
+                  audit_rate_bounds(report, prob, cfg, tc)):
+        assert audit.passed, [(ch.name, ch.worst_index, ch.detail) for ch in audit.checks]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace_csv(report, path, f_star=prob.f_star)
+        back, _ = read_trace_csv(path)
+    for name in ("k", "f", "alpha", "ell", "gamma", "snorm"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(report, name))
+    audit = audit_stepwise(back, prob, cfg, tc)
+    assert audit.passed, [(ch.name, ch.worst_index, ch.detail) for ch in audit.checks]
+
+    for rule in (ConstantStep(), ConstantLength(), NonsummableDiminishing(), SquareSummable()):
+        _assert_tag_matches_trace(solve_prefixed(prob, rule, iters), iters)
 
 
 # ----- golden traces -----
