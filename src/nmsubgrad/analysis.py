@@ -125,13 +125,11 @@ def _skip(name: str, why: str) -> CheckResult:
 
 
 _REGIME = "alpha_1 >= theta*gamma_1 and theta <= beta*c"
-_UNROLLED = (f"outside the regime {_REGIME}: checked "
-             "min(alpha_1, min(theta, beta*c)*gamma_k) <= alpha_{k+1}")
 
 
 def _lower_bound_regime(report: RunReport, cfg: SolverConfig, tc: TheoryConstants) -> bool:
-    """Whether theta*gamma_{k+1} <= alpha_{k+1} is guaranteed for the run
-    (see audit_stepwise); row 1's alpha is alpha_1."""
+    """Whether theta*gamma_{k+1} <= alpha_{k+1}, which the rate bounds need,
+    is guaranteed for the run (see audit_stepwise); row 1's alpha is alpha_1."""
     return report.alpha[0] >= tc.theta * report.gamma[0] and tc.theta <= cfg.beta * cfg.c
 
 
@@ -149,14 +147,13 @@ def audit_stepwise(
     consistency        alpha_next = beta**(ell-1)*alpha, step = beta*alpha_next,
                        next row's alpha continues the chain, ell >= 1 on step rows
     step_upper_bound   alpha_{k+1} <= c * gamma_k
-    step_lower_bound   theta * gamma_{k+1} <= alpha_{k+1}   (needs tc) in the
-                       regime alpha_1 >= theta*gamma_1 and theta <= beta*c;
-                       elsewhere min(alpha_1, min(theta, beta*c)*gamma_k) <= alpha_{k+1}
+    step_lower_bound   min(alpha_1, min(theta, beta*c)*gamma_k) <= alpha_{k+1}
+                       (needs tc)
     sufficient_decrease f_{k+1} <= f_k - rho*beta*alpha_{k+1}*||s_k||^2 + gamma_k
     quasi_fejer        ||x_{k+1}-x*||^2 <= ||x_k-x*||^2 + (beta*c/rho)*gamma_k^2
                        (needs iterates, x*, and rho > 1/2)
 
-    Why step_lower_bound has a regime. The ladder never raises the trial
+    Why step_lower_bound holds. The ladder never raises the trial
     size, so ell = 1 gives alpha_{k+1} = alpha_k. For ell > 1, rung ell-1 was
     rejected and alpha_{k+1} is beta times its candidate:
     - a candidate the size cap skipped exceeds c*gamma_k, so
@@ -168,12 +165,13 @@ def audit_stepwise(
       passes the test. Hence alpha_{k+1} > gamma_k/((1+rho)L^2) >= theta*gamma_k.
     So alpha_{k+1} >= min(alpha_k, min(theta, beta*c)*gamma_k), and since
     every gamma kind is non-increasing, by induction
-    alpha_{k+1} >= min(alpha_1, min(theta, beta*c)*gamma_k). This gives
-    theta*gamma_{k+1} <= theta*gamma_k <= alpha_{k+1} when alpha_1 >= theta*gamma_1
-    and theta <= beta*c; outside that regime a correct run can break it (the
-    defaults alpha_1 = 0.1 and zeta = 1 do whenever L < ~2.4), so the
-    unrolled bound is checked there. alpha_1 is row 1's alpha, so a CSV
-    trace decides the regime as the run did.
+    alpha_{k+1} >= min(alpha_1, min(theta, beta*c)*gamma_k), which is the
+    check. When alpha_1 >= theta*gamma_1 and theta <= beta*c, it reads
+    theta*gamma_k <= alpha_{k+1}, and so implies the paper's
+    theta*gamma_{k+1} <= alpha_{k+1}. Outside that regime a correct run can
+    break the paper's form (the defaults alpha_1 = 0.1 and zeta = 1 do
+    whenever L < ~2.4). alpha_1 is row 1's alpha, so a CSV trace is checked
+    as the run was.
     """
     K = len(report.k) - 1  # rows 1..K are steps, row K+1 is the landed iterate
     names = ["consistency", "step_upper_bound", "step_lower_bound",
@@ -216,12 +214,9 @@ def audit_stepwise(
 
     if tc is None:
         checks.append(_skip("step_lower_bound", "no Lipschitz constant supplied"))
-    elif _lower_bound_regime(report, cfg, tc):
-        gamma_next = report.gamma[1 : K + 1]
-        checks.append(_worst("step_lower_bound", tc.theta * gamma_next, eff_next, ks))
     else:
         unrolled = np.minimum(alpha[0], min(tc.theta, beta * c) * gamma)
-        checks.append(_worst("step_lower_bound", unrolled, eff_next, ks, _UNROLLED))
+        checks.append(_worst("step_lower_bound", unrolled, eff_next, ks))
 
     decrease_rhs = f[:K] - rho * eff_step * snorm**2 + gamma
     checks.append(_worst("sufficient_decrease", f[1 : K + 1], decrease_rhs, ks))

@@ -483,7 +483,7 @@ def cmd_check(args) -> int:
     )
     for ch in merged.checks:
         loc = f" (worst at k={ch.worst_index})" if ch.worst_index is not None else ""
-        why = f" [{ch.detail}]" if ch.detail else ""
+        why = f" [{ch.detail}]" if ch.status == "skipped" and ch.detail else ""
         print(f"{ch.name}: {ch.status}{loc}{why}")
     if args.out:
         _atomic_write(args.out, audit_report_to_json(merged) + "\n")
