@@ -166,7 +166,7 @@ class MaxAffineInstance:
         if b.shape != (A.shape[0],):
             raise ValueError(f"b must have shape ({A.shape[0]},), got {b.shape}")
         # NaN propagates through min and max, so no (m, n) mask is needed
-        if not np.isfinite([A.min(), A.max(), b.min(), b.max()]).all():
+        if not all(map(math.isfinite, (A.min(), A.max(), b.min(), b.max()))):
             raise ValueError("A and b must be finite")
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
