@@ -48,6 +48,8 @@ BACKEND = "numpy"
 
 
 def max_affine_eval(A, b, sigma, x):
+    """Value and one subgradient: the gradient of the smallest-index active
+    piece, plus sigma*x when the quadratic term is present."""
     vals = A.dot(x)
     vals += b
     j = vals.argmax()  # first maximizer = smallest index
@@ -65,6 +67,8 @@ def fermat_weber_distances(anchors, weights, x):
 
 
 def fermat_weber_eval(anchors, weights, x):
+    """Value and one subgradient; terms whose anchor coincides with x
+    contribute zero (any unit-ball choice is valid there, zero is taken)."""
     diff, d, v = fermat_weber_distances(anchors, weights, x)
     nz = d > 0.0
     if nz.all():

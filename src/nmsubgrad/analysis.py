@@ -47,10 +47,6 @@ class TheoryConstants:
 
     theta: float
     gamma_big: float
-    L: float
-    rho: float
-    beta: float
-    c: float
 
 
 def constants(rho: float, beta: float, L: float, c: float = 1.0) -> TheoryConstants:
@@ -64,7 +60,7 @@ def constants(rho: float, beta: float, L: float, c: float = 1.0) -> TheoryConsta
         raise ValueError(f"c must be positive and finite, got {c}")
     theta = min(1.0, 1.0 / ((1.0 + rho) * L * L))
     gamma_big = theta * (2.0 * beta - beta / rho)
-    return TheoryConstants(theta=theta, gamma_big=gamma_big, L=L, rho=rho, beta=beta, c=c)
+    return TheoryConstants(theta=theta, gamma_big=gamma_big)
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ def _scale(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, ks: np.ndarray, detail: str = "") -> CheckResult:
+def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, ks: np.ndarray) -> CheckResult:
     """Check lhs_k <= rhs_k for all k; the worst normalized violation decides."""
     viol = (lhs - rhs) / _scale(lhs, rhs)
     bad = ~np.isfinite(viol)
@@ -117,7 +113,7 @@ def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, ks: np.ndarray, detail: 
     idx = int(np.argmax(viol))
     worst = float(viol[idx])
     status = PASSED if worst <= REL_SLACK else FAILED
-    return CheckResult(name, status, worst, int(ks[idx]), detail)
+    return CheckResult(name, status, worst, int(ks[idx]))
 
 
 def _skip(name: str, why: str) -> CheckResult:
@@ -138,7 +134,7 @@ def _lower_bound_regime(report: RunReport, cfg: SolverConfig, tc: TheoryConstant
 
 def audit_stepwise(
     report: RunReport,
-    problem: ProblemSpec | None,
+    problem: ProblemSpec,
     cfg: SolverConfig,
     tc: TheoryConstants | None = None,
 ) -> AuditReport:
@@ -221,15 +217,14 @@ def audit_stepwise(
     decrease_rhs = f[:K] - rho * eff_step * snorm**2 + gamma
     checks.append(_worst("sufficient_decrease", f[1 : K + 1], decrease_rhs, ks))
 
-    x_star = problem.x_star if problem is not None else None
     if report.xs is None:
         checks.append(_skip("quasi_fejer", "trace carries no iterates (CSV round-trip)"))
-    elif x_star is None:
+    elif problem.x_star is None:
         checks.append(_skip("quasi_fejer", "no known optimum"))
     elif rho <= 0.5:
         checks.append(_skip("quasi_fejer", "rho <= 1/2"))
     else:
-        dist_sq = ((report.xs - x_star[None, :]) ** 2).sum(axis=1)
+        dist_sq = ((report.xs - problem.x_star[None, :]) ** 2).sum(axis=1)
         rhs = dist_sq[:K] + (beta * c / rho) * gamma**2
         checks.append(_worst("quasi_fejer", dist_sq[1 : K + 1], rhs, ks))
 
@@ -241,7 +236,7 @@ def audit_stepwise(
 
 def audit_rate_bounds(
     report: RunReport,
-    problem: ProblemSpec | None,
+    problem: ProblemSpec,
     cfg: SolverConfig,
     tc: TheoryConstants | None = None,
     x1: np.ndarray | None = None,
@@ -269,7 +264,7 @@ def audit_rate_bounds(
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
     if tc is None:
         return AuditReport(checks=tuple(_skip(n, "no theory constants supplied") for n in names))
-    f_star = problem.f_star if problem is not None else None
+    f_star = problem.f_star
     if f_star is None:
         return AuditReport(checks=tuple(_skip(n, "no known optimal value") for n in names))
     if not _lower_bound_regime(report, cfg, tc):
@@ -278,7 +273,7 @@ def audit_rate_bounds(
 
     if x1 is None and report.xs is not None:
         x1 = report.xs[0]
-    x_star = problem.x_star if problem is not None else None
+    x_star = problem.x_star
 
     beta, c, rho = cfg.beta, cfg.c, cfg.rho
     Gamma = tc.gamma_big
@@ -291,10 +286,8 @@ def audit_rate_bounds(
     checks: list[CheckResult] = []
 
     if x1 is None or x_star is None:
-        why = "needs x1 and a known optimum"
-        checks.append(_skip("rate_general", why))
-        checks.append(_skip("rate_sqrt_log", why))
-        checks.append(_skip("rate_tail", why))
+        checks.extend(_skip(n, "needs x1 and a known optimum")
+                      for n in ("rate_general", "rate_sqrt_log", "rate_tail"))
     else:
         dist_sq = float(np.dot(x1 - x_star, x1 - x_star))
         numer = dist_sq + (beta / rho) * c * sum_sq
@@ -310,7 +303,7 @@ def audit_rate_bounds(
             _worst("rate_tail", gap, numer / (Gamma * Ns * gamma[1 : K + 1]), Ns)
         )
 
-    D = diameter_sq(problem.cset) if problem is not None else None
+    D = diameter_sq(problem.cset)
     if D is None:
         checks.append(_skip("rate_compact", "constraint set is unbounded"))
     elif not (isinstance(cfg.gamma, SqrtInverse) and cfg.gamma.zeta == 1.0):
@@ -322,7 +315,7 @@ def audit_rate_bounds(
         bound = 4.0 * (D + beta * c / rho * math.log(3.0)) / (Gamma * np.sqrt(Ns2 + 2.0))
         checks.append(_worst("rate_compact", gap[1:], bound, Ns2))
 
-    sigma = problem.sigma if problem is not None else 0.0
+    sigma = problem.sigma
     seq = cfg.gamma
     if sigma <= 0.0:
         checks.append(_skip("rate_strongly_convex", "objective is not strongly convex"))

@@ -49,7 +49,6 @@ from .problems import (
     load_instance,
     make_problem,
     plant_optimum_max_affine,
-    project,
     read_anchor_csv,
     save_instance,
     weiszfeld,
@@ -61,6 +60,7 @@ from .solver import (
     NonsummableDiminishing,
     SquareSummable,
     _check_rule,
+    _start_point,
     _trace_columns,
     read_trace_csv,
     solve_nonmonotone,
@@ -68,14 +68,14 @@ from .solver import (
     write_trace_csv,
 )
 
-METHODS = ("nonmonotone", "constant", "fixedlength", "nonsum", "sqrsum")
-
 _RULES = {
     "constant": ConstantStep,
     "fixedlength": ConstantLength,
     "nonsum": NonsummableDiminishing,
     "sqrsum": SquareSummable,
 }
+
+METHODS = ("nonmonotone", *_RULES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,18 +468,14 @@ def cmd_check(args) -> int:
     report, _ = read_trace_csv(args.trace)
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
-    gamma_seq = _infer_gamma(report.gamma, args.zeta)
-    cfg = SolverConfig(
-        **_given(args, ("c", "beta", "rho")),
-        gamma=gamma_seq, max_iters=max(1, len(report.k) - 1),
-    )
+    cfg = SolverConfig(**_given(args, ("c", "beta", "rho")),
+                       gamma=_infer_gamma(report.gamma, args.zeta))
     tc = None
     if problem.L is not None and 0.5 < cfg.rho < 1.0:
         tc = constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
-    x1 = project(cset, np.zeros(problem.n))  # the default start convention
     merged = merge_reports(
         audit_stepwise(report, problem, cfg, tc),
-        audit_rate_bounds(report, problem, cfg, tc, x1=x1),
+        audit_rate_bounds(report, problem, cfg, tc, x1=_start_point(problem, None)),
     )
     for ch in merged.checks:
         loc = f" (worst at k={ch.worst_index})" if ch.worst_index is not None else ""

@@ -82,8 +82,9 @@ def as_point(x) -> np.ndarray:
 #
 # All kinds are positive and non-increasing in k. Values are defined for
 # k >= 1; an ExplicitTable raises past its end instead of extending silently.
-# Each kind's _at(k, xp) is its one formula: xp is math for a single int k
-# (Python float arithmetic) and numpy for the float64 array [1, ..., n].
+# Each kind's _at(k) is its one formula, in numpy over a float64 array k of
+# 1-based indices: gamma_values passes [1, ..., n] and gamma_value a
+# one-entry array, so a single value has the bits of its table entry.
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ class SqrtInverse:
         if not (self.zeta > 0.0 and math.isfinite(self.zeta)):
             raise ConfigError(f"zeta must be positive and finite, got {self.zeta}")
 
-    def _at(self, k, xp):
-        return self.zeta / xp.sqrt(k)
+    def _at(self, k):
+        return self.zeta / np.sqrt(k)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class PowerInverse:
         if not (0.0 < self.theta < 1.0):
             raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
 
-    def _at(self, k, xp):
+    def _at(self, k):
         return self.zeta / k ** (1.0 - self.theta / 2.0)
 
 
@@ -132,7 +133,7 @@ class StronglyConvexHarmonic:
             if not (v > 0.0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
 
-    def _at(self, k, xp):
+    def _at(self, k):
         return 2.0 / (self.sigma * self.beta * self.big_theta * k)
 
 
@@ -153,15 +154,13 @@ class ExplicitTable:
         if np.any(np.diff(arr) > 0.0):
             raise ConfigError("gamma table must be non-increasing")
 
-    def _at(self, k, xp):
-        last = k if xp is math else len(k)
+    def _at(self, k):
+        last = int(k.max())
         if last > len(self.values):
             raise ValueError(
                 f"gamma table has {len(self.values)} entries, index {last} is out of range"
             )
-        if xp is math:
-            return self.values[k - 1]
-        return np.asarray(self.values[:last], dtype=np.float64)
+        return np.asarray(self.values)[k.astype(np.intp) - 1]
 
 
 GammaSequence = Union[SqrtInverse, PowerInverse, StronglyConvexHarmonic, ExplicitTable]
@@ -177,17 +176,17 @@ _GAMMA_TYPES = tuple(_GAMMA_KINDS.values())
 
 
 def gamma_value(seq: GammaSequence, k: int) -> float:
-    """gamma_k for 1-based k, in Python float arithmetic."""
+    """gamma_k for 1-based k, with the bits of gamma_values(seq, n)[k - 1]."""
     if k < 1:
         raise ValueError(f"gamma index must be >= 1, got {k}")
-    return _sequence(seq)._at(k, math)
+    return _sequence(seq)._at(np.array([k], dtype=np.float64)).item()
 
 
 def gamma_values(seq: GammaSequence, n: int) -> np.ndarray:
     """Vectorized [gamma_1, ..., gamma_n]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _sequence(seq)._at(np.arange(1, n + 1, dtype=np.float64), np)
+    return _sequence(seq)._at(np.arange(1, n + 1, dtype=np.float64))
 
 
 def _sequence(seq) -> GammaSequence:

@@ -32,9 +32,7 @@ __all__ = [
     "MaxAffineInstance",
     "FermatWeberInstance",
     "Instance",
-    "max_affine_eval",
     "max_affine_value",
-    "fermat_weber_eval",
     "fermat_weber_value",
     "plant_optimum_max_affine",
     "gen_max_affine",
@@ -239,11 +237,14 @@ class FermatWeberInstance:
             raise ValueError(
                 f"weights must have shape ({anchors.shape[0]},), got {weights.shape}"
             )
-        if not np.all(np.isfinite(anchors)):
+        # per-column extrema: NaN propagates through them, and the anchors
+        # coincide exactly when each column's least entry is its greatest
+        lo, hi = anchors.min(axis=0), anchors.max(axis=0)
+        if not (math.isfinite(lo.min()) and math.isfinite(hi.max())):
             raise ValueError("anchors must be finite")
-        if not (np.all(np.isfinite(weights)) and np.all(weights > 0.0)):
+        if not (weights.min() > 0.0 and math.isfinite(weights.max())):
             raise ValueError("weights must be positive and finite")
-        if anchors.shape[0] > 1 and np.allclose(anchors, anchors[0], atol=0.0):
+        if anchors.shape[0] > 1 and np.array_equal(lo, hi):
             raise ValueError("anchors must not all coincide")
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "weights", weights)
@@ -268,25 +269,9 @@ def max_affine_value(inst: MaxAffineInstance, x: np.ndarray) -> float:
     return float(_kernels.max_affine_value(inst.A, inst.b, inst.sigma, x))
 
 
-def max_affine_eval(inst: MaxAffineInstance, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and one subgradient: the gradient of the smallest-index active
-    piece, plus sigma*x when the quadratic term is present."""
-    _check_dim(inst.n, x)
-    v, g = _kernels.max_affine_eval(inst.A, inst.b, inst.sigma, x)
-    return float(v), g
-
-
 def fermat_weber_value(inst: FermatWeberInstance, x: np.ndarray) -> float:
     _check_dim(inst.n, x)
     return float(_kernels.fermat_weber_value(inst.anchors, inst.weights, x))
-
-
-def fermat_weber_eval(inst: FermatWeberInstance, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and one subgradient; terms whose anchor coincides with x
-    contribute zero (any unit-ball choice is valid there, zero is taken)."""
-    _check_dim(inst.n, x)
-    v, g = _kernels.fermat_weber_eval(inst.anchors, inst.weights, x)
-    return float(v), g
 
 
 def _check_dim(n: int, x: np.ndarray) -> None:

@@ -11,6 +11,7 @@ from nmsubgrad import (
     SolverConfig,
     SqrtInverse,
     StronglyConvexHarmonic,
+    TheoryRegimeWarning,
     audit_rate_bounds,
     audit_report_to_json,
     audit_stepwise,
@@ -60,6 +61,14 @@ def test_constants_rejects_rho_half_and_below():
         constants(rho=0.8, beta=1.0, L=1.0)
     with pytest.raises(ValueError):
         constants(rho=0.8, beta=0.9, L=0.0)
+    for c in (0.0, math.inf):
+        with pytest.raises(ValueError, match="c must be positive"):
+            constants(rho=0.8, beta=0.9, L=1.0, c=c)
+
+
+def test_constants_hold_only_theta_and_gamma_big():
+    tc = constants(rho=0.8, beta=0.9, L=1.0, c=2.0)
+    assert [f.name for f in dataclasses.fields(tc)] == ["theta", "gamma_big"]
 
 
 # ----- stepwise audit on real runs -----
@@ -206,6 +215,33 @@ def test_x_perturbation_caught_at_tight_row():
     assert audit["quasi_fejer"].status == "failed"
 
 
+def test_nan_cell_fails_its_check_as_non_finite():
+    prob, cfg, rep = _planted_run(seed=3)
+    bad = _replace_record(rep, 40, f=math.nan)
+    audit = audit_stepwise(bad, prob, cfg)
+    ch = audit["sufficient_decrease"]
+    assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", math.inf, 40)
+    assert ch.detail == "non-finite comparison"
+
+
+def test_step_row_with_ell_zero_fails_consistency():
+    prob, cfg, rep = _planted_run(seed=3)
+    bad = _replace_record(rep, 17, ell=0)
+    ch = audit_stepwise(bad, prob, cfg)["consistency"]
+    assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", math.inf, 18)
+    assert ch.detail == "step row with ell < 1"
+
+
+def test_quasi_fejer_skips_at_rho_half_and_below():
+    prob, _, _ = _planted_run()
+    cfg = SolverConfig(c=1.0, beta=0.9, rho=0.5, alpha1=0.1, max_iters=50)
+    with pytest.warns(TheoryRegimeWarning):
+        rep = solve_nonmonotone(prob, cfg)
+    audit = audit_stepwise(rep, prob, cfg)
+    assert audit.passed
+    assert (audit["quasi_fejer"].status, audit["quasi_fejer"].detail) == ("skipped", "rho <= 1/2")
+
+
 # ----- rate-bound audit -----
 
 
@@ -218,6 +254,26 @@ def test_rate_bounds_pass_on_real_run():
         assert audit[name].status == "passed", name
     assert audit["rate_compact"].status == "skipped"  # unbounded set
     assert audit["rate_strongly_convex"].status == "skipped"  # sigma = 0
+
+
+def test_rate_bounds_skip_without_x_star():
+    prob, cfg, rep = _planted_run(seed=4)
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    audit = audit_rate_bounds(rep, dataclasses.replace(prob, x_star=None), cfg, tc)
+    for name in ("rate_general", "rate_sqrt_log", "rate_tail"):
+        assert (audit[name].status, audit[name].detail) == (
+            "skipped", "needs x1 and a known optimum"), name
+
+
+def test_rate_compact_skips_a_single_step():
+    inst = plant_optimum_max_affine(0, 5, 30, spread=0.5)
+    prob = make_problem(inst, Ball(center=np.zeros(5), radius=2.0))
+    cfg = SolverConfig(gamma=SqrtInverse(1.0), max_iters=1, **PARAMS)
+    rep = solve_nonmonotone(prob, cfg)
+    assert len(rep.k) == 2
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    ch = audit_rate_bounds(rep, prob, cfg, tc)["rate_compact"]
+    assert (ch.status, ch.detail) == ("skipped", "needs at least two steps")
 
 
 def test_rate_compact_on_ball():

@@ -1,7 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nmsubgrad
 from nmsubgrad import TheoryRegimeWarning
 from nmsubgrad.cli import main
 
@@ -72,12 +76,7 @@ def test_gen_non_finite_anchor_is_exit_2(tmp_path, capsys, cell):
 @pytest.mark.parametrize("cell", _NON_FINITE_CELLS)
 def test_bench_non_finite_anchor_is_exit_2(tmp_path, capsys, cell):
     csv, named = _non_finite_anchors(tmp_path, cell)
-    path = _small_plan(tmp_path, "fermatweber")
-    with open(path) as fh:
-        plan = json.load(fh)
-    plan["configs"][0]["anchors_csv"] = str(csv)
-    with open(path, "w") as fh:
-        json.dump(plan, fh)
+    path = _plan_with(tmp_path, "fermatweber", config={"anchors_csv": str(csv)})
     assert named in _assert_usage_error(run_cli("bench", path), capsys)
     assert not os.path.exists(tmp_path / "out")
 
@@ -87,6 +86,28 @@ def test_gen_infeasible_plant_is_reported(tmp_path):
                  "--spread", "50.0", "--set", "ball", "--radius", "1.0",
                  "--out", str(tmp_path / "x.json"))
     assert rc == 2
+
+
+def test_gen_planted_maxaffine_on_a_box(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert run_cli("gen", "maxaffine", "--n", "2", "--m", "8", "--planted", "--set", "box",
+                   "--out", str(out)) == 0
+    assert json.loads(out.read_text())["set"] == {"kind": "box", "lo": [-10.0, -10.0],
+                                                  "hi": [10.0, 10.0]}
+    far = tmp_path / "far.json"
+    rc = run_cli("gen", "maxaffine", "--n", "2", "--m", "8", "--planted", "--spread", "5",
+                 "--set", "box", "--box-lo", "-1", "--box-hi", "1", "--out", str(far))
+    assert "outside the requested set" in _assert_usage_error(rc, capsys)
+    assert not far.exists()
+
+
+def test_gen_random_fermatweber(tmp_path):
+    out = tmp_path / "fw.json"
+    assert run_cli("gen", "fermatweber", "--seed", "1", "--n", "3", "--m", "5",
+                   "--out", str(out)) == 0
+    obj = json.loads(out.read_text())
+    assert obj["type"] == "fermatweber"
+    assert len(obj["anchors"]) == 5 and len(obj["anchors"][0]) == 3
 
 
 # a zero-size dimension is no instance
@@ -269,6 +290,65 @@ def test_check_out_of_range_int_cell_is_exit_2(planted_instance, tmp_path, capsy
     assert "out of range" in _assert_usage_error(rc, capsys)
 
 
+# check's stdout and report JSON (by its sha256) for one gen -> run round
+# trip per kind of trace, pinned byte for byte
+_NO_STEP_ROWS = "skipped [no line-search rows (prefixed-step trace or single-iterate run)]"
+_CHECK_OUT = {
+    "nonmonotone": """\
+consistency: passed (worst at k=1)
+step_upper_bound: passed (worst at k=182)
+step_lower_bound: passed (worst at k=185)
+sufficient_decrease: passed (worst at k=180)
+quasi_fejer: skipped [trace carries no iterates (CSV round-trip)]
+rate_general: passed (worst at k=7)
+rate_sqrt_log: passed (worst at k=1)
+rate_tail: passed (worst at k=7)
+rate_compact: passed (worst at k=7)
+rate_strongly_convex: skipped [objective is not strongly convex]
+audit passed
+""",
+    "sqrsum": "".join(f"{name}: {_NO_STEP_ROWS}\n" for name in (
+        "consistency", "step_upper_bound", "step_lower_bound", "sufficient_decrease",
+        "quasi_fejer", "rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
+        "rate_strongly_convex")) + "audit passed\n",
+}
+_CHECK_JSON_SHA256 = {
+    "nonmonotone": "fc1f2fc53dc33b0096fb63f266bcf9ebee5a7ff645464990b87715ed62983616",
+    "sqrsum": "72fd99f4e15bcd4a1ce24d4370f0c54e184e0bcbdbc58af43d21c0314c5a2ac5",
+}
+
+
+@pytest.mark.parametrize("method", _CHECK_OUT)
+def test_check_output_is_pinned(tmp_path, capsys, method):
+    inst, trace, report = (str(tmp_path / name) for name in ("inst.json", "t.csv", "a.json"))
+    assert run_cli("gen", "maxaffine", "--n", "2", "--m", "10", "--planted", "--spread", "0.05",
+                   "--active-scale", "2.0", "--set", "ball", "--radius", "1", "--out", inst) == 0
+    assert run_cli("run", inst, "--method", method, "--zeta", "1", "--iters", "200",
+                   "--out", trace) == 0
+    capsys.readouterr()
+    assert run_cli("check", trace, inst, "--out", report) == 0
+    assert capsys.readouterr().out == _CHECK_OUT[method]
+    with open(report, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == _CHECK_JSON_SHA256[method]
+
+
+def test_check_reads_a_power_inverse_trace_as_a_table(planted_instance, tmp_path, capsys):
+    config, trace = tmp_path / "pi.cfg", str(tmp_path / "t.csv")
+    config.write_text("gamma.kind = power_inverse\ngamma.zeta = 0.5\ngamma.theta = 0.5\n")
+    assert run_cli("run", planted_instance, "--config", str(config), "--iters", "200",
+                   "--out", trace) == 0
+    capsys.readouterr()
+    assert run_cli("check", trace, planted_instance) == 0
+    assert "rate_sqrt_log: skipped [gamma is not the sqrt-inverse kind]" in capsys.readouterr().out
+    # an increasing gamma column is no table: check takes 1/sqrt(k) and fails
+    _tamper(trace, 41, 5, lambda g: g * 1e6)
+    assert run_cli("check", trace, planted_instance) == 1
+    out = capsys.readouterr().out
+    assert "step_lower_bound: failed (worst at k=41)" in out
+    assert "sqrt-inverse kind" not in out
+    assert out.splitlines()[-1] == "audit FAILED"
+
+
 # exit 1 means a failed audit, so an invalid solver flag is a usage error
 @pytest.mark.parametrize("flags, named", [
     (["--rho", "0"], "rho"),
@@ -329,6 +409,46 @@ def test_bench_reruns_byte_identical(tmp_path):
     assert csv_path.read_bytes() == first
 
 
+def _plan_with(tmp_path, problem="maxaffine", config=(), **fields):
+    """_small_plan's file with fields set in the plan and config's items in
+    its one config entry."""
+    path = _small_plan(tmp_path, problem)
+    with open(path) as fh:
+        plan = json.load(fh)
+    plan["configs"][0].update(config)
+    plan.update(fields)
+    with open(path, "w") as fh:
+        json.dump(plan, fh)
+    return path
+
+
+def test_bench_anchor_file_gives_every_seed_the_same_rows(tmp_path):
+    csv = tmp_path / "anchors.csv"
+    csv.write_text("lat,lon\n" + "".join(f"{3 * i % 7},{i * i % 5}\n" for i in range(10)))
+    assert run_cli("bench", _plan_with(tmp_path, "fermatweber",
+                                       config={"anchors_csv": str(csv)})) == 0
+    lines = (tmp_path / "out" / "bench_fermatweber_n2_m10.csv").read_text().splitlines()
+    for method in ("nonmonotone", "sqrsum"):
+        rows = [line.split(",")[2:] for line in lines
+                if line.startswith(method + ",") and ",median," not in line]
+        assert len(rows) == 2 and rows[0] == rows[1], method
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"problem": "nosuch"}, "unknown problem kind 'nosuch'"),
+    ({"methods": ["nonmonotone", "bogus"]}, "unknown method 'bogus'"),
+    ({"out_dir": None}, "no output directory"),
+    ({"configs": []}, "plan has no configs"),
+    ({"config": {"seeds": []}}, "'configs'[0] has an empty seed list"),
+], ids=["problem", "method", "no_out_dir", "no_configs", "no_seeds"])
+def test_bench_plan_without_work_is_exit_2(tmp_path, capsys, monkeypatch, fields, named):
+    path = _plan_with(tmp_path, **fields)
+    monkeypatch.chdir(tmp_path)  # where anything written without out_dir would land
+    before = sorted(os.listdir(tmp_path))
+    assert named in _assert_usage_error(run_cli("bench", path), capsys)
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_bench_missing_plan_is_exit_2(tmp_path):
     assert run_cli("bench", str(tmp_path / "none.json")) == 2
 
@@ -342,6 +462,19 @@ def test_unknown_subcommand_is_exit_2():
 
 def test_no_arguments_is_exit_2():
     assert run_cli() == 2
+
+
+def test_module_runs_as_a_script(tmp_path):
+    src = os.path.dirname(os.path.dirname(nmsubgrad.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "inst.json"
+    for argv, code in ((["--n", "2"], 0), (["--n", "0"], 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nmsubgrad.cli", "gen", "maxaffine", *argv, "--m", "4",
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+    assert json.loads(out.read_text())["type"] == "maxaffine"
 
 
 # ----- malformed input files: one error line, exit 2 -----

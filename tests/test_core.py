@@ -118,6 +118,32 @@ def test_gamma_values_vector_matches_scalar():
         assert vec[k - 1] == pytest.approx(gamma_value(seq, k), rel=1e-15)
 
 
+_KINDS = (SqrtInverse(0.7), PowerInverse(1.7, 0.3), StronglyConvexHarmonic(2.0, 0.8, 0.4),
+          ExplicitTable(tuple(1.0 / k for k in range(1, 334))))
+
+
+# one arithmetic: a single value has the bits of its entry in every table
+@pytest.mark.parametrize("seq", _KINDS, ids=lambda seq: type(seq).__name__)
+def test_gamma_value_has_the_bits_of_gamma_values(seq):
+    for n in (1, 2, 7, 64, 333):
+        assert [gamma_value(seq, k) for k in range(1, n + 1)] == gamma_values(seq, n).tolist()
+
+
+@given(zeta=st.floats(1e-3, 1e3), theta=st.floats(0.01, 0.99),
+       n=st.integers(1, 300), data=st.data())
+def test_power_inverse_value_has_the_bits_of_its_table_entry(zeta, theta, n, data):
+    seq = PowerInverse(zeta, theta)
+    k = data.draw(st.integers(1, n))
+    assert gamma_value(seq, k) == gamma_values(seq, n)[k - 1]
+
+
+def test_gamma_values_rejects_empty_table_and_non_sequence():
+    with pytest.raises(ValueError, match="n >= 1"):
+        gamma_values(SqrtInverse(), 0)
+    with pytest.raises(TypeError, match="not a gamma sequence"):
+        gamma_values(0.5, 3)
+
+
 # ----- explicit tables -----
 
 
@@ -146,6 +172,9 @@ def test_gamma_param_validation():
         SqrtInverse(0.0)
     with pytest.raises(ConfigError):
         PowerInverse(1.0, 1.0)
+    for zeta in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="zeta"):
+            PowerInverse(zeta, 0.5)
     with pytest.raises(ConfigError):
         StronglyConvexHarmonic(1.0, 0.9, 0.0)
 
@@ -219,6 +248,16 @@ def test_validate_config_collects_every_violation():
     msg = str(err.value)
     for field in ("c ", "beta", "rho", "alpha1", "max_iters"):
         assert field in msg
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"backtrack_cap": 0}, "backtrack_cap"),
+    ({"backtrack_cap": 2.0}, "backtrack_cap"),
+    ({"gamma": 0.5}, "gamma is not a recognized sequence"),
+], ids=["cap_zero", "cap_float", "gamma_number"])
+def test_config_rejects_backtrack_cap_and_gamma(changes, named):
+    with pytest.raises(ConfigError, match=named):
+        SolverConfig(**changes)
 
 
 # ----- config serialization -----
@@ -416,6 +455,9 @@ def test_package_all_is_the_modules_lists():
     assert set(names) == {"BACKEND"}.union(*(m.__all__ for m in modules))
     # the package exports the problems wrappers, not the raw kernels
     assert nmsubgrad.max_affine_value is problems.max_affine_value
+    # subgradients come from a problem's eval; there is no wrapper for them
+    assert not hasattr(nmsubgrad, "max_affine_eval")
+    assert not hasattr(nmsubgrad, "fermat_weber_eval")
 
 
 # ----- run reports -----

@@ -160,6 +160,16 @@ def test_zero_subgradient_is_callers_problem():
         )
 
 
+def test_overflowed_subgradient_norm_raises_oracle_error():
+    # the caller's ||s_k||^2 of s_k = [1e200] overflows to inf
+    with pytest.raises(OracleError, match="subgradient norm overflowed"):
+        nonmonotone_backtrack(
+            _linear_value, _identity_projector,
+            x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1e200]), snorm_sq=math.inf,
+            alpha_k=0.1, gamma_k=0.1, cfg=CFG, ladder=beta_ladder(CFG),
+        )
+
+
 def test_nan_objective_raises_oracle_error():
     def bad_value(x):
         return math.nan

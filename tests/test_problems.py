@@ -24,7 +24,6 @@ from nmsubgrad import (
     lipschitz_bound,
     load_instance,
     make_problem,
-    max_affine_eval,
     max_affine_value,
     plant_optimum_max_affine,
     project,
@@ -51,6 +50,11 @@ def test_box_rejects_crossed_bounds():
         Box(lo=np.array([0.0, 1.0]), hi=np.array([1.0, 0.5]))
 
 
+def test_box_rejects_mismatched_bounds():
+    with pytest.raises(ValueError, match="share a shape"):
+        Box(lo=np.zeros(2), hi=np.ones(3))
+
+
 def test_ball_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         Ball(center=np.zeros(2), radius=0.0)
@@ -67,6 +71,12 @@ def test_project_and_contains_per_kind():
     assert np.linalg.norm(p) == pytest.approx(1.0, rel=1e-12)
     assert contains(ball, p)
     assert not contains(ball, y)
+
+
+def test_set_functions_reject_a_non_set():
+    for fn in (project, contains):
+        with pytest.raises(TypeError, match="not a set descriptor"):
+            fn(object(), np.zeros(2))
 
 
 def test_diameter_and_radius_bounds():
@@ -88,9 +98,51 @@ def test_max_affine_rejects_mismatched_offsets():
         MaxAffineInstance(A=np.eye(2), b=np.zeros(3))
 
 
+def test_max_affine_rejects_bad_sigma_and_plant():
+    A, b = np.array([[1.0], [-1.0]]), np.zeros(2)
+    with pytest.raises(ValueError, match="sigma"):
+        MaxAffineInstance(A=A, b=b, sigma=-1.0)
+    with pytest.raises(ValueError, match="x_star dimension"):
+        MaxAffineInstance(A=A, b=b, x_star=np.zeros(2), f_star=0.0)
+    # f(0) = 0 = f_star, but the one active piece has gradient 2
+    with pytest.raises(ValueError, match="certificate fails"):
+        MaxAffineInstance(A=np.array([[2.0], [-1.0]]), b=np.array([0.0, -1.0]),
+                          x_star=np.zeros(1), f_star=0.0)
+    with pytest.raises(ValueError, match="no planted optimum"):
+        planted_certificate_residual(MaxAffineInstance(A=A, b=b))
+
+
+def test_instance_sizes_and_point_shape():
+    inst = MaxAffineInstance(A=np.zeros((3, 2)), b=np.zeros(3))
+    assert (inst.m, inst.n) == (3, 2)
+    with pytest.raises(ValueError, match=r"instance expects \(2,\)"):
+        max_affine_value(inst, np.zeros(3))
+    fw = FermatWeberInstance(anchors=np.eye(3)[:, :2], weights=np.ones(3))
+    assert (fw.m, fw.n) == (3, 2)
+
+
 def test_fermat_weber_rejects_nonpositive_weights():
     with pytest.raises(ValueError):
         FermatWeberInstance(anchors=np.eye(2), weights=np.array([1.0, 0.0]))
+
+
+def test_fermat_weber_rejects_bad_weights_shape_and_non_finite_anchors():
+    with pytest.raises(ValueError, match="weights must have shape"):
+        FermatWeberInstance(anchors=np.eye(2), weights=np.ones(3))
+    for bad in (math.nan, math.inf, -math.inf):
+        anchors = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+        anchors[-1, -1] = bad
+        with pytest.raises(ValueError, match="anchors must be finite"):
+            FermatWeberInstance(anchors=anchors, weights=np.ones(3))
+
+
+# coincidence is exact: anchors 1 apart at 1e6 differ by only 1e-6 relative
+def test_fermat_weber_coincidence_is_exact():
+    with pytest.raises(ValueError, match="must not all coincide"):
+        FermatWeberInstance(anchors=np.full((3, 2), 1e6), weights=np.ones(3))
+    inst = FermatWeberInstance(anchors=np.array([[1e6, 0.0], [1e6 + 1.0, 0.0]]),
+                               weights=np.ones(2))
+    assert inst.m == 2
 
 
 def test_max_affine_rejects_inconsistent_plant():
@@ -161,6 +213,10 @@ def test_planted_rejects_bad_arguments():
         plant_optimum_max_affine(0, 2, 10, spread=0.0)
     with pytest.raises(ValueError):
         plant_optimum_max_affine(0, 2, 10, active_scale=-1.0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        plant_optimum_max_affine(0, 0, 10)
+    with pytest.raises(ValueError, match="sigma"):
+        plant_optimum_max_affine(0, 2, 10, sigma=-1.0)
 
 
 def test_planted_is_deterministic():
@@ -251,6 +307,15 @@ def test_max_affine_rejects_non_finite_in_last_block_or_b(bad, where):
         MaxAffineInstance(A=A, b=b)
 
 
+# beyond the weights it is handed, the check reads per-column extrema only
+def test_fermat_weber_construction_allocates_little():
+    anchors = np.asfortranarray(np.random.default_rng(0).standard_normal((70000, 3)))
+    weights = np.ones(70000)
+    peak, inst = _traced_peak(lambda: FermatWeberInstance(anchors=anchors, weights=weights))
+    assert peak < anchors.nbytes / 4
+    assert inst.anchors is anchors and inst.weights is weights
+
+
 def test_lipschitz_fermat_weber_is_weight_sum():
     inst = FermatWeberInstance(anchors=np.eye(3), weights=np.array([1.0, 2.5, 3.0]))
     assert lipschitz_bound(inst) == pytest.approx(6.5, rel=1e-15)
@@ -300,6 +365,14 @@ def test_weiszfeld_dominant_anchor_wins():
     # starting on a non-optimal anchor escapes it
     x3, _ = weiszfeld(inst, x0=np.array([1.0, 1.0]))
     assert np.linalg.norm(x3) <= 1e-9
+
+
+def test_weiszfeld_stops_at_its_iteration_budget():
+    inst = gen_fermat_weber(1, 2, 9, scale=5.0)
+    x1, f1 = weiszfeld(inst, max_iters=1)
+    x, f = weiszfeld(inst)
+    assert f1 == fermat_weber_value(inst, x1)
+    assert f < f1
 
 
 def test_weiszfeld_beats_dense_grid():
@@ -529,6 +602,12 @@ def test_read_anchor_csv_returns_or_raises_value_error(text):
 
 
 # ----- problem bundles -----
+
+
+def test_instance_functions_reject_a_non_instance():
+    for fn in (lipschitz_bound, make_problem, instance_to_obj):
+        with pytest.raises(TypeError, match="not an instance|no type name"):
+            fn(object())
 
 
 def test_make_problem_carries_certificates():

@@ -74,6 +74,11 @@ def test_rule_constant_validation():
         solve_prefixed(_abs_value_problem(), "constant", 5)
 
 
+def test_prefixed_budget_validation():
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        solve_prefixed(_abs_value_problem(), ConstantStep(0.1), 0)
+
+
 # ----- worked example: constant step oscillates around the kink -----
 
 
