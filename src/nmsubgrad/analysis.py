@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 REL_SLACK = 1e-9
+_ROW_BLOCK = 1 << 12  # iterate entries per block: the squared distances' temporary stays small
 
 PASSED = "passed"
 FAILED = "failed"
@@ -99,18 +100,22 @@ def audit_report_to_json(report: AuditReport) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _scale(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+def _normalized(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(lhs - rhs) / max(1, |lhs|, |rhs|), written over the scale built in place."""
+    scale = np.abs(lhs)
+    np.maximum(scale, np.abs(rhs), out=scale)
+    np.maximum(scale, 1.0, out=scale)
+    return np.divide(lhs - rhs, scale, out=scale)
 
 
 def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, ks: np.ndarray) -> CheckResult:
     """Check lhs_k <= rhs_k for all k; the worst normalized violation decides."""
-    viol = (lhs - rhs) / _scale(lhs, rhs)
-    bad = ~np.isfinite(viol)
-    if bad.any():  # NaN anywhere is corrupt data, report it as the failure
-        idx = int(np.argmax(bad))
+    viol = _normalized(lhs, rhs)
+    # finite entries are at most 2(1+eps), so this is finite exactly when all are
+    if not math.isfinite(viol.dot(viol)):
+        idx = int((~np.isfinite(viol)).argmax())
         return CheckResult(name, FAILED, math.inf, int(ks[idx]), "non-finite comparison")
-    idx = int(np.argmax(viol))
+    idx = int(viol.argmax())
     worst = float(viol[idx])
     status = PASSED if worst <= REL_SLACK else FAILED
     return CheckResult(name, status, worst, int(ks[idx]))
@@ -172,7 +177,8 @@ def audit_stepwise(
     K = len(report.k) - 1  # rows 1..K are steps, row K+1 is the landed iterate
     names = ["consistency", "step_upper_bound", "step_lower_bound",
              "sufficient_decrease", "quasi_fejer"]
-    if K < 1 or not np.any(report.ell[:K] >= 1):
+    # direct ufunc and method calls: numpy's Python wrappers are cold after a solve
+    if K < 1 or np.maximum.reduce(report.ell[:K]) < 1:
         why = "no line-search rows (prefixed-step trace or single-iterate run)"
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
 
@@ -184,7 +190,9 @@ def audit_stepwise(
     snorm = report.snorm[:K]
     f = report.f
 
-    derived_next = beta ** (ell - 1).astype(np.float64) * alpha
+    derived_next = alpha.copy()  # beta**0 * alpha is alpha exactly, so only
+    hop = ell != 1               # the rows past rung 1 need the power
+    derived_next[hop] = beta ** (ell[hop] - 1).astype(np.float64) * alpha[hop]
     recorded_next = report.alpha_next[:K]
     # CSV traces do not carry alpha_next/step; fall back to the derived law
     eff_next = np.where(np.isfinite(recorded_next), recorded_next, derived_next)
@@ -194,17 +202,16 @@ def audit_stepwise(
     checks: list[CheckResult] = []
 
     # consistency: the ladder law plus the alpha chain between rows
-    if np.any(ell < 1):
-        idx = int(np.argmax(ell < 1))
+    if np.minimum.reduce(ell) < 1:
+        idx = int((ell < 1).argmax())
         checks.append(CheckResult("consistency", FAILED, math.inf, int(ks[idx]),
                                   "step row with ell < 1"))
     else:
-        lhs_parts = [np.abs(eff_next - derived_next) / _scale(eff_next, derived_next)]
-        chain = report.alpha[1 : K + 1]
-        lhs_parts.append(np.abs(chain - eff_next) / _scale(chain, eff_next))
-        lhs_parts.append(np.abs(eff_step - beta * eff_next) / _scale(eff_step, beta * eff_next))
-        dev = np.vstack(lhs_parts).max(axis=0)
-        checks.append(_worst("consistency", dev, np.zeros_like(dev), ks))
+        # the largest relative deviation of the three laws (abs commutes with /scale)
+        dev = np.abs(_normalized(eff_next, derived_next))
+        for a, b in ((report.alpha[1 : K + 1], eff_next), (eff_step, beta * eff_next)):
+            np.maximum(dev, np.abs(_normalized(a, b)), out=dev)
+        checks.append(_worst("consistency", dev, np.zeros(K), ks))
 
     checks.append(_worst("step_upper_bound", eff_next, c * gamma, ks))
 
@@ -214,7 +221,7 @@ def audit_stepwise(
         unrolled = np.minimum(alpha[0], min(tc.theta, beta * c) * gamma)
         checks.append(_worst("step_lower_bound", unrolled, eff_next, ks))
 
-    decrease_rhs = f[:K] - rho * eff_step * snorm**2 + gamma
+    decrease_rhs = f[:K] - rho * eff_step * (snorm * snorm) + gamma
     checks.append(_worst("sufficient_decrease", f[1 : K + 1], decrease_rhs, ks))
 
     if report.xs is None:
@@ -224,8 +231,12 @@ def audit_stepwise(
     elif rho <= 0.5:
         checks.append(_skip("quasi_fejer", "rho <= 1/2"))
     else:
-        dist_sq = ((report.xs - problem.x_star[None, :]) ** 2).sum(axis=1)
-        rhs = dist_sq[:K] + (beta * c / rho) * gamma**2
+        rows = max(1, _ROW_BLOCK // problem.n)
+        dist_sq = np.empty(K + 1)
+        for i in range(0, K + 1, rows):
+            d = report.xs[i : i + rows] - problem.x_star
+            np.add.reduce(np.multiply(d, d, out=d), axis=1, out=dist_sq[i : i + rows])
+        rhs = dist_sq[:K] + (beta * c / rho) * (gamma * gamma)
         checks.append(_worst("quasi_fejer", dist_sq[1 : K + 1], rhs, ks))
 
     return AuditReport(checks=tuple(checks))
@@ -259,7 +270,7 @@ def audit_rate_bounds(
     K = len(report.k) - 1
     names = ["rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
              "rate_strongly_convex"]
-    if K < 1 or not np.any(report.ell[:K] >= 1):
+    if K < 1 or np.maximum.reduce(report.ell[:K]) < 1:
         why = "no line-search rows (prefixed-step trace or single-iterate run)"
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
     if tc is None:
@@ -280,8 +291,8 @@ def audit_rate_bounds(
     gap = np.minimum.accumulate(report.f[:K]) - f_star  # best gap over iterates 1..N
     Ns = np.arange(1, K + 1, dtype=np.int64)
     gamma = report.gamma
-    sum_sq = np.cumsum(gamma[:K] ** 2)
-    sum_shift = np.cumsum(gamma[1 : K + 1])
+    sum_sq = np.add.accumulate(gamma[:K] * gamma[:K])
+    sum_shift = np.add.accumulate(gamma[1 : K + 1])
 
     checks: list[CheckResult] = []
 

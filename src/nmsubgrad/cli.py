@@ -104,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument("--out", required=True)
 
     gf = gsub.add_parser("fermatweber", help="weighted-distance-sum instance")
-    gf.add_argument("--seed", type=int, default=0)
-    gf.add_argument("--n", type=int, default=2)
-    gf.add_argument("--m", type=int, default=27)
+    gf.add_argument("--seed", type=int, default=None, help="default 0")
+    gf.add_argument("--n", type=int, default=None, help="default 2, or the csv width")
+    gf.add_argument("--m", type=int, default=None, help="default 27")
     gf.add_argument("--scale", type=float, default=None)
     gf.add_argument("--from-csv", default=None,
                     help="read anchors from lat,lon rows (integer parts, sign-flipped)")
@@ -191,14 +191,17 @@ def cmd_gen(args) -> int:
         save_instance(args.out, inst, cset)
     else:
         if args.from_csv is not None:
+            if _given(args, ("m", "seed", "scale")):
+                raise ConfigError("--m, --seed and --scale do not apply to --from-csv")
             anchors = read_anchor_csv(args.from_csv)
-            if args.n != anchors.shape[1] and args.n != 2:
+            if args.n not in (None, anchors.shape[1]):
                 raise ConfigError(
                     f"--n {args.n} conflicts with csv width {anchors.shape[1]}"
                 )
             inst = FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
         else:
-            inst = gen_fermat_weber(args.seed, args.n, args.m, **_given(args, ("scale",)))
+            inst = gen_fermat_weber(**{"seed": 0, "n": 2, "m": 27,
+                                       **_given(args, ("seed", "n", "m", "scale"))})
         cset = _build_set(args, inst.n)
         save_instance(args.out, inst, cset)
     print(args.out)

@@ -232,6 +232,19 @@ def check_sum_lemmas(a: float, d: float, N: int) -> tuple[bool, bool | None]:
     return bool(ok1), bool(ok2)
 
 
+def worst_ref(lhs, rhs) -> tuple[float, int]:
+    """The audit's comparison of lhs_i <= rhs_i, element by element in
+    Python floats: the largest (lhs_i - rhs_i) / max(1, |lhs_i|, |rhs_i|)
+    and its first position, or (inf, i) for the first i whose normalized
+    violation is not finite."""
+    viol = [(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(map(float, lhs), map(float, rhs))]
+    for i, v in enumerate(viol):
+        if not math.isfinite(v):
+            return math.inf, i
+    i = max(range(len(viol)), key=viol.__getitem__)
+    return viol[i], i
+
+
 def build_report(records: list[IterationRecord], termination: str):
     """A RunReport from IterationRecord rows, through the package's column
     constructor; if any row has no iterate, the report has none."""

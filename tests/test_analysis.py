@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nmsubgrad import (
     Ball,
@@ -16,14 +19,25 @@ from nmsubgrad import (
     audit_report_to_json,
     audit_stepwise,
     constants,
+    gamma_value,
     lipschitz_bound,
     make_problem,
     merge_reports,
     plant_optimum_max_affine,
+    read_trace_csv,
     solve_nonmonotone,
     solve_prefixed,
+    write_trace_csv,
 )
-from oracles import build_report, check_sum_lemmas, sum_lemma_sides_ref, sum_lemma_sweep
+from nmsubgrad.analysis import REL_SLACK, CheckResult, _worst
+from conftest import ITERS, _benchmark_configs
+from oracles import (
+    build_report,
+    check_sum_lemmas,
+    sum_lemma_sides_ref,
+    sum_lemma_sweep,
+    worst_ref,
+)
 
 PARAMS = dict(c=1.0, beta=0.9, rho=0.8, alpha1=0.1)
 
@@ -339,6 +353,167 @@ def test_report_lookup_and_merge():
     assert '"passed"' in text and '"consistency"' in text
 
 
+# ----- the comparison every check makes -----
+
+
+# at the first non-finite comparison, whichever side and sign, the check
+# fails there; a larger finite violation earlier does not hide it
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_worst_reports_the_first_non_finite_comparison(side, bad):
+    lhs = np.array([0.0, 5.0, 1.0, 2.0, 3.0])
+    rhs = np.zeros(5)
+    (lhs if side == "lhs" else rhs)[[2, 4]] = bad
+    with np.errstate(invalid="ignore"):
+        ch = _worst("check", lhs, rhs, np.arange(10, 15))
+    assert ch == CheckResult("check", "failed", math.inf, 12, "non-finite comparison")
+
+
+def test_worst_reports_an_overflowing_difference_as_non_finite():
+    lhs = np.array([0.0, 5.0, 1e308, -1e308])
+    rhs = np.array([0.0, 0.0, -1e308, 1e308])
+    with np.errstate(over="ignore"):
+        ch = _worst("check", lhs, rhs, np.arange(1, 5))
+    assert ch == CheckResult("check", "failed", math.inf, 3, "non-finite comparison")
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1e-9, 1e308, -1e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=40))
+@example([(1e308, -1e308)])
+@example([(0.0, 0.0), (-0.0, 0.0), (1.0 + 1e-9, 1.0)])
+def test_worst_matches_the_elementwise_reference(pairs):
+    lhs = np.array([a for a, _ in pairs])
+    rhs = np.array([b for _, b in pairs])
+    worst, i = worst_ref(lhs, rhs)
+    with np.errstate(all="ignore"):
+        ch = _worst("check", lhs, rhs, np.arange(1, len(pairs) + 1))
+    status = "passed" if worst <= REL_SLACK else "failed"
+    assert (ch.status, repr(ch.worst_violation), ch.worst_index) == (status, repr(worst), i + 1)
+    assert ch.detail == ("non-finite comparison" if worst == math.inf else "")
+
+
+# the squared distances stream over row blocks of 2^12 entries: one block,
+# several, and rows wider than a block give the plain expression's bits
+@pytest.mark.parametrize("n, iters", [(3, 20), (10, 1000), (4100, 3)])
+def test_quasi_fejer_has_the_bits_of_the_plain_distances(n, iters):
+    A = np.zeros((2, n))
+    A[:, 0] = [1.0, -1.0]  # f = |x_1|, minimized at 0
+    inst = MaxAffineInstance(A=A, b=np.zeros(2), x_star=np.zeros(n), f_star=0.0)
+    prob = make_problem(inst)
+    cfg = SolverConfig(gamma=SqrtInverse(0.5), max_iters=iters, **PARAMS)
+    rep = solve_nonmonotone(prob, cfg, x0=np.random.default_rng(n).standard_normal(n))
+    K = len(rep.k) - 1
+    dist_sq = ((rep.xs - inst.x_star[None, :]) ** 2).sum(axis=1)
+    rhs = dist_sq[:K] + (cfg.beta * cfg.c / cfg.rho) * rep.gamma[:K] ** 2
+    expected = _worst("quasi_fejer", dist_sq[1:], rhs, rep.k[:K])
+    assert audit_stepwise(rep, prob, cfg)["quasi_fejer"] == expected
+
+
+# ----- golden audit reports -----
+#
+# sha256 of audit_report_to_json(merge of both audits) per case, recorded
+# before the audit's array passes were reworked. The JSON writes every float
+# with its shortest round-trip repr, so any changed bit of a worst_violation,
+# and any changed status, index or detail, changes the digest.
+
+GOLDEN_AUDITS = {
+    "fixture-n2-seed0":
+        "e0d44501c65c0030af7f78f688c868f808747ce24f32a927e6406b8f8d59a96b",
+    "fixture-n2-seed1":
+        "aef059b1cb29608c8b36106ca5f19be3d0132427c0c1ccad835f19fa02d578fb",
+    "fixture-n5-seed0":
+        "66c430c0fc98ea6aa233802c22cdc3807f8b1b7679b16bcdeb0a3eef2af5f04b",
+    "fixture-n5-seed1":
+        "9919c2bbe9d4307cf91e5dbf2f134f44265680c4f74f5600d8cfc61b77b57f17",
+    "fixture-n10-seed0":
+        "36a1eb580061e87b215f1289076298008e541420f5f1b05e215f636e3ef2ba00",
+    "fixture-n10-seed1":
+        "24231376dddc784193f88ff5c41f6c2dad927d914c011e3285cb52b04afade67",
+    "ball-n10":
+        "a831f67eed538e9bfce40b9ac48a34fd5304a9a46617e8f243460a5829a48a66",
+    "strongly-convex-ball":
+        "11a9c1cc1671e1fdbf712ac55a86aae887ba9610e915d5f110862a35069fea60",
+    "csv-round-trip-n10":
+        "0e7baa42a1ba58a0d87015b1aa7a7bbb7037f9211ee7c81d06e8c34a545019b8",
+    "nan-f":
+        "d6258b15bfc82fa86f1b8018dd80749401ae4e99968fed473fdc1371ceb7ed6b",
+    "inflated-alpha":
+        "c72f8071eaf870486a4ee0d32975f7a705ed98f14f7183d38b53f78fdf4b52e4",
+    "ell-zero":
+        "90ce5dcd489606a72bff1c2f581034c6ead51611805766b18b82f6aa202c49ea",
+    "inf-snorm":
+        "6eb8f28724eea02f5e9908ed37891159e0199de2e6e6c840dde34f0b62d853eb",
+}
+
+
+def _tampered(report, column, row, value):
+    col = getattr(report, column).copy()
+    col[row] = value
+    return dataclasses.replace(report, **{column: col})
+
+
+def _audit_json(report, prob, cfg, x1=None):
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    return audit_report_to_json(merge_reports(
+        audit_stepwise(report, prob, cfg, tc),
+        audit_rate_bounds(report, prob, cfg, tc, x1=x1),
+    ))
+
+
+@pytest.fixture(scope="module")
+def golden_audit_json(tmp_path_factory):
+    out = {}
+    runs = {}
+    for n, m, zeta, spread, scale in _benchmark_configs():
+        for seed in (0, 1):
+            prob = make_problem(plant_optimum_max_affine(seed, n, m, spread=spread,
+                                                         active_scale=scale))
+            cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=0.1, gamma=SqrtInverse(zeta),
+                               max_iters=ITERS, seed=seed)
+            rep = solve_nonmonotone(prob, cfg)
+            runs[n, seed] = prob, cfg, rep
+            out[f"fixture-n{n}-seed{seed}"] = _audit_json(rep, prob, cfg)
+
+    prob = make_problem(plant_optimum_max_affine(0, 10, 40, spread=0.5),
+                        Ball(center=np.zeros(10), radius=2.0))
+    cfg = SolverConfig(gamma=SqrtInverse(1.0), max_iters=1000, **PARAMS)
+    out["ball-n10"] = _audit_json(solve_nonmonotone(prob, cfg), prob, cfg)
+
+    prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5, sigma=1.0),
+                        Ball(center=np.zeros(5), radius=2.0))
+    seq = StronglyConvexHarmonic(sigma=1.0, beta=0.9, big_theta=constants(0.8, 0.9, prob.L).theta)
+    cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=gamma_value(seq, 1), gamma=seq,
+                       max_iters=300)
+    out["strongly-convex-ball"] = _audit_json(solve_nonmonotone(prob, cfg), prob, cfg)
+
+    prob, cfg, rep = runs[10, 0]
+    path = str(tmp_path_factory.mktemp("golden") / "trace.csv")
+    write_trace_csv(rep, path, prob.f_star)
+    out["csv-round-trip-n10"] = _audit_json(read_trace_csv(path)[0], prob, cfg,
+                                            x1=np.zeros(prob.n))
+
+    bad = {
+        "nan-f": _tampered(rep, "f", 40, math.nan),
+        "inflated-alpha": _tampered(rep, "alpha", 17, rep.alpha[17] * (1 + 1e-3)),
+        "ell-zero": _tampered(rep, "ell", 17, 0),
+        "inf-snorm": _tampered(rep, "snorm", 40, math.inf),
+    }
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, report in bad.items():
+            out[name] = _audit_json(report, prob, cfg)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_AUDITS))
+def test_audit_report_is_pinned(golden_audit_json, case):
+    digest = hashlib.sha256(golden_audit_json[case].encode()).hexdigest()
+    assert digest == GOLDEN_AUDITS[case]
+
+
 # ----- summation lemmas -----
 
 
@@ -356,8 +531,6 @@ def test_sum_lemmas_validation():
 
 
 def test_sum_lemma_sides_match_reference():
-    from nmsubgrad.analysis import REL_SLACK
-
     for a, d, N in [(1.0, 0.0, 10), (0.1, 10.0, 57), (10.0, 0.1, 333)]:
         lhs1, rhs1, lhs2, rhs2 = sum_lemma_sides_ref(a, d, N)
         ok1, ok2 = check_sum_lemmas(a, d, N)

@@ -54,6 +54,42 @@ def test_gen_from_csv_dimension_mismatch_is_usage_error(tmp_path):
     assert rc == 2
 
 
+_THREE_COLUMNS = "lat,lon,alt\n12.9,38.5,1.5\n3.1,60.0,-2.2\n15.8,47.9,0.4\n"
+
+
+# with --from-csv the file sets the anchors, so --m, --seed and --scale are
+# meaningless and --n may only repeat the file's width, even when it is 2
+@pytest.mark.parametrize("flags", [("--n", "2"), ("--n", "3", "--m", "5", "--seed", "9",
+                                                  "--scale", "2"),
+                                   ("--m", "27"), ("--seed", "0"), ("--scale", "1")],
+                         ids=["n_default_value", "all_four", "m", "seed", "scale"])
+def test_gen_from_csv_rejects_generator_flags(tmp_path, capsys, flags):
+    csv = tmp_path / "anchors.csv"
+    csv.write_text(_THREE_COLUMNS)
+    out = tmp_path / "fw.json"
+    rc = run_cli("gen", "fermatweber", "--from-csv", str(csv), *flags, "--out", str(out))
+    assert _assert_usage_error(rc, capsys).startswith("error: --")
+    assert not out.exists()
+
+
+# sha256 of the instance file, recorded before the flags' defaults moved
+@pytest.mark.parametrize("flags, digest", [
+    (("--from-csv", "CSV"),
+     "c139a9146fa698178c273badd55495ee7efac23dcac3e873e61574a042100ef0"),
+    (("--from-csv", "CSV", "--n", "3"),
+     "c139a9146fa698178c273badd55495ee7efac23dcac3e873e61574a042100ef0"),
+    ((),
+     "70af898f0d74182ff15e3bdd5f6bcc18132308c7a1882702b74ed1c2dc441550"),
+], ids=["from_csv", "from_csv_matching_n", "no_csv_defaults"])
+def test_gen_fermatweber_output_is_pinned(tmp_path, flags, digest):
+    csv = tmp_path / "anchors.csv"
+    csv.write_text(_THREE_COLUMNS)
+    out = tmp_path / "fw.json"
+    argv = [str(csv) if a == "CSV" else a for a in flags]
+    assert run_cli("gen", "fermatweber", *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 _NON_FINITE_CELLS = ["inf", "-inf", "nan", "1e400"]
 
 

@@ -104,6 +104,9 @@ def test_max_affine_rejects_bad_sigma_and_plant():
         MaxAffineInstance(A=A, b=b, sigma=-1.0)
     with pytest.raises(ValueError, match="x_star dimension"):
         MaxAffineInstance(A=A, b=b, x_star=np.zeros(2), f_star=0.0)
+    for half in ({"x_star": np.zeros(1)}, {"f_star": 0.0}):
+        with pytest.raises(ValueError, match="planted together"):
+            MaxAffineInstance(A=A, b=b, **half)
     # f(0) = 0 = f_star, but the one active piece has gradient 2
     with pytest.raises(ValueError, match="certificate fails"):
         MaxAffineInstance(A=np.array([[2.0], [-1.0]]), b=np.array([0.0, -1.0]),
