@@ -137,6 +137,7 @@ def _lower_bound_regime(report: RunReport, cfg: SolverConfig, tc: TheoryConstant
 # ----- stepwise audit -----
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite row is a failed check
 def audit_stepwise(
     report: RunReport,
     problem: ProblemSpec,
@@ -245,6 +246,7 @@ def audit_stepwise(
 # ----- rate-bound audit -----
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite row is a failed check
 def audit_rate_bounds(
     report: RunReport,
     problem: ProblemSpec,

@@ -2,7 +2,8 @@
 
 Subcommands: gen (write an instance file), run (solve one instance, write a
 trace and a summary), bench (run a plan of configs x methods x seeds, write
-per-config tables), check (audit a trace against its instance).
+per-config tables), check (audit a trace against its instance, under the
+config that the summary beside the trace records).
 
 Exit codes: 0 success, 1 at least one audit check failed, 2 usage or input
 errors, an input too large to allocate among them. All outputs are deterministic for fixed inputs and written atomically.
@@ -30,9 +31,9 @@ from .core import (
     ConfigError,
     SolverConfig,
     SqrtInverse,
-    ExplicitTable,
     _NUMBER_FIELDS,
     _config_from_items,
+    _config_items,
     _json_value,
     _read_fields,
     config_from_keyvalues,
@@ -61,7 +62,6 @@ from .solver import (
     SquareSummable,
     _check_rule,
     _start_point,
-    _trace_columns,
     read_trace_csv,
     solve_nonmonotone,
     solve_prefixed,
@@ -129,22 +129,21 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--config", default=None,
                    help="JSON or key=value config file; explicit flags override it")
     r.add_argument("--out", required=True, help="trace path; summary lands beside it")
-    r.add_argument("--format", choices=("csv", "json"), default="csv")
 
     b = sub.add_parser("bench", help="run a benchmark plan")
     b.set_defaults(handler=cmd_bench)
     b.add_argument("plan")
     b.add_argument("--out-dir", default=None, help="overrides the plan's out_dir")
 
-    k = sub.add_parser("check", help="audit a trace against its instance")
+    k = sub.add_parser("check", help="audit a trace against its instance, under the config "
+                                     "its summary records; explicit flags override it")
     k.set_defaults(handler=cmd_check)
     k.add_argument("trace")
     k.add_argument("instance")
     k.add_argument("--c", type=float, default=None)
     k.add_argument("--beta", type=float, default=None)
     k.add_argument("--rho", type=float, default=None)
-    k.add_argument("--zeta", type=float, default=None,
-                   help="declare gamma_k = zeta/sqrt(k); inferred from the trace otherwise")
+    k.add_argument("--zeta", type=float, default=None, help="gamma_k = zeta/sqrt(k)")
     k.add_argument("--out", default=None, help="write the audit report JSON here")
     return p
 
@@ -222,7 +221,13 @@ def _run_config(args) -> SolverConfig:
             base = _config_from_items(_json_value(text, f"config file {args.config!r}"))
         else:
             base = config_from_keyvalues(text)
-    given = _given(args, ("c", "beta", "rho", "alpha1", "max_iters", "backtrack_cap"))
+    return _override(base, args, ("c", "beta", "rho", "alpha1", "max_iters", "backtrack_cap"))
+
+
+def _override(base: SolverConfig, args, names) -> SolverConfig:
+    """base with the flags among names, and --zeta, that the command line
+    gives in place of its fields."""
+    given = _given(args, names)
     if args.zeta is not None:
         given["gamma"] = SqrtInverse(zeta=args.zeta)
     return dataclasses.replace(base, **given)
@@ -246,11 +251,9 @@ def cmd_run(args) -> int:
     else:
         report = solve_prefixed(problem, _make_rule(args.method, args.step_const), cfg.max_iters)
     f_star = problem.f_star
-    if args.format == "csv":
-        write_trace_csv(report, args.out, f_star=f_star)
-    else:
-        _write_trace_json(report, args.out, f_star=f_star)
+    write_trace_csv(report, args.out, f_star=f_star)
     summary = {
+        "config": _config_items(cfg),
         "method": args.method,
         "f_best": report.f_best,
         "it_best": report.it_best,
@@ -270,12 +273,6 @@ def cmd_run(args) -> int:
 def _summary_path(out: str) -> str:
     root, _ = os.path.splitext(out)
     return root + ".summary.json"
-
-
-def _write_trace_json(report, path: str, f_star=None) -> None:
-    cols = _trace_columns(report, f_star)
-    objs = [dict(zip(cols, row)) for row in zip(*cols.values())]
-    _atomic_write(path, json.dumps(objs, sort_keys=True, indent=2) + "\n")
 
 
 # ----- bench -----
@@ -451,28 +448,29 @@ def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
 # ----- check -----
 
 
-def _infer_gamma(gammas: np.ndarray, zeta_flag: float | None):
-    if zeta_flag is not None:
-        return SqrtInverse(zeta=zeta_flag)
-    finite = gammas[np.isfinite(gammas)]
-    if finite.size == 0:
-        return SqrtInverse()
-    k = np.arange(1, len(gammas) + 1, dtype=np.float64)
-    z = gammas * np.sqrt(k)
-    if np.all(np.isfinite(z)) and np.ptp(z) <= 1e-9 * max(1.0, abs(float(z[0]))):
-        return SqrtInverse(zeta=float(gammas[0]))
-    try:
-        return ExplicitTable(values=tuple(float(g) for g in gammas))
-    except ConfigError:
-        return SqrtInverse()  # corrupt gammas; the audits will flag them
+def _audit_config(args) -> SolverConfig:
+    """The config the summary beside the trace records, or the defaults when
+    there is none, with the check's flags in place of its fields."""
+    base = SolverConfig()
+    spath = _summary_path(args.trace)
+    if os.path.exists(spath):
+        what = f"summary file {spath!r}"
+        with open(spath, "r", encoding="utf-8") as fh:
+            summary = _json_value(fh.read(), what)
+        if not isinstance(summary, dict):
+            raise ConfigError(f"{what} must be a JSON object, got {type(summary).__name__}")
+        try:
+            base = _config_from_items(summary.get("config", {}))
+        except ConfigError as exc:
+            raise ConfigError(f"{what}: {exc}") from None
+    return _override(base, args, ("c", "beta", "rho"))
 
 
 def cmd_check(args) -> int:
     report, _ = read_trace_csv(args.trace)
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
-    cfg = SolverConfig(**_given(args, ("c", "beta", "rho")),
-                       gamma=_infer_gamma(report.gamma, args.zeta))
+    cfg = _audit_config(args)
     tc = None
     if problem.L is not None and 0.5 < cfg.rho < 1.0:
         tc = constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
@@ -482,7 +480,7 @@ def cmd_check(args) -> int:
     )
     for ch in merged.checks:
         loc = f" (worst at k={ch.worst_index})" if ch.worst_index is not None else ""
-        why = f" [{ch.detail}]" if ch.status == "skipped" and ch.detail else ""
+        why = f" [{ch.detail}]" if ch.detail else ""
         print(f"{ch.name}: {ch.status}{loc}{why}")
     if args.out:
         _atomic_write(args.out, audit_report_to_json(merged) + "\n")

@@ -216,22 +216,19 @@ _COLUMNS = tuple(c for c in _GAP_COLUMNS if c != "fbest_gap")
 _INT_COLUMNS = ("k", "ell")
 
 
-def _trace_columns(report: RunReport, f_star: float | None) -> dict[str, list]:
-    """The serialized columns by name, in order, as lists of Python values.
-    Every trace writer goes through here."""
-    if f_star is None:
-        return {name: getattr(report, name).tolist() for name in _COLUMNS}
-    f_star = float(f_star)
-    best, gaps = math.inf, []
-    for v in report.f.tolist():
-        best = min(best, v)
-        gaps.append(best - f_star)
-    return {name: gaps if name == "fbest_gap" else getattr(report, name).tolist()
-            for name in _GAP_COLUMNS}
-
-
 def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -> None:
-    cols = _trace_columns(report, f_star)
+    """The trace's columns, with the best gap so far when f_star is given;
+    each cell is the repr of its float, so reading it back is exact."""
+    if f_star is None:
+        cols = {name: getattr(report, name).tolist() for name in _COLUMNS}
+    else:
+        f_star = float(f_star)
+        best, gaps = math.inf, []
+        for v in report.f.tolist():
+            best = min(best, v)
+            gaps.append(best - f_star)
+        cols = {name: gaps if name == "fbest_gap" else getattr(report, name).tolist()
+                for name in _GAP_COLUMNS}
     cells = [map(str if name in _INT_COLUMNS else repr, col) for name, col in cols.items()]
     lines = [",".join(cols)]
     lines += map(",".join, zip(*cells))

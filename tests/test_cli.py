@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import nmsubgrad
 from nmsubgrad import TheoryRegimeWarning
-from nmsubgrad.cli import main
+from nmsubgrad.cli import METHODS, main
 
 
 def run_cli(*argv):
@@ -194,17 +195,6 @@ def test_run_every_prefixed_method(planted_instance, tmp_path):
         assert summary["method"] == method
 
 
-def test_run_json_format(planted_instance, tmp_path):
-    out = str(tmp_path / "t.json")
-    rc = run_cli("run", planted_instance, "--zeta", "1.0", "--iters", "40",
-                 "--format", "json", "--out", out)
-    assert rc == 0
-    rows = json.loads(open(out).read())
-    assert isinstance(rows, list)
-    assert len(rows) == 41
-    assert {"k", "f", "alpha", "ell", "gamma", "snorm"} <= set(rows[0])
-
-
 def test_run_config_file_with_flag_override(planted_instance, tmp_path):
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as fh:
@@ -376,13 +366,97 @@ def test_check_reads_a_power_inverse_trace_as_a_table(planted_instance, tmp_path
     capsys.readouterr()
     assert run_cli("check", trace, planted_instance) == 0
     assert "rate_sqrt_log: skipped [gamma is not the sqrt-inverse kind]" in capsys.readouterr().out
-    # an increasing gamma column is no table: check takes 1/sqrt(k) and fails
+    # a bent gamma cell fails the bound; the summary still declares the kind
     _tamper(trace, 41, 5, lambda g: g * 1e6)
     assert run_cli("check", trace, planted_instance) == 1
     out = capsys.readouterr().out
     assert "step_lower_bound: failed (worst at k=41)" in out
-    assert "sqrt-inverse kind" not in out
+    assert "rate_sqrt_log: skipped [gamma is not the sqrt-inverse kind]" in out
     assert out.splitlines()[-1] == "audit FAILED"
+
+
+# a run away from every default, checked with no flags: the summary beside
+# the trace gives check the run's config
+_OFF_DEFAULT = ("--c", "0.5", "--beta", "0.5", "--rho", "0.7", "--alpha1", "0.3", "--zeta", "0.7")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_check_reads_the_run_config_from_the_summary(planted_instance, tmp_path, capsys, method):
+    trace = str(tmp_path / "t.csv")
+    assert run_cli("run", planted_instance, "--method", method, *_OFF_DEFAULT,
+                   "--iters", "300", "--out", trace) == 0
+    summary = json.loads((tmp_path / "t.summary.json").read_text())
+    assert summary["config"]["rho"] == 0.7 and summary["config"]["gamma.zeta"] == 0.7
+    capsys.readouterr()
+    assert run_cli("check", trace, planted_instance) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "audit passed"
+
+
+def test_check_bends_of_an_off_default_run_still_fail(planted_instance, tmp_path, capsys):
+    trace = str(tmp_path / "t.csv")
+    assert run_cli("run", planted_instance, *_OFF_DEFAULT, "--iters", "300",
+                   "--out", trace) == 0
+    clean = open(trace).read()
+    for col, bend in ((1, lambda f: f + 1.0), (3, lambda a: a * 1.002)):  # f, alpha
+        _tamper(trace, 40, col, bend)
+        capsys.readouterr()
+        assert run_cli("check", trace, planted_instance) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "audit FAILED"
+        with open(trace, "w") as fh:
+            fh.write(clean)
+
+
+# the step_upper_bound of a --c 0.05 run is checked against c = 0.05, not 1
+def test_check_of_a_small_c_run_tests_the_run_c(planted_instance, tmp_path):
+    trace = str(tmp_path / "t.csv")
+    assert run_cli("run", planted_instance, "--c", "0.05", "--iters", "300",
+                   "--out", trace) == 0
+    flagless, flagged = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert run_cli("check", trace, planted_instance, "--out", flagless) == 0
+    assert run_cli("check", trace, planted_instance, "--c", "0.05", "--out", flagged) == 0
+    assert open(flagless, "rb").read() == open(flagged, "rb").read()
+
+
+def test_check_without_a_summary_takes_the_flags_given(planted_instance, tmp_path, capsys):
+    trace = str(tmp_path / "t.csv")
+    assert run_cli("run", planted_instance, "--beta", "0.5", "--rho", "0.7", "--iters", "300",
+                   "--out", trace) == 0
+    os.remove(tmp_path / "t.summary.json")
+    capsys.readouterr()
+    assert run_cli("check", trace, planted_instance) == 1  # the defaults beta = 0.9, rho = 0.8
+    assert "consistency: failed" in capsys.readouterr().out
+    assert run_cli("check", trace, planted_instance, "--beta", "0.5", "--rho", "0.7") == 0
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"config": {"rho": 0.7},}', "not valid JSON"),
+    ("[]", "must be a JSON object, got list"),
+    ('{"config": []}', "config must be a JSON object, got list"),
+    ('{"config": {"rho": "x"}}', "config field 'rho'"),
+], ids=["invalid_json", "non_object", "config_list", "config_field"])
+def test_check_malformed_summary_is_exit_2(planted_instance, tmp_path, capsys, text, named):
+    trace, summary = str(tmp_path / "t.csv"), tmp_path / "t.summary.json"
+    assert run_cli("run", planted_instance, "--iters", "50", "--out", trace) == 0
+    summary.write_text(text)
+    capsys.readouterr()
+    report = tmp_path / "audit.json"
+    line = _assert_usage_error(run_cli("check", trace, planted_instance, "--out", str(report)),
+                               capsys)
+    assert repr(str(summary)) in line and named in line, line
+    assert not report.exists()
+
+
+# a failed check prints its detail, and the audit decides an inf cell
+# without a numpy warning (pytest turns RuntimeWarning into an error)
+def test_check_names_why_a_check_failed(planted_instance, tmp_path, capsys):
+    trace = str(tmp_path / "t.csv")
+    assert run_cli("run", planted_instance, "--iters", "100", "--out", trace) == 0
+    _tamper(trace, 42, 6, lambda s: math.inf)  # snorm
+    capsys.readouterr()
+    assert run_cli("check", trace, planted_instance) == 1
+    captured = capsys.readouterr()
+    assert "sufficient_decrease: failed (worst at k=42) [non-finite comparison]\n" in captured.out
+    assert captured.err == ""
 
 
 # exit 1 means a failed audit, so an invalid solver flag is a usage error
