@@ -44,15 +44,17 @@ SKIPPED = "skipped"
 class TheoryConstants:
     """theta = min(1, 1/((1+rho)L^2)) and gamma_big = theta*(2beta - beta/rho),
     the constants appearing in every complexity bound. gamma_big > 0 exactly
-    when rho > 1/2, which constants() requires."""
+    when rho > 1/2; below, the rate bounds say nothing and audit_rate_bounds
+    skips them, while the step lower bound, which needs only theta, holds for
+    every rho in (0, 1)."""
 
     theta: float
     gamma_big: float
 
 
 def constants(rho: float, beta: float, L: float, c: float = 1.0) -> TheoryConstants:
-    if not (0.5 < rho < 1.0):
-        raise ValueError(f"rho must lie in (1/2, 1) for positive constants, got {rho}")
+    if not (0.0 < rho < 1.0):
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if not (L > 0.0 and math.isfinite(L)):
@@ -266,22 +268,28 @@ def audit_rate_bounds(
     rate_strongly_convex  8*beta*c / (rho*sigma*beta*theta*Gamma*(N+1))
                           (sigma > 0 with the matching harmonic gamma)
 
-    Every bound's proof uses theta*gamma_{k+1} <= alpha_{k+1}, so all five are
-    skipped outside the regime where audit_stepwise shows that it holds.
+    Every bound divides by Gamma = gamma_big, so all five are skipped when
+    rho <= 1/2 leaves it non-positive. Every bound's proof uses
+    theta*gamma_{k+1} <= alpha_{k+1}, so all five are also skipped outside the
+    regime where audit_stepwise shows that it holds.
     """
     K = len(report.k) - 1
     names = ["rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
              "rate_strongly_convex"]
+    f_star = problem.f_star
     if K < 1 or np.maximum.reduce(report.ell[:K]) < 1:
         why = "no line-search rows (prefixed-step trace or single-iterate run)"
-        return AuditReport(checks=tuple(_skip(n, why) for n in names))
-    if tc is None:
-        return AuditReport(checks=tuple(_skip(n, "no theory constants supplied") for n in names))
-    f_star = problem.f_star
-    if f_star is None:
-        return AuditReport(checks=tuple(_skip(n, "no known optimal value") for n in names))
-    if not _lower_bound_regime(report, cfg, tc):
+    elif tc is None:
+        why = "no theory constants supplied"
+    elif tc.gamma_big <= 0.0:
+        why = "rho <= 1/2 leaves Gamma = theta*(2beta - beta/rho) non-positive"
+    elif f_star is None:
+        why = "no known optimal value"
+    elif not _lower_bound_regime(report, cfg, tc):
         why = "needs theta*gamma_{k+1} <= alpha_{k+1}, guaranteed only when " + _REGIME
+    else:
+        why = None
+    if why is not None:
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
 
     if x1 is None and report.xs is not None:

@@ -15,12 +15,12 @@ import argparse
 import dataclasses
 import json
 import os
-import statistics
 import sys
 
 import numpy as np
 
 from .analysis import (
+    SKIPPED,
     audit_rate_bounds,
     audit_report_to_json,
     audit_stepwise,
@@ -436,8 +436,8 @@ def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
             lines.append(",".join(cells))
         cells = [method, "median"] + ["nan"] * len(x_cols)
         cells += [
-            repr(float(statistics.median(gaps))),
-            repr(float(statistics.median(bests))),
+            repr(float(np.median(gaps))),
+            repr(float(np.median(bests))),
             "aggregate",
         ]
         lines.append(",".join(cells))
@@ -471,9 +471,7 @@ def cmd_check(args) -> int:
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
     cfg = _audit_config(args)
-    tc = None
-    if problem.L is not None and 0.5 < cfg.rho < 1.0:
-        tc = constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
+    tc = None if problem.L is None else constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
     merged = merge_reports(
         audit_stepwise(report, problem, cfg, tc),
         audit_rate_bounds(report, problem, cfg, tc, x1=_start_point(problem, None)),
@@ -484,11 +482,10 @@ def cmd_check(args) -> int:
         print(f"{ch.name}: {ch.status}{loc}{why}")
     if args.out:
         _atomic_write(args.out, audit_report_to_json(merged) + "\n")
-    if merged.passed:
-        print("audit passed")
-        return 0
-    print("audit FAILED")
-    return 1
+    ran = sum(ch.status != SKIPPED for ch in merged.checks)
+    verdict = "passed" if merged.passed else "FAILED"
+    print(f"audit {verdict} ({ran or 'none'} of {len(merged.checks)} checks ran)")
+    return 0 if merged.passed else 1
 
 
 # ----- entry point -----

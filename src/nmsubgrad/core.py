@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import warnings
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import repeat
@@ -32,15 +31,13 @@ __all__ = [
     "gamma_value",
     "gamma_values",
     "SolverConfig",
-    "validate_config",
-    "config_to_json",
-    "config_from_json",
     "config_from_keyvalues",
     "IterationRecord",
     "RunReport",
     "TERMINATION_MAX_ITERS",
     "TERMINATION_ZERO_SUBGRADIENT",
     "TERMINATION_BACKTRACK_FAILURE",
+    "TERMINATION_NONFINITE_ORACLE",
 ]
 
 
@@ -65,7 +62,8 @@ class TheoryRegimeWarning(UserWarning):
 
 TERMINATION_MAX_ITERS = "max_iters"
 TERMINATION_ZERO_SUBGRADIENT = "zero_subgradient"
-TERMINATION_BACKTRACK_FAILURE = "backtrack_failure"
+TERMINATION_BACKTRACK_FAILURE = "backtrack_failure"  # the trial cap ran out
+TERMINATION_NONFINITE_ORACLE = "nonfinite_oracle"  # a value or a subgradient norm is not finite
 
 
 def as_point(x) -> np.ndarray:
@@ -207,7 +205,7 @@ class SolverConfig:
     the initial trial size. A config checks itself when it is made (and so
     when dataclasses.replace makes one), naming every violation in one
     ConfigError. rho > 1/2 is the regime where the complexity constants are
-    positive; validate_config warns outside it.
+    positive; solve_nonmonotone warns outside it.
     """
 
     c: float = 1.0
@@ -237,19 +235,6 @@ class SolverConfig:
             problems.append(f"gamma is not a recognized sequence: {self.gamma!r}")
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
-
-
-def validate_config(cfg: SolverConfig) -> SolverConfig:
-    """cfg, with a warning (not a failure) when rho <= 1/2; the config
-    checked its fields when it was made."""
-    if cfg.rho <= 0.5:
-        warnings.warn(
-            f"rho = {cfg.rho} <= 1/2: complexity constants are non-positive, "
-            "rate audits will not apply",
-            TheoryRegimeWarning,
-            stacklevel=2,
-        )
-    return cfg
 
 
 # ----- reading JSON fields -----
@@ -392,14 +377,6 @@ def _config_from_items(items: dict) -> SolverConfig:
     return SolverConfig(**given)
 
 
-def config_to_json(cfg: SolverConfig) -> str:
-    return json.dumps(_config_items(cfg), sort_keys=True, indent=2)
-
-
-def config_from_json(text: str) -> SolverConfig:
-    return _config_from_items(_json_value(text, "config"))
-
-
 def _text_value(text: str):
     """Text as the JSON value it stands for: an int, else a float, else the
     text itself."""
@@ -469,24 +446,18 @@ class _Records(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self._build(index))
-        r = self._report
-        return IterationRecord(  # k.item raises IndexError past either end
-            r.k.item(index), None if r.xs is None else r.xs[index], r.f.item(index),
-            r.gamma.item(index), r.alpha.item(index), r.ell.item(index),
-            r.step.item(index), r.snorm.item(index), r.alpha_next.item(index),
-        )
+        index = range(len(self))[index]  # IndexError past either end
+        return next(self._build(slice(index, index + 1)))
 
     def __iter__(self):
         return self._build(slice(None))
 
     def _build(self, rows: slice):
+        """The records of rows, one column per IterationRecord field."""
         r = self._report
         xs = repeat(None) if r.xs is None else r.xs[rows]
-        return map(
-            IterationRecord, r.k[rows].tolist(), xs, r.f[rows].tolist(),
-            r.gamma[rows].tolist(), r.alpha[rows].tolist(), r.ell[rows].tolist(),
-            r.step[rows].tolist(), r.snorm[rows].tolist(), r.alpha_next[rows].tolist(),
-        )
+        return map(IterationRecord, *(xs if name == "x" else getattr(r, name)[rows].tolist()
+                                      for name in _RECORD_FIELDS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,17 +504,17 @@ class RunReport:
 
 
 def _report(columns, termination: str) -> RunReport:
-    """A report from columns in IterationRecord field order: sequences of
-    Python values, except the iterates, a sequence of equal-length vectors
-    stacked here into one (rows, n) block, or None. f_best and it_best
-    are min() and the first index() over f as given, so a NaN keeps the
-    meaning it has for them."""
-    k, xs, f = columns[:3]
+    """A report from columns, a mapping from each IterationRecord field name
+    to a sequence of Python values, except x: a sequence of equal-length
+    vectors stacked here into one (rows, n) block, or None. Other keys are
+    ignored. f_best and it_best are min() and the first index() over f as
+    given, so a NaN keeps the meaning it has for them."""
+    k, xs, f = columns["k"], columns["x"], columns["f"]
     if not k:
         raise ValueError("a run must visit at least one iterate")
     best = min(f)
-    arrays = {name: np.array(col, dtype=np.int64 if name in ("k", "ell") else np.float64)
-              for name, col in zip(_RECORD_FIELDS, columns) if name != "x"}
+    arrays = {name: np.array(columns[name], dtype=np.int64 if name in ("k", "ell") else np.float64)
+              for name in _RECORD_FIELDS if name != "x"}
     block = None if xs is None else np.array(xs, dtype=np.float64)
     return RunReport(**arrays, xs=block, f_best=best, it_best=k[f.index(best)],
                      termination=termination)

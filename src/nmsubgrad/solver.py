@@ -14,6 +14,7 @@ traces.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -26,11 +27,13 @@ from .core import (
     SolverConfig,
     TERMINATION_BACKTRACK_FAILURE,
     TERMINATION_MAX_ITERS,
+    TERMINATION_NONFINITE_ORACLE,
     TERMINATION_ZERO_SUBGRADIENT,
+    TheoryRegimeWarning,
+    _RECORD_FIELDS,
     _report,
     as_point,
     gamma_values,
-    validate_config,
 )
 from .problems import ProblemSpec, _atomic_write
 
@@ -118,13 +121,16 @@ def solve_nonmonotone(
 ) -> RunReport:
     """Run the backtracking method for cfg.max_iters steps.
 
-    Stops early only on an exactly zero subgradient or on numerical breakdown
-    (backtracking cap exhausted / non-finite oracle values), in which case the
-    partial trace is returned with the matching termination tag.
+    Stops early only on an exactly zero subgradient, an exhausted
+    backtracking cap or a non-finite value or subgradient norm, in which case
+    the partial trace is returned with the matching termination tag. Warns
+    with TheoryRegimeWarning when rho <= 1/2.
     """
     from .linesearch import beta_ladder, nonmonotone_backtrack
 
-    cfg = validate_config(cfg)
+    if cfg.rho <= 0.5:
+        warnings.warn(f"rho = {cfg.rho} <= 1/2: complexity constants are non-positive, "
+                      "rate audits will not apply", TheoryRegimeWarning, stacklevel=2)
     gammas = gamma_values(cfg.gamma, cfg.max_iters + 1).tolist()  # fails fast on short tables
     ladder = beta_ladder(cfg)
     max_iters = cfg.max_iters
@@ -133,7 +139,7 @@ def solve_nonmonotone(
     f = value(x)
     alpha = cfg.alpha1
     rows = []  # one tuple per step, in IterationRecord field order
-    tag = TERMINATION_BACKTRACK_FAILURE  # unless a break below names another cause
+    tag = TERMINATION_NONFINITE_ORACLE  # unless a break below names another cause
 
     # every exit breaks out with the last iterate still unrecorded; past the
     # budget, its subgradient is evaluated so the trace is uniform and a zero
@@ -157,12 +163,15 @@ def solve_nonmonotone(
             ell, x_next, f_next, alpha_next, step, _ = nonmonotone_backtrack(
                 value, project, x, f, s, snorm_sq, alpha, gamma_k, cfg, ladder
             )
-        except (BacktrackFailureError, OracleError):
+        except BacktrackFailureError:
+            tag = TERMINATION_BACKTRACK_FAILURE
+            break
+        except OracleError:
             break
         rows.append((k, x, f, gamma_k, alpha, ell, step, snorm, alpha_next))
         x, f, alpha = x_next, f_next, alpha_next
     rows.append((k, x, f, gamma_k, alpha, 0, 0.0, snorm, alpha))
-    return _report(list(zip(*rows)), tag)
+    return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag)
 
 
 # ----- prefixed-step solver -----
@@ -195,13 +204,13 @@ def solve_prefixed(
             tag = TERMINATION_MAX_ITERS
             break
         if not (math.isfinite(f) and math.isfinite(snorm_sq)):
-            tag = TERMINATION_BACKTRACK_FAILURE
+            tag = TERMINATION_NONFINITE_ORACLE
             break
         size = rule.size(k, snorm)
         rows.append((k, x, f, nan, size, 0, size, snorm, nan))
         x = problem.project(x - s * size)
     rows.append((k, x, f, nan, nan, 0, 0.0, snorm, nan))
-    return _report(list(zip(*rows)), tag)
+    return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag)
 
 
 # ----- trace serialization -----
@@ -255,11 +264,7 @@ def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
     # (alpha, ell) and beta, so corrupt columns stay detectable
     missing = [math.nan] * len(rows)
     try:
-        report = _report(
-            (col["k"], None, col["f"], col["gamma"], col["alpha"], col["ell"], missing,
-             col["snorm"], missing),
-            "unknown",
-        )
+        report = _report({**col, "x": None, "step": missing, "alpha_next": missing}, "unknown")
     except OverflowError:  # an int cell outside int64
         raise ValueError(f"{path}: integer cell out of range for int64") from None
     gaps = col.get("fbest_gap")

@@ -8,6 +8,7 @@ speed. Tests compare package outputs against these.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from nmsubgrad.analysis import REL_SLACK
-from nmsubgrad.core import IterationRecord, _config_items, _report, gamma_values
+from nmsubgrad.core import (
+    IterationRecord,
+    _config_from_items,
+    _config_items,
+    _json_value,
+    _report,
+    gamma_values,
+)
 
 
 def max_affine_value_ref(A, b, x, sigma=0.0):
@@ -248,9 +256,9 @@ def worst_ref(lhs, rhs) -> tuple[float, int]:
 def build_report(records: list[IterationRecord], termination: str):
     """A RunReport from IterationRecord rows, through the package's column
     constructor; if any row has no iterate, the report has none."""
-    columns = [[getattr(r, name) for r in records] for name in IterationRecord._fields]
-    if any(x is None for x in columns[1]):
-        columns[1] = None
+    columns = {name: [getattr(r, name) for r in records] for name in IterationRecord._fields}
+    if any(x is None for x in columns["x"]):
+        columns["x"] = None
     return _report(columns, termination)
 
 
@@ -288,7 +296,17 @@ def sequence_diagnostics(seq, N: int) -> GammaDiagnostics:
     return GammaDiagnostics(N=N, r3=r3, r4=r4, s5=s5, s6=s6)
 
 
-# ----- key = value config text -----
+# ----- config text -----
+
+
+def config_to_json(cfg) -> str:
+    """The config's items as a JSON object, as a JSON --config file holds them."""
+    return json.dumps(_config_items(cfg), sort_keys=True, indent=2)
+
+
+def config_from_json(text: str):
+    """The config of JSON text, read as run reads a JSON --config file."""
+    return _config_from_items(_json_value(text, "config"))
 
 
 def config_to_keyvalues(cfg) -> str:

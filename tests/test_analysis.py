@@ -67,9 +67,9 @@ def test_constants_theta_saturates_for_small_l():
     assert all(b <= a for a, b in zip(thetas, thetas[1:]))
 
 
-def test_constants_rejects_rho_half_and_below():
-    for rho in (0.5, 0.3):
-        with pytest.raises(ValueError):
+def test_constants_reject_rho_outside_the_unit_interval():
+    for rho in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="rho must lie in"):
             constants(rho=rho, beta=0.9, L=1.0)
     with pytest.raises(ValueError):
         constants(rho=0.8, beta=1.0, L=1.0)
@@ -78,6 +78,16 @@ def test_constants_rejects_rho_half_and_below():
     for c in (0.0, math.inf):
         with pytest.raises(ValueError, match="c must be positive"):
             constants(rho=0.8, beta=0.9, L=1.0, c=c)
+
+
+# below 1/2 theta is as for any rho, and Gamma = theta*(2beta - beta/rho) is
+# zero at rho = 1/2 and negative below
+def test_constants_below_rho_half_give_non_positive_gamma_big():
+    tc = constants(0.4, 0.9, 2.0)
+    assert tc.theta == pytest.approx(1.0 / 5.6, rel=1e-15)
+    assert tc.gamma_big == pytest.approx(tc.theta * -0.45, rel=1e-15)
+    assert tc.gamma_big < 0.0
+    assert constants(0.5, 0.9, 2.0).gamma_big == 0.0
 
 
 def test_constants_hold_only_theta_and_gamma_big():
@@ -256,6 +266,23 @@ def test_quasi_fejer_skips_at_rho_half_and_below():
     assert (audit["quasi_fejer"].status, audit["quasi_fejer"].detail) == ("skipped", "rho <= 1/2")
 
 
+# rho <= 1/2: the step lower bound needs only theta, so it runs; every rate
+# bound divides by a non-positive Gamma, so all five are skipped with that reason
+def test_rho_below_half_checks_the_lower_bound_and_skips_the_rates():
+    prob, _, _ = _planted_run()
+    cfg = SolverConfig(c=1.0, beta=0.9, rho=0.4, alpha1=0.1, gamma=SqrtInverse(0.5),
+                       max_iters=300)
+    with pytest.warns(TheoryRegimeWarning):
+        rep = solve_nonmonotone(prob, cfg)
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    stepwise = audit_stepwise(rep, prob, cfg, tc)
+    assert stepwise.passed and stepwise["step_lower_bound"].status == "passed"
+    rates = audit_rate_bounds(rep, prob, cfg, tc)
+    assert len(rates.checks) == 5
+    assert {(ch.status, ch.detail) for ch in rates.checks} == {
+        ("skipped", "rho <= 1/2 leaves Gamma = theta*(2beta - beta/rho) non-positive")}
+
+
 # ----- rate-bound audit -----
 
 
@@ -325,6 +352,10 @@ def test_rate_strongly_convex_with_matching_schedule():
         audit_rate_bounds(rep2, prob, cfg2, tc)["rate_strongly_convex"].status
         == "skipped"
     )
+    # nor is a schedule of another kind, inside the lower bound's regime
+    cfg3 = dataclasses.replace(cfg, gamma=SqrtInverse(1.0), alpha1=1.0)
+    ch = audit_rate_bounds(solve_nonmonotone(prob, cfg3), prob, cfg3, tc)["rate_strongly_convex"]
+    assert (ch.status, ch.detail) == ("skipped", "gamma is not the harmonic kind")
 
 
 def test_rate_bounds_skip_without_optimum():

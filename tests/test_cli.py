@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,7 @@ def test_gen_planted_maxaffine(tmp_path):
     rc = run_cli("gen", "maxaffine", "--seed", "3", "--n", "2", "--m", "8",
                  "--planted", "--spread", "0.5", "--out", out)
     assert rc == 0
-    obj = json.loads(open(out).read())
+    obj = json.loads(Path(out).read_text())
     assert obj["type"] == "maxaffine"
     assert len(obj["A"]) == 8
     assert obj["x_star"] is not None
@@ -42,7 +43,7 @@ def test_gen_fermatweber_from_csv(tmp_path):
     out = str(tmp_path / "fw.json")
     rc = run_cli("gen", "fermatweber", "--from-csv", str(csv), "--out", out)
     assert rc == 0
-    obj = json.loads(open(out).read())
+    obj = json.loads(Path(out).read_text())
     assert obj["type"] == "fermatweber"
     assert obj["anchors"][0] == [-12.0, -38.0]
 
@@ -179,7 +180,7 @@ def test_run_nonmonotone_writes_trace_and_summary(planted_instance, tmp_path):
         n_rows = sum(1 for _ in fh)
     assert header == "k,f,fbest_gap,alpha,ell,gamma,snorm"
     assert n_rows == 151
-    summary = json.loads(open(str(tmp_path / "t.summary.json")).read())
+    summary = json.loads((tmp_path / "t.summary.json").read_text())
     assert summary["method"] == "nonmonotone"
     assert summary["termination"] == "max_iters"
     assert summary["gap"] >= 0.0
@@ -191,7 +192,7 @@ def test_run_every_prefixed_method(planted_instance, tmp_path):
         trace = str(tmp_path / f"{method}.csv")
         assert run_cli("run", planted_instance, "--method", method,
                        "--iters", "60", "--out", trace) == 0
-        summary = json.loads(open(str(tmp_path / f"{method}.summary.json")).read())
+        summary = json.loads((tmp_path / f"{method}.summary.json").read_text())
         assert summary["method"] == method
 
 
@@ -206,7 +207,7 @@ def test_run_config_file_with_flag_override(planted_instance, tmp_path):
     rc = run_cli("run", planted_instance, "--config", cfg_path,
                  "--iters", "55", "--out", trace)
     assert rc == 0
-    summary = json.loads(open(str(tmp_path / "t.summary.json")).read())
+    summary = json.loads((tmp_path / "t.summary.json").read_text())
     assert summary["n_rows"] == 56
 
 
@@ -245,13 +246,13 @@ def test_check_writes_report_json(planted_instance, tmp_path):
     report = str(tmp_path / "audit.json")
     assert run_cli("check", trace, planted_instance, "--zeta", "0.5",
                    "--out", report) == 0
-    obj = json.loads(open(report).read())
+    obj = json.loads(Path(report).read_text())
     assert obj["passed"] is True
     assert any(ch["name"] == "consistency" for ch in obj["checks"])
 
 
 def _tamper(trace, row, col, bend):
-    lines = open(trace).read().splitlines()
+    lines = Path(trace).read_text().splitlines()
     cells = lines[row].split(",")
     cells[col] = repr(bend(float(cells[col])))
     lines[row] = ",".join(cells)
@@ -279,14 +280,14 @@ def test_check_passes_default_run_and_catches_tampering(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("check", trace, inst) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[-1] == "audit passed"
+    assert out.splitlines()[-1] == "audit passed (4 of 10 checks ran)"
     assert "step_lower_bound: passed" in out
     assert "rate_general: skipped [needs theta*gamma_{k+1} <= alpha_{k+1}" in out
-    clean = open(trace).read()
+    clean = Path(trace).read_text()
     for col, bend in ((1, lambda f: f + 1.0), (3, lambda a: a * 1.002)):  # f, alpha
         _tamper(trace, 40, col, bend)
         assert run_cli("check", trace, inst) == 1
-        assert capsys.readouterr().out.splitlines()[-1] == "audit FAILED"
+        assert capsys.readouterr().out.splitlines()[-1] == "audit FAILED (4 of 10 checks ran)"
         with open(trace, "w") as fh:
             fh.write(clean)
 
@@ -299,6 +300,7 @@ def test_check_prefixed_trace_skips_cleanly(planted_instance, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "skipped" in out
+    assert out.splitlines()[-1] == "audit passed (none of 10 checks ran)"
 
 
 def test_check_missing_trace_is_exit_2(planted_instance, tmp_path):
@@ -331,12 +333,12 @@ rate_sqrt_log: passed (worst at k=1)
 rate_tail: passed (worst at k=7)
 rate_compact: passed (worst at k=7)
 rate_strongly_convex: skipped [objective is not strongly convex]
-audit passed
+audit passed (8 of 10 checks ran)
 """,
     "sqrsum": "".join(f"{name}: {_NO_STEP_ROWS}\n" for name in (
         "consistency", "step_upper_bound", "step_lower_bound", "sufficient_decrease",
         "quasi_fejer", "rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
-        "rate_strongly_convex")) + "audit passed\n",
+        "rate_strongly_convex")) + "audit passed (none of 10 checks ran)\n",
 }
 _CHECK_JSON_SHA256 = {
     "nonmonotone": "fc1f2fc53dc33b0096fb63f266bcf9ebee5a7ff645464990b87715ed62983616",
@@ -372,7 +374,7 @@ def test_check_reads_a_power_inverse_trace_as_a_table(planted_instance, tmp_path
     out = capsys.readouterr().out
     assert "step_lower_bound: failed (worst at k=41)" in out
     assert "rate_sqrt_log: skipped [gamma is not the sqrt-inverse kind]" in out
-    assert out.splitlines()[-1] == "audit FAILED"
+    assert out.splitlines()[-1] == "audit FAILED (6 of 10 checks ran)"
 
 
 # a run away from every default, checked with no flags: the summary beside
@@ -389,19 +391,20 @@ def test_check_reads_the_run_config_from_the_summary(planted_instance, tmp_path,
     assert summary["config"]["rho"] == 0.7 and summary["config"]["gamma.zeta"] == 0.7
     capsys.readouterr()
     assert run_cli("check", trace, planted_instance) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "audit passed"
+    ran = "7" if method == "nonmonotone" else "none"  # a prefixed trace has no step rows
+    assert capsys.readouterr().out.splitlines()[-1] == f"audit passed ({ran} of 10 checks ran)"
 
 
 def test_check_bends_of_an_off_default_run_still_fail(planted_instance, tmp_path, capsys):
     trace = str(tmp_path / "t.csv")
     assert run_cli("run", planted_instance, *_OFF_DEFAULT, "--iters", "300",
                    "--out", trace) == 0
-    clean = open(trace).read()
+    clean = Path(trace).read_text()
     for col, bend in ((1, lambda f: f + 1.0), (3, lambda a: a * 1.002)):  # f, alpha
         _tamper(trace, 40, col, bend)
         capsys.readouterr()
         assert run_cli("check", trace, planted_instance) == 1
-        assert capsys.readouterr().out.splitlines()[-1] == "audit FAILED"
+        assert capsys.readouterr().out.splitlines()[-1] == "audit FAILED (7 of 10 checks ran)"
         with open(trace, "w") as fh:
             fh.write(clean)
 
@@ -414,7 +417,39 @@ def test_check_of_a_small_c_run_tests_the_run_c(planted_instance, tmp_path):
     flagless, flagged = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert run_cli("check", trace, planted_instance, "--out", flagless) == 0
     assert run_cli("check", trace, planted_instance, "--c", "0.05", "--out", flagged) == 0
-    assert open(flagless, "rb").read() == open(flagged, "rb").read()
+    assert Path(flagless).read_bytes() == Path(flagged).read_bytes()
+
+
+# rho <= 1/2: the step lower bound needs only theta, so check tests it on the
+# instance's L, and each rate check is skipped for the non-positive Gamma
+_RATE_CHECKS = ("rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
+                "rate_strongly_convex")
+
+
+def test_check_of_a_small_rho_run_tests_the_step_lower_bound(tmp_path, capsys):
+    inst, trace, report = (str(tmp_path / name) for name in ("inst.json", "t.csv", "a.json"))
+    assert run_cli("gen", "maxaffine", "--n", "5", "--m", "30", "--planted", "--seed", "3",
+                   "--out", inst) == 0
+    with pytest.warns(TheoryRegimeWarning):
+        assert run_cli("run", inst, "--rho", "0.4", "--iters", "50", "--out", trace) == 0
+    capsys.readouterr()
+    assert run_cli("check", trace, inst, "--out", report) == 0
+    out = capsys.readouterr().out
+    assert "step_lower_bound: passed" in out
+    assert "no Lipschitz constant supplied" not in out
+    for name in _RATE_CHECKS:
+        assert (f"{name}: skipped [rho <= 1/2 leaves Gamma = theta*(2beta - beta/rho) "
+                "non-positive]") in out
+    assert out.splitlines()[-1] == "audit passed (4 of 10 checks ran)"
+    lower = next(ch for ch in json.loads(Path(report).read_text())["checks"]
+                 if ch["name"] == "step_lower_bound")
+    assert lower["worst_violation"] < 0.0
+    # an alpha cell scaled by 1e-6 falls below the bound at its row
+    _tamper(trace, 20, 3, lambda a: a * 1e-6)
+    assert run_cli("check", trace, inst) == 1
+    out = capsys.readouterr().out
+    assert "step_lower_bound: failed (worst at k=20)" in out
+    assert out.splitlines()[-1] == "audit FAILED (4 of 10 checks ran)"
 
 
 def test_check_without_a_summary_takes_the_flags_given(planted_instance, tmp_path, capsys):

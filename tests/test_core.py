@@ -15,18 +15,20 @@ from nmsubgrad import (
     SqrtInverse,
     StronglyConvexHarmonic,
     TheoryRegimeWarning,
-    config_from_json,
     config_from_keyvalues,
-    config_to_json,
     gamma_value,
     gamma_values,
-    validate_config,
+    make_problem,
+    plant_optimum_max_affine,
+    solve_nonmonotone,
 )
 from nmsubgrad.core import IterationRecord, as_point
 
 from oracles import (
     GammaDiagnostics,
     build_report,
+    config_from_json,
+    config_to_json,
     config_to_keyvalues,
     gamma_ref,
     sequence_diagnostics,
@@ -222,29 +224,36 @@ def test_diagnostics_rejects_n_zero():
 
 
 # ----- config validation -----
+#
+# a config checks its fields when it is made; solve_nonmonotone warns when
+# rho <= 1/2 leaves the complexity constants non-positive
+
+
+def _tiny_problem():
+    return make_problem(plant_optimum_max_affine(0, 2, 4))
 
 
 def test_validate_config_passes_defaults():
-    cfg = SolverConfig()
+    cfg = SolverConfig(max_iters=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the default rho lies in the theory's regime
-        assert validate_config(cfg) is cfg
+        solve_nonmonotone(_tiny_problem(), cfg)
 
 
 def test_validate_config_rejects_beta_one():
     with pytest.raises(ConfigError, match="beta"):
-        validate_config(SolverConfig(beta=1.0))
+        SolverConfig(beta=1.0)
 
 
 def test_validate_config_warns_small_rho():
-    cfg = SolverConfig(rho=0.4)
-    with pytest.warns(TheoryRegimeWarning):
-        validate_config(cfg)
+    cfg = SolverConfig(rho=0.4, max_iters=5)
+    with pytest.warns(TheoryRegimeWarning, match="rho = 0.4 <= 1/2"):
+        solve_nonmonotone(_tiny_problem(), cfg)
 
 
 def test_validate_config_collects_every_violation():
     with pytest.raises(ConfigError) as err:
-        validate_config(SolverConfig(c=-1.0, beta=2.0, rho=0.0, alpha1=0.0, max_iters=0))
+        SolverConfig(c=-1.0, beta=2.0, rho=0.0, alpha1=0.0, max_iters=0)
     msg = str(err.value)
     for field in ("c ", "beta", "rho", "alpha1", "max_iters"):
         assert field in msg

@@ -44,6 +44,7 @@ from nmsubgrad.core import (
     IterationRecord,
     TERMINATION_BACKTRACK_FAILURE,
     TERMINATION_MAX_ITERS,
+    TERMINATION_NONFINITE_ORACLE,
     TERMINATION_ZERO_SUBGRADIENT,
 )
 
@@ -466,11 +467,11 @@ def _assert_partial_trace_audits(report, prob, cfg):
     assert all(r.ell >= 1 for r in report.records[:-1])
 
 
-def test_nan_at_start_is_backtrack_failure():
+def test_nan_at_start_is_nonfinite_oracle():
     prob = _planted(seed=10)
     oracles = FailingOracles(prob, nan_value_at=1)
     report = solve_nonmonotone(oracles.spec(), CFG)
-    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert report.termination == TERMINATION_NONFINITE_ORACLE
     assert len(report.records) == 1
     assert math.isnan(report.records[0].f)
     assert math.isnan(report.records[0].snorm)
@@ -478,11 +479,11 @@ def test_nan_at_start_is_backtrack_failure():
     _assert_partial_trace_audits(report, prob, CFG)
 
 
-def test_nan_trial_mid_run_is_backtrack_failure():
+def test_nan_trial_mid_run_is_nonfinite_oracle():
     prob = _planted(seed=11)
     oracles = FailingOracles(prob, nan_value_at=20)
     report = solve_nonmonotone(oracles.spec(), CFG)
-    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert report.termination == TERMINATION_NONFINITE_ORACLE
     assert oracles.values == 20
     assert 2 <= len(report.records) <= 19
     last = report.records[-1]
@@ -495,11 +496,11 @@ def test_nan_trial_mid_run_is_backtrack_failure():
     np.testing.assert_array_equal(g, g_fresh)
 
 
-def test_infinite_subgradient_is_backtrack_failure():
+def test_infinite_subgradient_is_nonfinite_oracle():
     prob = _planted(seed=12)
     oracles = FailingOracles(prob, inf_eval_at=10)
     report = solve_nonmonotone(oracles.spec(), CFG)
-    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert report.termination == TERMINATION_NONFINITE_ORACLE
     assert len(report.records) == 10
     assert report.records[-1].snorm == math.inf
     _assert_partial_trace_audits(report, prob, CFG)
@@ -520,19 +521,19 @@ def test_backtrack_cap_exhaustion_is_backtrack_failure():
 
 # the prefixed solver stops on a non-finite value or subgradient norm with the
 # same tag; the row that stops it is the last one
-def test_prefixed_nan_value_is_backtrack_failure():
+def test_prefixed_nan_value_is_nonfinite_oracle():
     oracles = FailingOracles(_planted(seed=16), nan_eval_at=7)
     report = solve_prefixed(oracles.spec(), ConstantStep(0.1), 40)
-    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert report.termination == TERMINATION_NONFINITE_ORACLE
     assert oracles.evals == len(report.records) == 7
     assert math.isnan(report.records[-1].f)
     assert math.isfinite(report.f_best)
 
 
-def test_prefixed_infinite_subgradient_is_backtrack_failure():
+def test_prefixed_infinite_subgradient_is_nonfinite_oracle():
     oracles = FailingOracles(_planted(seed=17), inf_eval_at=7)
     report = solve_prefixed(oracles.spec(), ConstantStep(0.1), 40)
-    assert report.termination == TERMINATION_BACKTRACK_FAILURE
+    assert report.termination == TERMINATION_NONFINITE_ORACLE
     assert oracles.evals == len(report.records) == 7
     last = report.records[-1]
     assert math.isfinite(last.f) and last.snorm == math.inf
@@ -601,7 +602,7 @@ def test_infinite_subgradient_at_landed_iterate_is_max_iters():
 # ----- property: every run the solver makes passes its own audit -----
 
 _KNOWN_TAGS = (TERMINATION_MAX_ITERS, TERMINATION_ZERO_SUBGRADIENT,
-               TERMINATION_BACKTRACK_FAILURE)
+               TERMINATION_BACKTRACK_FAILURE, TERMINATION_NONFINITE_ORACLE)
 
 
 def _property_problem(seed, family, n, extra, set_kind, sigma):
@@ -645,7 +646,7 @@ def _assert_tag_matches_trace(report, max_iters):
     set_kind=st.sampled_from(["rn", "orthant", "box", "ball"]),
     sigma=st.sampled_from([0.0, 0.5]),
     beta=st.floats(0.05, 0.99),
-    rho=st.floats(0.51, 0.99),
+    rho=st.floats(0.01, 0.99),  # rho <= 1/2 too: the step lower bound holds for every rho
     c=st.floats(0.01, 100.0),
     alpha1=st.floats(1e-4, 1e3),
     zeta=st.floats(1e-3, 10.0),
