@@ -127,15 +127,6 @@ def _skip(name: str, why: str) -> CheckResult:
     return CheckResult(name, SKIPPED, detail=why)
 
 
-_REGIME = "alpha_1 >= theta*gamma_1 and theta <= beta*c"
-
-
-def _lower_bound_regime(report: RunReport, cfg: SolverConfig, tc: TheoryConstants) -> bool:
-    """Whether theta*gamma_{k+1} <= alpha_{k+1}, which the rate bounds need,
-    is guaranteed for the run (see audit_stepwise); row 1's alpha is alpha_1."""
-    return report.alpha[0] >= tc.theta * report.gamma[0] and tc.theta <= cfg.beta * cfg.c
-
-
 # ----- stepwise audit -----
 
 
@@ -170,12 +161,13 @@ def audit_stepwise(
     So alpha_{k+1} >= min(alpha_k, min(theta, beta*c)*gamma_k), and since
     every gamma kind is non-increasing, by induction
     alpha_{k+1} >= min(alpha_1, min(theta, beta*c)*gamma_k), which is the
-    check. When alpha_1 >= theta*gamma_1 and theta <= beta*c, it reads
-    theta*gamma_k <= alpha_{k+1}, and so implies the paper's
-    theta*gamma_{k+1} <= alpha_{k+1}. Outside that regime a correct run can
-    break the paper's form (the defaults alpha_1 = 0.1 and zeta = 1 do
-    whenever L < ~2.4). alpha_1 is row 1's alpha, so a CSV trace is checked
-    as the run was.
+    check. alpha_1 is row 1's alpha, so a CSV trace is checked as the run
+    was. audit_rate_bounds turns it into the paper's form with an effective
+    theta.
+
+    A CSV trace carries no alpha_next or step: a column that is NaN
+    throughout takes the derived law, and a NaN cell in a recorded column
+    fails consistency.
     """
     K = len(report.k) - 1  # rows 1..K are steps, row K+1 is the landed iterate
     names = ["consistency", "step_upper_bound", "step_lower_bound",
@@ -196,11 +188,11 @@ def audit_stepwise(
     derived_next = alpha.copy()  # beta**0 * alpha is alpha exactly, so only
     hop = ell != 1               # the rows past rung 1 need the power
     derived_next[hop] = beta ** (ell[hop] - 1).astype(np.float64) * alpha[hop]
-    recorded_next = report.alpha_next[:K]
-    # CSV traces do not carry alpha_next/step; fall back to the derived law
-    eff_next = np.where(np.isfinite(recorded_next), recorded_next, derived_next)
-    recorded_step = report.step[:K]
-    eff_step = np.where(np.isfinite(recorded_step), recorded_step, beta * eff_next)
+    eff_next, eff_step = report.alpha_next[:K], report.step[:K]
+    if np.isnan(np.fmax.reduce(eff_next)):  # fmax skips NaN: only an absent column is NaN
+        eff_next = derived_next
+    if np.isnan(np.fmax.reduce(eff_step)):
+        eff_step = beta * eff_next
 
     checks: list[CheckResult] = []
 
@@ -248,7 +240,7 @@ def audit_stepwise(
 # ----- rate-bound audit -----
 
 
-@np.errstate(invalid="ignore", over="ignore")  # a non-finite row is a failed check
+@np.errstate(all="ignore")  # a non-finite row is a failed check
 def audit_rate_bounds(
     report: RunReport,
     problem: ProblemSpec,
@@ -268,10 +260,25 @@ def audit_rate_bounds(
     rate_strongly_convex  8*beta*c / (rho*sigma*beta*theta*Gamma*(N+1))
                           (sigma > 0 with the matching harmonic gamma)
 
-    Every bound divides by Gamma = gamma_big, so all five are skipped when
-    rho <= 1/2 leaves it non-positive. Every bound's proof uses
-    theta*gamma_{k+1} <= alpha_{k+1}, so all five are also skipped outside the
-    regime where audit_stepwise shows that it holds.
+    theta is the effective min(theta, beta*c, alpha_1/gamma_1), alpha_1 being
+    row 1's alpha, which is theta itself when alpha_1 >= theta*gamma_1 and
+    theta <= beta*c; Gamma = theta*(2beta - beta/rho), and all five are
+    skipped when rho <= 1/2 leaves it non-positive. Why the bounds hold,
+    with the applied step t_k = beta*alpha_{k+1} and x* in C:
+    1. projection is nonexpansive and <s_k, x_k - x*> >= f_k - f*, so
+       ||x_{k+1}-x*||^2 <= ||x_k-x*||^2 - 2*t_k*(f_k - f*) + t_k^2*||s_k||^2;
+    2. sufficient decrease gives t_k*||s_k||^2 <= (f_k - f_{k+1} + gamma_k)/rho;
+    3. f_{k+1} >= f*, and t_k <= beta*c*gamma_k by step_upper_bound;
+    4. so ||x_{k+1}-x*||^2 <= ||x_k-x*||^2 - (2 - 1/rho)*t_k*(f_k - f*)
+       + (beta*c/rho)*gamma_k^2;
+    5. alpha_1 >= (alpha_1/gamma_1)*gamma_k for a non-increasing gamma, so
+       step_lower_bound gives t_k >= beta*theta*gamma_{k+1}; with f_k >= f*
+       and rho > 1/2, summing step 4 over k <= N gives rate_general.
+    rate_tail uses sum gamma_{k+1} >= N*gamma_{N+1}, rate_sqrt_log puts
+    gamma_k = 1/sqrt(k) into rate_general, and rate_compact sums step 4 from
+    later in the prefix, where the distance is at most D; none uses theta
+    but through step 5. rate_strongly_convex's telescoping needs the
+    schedule's big_theta to be step 5's theta, so it runs only when they match.
     """
     K = len(report.k) - 1
     names = ["rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
@@ -285,8 +292,6 @@ def audit_rate_bounds(
         why = "rho <= 1/2 leaves Gamma = theta*(2beta - beta/rho) non-positive"
     elif f_star is None:
         why = "no known optimal value"
-    elif not _lower_bound_regime(report, cfg, tc):
-        why = "needs theta*gamma_{k+1} <= alpha_{k+1}, guaranteed only when " + _REGIME
     else:
         why = None
     if why is not None:
@@ -297,7 +302,8 @@ def audit_rate_bounds(
     x_star = problem.x_star
 
     beta, c, rho = cfg.beta, cfg.c, cfg.rho
-    Gamma = tc.gamma_big
+    theta = min(tc.theta, beta * c, report.alpha[0] / report.gamma[0])
+    Gamma = theta * (2.0 * beta - beta / rho)  # the expression constants() uses
     gap = np.minimum.accumulate(report.f[:K]) - f_star  # best gap over iterates 1..N
     Ns = np.arange(1, K + 1, dtype=np.int64)
     gamma = report.gamma
@@ -345,11 +351,11 @@ def audit_rate_bounds(
     elif (
         abs(seq.sigma - sigma) > REL_SLACK * max(1.0, sigma)
         or abs(seq.beta - beta) > REL_SLACK
-        or abs(seq.big_theta - tc.theta) > REL_SLACK * max(1.0, tc.theta)
+        or abs(seq.big_theta - theta) > REL_SLACK * max(1.0, theta)
     ):
         checks.append(_skip("rate_strongly_convex", "gamma parameters do not match the run"))
     else:
-        bound = (8.0 * beta * c) / (rho * sigma * beta * tc.theta * Gamma * (Ns + 1.0))
+        bound = (8.0 * beta * c) / (rho * sigma * beta * theta * Gamma * (Ns + 1.0))
         checks.append(_worst("rate_strongly_convex", gap, bound, Ns))
 
     return AuditReport(checks=tuple(checks))

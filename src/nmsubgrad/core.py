@@ -343,6 +343,20 @@ def _from_obj(what: str, tag: str, names: dict, obj, prefix: str = "", nested=No
     return cls(**_read_fields(what, items, fields(cls), prefix))
 
 
+def _to_obj(tag: str, names: dict, value, prefix: str = "") -> dict:
+    """Inverse of _from_obj: value's name in names under tag, and its fields
+    under prefix; a None field is left out, an array or a tuple is a list."""
+    name = {cls: name for name, cls in names.items()}.get(type(value))
+    if name is None:
+        raise TypeError(f"no {tag} name for {value!r}")
+    obj = {tag: name}
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if v is not None:
+            obj[prefix + f.name] = np.asarray(v).tolist() if isinstance(v, (np.ndarray, tuple)) else v
+    return obj
+
+
 # ----- config serialization -----
 
 _NUMBER_FIELDS = [f for f in fields(SolverConfig) if f.name != "gamma"]
@@ -350,16 +364,7 @@ _NUMBER_FIELDS = [f for f in fields(SolverConfig) if f.name != "gamma"]
 
 def _config_items(cfg: SolverConfig) -> dict:
     items = {f.name: getattr(cfg, f.name) for f in _NUMBER_FIELDS}
-    items.update(_gamma_to_items(cfg.gamma))
-    return items
-
-
-def _gamma_to_items(seq: GammaSequence) -> dict:
-    kind = next(name for name, cls in _GAMMA_KINDS.items() if cls is type(seq))
-    items = {"gamma.kind": kind}
-    for f in fields(seq):
-        value = getattr(seq, f.name)
-        items["gamma." + f.name] = list(value) if isinstance(value, tuple) else value
+    items.update(_to_obj("gamma.kind", _GAMMA_KINDS, cfg.gamma, "gamma."))
     return items
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels
-from .core import _from_obj, _json_value, as_point
+from .core import _from_obj, _json_value, _to_obj, as_point
 
 __all__ = [
     "WholeSpace",
@@ -551,18 +551,6 @@ def make_problem(inst: Instance, cset: SetDescriptor | None = None) -> ProblemSp
 
 _SET_KINDS = {"rn": WholeSpace, "orthant": NonnegativeOrthant, "box": Box, "ball": Ball}
 _INSTANCE_TYPES = {"maxaffine": MaxAffineInstance, "fermatweber": FermatWeberInstance}
-
-
-def _to_obj(tag: str, names: dict, value) -> dict:
-    name = {cls: name for name, cls in names.items()}.get(type(value))
-    if name is None:
-        raise TypeError(f"no {tag} name for {value!r}")
-    obj = {tag: name}
-    for f in fields(value):
-        v = getattr(value, f.name)
-        if v is not None:
-            obj[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
-    return obj
 
 
 def instance_to_obj(inst: Instance, cset: SetDescriptor | None = None) -> dict:

@@ -249,8 +249,8 @@ def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
     fbest_gap column when present."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty trace")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: trace has no rows")
     header = tuple(lines[0].split(","))
     if header not in (_GAP_COLUMNS, _COLUMNS):
         raise ValueError(f"{path}: unrecognized trace header {list(header)!r}")
@@ -259,7 +259,7 @@ def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
         if len(cells) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
     col = {name: list(map(int if name in _INT_COLUMNS else float, cells))
-           for name, cells in zip(header, list(zip(*rows)) or [()] * len(header))}
+           for name, cells in zip(header, zip(*rows))}
     # step/alpha_next are not serialized; auditors re-derive them from
     # (alpha, ell) and beta, so corrupt columns stay detectable
     missing = [math.nan] * len(rows)

@@ -148,16 +148,44 @@ def _outside_regime_run(iters=500):
     return prob, cfg, tc, solve_nonmonotone(prob, cfg)
 
 
-def test_default_run_passes_lower_bound_and_skips_rate_bounds():
+def test_default_run_passes_lower_bound_and_rate_bounds():
     prob, cfg, tc, rep = _outside_regime_run()
     # the run breaks theta*gamma_{k+1} <= alpha_{k+1}, as the regime allows
     assert tc.theta * rep.gamma[1] > rep.alpha_next[0]
     audit = audit_stepwise(rep, prob, cfg, tc)
     assert audit.passed
     assert audit["step_lower_bound"].status == "passed"
+    # the rate bounds hold with the effective theta = alpha_1/gamma_1 in its place
     rates = audit_rate_bounds(rep, prob, cfg, tc)
-    assert all(ch.status == "skipped" and "guaranteed only when" in ch.detail
-               for ch in rates.checks)
+    assert rates.passed
+    assert [ch.name for ch in rates.checks if ch.status == "passed"] == [
+        "rate_general", "rate_sqrt_log", "rate_tail"]
+
+
+# seed 0's default run has theta = 0.279 and effective theta = alpha_1/gamma_1 = 0.1;
+# every f of prefix 5 is set to f* plus mult times its effective rate_general bound
+@pytest.mark.parametrize("mult, status", [(1.5, "failed"), (0.9, "passed")])
+def test_rate_general_is_the_effective_theta_bound(mult, status):
+    prob, cfg, tc, rep = _outside_regime_run()
+    theta = rep.alpha[0] / rep.gamma[0]
+    assert (round(tc.theta, 3), theta) == (0.279, 0.1)
+    gamma_big = theta * (2.0 * cfg.beta - cfg.beta / cfg.rho)
+    d = rep.xs[0] - prob.x_star
+    numer = d @ d + cfg.beta * cfg.c / cfg.rho * np.sum(rep.gamma[:5] ** 2)
+    f = rep.f.copy()
+    f[:5] = prob.f_star + mult * numer / (gamma_big * np.sum(rep.gamma[1:6]))
+    ch = audit_rate_bounds(dataclasses.replace(rep, f=f), prob, cfg, tc)["rate_general"]
+    assert (ch.status, ch.worst_index) == (status, 5)
+
+
+# alpha_1 = 0 gives an effective theta and Gamma of 0: no bound, so each rate
+# check fails as non-finite instead of raising
+def test_zero_first_alpha_fails_the_rate_checks():
+    prob, cfg, tc, rep = _outside_regime_run(iters=50)
+    rep.alpha[0] = 0.0
+    rates = audit_rate_bounds(rep, prob, cfg, tc)
+    for name in ("rate_general", "rate_sqrt_log", "rate_tail"):
+        assert (rates[name].status, rates[name].detail) == ("failed", "non-finite comparison")
 
 
 def test_unrolled_lower_bound_catches_shrunk_steps():
@@ -245,6 +273,18 @@ def test_nan_cell_fails_its_check_as_non_finite():
     audit = audit_stepwise(bad, prob, cfg)
     ch = audit["sufficient_decrease"]
     assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", math.inf, 40)
+    assert ch.detail == "non-finite comparison"
+
+
+# only a column that is NaN throughout (a CSV trace) takes the derived law
+@pytest.mark.parametrize("column", ["alpha_next", "step"])
+def test_nan_cell_in_a_recorded_column_fails_consistency(column):
+    prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5))
+    cfg = SolverConfig(max_iters=100)
+    rep = solve_nonmonotone(prob, cfg)
+    getattr(rep, column)[7] = math.nan
+    ch = audit_stepwise(rep, prob, cfg)["consistency"]
+    assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", math.inf, 8)
     assert ch.detail == "non-finite comparison"
 
 
@@ -356,6 +396,22 @@ def test_rate_strongly_convex_with_matching_schedule():
     cfg3 = dataclasses.replace(cfg, gamma=SqrtInverse(1.0), alpha1=1.0)
     ch = audit_rate_bounds(solve_nonmonotone(prob, cfg3), prob, cfg3, tc)["rate_strongly_convex"]
     assert (ch.status, ch.detail) == ("skipped", "gamma is not the harmonic kind")
+
+
+# alpha_1 = (theta/2)*gamma_1 puts the run outside alpha_1 >= theta*gamma_1: the
+# bound is certified for a schedule built from the effective theta = theta/2 only
+@pytest.mark.parametrize("scale, outcome", [
+    (1.0, ("skipped", "gamma parameters do not match the run")), (0.5, ("passed", ""))])
+def test_rate_strongly_convex_matches_the_effective_theta(scale, outcome):
+    inst = plant_optimum_max_affine(0, 5, 30, spread=0.5, sigma=1.0)
+    prob = make_problem(inst, Ball(center=np.zeros(5), radius=2.0))
+    tc = constants(0.8, 0.9, prob.L, 1.0)
+    seq = StronglyConvexHarmonic(sigma=1.0, beta=0.9, big_theta=scale * tc.theta)
+    cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=tc.theta / 2 * gamma_value(seq, 1),
+                       gamma=seq, max_iters=300)
+    rep = solve_nonmonotone(prob, cfg)
+    ch = audit_rate_bounds(rep, prob, cfg, tc)["rate_strongly_convex"]
+    assert (ch.status, ch.detail) == outcome
 
 
 def test_rate_bounds_skip_without_optimum():

@@ -280,14 +280,14 @@ def test_check_passes_default_run_and_catches_tampering(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("check", trace, inst) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[-1] == "audit passed (4 of 10 checks ran)"
-    assert "step_lower_bound: passed" in out
-    assert "rate_general: skipped [needs theta*gamma_{k+1} <= alpha_{k+1}" in out
+    assert out.splitlines()[-1] == "audit passed (7 of 10 checks ran)"
+    for name in ("step_lower_bound", "rate_general", "rate_sqrt_log", "rate_tail"):
+        assert f"{name}: passed" in out, name
     clean = Path(trace).read_text()
     for col, bend in ((1, lambda f: f + 1.0), (3, lambda a: a * 1.002)):  # f, alpha
         _tamper(trace, 40, col, bend)
         assert run_cli("check", trace, inst) == 1
-        assert capsys.readouterr().out.splitlines()[-1] == "audit FAILED (4 of 10 checks ran)"
+        assert capsys.readouterr().out.splitlines()[-1] == "audit FAILED (7 of 10 checks ran)"
         with open(trace, "w") as fh:
             fh.write(clean)
 
@@ -305,6 +305,14 @@ def test_check_prefixed_trace_skips_cleanly(planted_instance, tmp_path, capsys):
 
 def test_check_missing_trace_is_exit_2(planted_instance, tmp_path):
     assert run_cli("check", str(tmp_path / "no.csv"), planted_instance) == 2
+
+
+@pytest.mark.parametrize("text", ["k,f,fbest_gap,alpha,ell,gamma,snorm\n", ""])
+def test_check_trace_without_rows_is_exit_2(planted_instance, tmp_path, capsys, text):
+    trace = tmp_path / "t.csv"
+    trace.write_text(text)
+    line = _assert_usage_error(run_cli("check", str(trace), planted_instance), capsys)
+    assert line == f"error: {trace}: trace has no rows"
 
 
 def test_check_out_of_range_int_cell_is_exit_2(planted_instance, tmp_path, capsys):

@@ -657,6 +657,10 @@ def _assert_tag_matches_trace(report, max_iters):
 # correct, and theta*gamma_2 <= alpha_2 fails on it
 @example(seed=0, family="plain", n=1, extra=0, set_kind="rn", sigma=0.0, beta=0.5,
          rho=0.75, c=1.0, alpha1=0.5, zeta=1.0, cap=1, iters=1)
+# a planted run on a ball outside that regime (theta = 0.221, alpha_1/gamma_1 = 0.1):
+# four rate checks run with the effective theta
+@example(seed=1, family="planted", n=2, extra=2, set_kind="ball", sigma=0.0, beta=0.9,
+         rho=0.8, c=1.0, alpha1=0.1, zeta=1.0, cap=60, iters=20)
 def test_every_run_passes_its_audit(seed, family, n, extra, set_kind, sigma, beta, rho,
                                     c, alpha1, zeta, cap, iters):
     prob = _property_problem(seed, family, n, extra, set_kind, sigma)
