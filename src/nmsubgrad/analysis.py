@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import RunReport, SolverConfig, SqrtInverse, StronglyConvexHarmonic
+from .core import RunReport, SolverConfig, SqrtInverse, StronglyConvexHarmonic, gamma_values
 from .problems import ProblemSpec, diameter_sq
 
 __all__ = [
@@ -42,11 +42,11 @@ SKIPPED = "skipped"
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """theta = min(1, 1/((1+rho)L^2)) and gamma_big = theta*(2beta - beta/rho),
-    the constants appearing in every complexity bound. gamma_big > 0 exactly
-    when rho > 1/2; below, the rate bounds say nothing and audit_rate_bounds
-    skips them, while the step lower bound, which needs only theta, holds for
-    every rho in (0, 1)."""
+    """theta = min(1, 1/((1+rho)L^2)), 1 when L = 0, and gamma_big =
+    theta*(2beta - beta/rho), the constants in every complexity bound.
+    gamma_big > 0 exactly when rho > 1/2; below, the rate bounds say nothing
+    and audit_rate_bounds skips them, while the step lower bound, which needs
+    only theta, holds for every rho in (0, 1)."""
 
     theta: float
     gamma_big: float
@@ -57,11 +57,12 @@ def constants(rho: float, beta: float, L: float, c: float = 1.0) -> TheoryConsta
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError(f"L must be positive and finite, got {L}")
+    if not (L >= 0.0 and math.isfinite(L)):
+        raise ValueError(f"L must be non-negative and finite, got {L}")
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"c must be positive and finite, got {c}")
-    theta = min(1.0, 1.0 / ((1.0 + rho) * L * L))
+    s = (1.0 + rho) * L * L
+    theta = 1.0 / s if s > 1.0 else 1.0  # the bits of min(1, 1/s) for L > 0
     gamma_big = theta * (2.0 * beta - beta / rho)
     return TheoryConstants(theta=theta, gamma_big=gamma_big)
 
@@ -140,7 +141,9 @@ def audit_stepwise(
     """Per-iteration laws of the accepted steps.
 
     consistency        alpha_next = beta**(ell-1)*alpha, step = beta*alpha_next,
-                       next row's alpha continues the chain, ell >= 1 on step rows
+                       next row's alpha continues the chain, ell >= 1 on step rows,
+                       row 1's alpha is cfg.alpha1 and every row's gamma (the
+                       landed row's too) is cfg.gamma's
     step_upper_bound   alpha_{k+1} <= c * gamma_k
     step_lower_bound   min(alpha_1, min(theta, beta*c)*gamma_k) <= alpha_{k+1}
                        (needs tc)
@@ -206,7 +209,14 @@ def audit_stepwise(
         dev = np.abs(_normalized(eff_next, derived_next))
         for a, b in ((report.alpha[1 : K + 1], eff_next), (eff_step, beta * eff_next)):
             np.maximum(dev, np.abs(_normalized(a, b)), out=dev)
-        checks.append(_worst("consistency", dev, np.zeros(K), ks))
+        a1, a1_cfg = float(alpha[0]), cfg.alpha1  # Python floats: no one-entry arrays
+        if a1 != a1_cfg:
+            dev[0] = np.maximum(dev[0], abs(a1 - a1_cfg) / max(1.0, abs(a1), abs(a1_cfg)))
+        expected = gamma_values(cfg.gamma, K + 1)
+        if (report.gamma != expected).any():  # exact first: a matching column costs one pass
+            # the landed row counts too: rate_tail reads its gamma
+            dev = np.maximum(np.abs(_normalized(report.gamma, expected)), np.append(dev, 0.0))
+        checks.append(_worst("consistency", dev, np.zeros(len(dev)), report.k[: len(dev)]))
 
     checks.append(_worst("step_upper_bound", eff_next, c * gamma, ks))
 
@@ -252,11 +262,11 @@ def audit_rate_bounds(
     each applicable bound; the reported worst_index is the tightest N.
 
     rate_general          (dist^2 + (beta*c/rho) * sum gamma_k^2) / (Gamma * sum gamma_{k+1})
-    rate_sqrt_log         4/Gamma * (dist^2 + beta*c/rho + beta*c/rho * ln N) / sqrt(N)
-                          (sqrt-inverse gamma only)
+    rate_sqrt_log         4/Gamma * (dist^2/zeta + zeta*beta*c/rho * (1 + ln N)) / sqrt(N)
+                          (sqrt-inverse gamma_k = zeta/sqrt(k))
     rate_tail             (dist^2 + (beta*c/rho) * sum gamma_k^2) / (Gamma * N * gamma_{N+1})
-    rate_compact          4*(D + beta*c/rho * ln 3) / (Gamma * sqrt(N+2)), N >= 2
-                          (bounded set, sqrt-inverse gamma with zeta = 1)
+    rate_compact          4*(D/zeta + zeta*beta*c/rho * ln 3) / (Gamma * sqrt(N+2)), N >= 2
+                          (bounded set, sqrt-inverse gamma)
     rate_strongly_convex  8*beta*c / (rho*sigma*beta*theta*Gamma*(N+1))
                           (sigma > 0 with the matching harmonic gamma)
 
@@ -274,11 +284,16 @@ def audit_rate_bounds(
     5. alpha_1 >= (alpha_1/gamma_1)*gamma_k for a non-increasing gamma, so
        step_lower_bound gives t_k >= beta*theta*gamma_{k+1}; with f_k >= f*
        and rho > 1/2, summing step 4 over k <= N gives rate_general.
-    rate_tail uses sum gamma_{k+1} >= N*gamma_{N+1}, rate_sqrt_log puts
-    gamma_k = 1/sqrt(k) into rate_general, and rate_compact sums step 4 from
-    later in the prefix, where the distance is at most D; none uses theta
-    but through step 5. rate_strongly_convex's telescoping needs the
-    schedule's big_theta to be step 5's theta, so it runs only when they match.
+    rate_tail uses sum gamma_{k+1} >= N*gamma_{N+1}. For gamma_k = zeta/sqrt(k),
+    sum_{k<=N} gamma_k^2 = zeta^2 * sum 1/k <= zeta^2*(1 + ln N) and
+    sum_{k<=N} gamma_{k+1} >= 2*zeta*(sqrt(N+2) - sqrt(2)) >= zeta*sqrt(N)/4;
+    put into rate_general, they give rate_sqrt_log. rate_compact sums step 4
+    over the window k = floor(N/2)+1..N, where ||x_M - x*||^2 <= D at its
+    first iterate M; there sum 1/k <= ln(N/floor(N/2)) <= ln 3 and
+    sum 1/sqrt(k+1) >= ceil(N/2)/sqrt(N+1) >= sqrt(N+2)/4 for N >= 2. None
+    uses theta but through step 5. rate_strongly_convex's telescoping needs
+    the schedule's big_theta to be step 5's theta, so it runs only when they
+    match.
     """
     K = len(report.k) - 1
     names = ["rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
@@ -309,6 +324,7 @@ def audit_rate_bounds(
     gamma = report.gamma
     sum_sq = np.add.accumulate(gamma[:K] * gamma[:K])
     sum_shift = np.add.accumulate(gamma[1 : K + 1])
+    zeta = cfg.gamma.zeta if isinstance(cfg.gamma, SqrtInverse) else None
 
     checks: list[CheckResult] = []
 
@@ -319,13 +335,13 @@ def audit_rate_bounds(
         dist_sq = float(np.dot(x1 - x_star, x1 - x_star))
         numer = dist_sq + (beta / rho) * c * sum_sq
         checks.append(_worst("rate_general", gap, numer / (Gamma * sum_shift), Ns))
-        if isinstance(cfg.gamma, SqrtInverse):
+        if zeta is None:
+            checks.append(_skip("rate_sqrt_log", "gamma is not the sqrt-inverse kind"))
+        else:
             bound = (4.0 / Gamma) * (
-                dist_sq + beta / rho * c + beta / rho * c * np.log(Ns)
+                dist_sq / zeta + zeta * beta / rho * c + zeta * beta / rho * c * np.log(Ns)
             ) / np.sqrt(Ns)
             checks.append(_worst("rate_sqrt_log", gap, bound, Ns))
-        else:
-            checks.append(_skip("rate_sqrt_log", "gamma is not the sqrt-inverse kind"))
         checks.append(
             _worst("rate_tail", gap, numer / (Gamma * Ns * gamma[1 : K + 1]), Ns)
         )
@@ -333,13 +349,14 @@ def audit_rate_bounds(
     D = diameter_sq(problem.cset)
     if D is None:
         checks.append(_skip("rate_compact", "constraint set is unbounded"))
-    elif not (isinstance(cfg.gamma, SqrtInverse) and cfg.gamma.zeta == 1.0):
-        checks.append(_skip("rate_compact", "needs the sqrt-inverse gamma with zeta = 1"))
+    elif zeta is None:
+        checks.append(_skip("rate_compact", "gamma is not the sqrt-inverse kind"))
     elif K < 2:
         checks.append(_skip("rate_compact", "needs at least two steps"))
     else:
         Ns2 = Ns[1:]
-        bound = 4.0 * (D + beta * c / rho * math.log(3.0)) / (Gamma * np.sqrt(Ns2 + 2.0))
+        bound = 4.0 * (D / zeta + zeta * beta * c / rho * math.log(3.0)) / (
+            Gamma * np.sqrt(Ns2 + 2.0))
         checks.append(_worst("rate_compact", gap[1:], bound, Ns2))
 
     sigma = problem.sigma

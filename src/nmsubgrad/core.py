@@ -505,7 +505,7 @@ class RunReport:
 
     @property
     def n_steps(self) -> int:
-        return int(np.count_nonzero(self.ell >= 1))
+        return len(self.k) - 1  # every run ends with its landed row
 
 
 def _report(columns, termination: str) -> RunReport:

@@ -11,6 +11,7 @@ from nmsubgrad import (
     Ball,
     ConstantStep,
     MaxAffineInstance,
+    PowerInverse,
     SolverConfig,
     SqrtInverse,
     StronglyConvexHarmonic,
@@ -73,8 +74,10 @@ def test_constants_reject_rho_outside_the_unit_interval():
             constants(rho=rho, beta=0.9, L=1.0)
     with pytest.raises(ValueError):
         constants(rho=0.8, beta=1.0, L=1.0)
-    with pytest.raises(ValueError):
-        constants(rho=0.8, beta=0.9, L=0.0)
+    for L in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="L must be non-negative and finite"):
+            constants(rho=0.8, beta=0.9, L=L)
+    assert constants(rho=0.8, beta=0.9, L=0.0).theta == 1.0  # a constant objective
     for c in (0.0, math.inf):
         with pytest.raises(ValueError, match="c must be positive"):
             constants(rho=0.8, beta=0.9, L=1.0, c=c)
@@ -288,6 +291,32 @@ def test_nan_cell_in_a_recorded_column_fails_consistency(column):
     assert ch.detail == "non-finite comparison"
 
 
+# gamma is fixed by the config: a bent or NaN cell fails consistency at its
+# row, the landed row (whose gamma rate_tail reads) included
+@pytest.mark.parametrize("row, bend", [(7, 1.2), (7, math.nan), (100, 1.2)],
+                         ids=["step-row", "nan", "landed-row"])
+def test_gamma_cell_off_the_config_fails_consistency(row, bend):
+    prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5))
+    cfg = SolverConfig(max_iters=100)
+    rep = solve_nonmonotone(prob, cfg)
+    assert len(rep.k) == 101 and audit_stepwise(rep, prob, cfg).passed
+    rep.gamma[row] *= bend
+    ch = audit_stepwise(rep, prob, cfg)["consistency"]
+    assert (ch.status, ch.worst_index) == ("failed", row + 1)
+
+
+# a CSV-like trace (no alpha_next or step) whose alpha column is zeroed keeps
+# every ladder and chain law; only row 1's alpha against cfg.alpha1 fails
+def test_first_alpha_off_the_config_fails_consistency():
+    prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5))
+    cfg = SolverConfig(max_iters=100)
+    nan = np.full(101, math.nan)
+    rep = dataclasses.replace(solve_nonmonotone(prob, cfg), alpha=np.zeros(101),
+                              alpha_next=nan, step=nan)
+    ch = audit_stepwise(rep, prob, cfg)["consistency"]
+    assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", 0.1, 1)
+
+
 def test_step_row_with_ell_zero_fails_consistency():
     prob, cfg, rep = _planted_run(seed=3)
     bad = _replace_record(rep, 17, ell=0)
@@ -366,10 +395,37 @@ def test_rate_compact_on_ball():
     tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
     audit = audit_rate_bounds(rep, prob, cfg, tc)
     assert audit["rate_compact"].status == "passed"
-    # zeta != 1 disqualifies the specialized bound
+    # the bound scales with zeta, so every sqrt-inverse gamma is checked
     cfg2 = SolverConfig(gamma=SqrtInverse(0.5), max_iters=300, **PARAMS)
     rep2 = solve_nonmonotone(prob, cfg2)
-    assert audit_rate_bounds(rep2, prob, cfg2, tc)["rate_compact"].status == "skipped"
+    assert audit_rate_bounds(rep2, prob, cfg2, tc)["rate_compact"].status == "passed"
+
+
+# the sqrt-inverse bounds scale with zeta: at zeta = 1e-6 the bound written
+# for zeta = 1 falls below this correct run's gap (margin 0.153 at N = 1e5)
+def test_rate_sqrt_log_holds_for_a_small_zeta():
+    inst = MaxAffineInstance(A=np.array([[0.7], [-0.7]]), b=np.zeros(2),
+                             x_star=np.zeros(1), f_star=0.0)
+    prob = make_problem(inst)
+    cfg = SolverConfig(c=2.0, gamma=SqrtInverse(1e-6), max_iters=100000)
+    rep = solve_nonmonotone(prob, cfg, x0=np.array([1.0]))
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    audit = merge_reports(audit_stepwise(rep, prob, cfg, tc),
+                          audit_rate_bounds(rep, prob, cfg, tc))
+    assert audit.passed
+    assert audit["rate_sqrt_log"].status == "passed"
+
+
+def test_rate_checks_skip_a_power_inverse_gamma_with_one_reason():
+    prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5),
+                        Ball(center=np.zeros(5), radius=2.0))
+    cfg = SolverConfig(gamma=PowerInverse(zeta=0.5, theta=0.5), max_iters=300, **PARAMS)
+    audit = audit_rate_bounds(solve_nonmonotone(prob, cfg), prob, cfg,
+                              constants(cfg.rho, cfg.beta, prob.L, cfg.c))
+    for name in ("rate_sqrt_log", "rate_compact"):
+        assert (audit[name].status, audit[name].detail) == (
+            "skipped", "gamma is not the sqrt-inverse kind"), name
+    assert audit["rate_general"].status == "passed"
 
 
 def test_rate_strongly_convex_with_matching_schedule():
@@ -503,19 +559,21 @@ def test_quasi_fejer_has_the_bits_of_the_plain_distances(n, iters):
 # ----- golden audit reports -----
 #
 # sha256 of audit_report_to_json(merge of both audits) per case, recorded
-# before the audit's array passes were reworked. The JSON writes every float
+# before the audit's array passes were reworked; the fixture-n2/n5 cases
+# (zeta 0.01 and 0.5) and strongly-convex-ball were re-pinned when the
+# sqrt-inverse bounds were written in zeta. The JSON writes every float
 # with its shortest round-trip repr, so any changed bit of a worst_violation,
 # and any changed status, index or detail, changes the digest.
 
 GOLDEN_AUDITS = {
     "fixture-n2-seed0":
-        "e0d44501c65c0030af7f78f688c868f808747ce24f32a927e6406b8f8d59a96b",
+        "e8c23c0a51032b69f8d3e52839935bafdfd882e50dd228dc94c6fc4907fb8c5c",
     "fixture-n2-seed1":
-        "aef059b1cb29608c8b36106ca5f19be3d0132427c0c1ccad835f19fa02d578fb",
+        "e05d33f7cafbc7a076c74e3c45036c4c4db783f581f31f59a4413bd7f5e0c6b2",
     "fixture-n5-seed0":
-        "66c430c0fc98ea6aa233802c22cdc3807f8b1b7679b16bcdeb0a3eef2af5f04b",
+        "92b312fd25a24d43d18ba2f4452484cc20e841c30fedd2106b60d8a3b29c8f1b",
     "fixture-n5-seed1":
-        "9919c2bbe9d4307cf91e5dbf2f134f44265680c4f74f5600d8cfc61b77b57f17",
+        "668f09f7021ed23e88a52678d17cadb7dedbb8853a1638240769a63138e0cacd",
     "fixture-n10-seed0":
         "36a1eb580061e87b215f1289076298008e541420f5f1b05e215f636e3ef2ba00",
     "fixture-n10-seed1":
@@ -523,7 +581,7 @@ GOLDEN_AUDITS = {
     "ball-n10":
         "a831f67eed538e9bfce40b9ac48a34fd5304a9a46617e8f243460a5829a48a66",
     "strongly-convex-ball":
-        "11a9c1cc1671e1fdbf712ac55a86aae887ba9610e915d5f110862a35069fea60",
+        "688bf1e5448932c8eb22ed1fe2521d660cdbc763c2d2b904ae1e15b50a1abec4",
     "csv-round-trip-n10":
         "0e7baa42a1ba58a0d87015b1aa7a7bbb7037f9211ee7c81d06e8c34a545019b8",
     "nan-f":

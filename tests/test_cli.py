@@ -292,6 +292,55 @@ def test_check_passes_default_run_and_catches_tampering(tmp_path, capsys):
             fh.write(clean)
 
 
+# gamma and alpha_1 are fixed by the config, so check compares the trace's
+# cells with it instead of trusting them
+def test_check_catches_a_gamma_cell_bent_to_hide_a_bent_f(tmp_path, capsys):
+    inst, trace = str(tmp_path / "inst.json"), str(tmp_path / "t.csv")
+    assert run_cli("gen", "maxaffine", "--n", "2", "--m", "4", "--planted", "--seed", "3",
+                   "--out", inst) == 0
+    assert run_cli("run", inst, "--iters", "200", "--out", trace) == 0
+    rep, _ = nmsubgrad.read_trace_csv(trace)
+    f, alpha, gamma, snorm = (float(col[39]) for col in (rep.f, rep.alpha, rep.gamma, rep.snorm))
+    step = 0.9 * float(rep.alpha[40])  # the default beta and rho
+    margin = f - 0.8 * step * snorm * snorm + gamma - float(rep.f[40])
+    _tamper(trace, 41, 1, lambda v: v + margin + 0.1 * gamma)  # f past its decrease bound
+    capsys.readouterr()
+    assert run_cli("check", trace, inst) == 1
+    assert "sufficient_decrease: failed (worst at k=40)" in capsys.readouterr().out
+    _tamper(trace, 40, 5, lambda g: g * 1.2)  # a gamma_40 that would cover it
+    assert run_cli("check", trace, inst) == 1
+    out = capsys.readouterr().out
+    assert "consistency: failed (worst at k=40)" in out
+    assert out.splitlines()[-1] == "audit FAILED (7 of 10 checks ran)"
+
+
+def test_check_catches_a_zeroed_alpha_column(tmp_path, capsys):
+    inst, trace = str(tmp_path / "inst.json"), str(tmp_path / "t.csv")
+    assert run_cli("gen", "maxaffine", "--n", "3", "--m", "9", "--seed", "4", "--out", inst) == 0
+    assert run_cli("run", inst, "--iters", "200", "--out", trace) == 0
+    for row in range(1, 202):
+        _tamper(trace, row, 2, lambda a: 0.0)  # k,f,alpha,...: no f_star, no gap column
+    capsys.readouterr()
+    assert run_cli("check", trace, inst) == 1
+    out = capsys.readouterr().out
+    assert "consistency: failed (worst at k=1)" in out
+    assert out.splitlines()[-1] == "audit FAILED (4 of 10 checks ran)"
+
+
+# a constant objective has L = 0: the run stops at x_1 and check audits the
+# one-row trace (theta = 1) instead of rejecting the instance
+@pytest.mark.parametrize("method", ["nonmonotone", "constant"])
+def test_check_of_a_constant_objective_passes(tmp_path, capsys, method):
+    inst, trace = tmp_path / "inst.json", str(tmp_path / "t.csv")
+    inst.write_text(json.dumps({"type": "maxaffine", "A": [[0, 0], [0, 0]], "b": [0, -1]}))
+    assert run_cli("run", str(inst), "--method", method, "--out", trace) == 0
+    summary = json.loads((tmp_path / "t.summary.json").read_text())
+    assert (summary["termination"], summary["n_rows"]) == ("zero_subgradient", 1)
+    capsys.readouterr()
+    assert run_cli("check", trace, str(inst)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "audit passed (none of 10 checks ran)"
+
+
 def test_check_prefixed_trace_skips_cleanly(planted_instance, tmp_path, capsys):
     trace = str(tmp_path / "t.csv")
     assert run_cli("run", planted_instance, "--method", "sqrsum",

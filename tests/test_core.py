@@ -482,7 +482,7 @@ def test_build_report_best_is_first_minimum():
                        "max_iters")
     assert rep.f_best == 1.0
     assert rep.it_best == 2
-    assert rep.n_steps == 4
+    assert rep.n_steps == 3  # the last row is read as the landed iterate
 
 
 def test_build_report_requires_records():

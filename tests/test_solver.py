@@ -110,6 +110,14 @@ def test_prefixed_rows_use_sentinel_and_nan_gamma():
     assert report.records[-1].step == 0.0
 
 
+# every report ends with its landed row, so both solvers count rows - 1 steps
+def test_both_solvers_count_their_steps():
+    prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5))
+    assert solve_prefixed(prob, ConstantStep(), 100).n_steps == 100
+    report = solve_nonmonotone(prob, SolverConfig(max_iters=100))
+    assert report.n_steps == int(np.count_nonzero(report.ell >= 1)) == 100
+
+
 # ----- non-monotone solver traces -----
 
 
