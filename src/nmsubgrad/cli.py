@@ -43,10 +43,8 @@ from .problems import (
     Box,
     WholeSpace,
     _atomic_write,
-    contains,
     gen_fermat_weber,
     gen_max_affine,
-    lipschitz_bound,
     load_instance,
     make_problem,
     plant_optimum_max_affine,
@@ -60,7 +58,6 @@ from .solver import (
     ConstantStep,
     NonsummableDiminishing,
     SquareSummable,
-    _check_rule,
     _start_point,
     read_trace_csv,
     solve_nonmonotone,
@@ -76,6 +73,10 @@ _RULES = {
 }
 
 METHODS = ("nonmonotone", *_RULES)
+
+# run's and check's float flags, besides --zeta: each overrides the config field of its name
+_RUN_FLAGS = ("c", "beta", "rho", "alpha1")
+_CHECK_FLAGS = ("c", "beta", "rho")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     gf.add_argument("--seed", type=int, default=None, help="default 0")
     gf.add_argument("--n", type=int, default=None, help="default 2, or the csv width")
     gf.add_argument("--m", type=int, default=None, help="default 27")
-    gf.add_argument("--scale", type=float, default=None)
-    gf.add_argument("--from-csv", default=None,
+    gf.add_argument("--scale", type=float, default=None, dest="anchor_scale")
+    gf.add_argument("--from-csv", default=None, dest="anchors_csv",
                     help="read anchors from lat,lon rows (integer parts, sign-flipped)")
     _add_set_flags(gf)
     gf.add_argument("--out", required=True)
@@ -118,10 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("instance")
     r.add_argument("--method", choices=METHODS, default="nonmonotone")
     r.add_argument("--zeta", type=float, default=None, help="gamma_k = zeta/sqrt(k)")
-    r.add_argument("--c", type=float, default=None)
-    r.add_argument("--beta", type=float, default=None)
-    r.add_argument("--rho", type=float, default=None)
-    r.add_argument("--alpha1", type=float, default=None)
+    for name in _RUN_FLAGS:
+        r.add_argument("--" + name, type=float)
     r.add_argument("--backtrack-cap", type=int, default=None)
     r.add_argument("--iters", type=int, default=None, dest="max_iters", metavar="ITERS")
     r.add_argument("--step-const", type=float, default=None,
@@ -140,9 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(handler=cmd_check)
     k.add_argument("trace")
     k.add_argument("instance")
-    k.add_argument("--c", type=float, default=None)
-    k.add_argument("--beta", type=float, default=None)
-    k.add_argument("--rho", type=float, default=None)
+    for name in _CHECK_FLAGS:
+        k.add_argument("--" + name, type=float)
     k.add_argument("--zeta", type=float, default=None, help="gamma_k = zeta/sqrt(k)")
     k.add_argument("--out", default=None, help="write the audit report JSON here")
     return p
@@ -150,59 +148,73 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_set_flags(sp) -> None:
     sp.add_argument("--set", choices=("rn", "box", "ball"), default="rn")
-    sp.add_argument("--radius", type=float, default=10.0, help="ball radius")
-    sp.add_argument("--box-lo", type=float, default=-10.0, help="box lower bound (scalar)")
-    sp.add_argument("--box-hi", type=float, default=10.0, help="box upper bound (scalar)")
+    sp.add_argument("--radius", type=float, help="ball radius (default 10)")
+    sp.add_argument("--box-lo", type=float, help="box lower bound (scalar, default -10)")
+    sp.add_argument("--box-hi", type=float, help="box upper bound (scalar, default 10)")
 
 
 def _build_set(args, n: int):
+    """args.set in dimension n; a set flag of another set is a ConfigError."""
+    for name, kind in (("radius", "ball"), ("box_lo", "box"), ("box_hi", "box")):
+        if getattr(args, name) is not None and args.set != kind:
+            raise ConfigError(f"--{name.replace('_', '-')} applies only to --set {kind}")
     if args.set == "rn":
         return WholeSpace()
     if args.set == "ball":
-        return Ball(center=np.zeros(n), radius=args.radius)
-    return Box(lo=np.full(n, args.box_lo), hi=np.full(n, args.box_hi))
+        return Ball(center=np.zeros(n), radius=10.0 if args.radius is None else args.radius)
+    return Box(lo=np.full(n, -10.0 if args.box_lo is None else args.box_lo),
+               hi=np.full(n, 10.0 if args.box_hi is None else args.box_hi))
 
 
 def _given(args, names) -> dict:
-    """The flags among names given on the command line; the others are left
-    out, so the function they are passed to applies its own defaults."""
+    """The attributes among names that args sets (not None); the others are
+    left out, so the function they are passed to applies its own defaults."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 # ----- gen -----
 
 
+def _max_affine(params, seed: int, planted: bool):
+    """A max-affine instance of params' (gen's flags' or a bench entry's) n, m and
+    sigma: planted with its active, spread and active_scale, or given none of them."""
+    if planted:
+        return plant_optimum_max_affine(seed, params.n, params.m, active_count=params.active,
+                                        **_given(params, ("spread", "sigma", "active_scale")))
+    if _given(params, ("active", "spread", "active_scale")):
+        raise ConfigError("--active, --spread and --active-scale apply only to --planted")
+    return gen_max_affine(seed, params.n, params.m, **_given(params, ("sigma",)))
+
+
+def _fermat_weber(params, seed: int | None):
+    """A Fermat-Weber instance with unit weights: at the anchors of
+    params.anchors_csv, which takes no anchor_scale, or at the seed's random
+    anchors of params' n and m at its anchor_scale."""
+    if params.anchors_csv is None:
+        scale = {} if params.anchor_scale is None else {"scale": params.anchor_scale}
+        return gen_fermat_weber(seed, params.n, params.m, **scale)
+    if params.anchor_scale is not None:
+        raise ConfigError("anchor_scale does not apply to an anchors file")
+    anchors = read_anchor_csv(params.anchors_csv)
+    return FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
+
+
 def cmd_gen(args) -> int:
     if args.family == "maxaffine":
-        if args.planted:
-            inst = plant_optimum_max_affine(
-                args.seed, args.n, args.m, active_count=args.active,
-                **_given(args, ("spread", "sigma", "active_scale")),
-            )
-        else:
-            inst = gen_max_affine(args.seed, args.n, args.m, **_given(args, ("sigma",)))
-        cset = _build_set(args, args.n)
-        if inst.x_star is not None and not contains(cset, inst.x_star):
-            raise ConfigError(
-                "planted optimum lies outside the requested set; "
-                "enlarge the set or drop --planted"
-            )
-        save_instance(args.out, inst, cset)
+        inst = _max_affine(args, args.seed, args.planted)
+    elif args.anchors_csv is None:
+        vars(args).update({"seed": 0, "n": 2, "m": 27, **_given(args, ("seed", "n", "m"))})
+        inst = _fermat_weber(args, args.seed)
+    # the file sets the anchors, so --n may only repeat its width
+    elif _given(args, ("m", "seed", "anchor_scale")):
+        raise ConfigError("--m, --seed and --scale do not apply to --from-csv")
     else:
-        if args.from_csv is not None:
-            if _given(args, ("m", "seed", "scale")):
-                raise ConfigError("--m, --seed and --scale do not apply to --from-csv")
-            anchors = read_anchor_csv(args.from_csv)
-            if args.n not in (None, anchors.shape[1]):
-                raise ConfigError(
-                    f"--n {args.n} conflicts with csv width {anchors.shape[1]}"
-                )
-            inst = FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
-        else:
-            inst = gen_fermat_weber(**{"seed": 0, "n": 2, "m": 27,
-                                       **_given(args, ("seed", "n", "m", "scale"))})
-        cset = _build_set(args, inst.n)
-        save_instance(args.out, inst, cset)
+        inst = _fermat_weber(args, None)
+        if args.n not in (None, inst.n):
+            raise ConfigError(f"--n {args.n} conflicts with csv width {inst.n}")
+    cset = _build_set(args, inst.n)
+    make_problem(inst, cset)  # what run will ask of the file: a planted optimum in the set
+    save_instance(args.out, inst, cset)
     print(args.out)
     return 0
 
@@ -221,35 +233,43 @@ def _run_config(args) -> SolverConfig:
             base = _config_from_items(_json_value(text, f"config file {args.config!r}"))
         else:
             base = config_from_keyvalues(text)
-    return _override(base, args, ("c", "beta", "rho", "alpha1", "max_iters", "backtrack_cap"))
+    return _override(base, args, (*_RUN_FLAGS, "max_iters", "backtrack_cap"))
 
 
 def _override(base: SolverConfig, args, names) -> SolverConfig:
-    """base with the flags among names, and --zeta, that the command line
-    gives in place of its fields."""
+    """base with args' values among names, and its zeta as the slack sequence,
+    in place of its fields where args gives them (flags or a bench entry)."""
     given = _given(args, names)
     if args.zeta is not None:
         given["gamma"] = SqrtInverse(zeta=args.zeta)
     return dataclasses.replace(base, **given)
 
 
-def _make_rule(method: str, const: float | None):
-    """The method's step rule, with the rule's own default constant unless
-    one is given; a constant that is not positive is a ValueError."""
-    cls = _RULES[method]
-    rule = cls() if const is None else cls(a=const)
-    _check_rule(rule)
-    return rule
+def _make_rule(method: str, const: float | None, what: str):
+    """method's step rule, at its own default constant unless one is given
+    (None for the backtracking method); a bad constant is a ConfigError naming what."""
+    if method == "nonmonotone":
+        return None
+    try:
+        return _RULES[method]() if const is None else _RULES[method](a=const)
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _solve(problem, cfg: SolverConfig, method: str, rule):
+    """One run of method, through the solvers bound in this module when it is
+    called (so a patched attribute is the one that runs)."""
+    if method == "nonmonotone":
+        return solve_nonmonotone(problem, cfg)
+    return solve_prefixed(problem, rule, cfg.max_iters)
 
 
 def cmd_run(args) -> int:
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
     cfg = _run_config(args)
-    if args.method == "nonmonotone":
-        report = solve_nonmonotone(problem, cfg)
-    else:
-        report = solve_prefixed(problem, _make_rule(args.method, args.step_const), cfg.max_iters)
+    rule = _make_rule(args.method, args.step_const, "--step-const")
+    report = _solve(problem, cfg, args.method, rule)
     f_star = problem.f_star
     write_trace_csv(report, args.out, f_star=f_star)
     summary = {
@@ -289,7 +309,9 @@ def cmd_bench(args) -> int:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
     base = _bench_solver(plan.solver)
-    rules = _bench_rules(plan.step_constants)
+    consts = _read_fields("plan field 'step_constants'", plan.step_constants, _STEP_CONSTANTS)
+    rules = {m: _make_rule(m, consts.get(m), f"plan field 'step_constants', {m!r}")
+             for m in METHODS}
     out_dir = args.out_dir or plan.out_dir
     if not out_dir:
         raise ConfigError("no output directory: pass --out-dir or set out_dir in the plan")
@@ -339,10 +361,9 @@ class _MaxAffineEntry(_Entry):
     active: int | None = None
 
     def problems(self):
-        """(seed, problem, f_star) for each seed."""
+        """(seed, problem, f_star) for each seed, of a planted instance."""
         for seed in self.seeds:
-            inst = plant_optimum_max_affine(seed, self.n, self.m, active_count=self.active,
-                                            **_given(self, ("spread", "sigma", "active_scale")))
+            inst = _max_affine(self, seed, planted=True)
             yield seed, make_problem(inst), inst.f_star
 
 
@@ -354,17 +375,11 @@ class _FermatWeberEntry(_Entry):
     def problems(self):
         """(seed, problem, f_star) for each seed, f_star from weiszfeld. An
         anchors file must hold m rows of n columns."""
-        anchors = None if self.anchors_csv is None else read_anchor_csv(self.anchors_csv)
-        if anchors is not None and anchors.shape != (self.m, self.n):
-            raise ValueError(f"anchors_csv {self.anchors_csv!r} holds {anchors.shape[0]} rows "
-                             f"of {anchors.shape[1]} columns, not m = {self.m} rows "
-                             f"of n = {self.n}")
-        scale = {} if self.anchor_scale is None else {"scale": self.anchor_scale}
         for seed in self.seeds:
-            if anchors is not None:
-                inst = FermatWeberInstance(anchors=anchors, weights=np.ones(anchors.shape[0]))
-            else:
-                inst = gen_fermat_weber(seed, self.n, self.m, **scale)
+            inst = _fermat_weber(self, seed)
+            if (inst.m, inst.n) != (self.m, self.n):
+                raise ValueError(f"anchors_csv {self.anchors_csv!r} holds {inst.m} rows "
+                                 f"of {inst.n} columns, not m = {self.m} rows of n = {self.n}")
             _, f_star = weiszfeld(inst)
             yield seed, dataclasses.replace(make_problem(inst), f_star=f_star), f_star
 
@@ -384,26 +399,13 @@ def _bench_solver(solver: dict) -> SolverConfig:
     return SolverConfig(**_read_fields("plan field 'solver'", solver, flds))
 
 
-def _bench_rules(steps) -> dict:
-    """Every prefixed method's step rule, with the plan's constant where given."""
-    consts = _read_fields("plan field 'step_constants'", steps, _STEP_CONSTANTS)
-    rules = {}
-    for method in _RULES:
-        try:
-            rules[method] = _make_rule(method, consts.get(method))
-        except ValueError as exc:
-            raise ConfigError(f"plan field 'step_constants', {method!r}: {exc}") from None
-    return rules
-
-
 def _bench_config(what: str, entry_cls, conf, base: SolverConfig):
     """(entry, solver config, [(seed, problem, f_star)]) of one config entry,
     with each seed's problem built once; a malformed entry is a ConfigError."""
     entry = entry_cls(**_read_fields(what, conf, dataclasses.fields(entry_cls)))
     if not entry.seeds:
         raise ConfigError(f"{what} has an empty seed list")
-    gamma = SqrtInverse(**_given(entry, ("zeta",)))
-    cfg = dataclasses.replace(base, gamma=gamma, max_iters=entry.iters)
+    cfg = _override(dataclasses.replace(base, max_iters=entry.iters), entry, ())
     try:
         runs = list(entry.problems())
     except (ValueError, OSError, MemoryError) as exc:  # the entry names the culprit
@@ -421,10 +423,7 @@ def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
     for method in methods:
         gaps, bests = [], []
         for seed, problem, f_star in runs:
-            if method == "nonmonotone":
-                report = solve_nonmonotone(problem, cfg)
-            else:
-                report = solve_prefixed(problem, rules[method], cfg.max_iters)
+            report = _solve(problem, cfg, method, rules[method])
             gap = report.f_best - f_star
             cells = [method, str(seed)]
             if fw:
@@ -463,7 +462,7 @@ def _audit_config(args) -> SolverConfig:
             base = _config_from_items(summary.get("config", {}))
         except ConfigError as exc:
             raise ConfigError(f"{what}: {exc}") from None
-    return _override(base, args, ("c", "beta", "rho"))
+    return _override(base, args, _CHECK_FLAGS)
 
 
 def cmd_check(args) -> int:

@@ -525,7 +525,7 @@ def make_problem(inst: Instance, cset: SetDescriptor | None = None) -> ProblemSp
             raise ValueError(f"{type(cset).__name__} field {f.name!r} has length {len(v)}, "
                              f"but the instance has n = {inst.n}")
     if x_star is not None and not contains(cset, x_star):
-        raise ValueError("planted optimum lies outside the constraint set")
+        raise ValueError("planted optimum lies outside the requested set")
     try:
         L = lipschitz_bound(inst, cset)
     except ValueError:

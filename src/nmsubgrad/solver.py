@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .core import (
     BacktrackFailureError,
+    ConfigError,
     OracleError,
     RunReport,
     SolverConfig,
@@ -53,8 +53,17 @@ __all__ = [
 # ----- prefixed step rules -----
 
 
+class StepRule:
+    """Base of the prefixed rules alpha_k = size(k, ||s_k||): each checks its
+    constant a when it is made, as SolverConfig does."""
+
+    def __post_init__(self):
+        if not (self.a > 0.0 and math.isfinite(self.a)):
+            raise ConfigError(f"step constant must be positive, got {self.a}")
+
+
 @dataclass(frozen=True)
-class ConstantStep:
+class ConstantStep(StepRule):
     """alpha_k = a."""
 
     a: float = 0.1
@@ -64,7 +73,7 @@ class ConstantStep:
 
 
 @dataclass(frozen=True)
-class ConstantLength:
+class ConstantLength(StepRule):
     """alpha_k = a / ||s_k||, so every raw step has length a."""
 
     a: float = 0.2
@@ -74,7 +83,7 @@ class ConstantLength:
 
 
 @dataclass(frozen=True)
-class NonsummableDiminishing:
+class NonsummableDiminishing(StepRule):
     """alpha_k = a / sqrt(k)."""
 
     a: float = 0.1
@@ -84,23 +93,13 @@ class NonsummableDiminishing:
 
 
 @dataclass(frozen=True)
-class SquareSummable:
+class SquareSummable(StepRule):
     """alpha_k = a / k."""
 
     a: float = 0.5
 
     def size(self, k: int, snorm: float) -> float:
         return self.a / k
-
-
-StepRule = Union[ConstantStep, ConstantLength, NonsummableDiminishing, SquareSummable]
-
-
-def _check_rule(rule: StepRule) -> None:
-    if not isinstance(rule, (ConstantStep, ConstantLength, NonsummableDiminishing, SquareSummable)):
-        raise TypeError(f"not a step rule: {rule!r}")
-    if not (rule.a > 0.0 and math.isfinite(rule.a)):
-        raise ValueError(f"step constant must be positive, got {rule.a}")
 
 
 # ----- starting point -----
@@ -186,7 +185,8 @@ def solve_prefixed(
     alpha and step; gamma is recorded as NaN (no slack sequence exists here).
     A zero subgradient stops the run before any division by ||s_k||.
     """
-    _check_rule(rule)
+    if not isinstance(rule, StepRule):
+        raise TypeError(f"not a step rule: {rule!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     x = _start_point(problem, x0)

@@ -92,6 +92,43 @@ def test_gen_fermatweber_output_is_pinned(tmp_path, flags, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the instance file, recorded before the set flags' defaults moved
+# into the set builder and the shared max-affine builder took over gen
+@pytest.mark.parametrize("flags, digest", [
+    (("--seed", "3", "--n", "3", "--m", "9", "--planted", "--spread", "0.5", "--active", "5",
+      "--active-scale", "2", "--sigma", "0.3", "--set", "ball", "--radius", "2"),
+     "c58a91422dbbf68a9fe5d225b63adf71e04caf7d1da4c4acc7058828b28d0c54"),
+    (("--seed", "1", "--n", "2", "--m", "5", "--sigma", "0.5"),
+     "4c30c763e37469f1a2d0c15829c25d74303f689f7d271825e61f5b2a737dc706"),
+    (("--n", "2", "--m", "8", "--planted", "--set", "box"),
+     "2fd8e17c3ad668320972e281fa2125b003d56f6c865ec05df75932ac30f2f200"),
+], ids=["planted_ball", "unplanted", "planted_box_defaults"])
+def test_gen_maxaffine_output_is_pinned(tmp_path, flags, digest):
+    out = tmp_path / "inst.json"
+    assert run_cli("gen", "maxaffine", *flags, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# a flag that describes no part of the instance asked for: a planting flag
+# without --planted, or a set flag of another --set
+@pytest.mark.parametrize("argv, named", [
+    (("maxaffine", "--n", "2", "--m", "5", "--active", "3"), "--planted"),
+    (("maxaffine", "--n", "2", "--m", "5", "--spread", "7", "--sigma", "0.5"), "--planted"),
+    (("maxaffine", "--n", "2", "--m", "5", "--active-scale", "9"), "--planted"),
+    (("maxaffine", "--n", "2", "--m", "5", "--radius", "3"), "--radius applies only to --set ball"),
+    (("maxaffine", "--n", "2", "--m", "5", "--planted", "--set", "ball", "--box-lo", "-1"),
+     "--box-lo applies only to --set box"),
+    (("fermatweber", "--set", "box", "--radius", "3"), "--radius applies only to --set ball"),
+    (("fermatweber", "--box-hi", "3"), "--box-hi applies only to --set box"),
+], ids=["active", "spread_with_sigma", "active_scale", "radius_on_rn", "box_lo_on_ball",
+        "radius_on_box", "box_hi_on_rn"])
+def test_gen_flag_that_does_not_apply_is_exit_2(tmp_path, capsys, argv, named):
+    out = tmp_path / "x.json"
+    rc = run_cli("gen", *argv, "--out", str(out))
+    assert named in _assert_usage_error(rc, capsys)
+    assert not out.exists()
+
+
 _NON_FINITE_CELLS = ["inf", "-inf", "nan", "1e400"]
 
 
@@ -270,8 +307,9 @@ def test_check_flags_corrupted_trace(planted_instance, tmp_path, capsys):
     assert "audit FAILED" in capsys.readouterr().out
 
 
-# every flag at its default: alpha_1 = 0.1 lies below theta*gamma_1 here, so
-# the audit skips the rate bounds, which need theta*gamma_{k+1} <= alpha_{k+1}
+# every flag at its default: the audit runs under the effective theta, so the
+# rate bounds run too and 7 of the 10 checks pass; bending f or alpha in one
+# row fails it
 def test_check_passes_default_run_and_catches_tampering(tmp_path, capsys):
     inst, trace = str(tmp_path / "inst.json"), str(tmp_path / "t.csv")
     assert run_cli("gen", "maxaffine", "--n", "2", "--m", "4", "--planted", "--seed", "0",
@@ -784,12 +822,16 @@ def test_bench_budget_too_large_to_allocate_is_exit_2(tmp_path, capsys):
 
 
 # the cases whose plan is the Fermat-Weber one (n = 2, m = 10): a max-affine
-# shape key, an anchors file that does not exist, and anchors files of 3
-# columns and of 3 rows, which the test writes; every other case uses the
+# shape key, an anchors file that does not exist, anchors files of 3 columns
+# and of 3 rows, and a config giving a well-shaped anchors file an
+# anchor_scale, whose files the test writes; every other case uses the
 # max-affine plan
+_SCALED_ANCHORS = [{"n": 2, "m": 10, "iters": 80, "seeds": [0], "anchor_scale": 2.0,
+                    "anchors_csv": "ten_rows.csv"}]
 _FERMATWEBER_CASES = (("spread", 0.5), ("anchors_csv", "no_such_anchors.csv"),
-                      ("anchors_csv", "three_columns.csv"), ("anchors_csv", "three_rows.csv"))
-_ANCHOR_FILES = {"three_columns.csv": (10, 3), "three_rows.csv": (3, 2)}
+                      ("anchors_csv", "three_columns.csv"), ("anchors_csv", "three_rows.csv"),
+                      ("configs", _SCALED_ANCHORS))
+_ANCHOR_FILES = {"three_columns.csv": (10, 3), "three_rows.csv": (3, 2), "ten_rows.csv": (10, 2)}
 _CONFIG_FIELDS = ("seeds", "sigm", "spread", "anchor_scale", "anchors_csv", "n", "active")
 
 
@@ -818,6 +860,7 @@ _CONFIG_FIELDS = ("seeds", "sigm", "spread", "anchor_scale", "anchors_csv", "n",
     ("step_constants", {"sqrsum": "0.5"}),
     ("anchors_csv", "three_columns.csv"),
     ("anchors_csv", "three_rows.csv"),
+    ("configs", _SCALED_ANCHORS),
 ])
 def test_bench_malformed_plan_is_exit_2(tmp_path, capsys, monkeypatch, field, value):
     fermatweber = (field, value) in _FERMATWEBER_CASES

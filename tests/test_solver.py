@@ -14,6 +14,7 @@ import nmsubgrad.linesearch as linesearch
 from nmsubgrad import (
     Ball,
     Box,
+    ConfigError,
     ConstantLength,
     ConstantStep,
     MaxAffineInstance,
@@ -24,6 +25,7 @@ from nmsubgrad import (
     SolverConfig,
     SqrtInverse,
     SquareSummable,
+    StepRule,
     WholeSpace,
     audit_rate_bounds,
     audit_stepwise,
@@ -68,10 +70,14 @@ def test_rule_sizes_frozen():
     assert SquareSummable(0.5).size(5, 2.0) == pytest.approx(0.1)
 
 
+# a rule checks its constant when it is made, so no invalid rule exists
 def test_rule_constant_validation():
-    with pytest.raises(ValueError):
-        solve_prefixed(_abs_value_problem(), ConstantStep(0.0), 5)
-    with pytest.raises(TypeError):
+    for cls in (ConstantStep, ConstantLength, NonsummableDiminishing, SquareSummable):
+        assert isinstance(cls(), StepRule)
+        for a in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="step constant must be positive"):
+                cls(a)
+    with pytest.raises(TypeError, match="not a step rule"):
         solve_prefixed(_abs_value_problem(), "constant", 5)
 
 
