@@ -3,9 +3,10 @@
 Each kernel is one vectorized numpy function over plain arrays; the oracles in
 `problems` call them with an instance's arrays. Each objective formula is
 written once, in its `*_eval` kernel, which returns the value and a
-subgradient; the `*_value` kernels take the value from it and are kept for the
-value-only callers and the `kernels.value_us` probe. `BACKEND` names the
-implementation so benchmark records can say what they timed.
+subgradient. The `*_value` kernels take the value from it and stay only for
+the benchmark's `kernels.value_us` probe: a problem's `value` oracle runs the
+`*_eval` kernel, so no solve calls them. `BACKEND` names the implementation
+so benchmark records can say what they timed.
 
 The kernels run once per oracle call on arrays as small as n = 2, so each
 numpy call takes the form with the least dispatch. A matrix-vector product is

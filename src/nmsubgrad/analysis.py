@@ -128,6 +128,15 @@ def _skip(name: str, why: str) -> CheckResult:
     return CheckResult(name, SKIPPED, detail=why)
 
 
+def _no_step_rows(report: RunReport) -> str | None:
+    """Why both audits skip all their checks of report, or None if it has a line-search row."""
+    K = len(report.k) - 1
+    # direct ufunc and method calls: numpy's Python wrappers are cold after a solve
+    if K < 1 or np.maximum.reduce(report.ell[:K]) < 1:
+        return "no line-search rows (prefixed-step trace or single-iterate run)"
+    return None
+
+
 # ----- stepwise audit -----
 
 
@@ -175,9 +184,8 @@ def audit_stepwise(
     K = len(report.k) - 1  # rows 1..K are steps, row K+1 is the landed iterate
     names = ["consistency", "step_upper_bound", "step_lower_bound",
              "sufficient_decrease", "quasi_fejer"]
-    # direct ufunc and method calls: numpy's Python wrappers are cold after a solve
-    if K < 1 or np.maximum.reduce(report.ell[:K]) < 1:
-        why = "no line-search rows (prefixed-step trace or single-iterate run)"
+    why = _no_step_rows(report)
+    if why is not None:
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
 
     beta, c, rho = cfg.beta, cfg.c, cfg.rho
@@ -299,9 +307,7 @@ def audit_rate_bounds(
     names = ["rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
              "rate_strongly_convex"]
     f_star = problem.f_star
-    if K < 1 or np.maximum.reduce(report.ell[:K]) < 1:
-        why = "no line-search rows (prefixed-step trace or single-iterate run)"
-    elif tc is None:
+    if tc is None:
         why = "no theory constants supplied"
     elif tc.gamma_big <= 0.0:
         why = "rho <= 1/2 leaves Gamma = theta*(2beta - beta/rho) non-positive"
@@ -309,6 +315,7 @@ def audit_rate_bounds(
         why = "no known optimal value"
     else:
         why = None
+    why = _no_step_rows(report) or why  # the first reason to skip
     if why is not None:
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
 

@@ -265,6 +265,13 @@ def _solve(problem, cfg: SolverConfig, method: str, rule):
 
 
 def cmd_run(args) -> int:
+    # a prefixed rule reads no solver flag but --iters, and the backtracking
+    # method no --step-const; a --config file's fields stay accepted
+    unread = _given(args, ("step_const",) if args.method == "nonmonotone"
+                    else (*_RUN_FLAGS, "zeta", "backtrack_cap"))
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise ConfigError(f"--method {args.method} does not read {flags}")
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
     cfg = _run_config(args)
@@ -374,14 +381,19 @@ class _FermatWeberEntry(_Entry):
 
     def problems(self):
         """(seed, problem, f_star) for each seed, f_star from weiszfeld. An
-        anchors file must hold m rows of n columns."""
+        anchors file must hold m rows of n columns; it is read, and its problem
+        built, once for every seed."""
+        built = {}
         for seed in self.seeds:
-            inst = _fermat_weber(self, seed)
-            if (inst.m, inst.n) != (self.m, self.n):
-                raise ValueError(f"anchors_csv {self.anchors_csv!r} holds {inst.m} rows "
-                                 f"of {inst.n} columns, not m = {self.m} rows of n = {self.n}")
-            _, f_star = weiszfeld(inst)
-            yield seed, dataclasses.replace(make_problem(inst), f_star=f_star), f_star
+            key = seed if self.anchors_csv is None else None
+            if key not in built:
+                inst = _fermat_weber(self, key)
+                if (inst.m, inst.n) != (self.m, self.n):
+                    raise ValueError(f"anchors_csv {self.anchors_csv!r} holds {inst.m} rows of "
+                                     f"{inst.n} columns, not m = {self.m} rows of n = {self.n}")
+                _, f_star = weiszfeld(inst)
+                built[key] = dataclasses.replace(make_problem(inst), f_star=f_star), f_star
+            yield seed, *built[key]
 
 
 _ENTRIES = {"maxaffine": _MaxAffineEntry, "fermatweber": _FermatWeberEntry}
@@ -401,7 +413,7 @@ def _bench_solver(solver: dict) -> SolverConfig:
 
 def _bench_config(what: str, entry_cls, conf, base: SolverConfig):
     """(entry, solver config, [(seed, problem, f_star)]) of one config entry,
-    with each seed's problem built once; a malformed entry is a ConfigError."""
+    with each problem built once; a malformed entry is a ConfigError."""
     entry = entry_cls(**_read_fields(what, conf, dataclasses.fields(entry_cls)))
     if not entry.seeds:
         raise ConfigError(f"{what} has an empty seed list")
@@ -415,24 +427,26 @@ def _bench_config(what: str, entry_cls, conf, base: SolverConfig):
 
 def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
     """(path, lines) of one config's table: a row per method and seed, whose
-    status is the run's termination, and a median row per method."""
+    status is the run's termination, and a median row per method. Seeds that
+    share a problem share its one run per method."""
     fw = kind == "fermatweber"
     x_cols = [f"x{i+1}" for i in range(entry.n)] if fw else []
     header = ["method", "seed"] + x_cols + ["gap", "it_best", "status"]
     lines = [",".join(header)]
     for method in methods:
         gaps, bests = [], []
+        done = {}  # (gap, it_best, cells) of each problem's run, shared by the seeds that share it
         for seed, problem, f_star in runs:
-            report = _solve(problem, cfg, method, rules[method])
-            gap = report.f_best - f_star
-            cells = [method, str(seed)]
-            if fw:
-                xb = report.xs[report.it_best - 1]
-                cells += [repr(float(v)) for v in xb]
-            cells += [repr(float(gap)), str(report.it_best), report.termination]
+            if problem not in done:  # a ProblemSpec hashes by identity
+                report = _solve(problem, cfg, method, rules[method])
+                gap = report.f_best - f_star
+                cells = [repr(float(v)) for v in report.xs[report.it_best - 1]] if fw else []
+                cells += [repr(float(gap)), str(report.it_best), report.termination]
+                done[problem] = gap, report.it_best, cells
+            gap, it_best, cells = done[problem]
             gaps.append(gap)
-            bests.append(report.it_best)
-            lines.append(",".join(cells))
+            bests.append(it_best)
+            lines.append(",".join([method, str(seed), *cells]))
         cells = [method, "median"] + ["nan"] * len(x_cols)
         cells += [
             repr(float(np.median(gaps))),

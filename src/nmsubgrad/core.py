@@ -1,8 +1,8 @@
 """Core types for the non-monotone projected subgradient toolkit.
 
 A point is a finite 1-D float64 numpy array. Iteration and gamma indices are
-1-based throughout: gamma_value(seq, 1) is the first slack value and the first
-trace row carries k=1.
+1-based throughout: gamma_values(seq, n)[0] is the first slack value and the
+first trace row carries k=1.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "StronglyConvexHarmonic",
     "ExplicitTable",
     "GammaSequence",
-    "gamma_value",
     "gamma_values",
     "SolverConfig",
     "config_from_keyvalues",
@@ -81,8 +80,7 @@ def as_point(x) -> np.ndarray:
 # All kinds are positive and non-increasing in k. Values are defined for
 # k >= 1; an ExplicitTable raises past its end instead of extending silently.
 # Each kind's _at(k) is its one formula, in numpy over a float64 array k of
-# 1-based indices: gamma_values passes [1, ..., n] and gamma_value a
-# one-entry array, so a single value has the bits of its table entry.
+# 1-based indices; gamma_values passes [1, ..., n].
 
 
 @dataclass(frozen=True)
@@ -173,24 +171,13 @@ _GAMMA_KINDS = {
 _GAMMA_TYPES = tuple(_GAMMA_KINDS.values())
 
 
-def gamma_value(seq: GammaSequence, k: int) -> float:
-    """gamma_k for 1-based k, with the bits of gamma_values(seq, n)[k - 1]."""
-    if k < 1:
-        raise ValueError(f"gamma index must be >= 1, got {k}")
-    return _sequence(seq)._at(np.array([k], dtype=np.float64)).item()
-
-
 def gamma_values(seq: GammaSequence, n: int) -> np.ndarray:
     """Vectorized [gamma_1, ..., gamma_n]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _sequence(seq)._at(np.arange(1, n + 1, dtype=np.float64))
-
-
-def _sequence(seq) -> GammaSequence:
     if not isinstance(seq, _GAMMA_TYPES):
         raise TypeError(f"not a gamma sequence: {seq!r}")
-    return seq
+    return seq._at(np.arange(1, n + 1, dtype=np.float64))
 
 
 # ----- solver configuration -----
@@ -205,7 +192,8 @@ class SolverConfig:
     the initial trial size. A config checks itself when it is made (and so
     when dataclasses.replace makes one), naming every violation in one
     ConfigError. rho > 1/2 is the regime where the complexity constants are
-    positive; solve_nonmonotone warns outside it.
+    positive; solve_nonmonotone warns outside it. No solver reads seed, and
+    bench leaves it at its default: a bench entry's seeds pick its instances.
     """
 
     c: float = 1.0

@@ -32,8 +32,6 @@ __all__ = [
     "MaxAffineInstance",
     "FermatWeberInstance",
     "Instance",
-    "max_affine_value",
-    "fermat_weber_value",
     "plant_optimum_max_affine",
     "gen_max_affine",
     "gen_fermat_weber",
@@ -190,7 +188,7 @@ class MaxAffineInstance:
 
 
 def _check_planted(inst: MaxAffineInstance) -> None:
-    val = max_affine_value(inst, inst.x_star)
+    val = _kernels.max_affine_eval(inst.A, inst.b, inst.sigma, inst.x_star)[0]
     scale = max(1.0, abs(inst.f_star))
     if abs(val - inst.f_star) > PLANT_TOL * scale:
         raise ValueError(
@@ -259,24 +257,6 @@ class FermatWeberInstance:
 
 
 Instance = Union[MaxAffineInstance, FermatWeberInstance]
-
-
-# ----- evaluation -----
-
-
-def max_affine_value(inst: MaxAffineInstance, x: np.ndarray) -> float:
-    _check_dim(inst.n, x)
-    return float(_kernels.max_affine_value(inst.A, inst.b, inst.sigma, x))
-
-
-def fermat_weber_value(inst: FermatWeberInstance, x: np.ndarray) -> float:
-    _check_dim(inst.n, x)
-    return float(_kernels.fermat_weber_value(inst.anchors, inst.weights, x))
-
-
-def _check_dim(n: int, x: np.ndarray) -> None:
-    if x.shape != (n,):
-        raise ValueError(f"point has shape {x.shape}, instance expects ({n},)")
 
 
 # ----- generators -----
@@ -369,7 +349,8 @@ def weiszfeld(
         x = _kernels.row_sums(weights * anchors.T) / weights.sum()
     else:
         x = as_point(x0).copy()
-    _check_dim(inst.n, x)
+    if x.shape != (inst.n,):
+        raise ValueError(f"point has shape {x.shape}, instance expects ({inst.n},)")
 
     def distances(x):
         # the kernel's arithmetic, so f is its value

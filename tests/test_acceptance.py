@@ -93,7 +93,7 @@ def test_criterion_03_strongly_convex_rate():
     tc = ns.constants(0.8, 0.9, prob.L, 1.0)
     seq = ns.StronglyConvexHarmonic(sigma=1.0, beta=0.9, big_theta=tc.theta)
     cfg = ns.SolverConfig(
-        c=1.0, beta=0.9, rho=0.8, alpha1=ns.gamma_value(seq, 1),
+        c=1.0, beta=0.9, rho=0.8, alpha1=float(ns.gamma_values(seq, 1)[0]),
         gamma=seq, max_iters=ITERS,
     )
     rep = ns.solve_nonmonotone(prob, cfg)
@@ -196,8 +196,9 @@ def test_criterion_07_fermat_weber_agreement():
     for seed in (0, 4, 9):
         fw = ns.gen_fermat_weber(seed, 2, 27)
         xw, f_ref = ns.weiszfeld(fw)
+        value = ns.make_problem(fw).value
         f_grid, _, _ = grid_min_2d(
-            lambda p, _fw=fw: ns.fermat_weber_value(_fw, np.asarray(p)),
+            lambda p, _value=value: _value(np.asarray(p)),
             center=xw, half_width=2.0, points=101, refinements=3,
         )
         if abs(f_grid - f_ref) <= 1e-4 and f_grid >= f_ref - 1e-9:

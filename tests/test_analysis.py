@@ -20,7 +20,7 @@ from nmsubgrad import (
     audit_report_to_json,
     audit_stepwise,
     constants,
-    gamma_value,
+    gamma_values,
     lipschitz_bound,
     make_problem,
     merge_reports,
@@ -434,9 +434,8 @@ def test_rate_strongly_convex_with_matching_schedule():
     prob = make_problem(inst, ball)
     tc = constants(0.8, 0.9, prob.L, 1.0)
     seq = StronglyConvexHarmonic(sigma=1.0, beta=0.9, big_theta=tc.theta)
-    from nmsubgrad import gamma_value
     cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8,
-                       alpha1=gamma_value(seq, 1), gamma=seq, max_iters=300)
+                       alpha1=float(gamma_values(seq, 1)[0]), gamma=seq, max_iters=300)
     rep = solve_nonmonotone(prob, cfg)
     audit = audit_rate_bounds(rep, prob, cfg, tc)
     assert audit["rate_strongly_convex"].status == "passed"
@@ -463,8 +462,9 @@ def test_rate_strongly_convex_matches_the_effective_theta(scale, outcome):
     prob = make_problem(inst, Ball(center=np.zeros(5), radius=2.0))
     tc = constants(0.8, 0.9, prob.L, 1.0)
     seq = StronglyConvexHarmonic(sigma=1.0, beta=0.9, big_theta=scale * tc.theta)
-    cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=tc.theta / 2 * gamma_value(seq, 1),
-                       gamma=seq, max_iters=300)
+    cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8,
+                       alpha1=tc.theta / 2 * float(gamma_values(seq, 1)[0]), gamma=seq,
+                       max_iters=300)
     rep = solve_nonmonotone(prob, cfg)
     ch = audit_rate_bounds(rep, prob, cfg, tc)["rate_strongly_convex"]
     assert (ch.status, ch.detail) == outcome
@@ -631,8 +631,8 @@ def golden_audit_json(tmp_path_factory):
     prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5, sigma=1.0),
                         Ball(center=np.zeros(5), radius=2.0))
     seq = StronglyConvexHarmonic(sigma=1.0, beta=0.9, big_theta=constants(0.8, 0.9, prob.L).theta)
-    cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=gamma_value(seq, 1), gamma=seq,
-                       max_iters=300)
+    cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=float(gamma_values(seq, 1)[0]),
+                       gamma=seq, max_iters=300)
     out["strongly-convex-ball"] = _audit_json(solve_nonmonotone(prob, cfg), prob, cfg)
 
     prob, cfg, rep = runs[10, 0]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import nmsubgrad
 from nmsubgrad import TheoryRegimeWarning
+from nmsubgrad import cli
 from nmsubgrad.cli import METHODS, main
 
 
@@ -248,6 +250,23 @@ def test_run_config_file_with_flag_override(planted_instance, tmp_path):
     assert summary["n_rows"] == 56
 
 
+# a solver flag that the method never reads is exit 2, not a value the
+# summary records; the same fields from a --config file are accepted
+_UNREAD_FLAGS = [("--step-const", "0.3", "nonmonotone")] + [
+    (flag, value, method) for method in METHODS if method != "nonmonotone"
+    for flag, value in (("--c", "5"), ("--beta", "0.5"), ("--rho", "0.3"), ("--alpha1", "0.2"),
+                        ("--zeta", "9"), ("--backtrack-cap", "7"))]
+
+
+@pytest.mark.parametrize("flag, value, method", _UNREAD_FLAGS)
+def test_run_flag_the_method_does_not_read_is_exit_2(planted_instance, tmp_path, capsys,
+                                                      flag, value, method):
+    trace = tmp_path / "t.csv"
+    rc = run_cli("run", planted_instance, "--method", method, flag, value, "--out", str(trace))
+    assert _assert_usage_error(rc, capsys) == f"error: --method {method} does not read {flag}"
+    assert list(tmp_path.iterdir()) == [Path(planted_instance)]
+
+
 def test_run_has_no_seed_flag(planted_instance, tmp_path):
     # no solver reads a seed, so run does not take one
     trace = tmp_path / "t.csv"
@@ -446,8 +465,7 @@ def test_check_output_is_pinned(tmp_path, capsys, method):
     inst, trace, report = (str(tmp_path / name) for name in ("inst.json", "t.csv", "a.json"))
     assert run_cli("gen", "maxaffine", "--n", "2", "--m", "10", "--planted", "--spread", "0.05",
                    "--active-scale", "2.0", "--set", "ball", "--radius", "1", "--out", inst) == 0
-    assert run_cli("run", inst, "--method", method, "--zeta", "1", "--iters", "200",
-                   "--out", trace) == 0
+    assert run_cli("run", inst, "--method", method, "--iters", "200", "--out", trace) == 0
     capsys.readouterr()
     assert run_cli("check", trace, inst, "--out", report) == 0
     assert capsys.readouterr().out == _CHECK_OUT[method]
@@ -479,8 +497,12 @@ _OFF_DEFAULT = ("--c", "0.5", "--beta", "0.5", "--rho", "0.7", "--alpha1", "0.3"
 
 @pytest.mark.parametrize("method", METHODS)
 def test_check_reads_the_run_config_from_the_summary(planted_instance, tmp_path, capsys, method):
-    trace = str(tmp_path / "t.csv")
-    assert run_cli("run", planted_instance, "--method", method, *_OFF_DEFAULT,
+    trace, config = str(tmp_path / "t.csv"), tmp_path / "off.cfg"
+    # a prefixed rule reads none of those flags, but a config file may set them
+    config.write_text("c = 0.5\nbeta = 0.5\nrho = 0.7\nalpha1 = 0.3\n"
+                      "gamma.kind = sqrt_inverse\ngamma.zeta = 0.7\n")
+    off = _OFF_DEFAULT if method == "nonmonotone" else ("--config", str(config))
+    assert run_cli("run", planted_instance, "--method", method, *off,
                    "--iters", "300", "--out", trace) == 0
     summary = json.loads((tmp_path / "t.summary.json").read_text())
     assert summary["config"]["rho"] == 0.7 and summary["config"]["gamma.zeta"] == 0.7
@@ -662,11 +684,20 @@ def _plan_with(tmp_path, problem="maxaffine", config=(), **fields):
     return path
 
 
-def test_bench_anchor_file_gives_every_seed_the_same_rows(tmp_path):
+# the seeds share one problem: the file is read, its reference value solved
+# and each method run once for both seeds
+def test_bench_anchor_file_gives_every_seed_the_same_rows(tmp_path, monkeypatch):
     csv = tmp_path / "anchors.csv"
     csv.write_text("lat,lon\n" + "".join(f"{3 * i % 7},{i * i % 5}\n" for i in range(10)))
+    calls = Counter()
+    for name in ("read_anchor_csv", "weiszfeld", "_solve"):
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
     assert run_cli("bench", _plan_with(tmp_path, "fermatweber",
                                        config={"anchors_csv": str(csv)})) == 0
+    assert calls == {"read_anchor_csv": 1, "weiszfeld": 1, "_solve": 2}
     lines = (tmp_path / "out" / "bench_fermatweber_n2_m10.csv").read_text().splitlines()
     for method in ("nonmonotone", "sqrsum"):
         rows = [line.split(",")[2:] for line in lines

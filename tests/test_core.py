@@ -16,7 +16,6 @@ from nmsubgrad import (
     StronglyConvexHarmonic,
     TheoryRegimeWarning,
     config_from_keyvalues,
-    gamma_value,
     gamma_values,
     make_problem,
     plant_optimum_max_affine,
@@ -56,22 +55,22 @@ def test_as_point_rejects_matrix_and_nan():
 
 
 def test_sqrt_inverse_quarter():
-    assert gamma_value(SqrtInverse(1.0), 4) == 0.5
+    assert gamma_values(SqrtInverse(1.0), 4)[3] == 0.5
 
 
 def test_sqrt_inverse_first_value_is_zeta():
-    assert gamma_value(SqrtInverse(2.0), 1) == 2.0
+    assert gamma_values(SqrtInverse(2.0), 1)[0] == 2.0
 
 
 def test_strongly_convex_harmonic_value():
     seq = StronglyConvexHarmonic(sigma=1.0, beta=0.9, big_theta=0.5)
-    assert gamma_value(seq, 2) == pytest.approx(2.0 / 0.9, rel=1e-12)
-    assert gamma_value(seq, 2) == pytest.approx(2.2222222222, rel=1e-9)
+    assert gamma_values(seq, 2)[1] == pytest.approx(2.0 / 0.9, rel=1e-12)
+    assert gamma_values(seq, 2)[1] == pytest.approx(2.2222222222, rel=1e-9)
 
 
 def test_power_inverse_dyadic_value():
     # 16**(1 - 0.25) = 8 exactly
-    assert gamma_value(PowerInverse(1.0, 0.5), 16) == pytest.approx(0.125, rel=1e-15)
+    assert gamma_values(PowerInverse(1.0, 0.5), 16)[15] == pytest.approx(0.125, rel=1e-15)
 
 
 @given(
@@ -79,7 +78,7 @@ def test_power_inverse_dyadic_value():
     k=st.integers(1, 10_000),
 )
 def test_sqrt_inverse_matches_reference(zeta, k):
-    assert gamma_value(SqrtInverse(zeta), k) == pytest.approx(
+    assert gamma_values(SqrtInverse(zeta), k)[k - 1] == pytest.approx(
         gamma_ref("sqrt_inverse", k, zeta=zeta), rel=1e-12
     )
 
@@ -90,7 +89,7 @@ def test_sqrt_inverse_matches_reference(zeta, k):
     k=st.integers(1, 10_000),
 )
 def test_power_inverse_matches_reference(zeta, theta, k):
-    assert gamma_value(PowerInverse(zeta, theta), k) == pytest.approx(
+    assert gamma_values(PowerInverse(zeta, theta), k)[k - 1] == pytest.approx(
         gamma_ref("power_inverse", k, zeta=zeta, theta=theta), rel=1e-12
     )
 
@@ -102,33 +101,19 @@ def test_gamma_kinds_positive_nonincreasing(k):
         PowerInverse(2.0, 0.3),
         StronglyConvexHarmonic(2.0, 0.8, 0.4),
     ):
-        a, b = gamma_value(seq, k), gamma_value(seq, k + 1)
+        a, b = gamma_values(seq, k + 1)[k - 1:]
         assert a > 0.0
         assert b <= a
 
 
-def test_gamma_value_rejects_k_zero():
-    with pytest.raises(ValueError):
-        gamma_value(SqrtInverse(), 0)
-
-
+# one arithmetic: gamma_k, read as the last entry of gamma_values(seq, k), has
+# the bits of its entry in every longer table, of every kind
 def test_gamma_values_vector_matches_scalar():
-    seq = PowerInverse(1.5, 0.4)
-    vec = gamma_values(seq, 50)
-    assert vec.shape == (50,)
-    for k in (1, 7, 50):
-        assert vec[k - 1] == pytest.approx(gamma_value(seq, k), rel=1e-15)
-
-
-_KINDS = (SqrtInverse(0.7), PowerInverse(1.7, 0.3), StronglyConvexHarmonic(2.0, 0.8, 0.4),
-          ExplicitTable(tuple(1.0 / k for k in range(1, 334))))
-
-
-# one arithmetic: a single value has the bits of its entry in every table
-@pytest.mark.parametrize("seq", _KINDS, ids=lambda seq: type(seq).__name__)
-def test_gamma_value_has_the_bits_of_gamma_values(seq):
-    for n in (1, 2, 7, 64, 333):
-        assert [gamma_value(seq, k) for k in range(1, n + 1)] == gamma_values(seq, n).tolist()
+    for seq in (SqrtInverse(0.7), PowerInverse(1.7, 0.3), StronglyConvexHarmonic(2.0, 0.8, 0.4),
+                ExplicitTable(tuple(1.0 / k for k in range(1, 334)))):
+        vec = gamma_values(seq, 333)
+        assert vec.shape == (333,)
+        assert [gamma_values(seq, k)[k - 1] for k in range(1, 334)] == vec.tolist()
 
 
 @given(zeta=st.floats(1e-3, 1e3), theta=st.floats(0.01, 0.99),
@@ -136,7 +121,7 @@ def test_gamma_value_has_the_bits_of_gamma_values(seq):
 def test_power_inverse_value_has_the_bits_of_its_table_entry(zeta, theta, n, data):
     seq = PowerInverse(zeta, theta)
     k = data.draw(st.integers(1, n))
-    assert gamma_value(seq, k) == gamma_values(seq, n)[k - 1]
+    assert gamma_values(seq, k)[k - 1] == gamma_values(seq, n)[k - 1]
 
 
 def test_gamma_values_rejects_empty_table_and_non_sequence():
@@ -151,9 +136,7 @@ def test_gamma_values_rejects_empty_table_and_non_sequence():
 
 def test_explicit_table_lookup_and_overrun():
     t = ExplicitTable((3.0, 2.0, 1.0))
-    assert gamma_value(t, 3) == 1.0
-    with pytest.raises(ValueError):
-        gamma_value(t, 4)
+    assert gamma_values(t, 3)[2] == 1.0
     with pytest.raises(ValueError):
         gamma_values(t, 4)
 
@@ -462,11 +445,11 @@ def test_package_all_is_the_modules_lists():
     assert all(hasattr(nmsubgrad, name) for name in names)
     modules = (core, problems, linesearch, solver, analysis)
     assert set(names) == {"BACKEND"}.union(*(m.__all__ for m in modules))
-    # the package exports the problems wrappers, not the raw kernels
-    assert nmsubgrad.max_affine_value is problems.max_affine_value
-    # subgradients come from a problem's eval; there is no wrapper for them
-    assert not hasattr(nmsubgrad, "max_affine_eval")
-    assert not hasattr(nmsubgrad, "fermat_weber_eval")
+    # values and subgradients come from a problem's oracles, and gamma_k from
+    # gamma_values; the package exports no second path to them
+    for name in ("max_affine_value", "fermat_weber_value", "max_affine_eval",
+                 "fermat_weber_eval", "gamma_value"):
+        assert not hasattr(nmsubgrad, name), name
 
 
 # ----- run reports -----

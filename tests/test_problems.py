@@ -18,13 +18,11 @@ from nmsubgrad import (
     WholeSpace,
     contains,
     diameter_sq,
-    fermat_weber_value,
     gen_fermat_weber,
     gen_max_affine,
     lipschitz_bound,
     load_instance,
     make_problem,
-    max_affine_value,
     plant_optimum_max_affine,
     project,
     read_anchor_csv,
@@ -119,9 +117,12 @@ def test_instance_sizes_and_point_shape():
     inst = MaxAffineInstance(A=np.zeros((3, 2)), b=np.zeros(3))
     assert (inst.m, inst.n) == (3, 2)
     with pytest.raises(ValueError, match=r"instance expects \(2,\)"):
-        max_affine_value(inst, np.zeros(3))
+        make_problem(inst).value(np.zeros(3))
     fw = FermatWeberInstance(anchors=np.eye(3)[:, :2], weights=np.ones(3))
     assert (fw.m, fw.n) == (3, 2)
+    # a one-entry start would broadcast against the anchors unnoticed
+    with pytest.raises(ValueError, match=r"instance expects \(2,\)"):
+        weiszfeld(fw, x0=np.zeros(1))
 
 
 def test_fermat_weber_rejects_nonpositive_weights():
@@ -164,7 +165,7 @@ def test_planted_instance_structure():
     inst = plant_optimum_max_affine(0, 3, 12, spread=0.7, active_scale=2.5)
     assert inst.A.shape == (12, 3)
     assert np.linalg.norm(inst.x_star) == pytest.approx(0.7, rel=1e-12)
-    assert max_affine_value(inst, inst.x_star) == pytest.approx(inst.f_star, rel=1e-12)
+    assert make_problem(inst).value(inst.x_star) == pytest.approx(inst.f_star, rel=1e-12)
     vals = inst.A @ inst.x_star + inst.b
     active = np.isclose(vals, vals.max(), rtol=0, atol=1e-10)
     assert active.sum() == 4  # n + 1 by default
@@ -185,22 +186,22 @@ def test_planted_certificate_property(seed, n, extra, spread, scale, sigma):
     inst = plant_optimum_max_affine(
         seed, n, m, spread=spread, sigma=sigma, active_scale=scale
     )
-    assert max_affine_value(inst, inst.x_star) == pytest.approx(
-        inst.f_star, rel=1e-9, abs=1e-9
-    )
+    value = make_problem(inst).value
+    assert value(inst.x_star) == pytest.approx(inst.f_star, rel=1e-9, abs=1e-9)
     assert np.linalg.norm(inst.x_star) == pytest.approx(spread, rel=1e-9)
     assert planted_certificate_residual(inst) <= 1e-8 * max(1.0, scale * spread)
     # nearby evaluations never dip below the planted value
     rng = np.random.default_rng(seed + 1)
     for _ in range(8):
         probe = inst.x_star + spread * 0.5 * rng.standard_normal(n)
-        assert max_affine_value(inst, probe) >= inst.f_star - 1e-9 * abs(inst.f_star)
+        assert value(probe) >= inst.f_star - 1e-9 * abs(inst.f_star)
 
 
 def test_planted_optimum_survives_grid_search():
     inst = plant_optimum_max_affine(3, 2, 8, spread=0.5)
+    value = make_problem(inst).value
     best_f, bx, by = grid_min_2d(
-        lambda p: max_affine_value(inst, np.asarray(p)),
+        lambda p: value(np.asarray(p)),
         center=inst.x_star, half_width=1.0, points=101, refinements=3,
     )
     assert best_f >= inst.f_star - 1e-6
@@ -374,15 +375,16 @@ def test_weiszfeld_stops_at_its_iteration_budget():
     inst = gen_fermat_weber(1, 2, 9, scale=5.0)
     x1, f1 = weiszfeld(inst, max_iters=1)
     x, f = weiszfeld(inst)
-    assert f1 == fermat_weber_value(inst, x1)
+    assert f1 == make_problem(inst).value(x1)
     assert f < f1
 
 
 def test_weiszfeld_beats_dense_grid():
     inst = gen_fermat_weber(1, 2, 9, scale=5.0)
     x, f = weiszfeld(inst)
+    value = make_problem(inst).value
     best_f, bx, by = grid_min_2d(
-        lambda p: fermat_weber_value(inst, np.asarray(p)),
+        lambda p: value(np.asarray(p)),
         center=x, half_width=2.0, points=101, refinements=3,
     )
     assert best_f >= f - 1e-9  # nothing on the grid does better
@@ -663,12 +665,6 @@ ORACLE_CASES = _oracle_cases()
 ORACLE_IDS = [name for name, _, _ in ORACLE_CASES]
 
 
-def _plain_value(inst, x):
-    if isinstance(inst, MaxAffineInstance):
-        return max_affine_value(inst, x)
-    return fermat_weber_value(inst, x)
-
-
 @pytest.mark.parametrize("name,inst,cset", ORACLE_CASES, ids=ORACLE_IDS)
 def test_parked_eval_matches_fresh_eval(name, inst, cset):
     prob = make_problem(inst, cset)
@@ -678,8 +674,8 @@ def test_parked_eval_matches_fresh_eval(name, inst, cset):
         f = prob.value(x)
         v, g = prob.eval(x)
         v_fresh, g_fresh = make_problem(inst, cset).eval(x.copy())
-        # the value oracle agrees bit for bit with the value-only kernel
-        assert f == _plain_value(inst, x)
+        # the value oracle agrees bit for bit with a fresh problem's
+        assert f == make_problem(inst, cset).value(x.copy())
         assert v == f == v_fresh
         np.testing.assert_array_equal(g, g_fresh)
 
