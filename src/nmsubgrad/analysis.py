@@ -140,6 +140,25 @@ def _no_step_rows(report: RunReport) -> str | None:
 # ----- stepwise audit -----
 
 
+def _layout_fault(report: RunReport, K: int) -> tuple[int, str] | None:
+    """(row, why) of a row that breaks the trace layout, or None: row i has
+    k = i, a step row has ell >= 1 and snorm > 0 (the driver stops on a zero
+    subgradient), and the landed row K+1 has ell = 0. The row is its
+    position, since a bent k cell cannot name it."""
+    bad = report.k != np.arange(1, K + 2)
+    if bad.any():
+        return int(bad.argmax()) + 1, "row whose k is not its position"
+    ell, snorm = report.ell[:K], report.snorm[:K]
+    # a reduce first, so a trace that keeps the law builds no mask
+    if np.minimum.reduce(ell) < 1:
+        return int((ell < 1).argmax()) + 1, "step row with ell < 1"
+    if not np.minimum.reduce(snorm) > 0:  # a NaN cell too
+        return int((~(snorm > 0)).argmax()) + 1, "step row with snorm not > 0"
+    if report.ell[K] != 0:
+        return K + 1, "landed row with ell != 0"
+    return None
+
+
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite row is a failed check
 def audit_stepwise(
     report: RunReport,
@@ -150,9 +169,10 @@ def audit_stepwise(
     """Per-iteration laws of the accepted steps.
 
     consistency        alpha_next = beta**(ell-1)*alpha, step = beta*alpha_next,
-                       next row's alpha continues the chain, ell >= 1 on step rows,
-                       row 1's alpha is cfg.alpha1 and every row's gamma (the
-                       landed row's too) is cfg.gamma's
+                       next row's alpha continues the chain, row 1's alpha is
+                       cfg.alpha1 and every row's gamma (the landed row's too)
+                       is cfg.gamma's; and the layout: k_i = i, ell >= 1 and
+                       snorm > 0 on step rows, ell = 0 on the landed row
     step_upper_bound   alpha_{k+1} <= c * gamma_k
     step_lower_bound   min(alpha_1, min(theta, beta*c)*gamma_k) <= alpha_{k+1}
                        (needs tc)
@@ -207,11 +227,10 @@ def audit_stepwise(
 
     checks: list[CheckResult] = []
 
-    # consistency: the ladder law plus the alpha chain between rows
-    if np.minimum.reduce(ell) < 1:
-        idx = int((ell < 1).argmax())
-        checks.append(CheckResult("consistency", FAILED, math.inf, int(ks[idx]),
-                                  "step row with ell < 1"))
+    # consistency: the trace layout, then the ladder law and the alpha chain between rows
+    fault = _layout_fault(report, K)
+    if fault is not None:
+        checks.append(CheckResult("consistency", FAILED, math.inf, *fault))
     else:
         # the largest relative deviation of the three laws (abs commutes with /scale)
         dev = np.abs(_normalized(eff_next, derived_next))

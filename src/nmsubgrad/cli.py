@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .analysis import (
     SKIPPED,
     audit_rate_bounds,
@@ -36,6 +37,7 @@ from .core import (
     _config_items,
     _json_value,
     _read_fields,
+    _to_obj,
     config_from_keyvalues,
 )
 from .problems import (
@@ -286,7 +288,10 @@ def cmd_run(args) -> int:
         "it_best": report.it_best,
         "termination": report.termination,
         "n_rows": len(report.k),
+        "version": __version__,
     }
+    if rule is not None:
+        summary["rule"] = _to_obj("kind", _RULES, rule)
     if f_star is not None:
         summary["f_star"] = f_star
         summary["gap"] = report.f_best - f_star
@@ -351,13 +356,22 @@ class _Plan:
 
 @dataclasses.dataclass(frozen=True)
 class _Entry:
-    """The keys of every bench config entry; None means the default."""
+    """The keys of every bench config entry; None means the default. A family
+    says how it builds the problem of one seed, with f_star its gap reference."""
 
     n: int
     m: int
     iters: int
     seeds: list[int]
     zeta: float | None = None
+
+    fixed = False  # whether the entry fixes the instance, so that no seed changes it
+
+    def problems(self):
+        """(problem, seeds) once per distinct instance: one for all the seeds
+        when the entry fixes the instance, else one per seed."""
+        for seeds in [self.seeds] if self.fixed else [[seed] for seed in self.seeds]:
+            yield self.problem(seeds[0]), seeds
 
 
 @dataclasses.dataclass(frozen=True)
@@ -367,11 +381,8 @@ class _MaxAffineEntry(_Entry):
     active_scale: float | None = None
     active: int | None = None
 
-    def problems(self):
-        """(seed, problem, f_star) for each seed, of a planted instance."""
-        for seed in self.seeds:
-            inst = _max_affine(self, seed, planted=True)
-            yield seed, make_problem(inst), inst.f_star
+    def problem(self, seed: int):
+        return make_problem(_max_affine(self, seed, planted=True))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -379,21 +390,18 @@ class _FermatWeberEntry(_Entry):
     anchor_scale: float | None = None
     anchors_csv: str | None = None
 
-    def problems(self):
-        """(seed, problem, f_star) for each seed, f_star from weiszfeld. An
-        anchors file must hold m rows of n columns; it is read, and its problem
-        built, once for every seed."""
-        built = {}
-        for seed in self.seeds:
-            key = seed if self.anchors_csv is None else None
-            if key not in built:
-                inst = _fermat_weber(self, key)
-                if (inst.m, inst.n) != (self.m, self.n):
-                    raise ValueError(f"anchors_csv {self.anchors_csv!r} holds {inst.m} rows of "
-                                     f"{inst.n} columns, not m = {self.m} rows of n = {self.n}")
-                _, f_star = weiszfeld(inst)
-                built[key] = dataclasses.replace(make_problem(inst), f_star=f_star), f_star
-            yield seed, *built[key]
+    @property
+    def fixed(self) -> bool:
+        return self.anchors_csv is not None
+
+    def problem(self, seed: int):
+        """f_star from weiszfeld; an anchors file must hold m rows of n columns."""
+        inst = _fermat_weber(self, seed)
+        if (inst.m, inst.n) != (self.m, self.n):
+            raise ValueError(f"anchors_csv {self.anchors_csv!r} holds {inst.m} rows of "
+                             f"{inst.n} columns, not m = {self.m} rows of n = {self.n}")
+        _, f_star = weiszfeld(inst)
+        return dataclasses.replace(make_problem(inst), f_star=f_star)
 
 
 _ENTRIES = {"maxaffine": _MaxAffineEntry, "fermatweber": _FermatWeberEntry}
@@ -412,8 +420,8 @@ def _bench_solver(solver: dict) -> SolverConfig:
 
 
 def _bench_config(what: str, entry_cls, conf, base: SolverConfig):
-    """(entry, solver config, [(seed, problem, f_star)]) of one config entry,
-    with each problem built once; a malformed entry is a ConfigError."""
+    """(entry, solver config, [(problem, seeds)]) of one config entry, with
+    each distinct problem built once; a malformed entry is a ConfigError."""
     entry = entry_cls(**_read_fields(what, conf, dataclasses.fields(entry_cls)))
     if not entry.seeds:
         raise ConfigError(f"{what} has an empty seed list")
@@ -427,33 +435,23 @@ def _bench_config(what: str, entry_cls, conf, base: SolverConfig):
 
 def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
     """(path, lines) of one config's table: a row per method and seed, whose
-    status is the run's termination, and a median row per method. Seeds that
-    share a problem share its one run per method."""
+    status is the run's termination, and a median row per method. Each
+    problem is solved once per method, and its seeds share the row."""
     fw = kind == "fermatweber"
     x_cols = [f"x{i+1}" for i in range(entry.n)] if fw else []
     header = ["method", "seed"] + x_cols + ["gap", "it_best", "status"]
     lines = [",".join(header)]
     for method in methods:
-        gaps, bests = [], []
-        done = {}  # (gap, it_best, cells) of each problem's run, shared by the seeds that share it
-        for seed, problem, f_star in runs:
-            if problem not in done:  # a ProblemSpec hashes by identity
-                report = _solve(problem, cfg, method, rules[method])
-                gap = report.f_best - f_star
-                cells = [repr(float(v)) for v in report.xs[report.it_best - 1]] if fw else []
-                cells += [repr(float(gap)), str(report.it_best), report.termination]
-                done[problem] = gap, report.it_best, cells
-            gap, it_best, cells = done[problem]
-            gaps.append(gap)
-            bests.append(it_best)
-            lines.append(",".join([method, str(seed), *cells]))
-        cells = [method, "median"] + ["nan"] * len(x_cols)
-        cells += [
-            repr(float(np.median(gaps))),
-            repr(float(np.median(bests))),
-            "aggregate",
-        ]
-        lines.append(",".join(cells))
+        results = []  # (gap, it_best) of each seed
+        for problem, seeds in runs:
+            report = _solve(problem, cfg, method, rules[method])
+            gap = report.f_best - problem.f_star
+            cells = [repr(float(v)) for v in report.xs[report.it_best - 1]] if fw else []
+            cells += [repr(float(gap)), str(report.it_best), report.termination]
+            results += [(gap, report.it_best)] * len(seeds)
+            lines += [",".join([method, str(seed), *cells]) for seed in seeds]
+        medians = [repr(float(np.median(col))) for col in zip(*results)]
+        lines.append(",".join([method, "median", *["nan"] * len(x_cols), *medians, "aggregate"]))
     name = f"bench_{kind}_n{entry.n}_m{entry.m}.csv"
     return os.path.join(out_dir, name), lines
 

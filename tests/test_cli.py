@@ -224,15 +224,23 @@ def test_run_nonmonotone_writes_trace_and_summary(planted_instance, tmp_path):
     assert summary["termination"] == "max_iters"
     assert summary["gap"] >= 0.0
     assert summary["n_rows"] == 151
+    assert summary["version"] == nmsubgrad.__version__ and "rule" not in summary
 
 
+# the summary names the rule at the constant that ran: the method's default,
+# or --step-const
 def test_run_every_prefixed_method(planted_instance, tmp_path):
-    for method in ("constant", "fixedlength", "nonsum", "sqrsum"):
+    defaults = {"constant": 0.1, "fixedlength": 0.2, "nonsum": 0.1, "sqrsum": 0.5}
+    for method, const in [(m, c) for m in defaults for c in (None, 0.3)]:
+        flags = () if const is None else ("--step-const", str(const))
         trace = str(tmp_path / f"{method}.csv")
-        assert run_cli("run", planted_instance, "--method", method,
+        assert run_cli("run", planted_instance, "--method", method, *flags,
                        "--iters", "60", "--out", trace) == 0
         summary = json.loads((tmp_path / f"{method}.summary.json").read_text())
         assert summary["method"] == method
+        a = defaults[method] if const is None else const
+        assert summary["rule"] == {"kind": method, "a": a}
+        assert summary["version"] == nmsubgrad.__version__
 
 
 def test_run_config_file_with_flag_override(planted_instance, tmp_path):
@@ -382,6 +390,87 @@ def test_check_catches_a_zeroed_alpha_column(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "consistency: failed (worst at k=1)" in out
     assert out.splitlines()[-1] == "audit FAILED (4 of 10 checks ran)"
+
+
+@pytest.fixture(scope="module")
+def tamper_trace(tmp_path_factory):
+    """(instance, trace) of a default 200-iteration run of gen maxaffine --n 2
+    --m 4 --planted --seed 3: 200 step rows and the landed row 201."""
+    d = tmp_path_factory.mktemp("tamper")
+    inst, trace = str(d / "inst.json"), str(d / "t.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("gen", "maxaffine", "--n", "2", "--m", "4", "--planted", "--seed", "3",
+                       "--out", inst) == 0
+        assert run_cli("run", inst, "--iters", "200", "--out", trace) == 0
+    return inst, trace
+
+
+def _check_bent_copy(tamper_trace, tmp_path, row, col, bend):
+    """check's exit code on a copy of the trace, beside a copy of its summary,
+    whose column col holds bend(cell) in row."""
+    inst, trace = tamper_trace
+    lines = Path(trace).read_text().splitlines()
+    cells = lines[row].split(",")
+    i = lines[0].split(",").index(col)
+    cells[i] = bend(cells[i])
+    lines[row] = ",".join(cells)
+    (tmp_path / "b.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "b.summary.json").write_text(Path(trace).with_suffix(".summary.json").read_text())
+    return run_cli("check", str(tmp_path / "b.csv"), inst)
+
+
+# single-cell edits that keep every inequality but break the trace layout;
+# the failure names the row's position, whatever its k cell says
+@pytest.mark.parametrize("row, col, cell, why", [
+    (50, "k", "7", "row whose k is not its position"),
+    (201, "ell", "3", "landed row with ell != 0"),
+    (120, "snorm", "0.0", "step row with snorm not > 0"),
+    (120, "snorm", "nan", "step row with snorm not > 0"),
+], ids=["k", "landed_ell", "step_snorm_zero", "step_snorm_nan"])
+def test_check_catches_a_break_of_the_trace_layout(tamper_trace, tmp_path, capsys, row, col,
+                                                   cell, why):
+    capsys.readouterr()
+    assert _check_bent_copy(tamper_trace, tmp_path, row, col, lambda _: cell) == 1
+    out = capsys.readouterr().out
+    assert f"consistency: failed (worst at k={row}) [{why}]" in out
+    assert out.splitlines()[-1] == "audit FAILED (7 of 10 checks ran)"
+
+
+# every column of tamper_trace bent up and down at the first, a middle and
+# the landed row: an int by 1, a float by half its size (0.5 at 0), so a
+# lowered positive cell stays in (0, true value]. check catches every edit
+# but these, which no law over the CSV's columns reaches yet
+_TAMPER_ROWS = {"first": 1, "middle": 100, "landed": 201}
+_TAMPER_EDITS = [f"{col}-{row}-{way}" for col in ("k", "f", "fbest_gap", "alpha", "ell", "gamma",
+                                                  "snorm")
+                 for row in _TAMPER_ROWS for way in ("up", "down")]
+_UNCAUGHT = {
+    # row 1's decrease bound has gamma_1 = 1 of slack, more than either bend
+    "f-first-up", "f-first-down",
+    # the landed row's f set below f*: no law bounds f from below
+    "f-landed-down",
+    # cmd_check discards the column
+    *(f"fbest_gap-{row}-{way}" for row in _TAMPER_ROWS for way in ("up", "down")),
+    # a step row's snorm lowered within (0, true value] eases the decrease
+    # bound, and row 1's slack covers a raised one
+    "snorm-first-up", "snorm-first-down", "snorm-middle-down",
+    # nothing reads the landed row's snorm
+    "snorm-landed-up", "snorm-landed-down",
+}
+
+
+@pytest.mark.parametrize("edit", _TAMPER_EDITS)
+def test_check_tamper_matrix(tamper_trace, tmp_path, edit):
+    col, row, way = edit.split("-")
+    sign = 1 if way == "up" else -1
+
+    def bend(cell):
+        if col in ("k", "ell"):
+            return str(int(cell) + sign)
+        return repr(float(cell) + sign * (abs(float(cell)) / 2 or 0.5))
+
+    rc = _check_bent_copy(tamper_trace, tmp_path, _TAMPER_ROWS[row], col, bend)
+    assert rc == (0 if edit in _UNCAUGHT else 1)
 
 
 # a constant objective has L = 0: the run stops at x_1 and check audits the
@@ -684,17 +773,23 @@ def _plan_with(tmp_path, problem="maxaffine", config=(), **fields):
     return path
 
 
+def _count_calls(monkeypatch, names) -> Counter:
+    """The calls of each of cli's functions names, counted as they are made."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
 # the seeds share one problem: the file is read, its reference value solved
 # and each method run once for both seeds
 def test_bench_anchor_file_gives_every_seed_the_same_rows(tmp_path, monkeypatch):
     csv = tmp_path / "anchors.csv"
     csv.write_text("lat,lon\n" + "".join(f"{3 * i % 7},{i * i % 5}\n" for i in range(10)))
-    calls = Counter()
-    for name in ("read_anchor_csv", "weiszfeld", "_solve"):
-        def counted(*args, _name=name, _fn=getattr(cli, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(cli, name, counted)
+    calls = _count_calls(monkeypatch, ("read_anchor_csv", "weiszfeld", "_solve"))
     assert run_cli("bench", _plan_with(tmp_path, "fermatweber",
                                        config={"anchors_csv": str(csv)})) == 0
     assert calls == {"read_anchor_csv": 1, "weiszfeld": 1, "_solve": 2}
@@ -703,6 +798,26 @@ def test_bench_anchor_file_gives_every_seed_the_same_rows(tmp_path, monkeypatch)
         rows = [line.split(",")[2:] for line in lines
                 if line.startswith(method + ",") and ",median," not in line]
         assert len(rows) == 2 and rows[0] == rows[1], method
+
+
+# without an anchors file each seed is its own problem, a repeated seed too:
+# one weiszfeld run (Fermat-Weber) and one solve per method for each seed
+@pytest.mark.parametrize("problem, seeds, calls", [
+    ("fermatweber", [0, 1, 2], {"weiszfeld": 3, "_solve": 6}),
+    ("maxaffine", [0, 0], {"_solve": 4}),
+], ids=["fermatweber_three_seeds", "maxaffine_repeated_seed"])
+def test_bench_entry_without_an_anchor_file_builds_each_seed(tmp_path, monkeypatch, problem,
+                                                             seeds, calls):
+    counted = _count_calls(monkeypatch, ("weiszfeld", "_solve"))
+    assert run_cli("bench", _plan_with(tmp_path, problem, config={"seeds": seeds})) == 0
+    assert counted == calls
+    lines = (tmp_path / "out" / f"bench_{problem}_n2_m10.csv").read_text().splitlines()
+    for method in ("nonmonotone", "sqrsum"):
+        rows = [line.split(",")[1:] for line in lines
+                if line.startswith(method + ",") and ",median," not in line]
+        assert [int(row[0]) for row in rows] == seeds
+        if seeds == [0, 0]:
+            assert rows[0] == rows[1], method
 
 
 @pytest.mark.parametrize("fields, named", [
