@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import RunReport, SolverConfig, SqrtInverse, StronglyConvexHarmonic, gamma_values
 from .problems import ProblemSpec, diameter_sq
+from .solver import _best_gaps
 
 __all__ = [
     "REL_SLACK",
@@ -129,10 +130,14 @@ def _skip(name: str, why: str) -> CheckResult:
 
 
 def _no_step_rows(report: RunReport) -> str | None:
-    """Why both audits skip all their checks of report, or None if it has a line-search row."""
+    """Why both audits skip all their checks of report, or None if it has a
+    line-search row. A trace is prefixed only with both marks the prefixed
+    driver writes, no step row with ell >= 1 and gamma NaN on every row
+    (fmax skips NaN), so a zeroed ell column alone fails the layout law."""
     K = len(report.k) - 1
     # direct ufunc and method calls: numpy's Python wrappers are cold after a solve
-    if K < 1 or np.maximum.reduce(report.ell[:K]) < 1:
+    if K < 1 or (np.maximum.reduce(report.ell[:K]) < 1
+                 and np.isnan(np.fmax.reduce(report.gamma))):
         return "no line-search rows (prefixed-step trace or single-iterate run)"
     return None
 
@@ -165,14 +170,22 @@ def audit_stepwise(
     problem: ProblemSpec,
     cfg: SolverConfig,
     tc: TheoryConstants | None = None,
+    x1: np.ndarray | None = None,
+    fbest_gap: np.ndarray | None = None,
 ) -> AuditReport:
     """Per-iteration laws of the accepted steps.
 
-    consistency        alpha_next = beta**(ell-1)*alpha, step = beta*alpha_next,
-                       next row's alpha continues the chain, row 1's alpha is
-                       cfg.alpha1 and every row's gamma (the landed row's too)
-                       is cfg.gamma's; and the layout: k_i = i, ell >= 1 and
-                       snorm > 0 on step rows, ell = 0 on the landed row
+    consistency        the layout: k_i = i, ell >= 1 and snorm > 0 on step
+                       rows, ell = 0 on the landed row; then exact laws, each
+                       a (recorded, expected) pair over rows from 1:
+                       alpha_next = beta**(ell-1)*alpha, next row's alpha
+                       continues the chain, step = beta*alpha_next, row 1's
+                       alpha is cfg.alpha1, every row's gamma (the landed
+                       row's too) is cfg.gamma's; row 1's f is f(x1) when x1
+                       is given; no f lies below a planted f* (a NaN f is
+                       sufficient_decrease's); and a given fbest_gap column
+                       is the running best of f minus f*, as the CSV writer
+                       computes it
     step_upper_bound   alpha_{k+1} <= c * gamma_k
     step_lower_bound   min(alpha_1, min(theta, beta*c)*gamma_k) <= alpha_{k+1}
                        (needs tc)
@@ -199,7 +212,7 @@ def audit_stepwise(
 
     A CSV trace carries no alpha_next or step: a column that is NaN
     throughout takes the derived law, and a NaN cell in a recorded column
-    fails consistency.
+    fails consistency. Without x1 the audit calls no oracle.
     """
     K = len(report.k) - 1  # rows 1..K are steps, row K+1 is the landed iterate
     names = ["consistency", "step_upper_bound", "step_lower_bound",
@@ -227,23 +240,28 @@ def audit_stepwise(
 
     checks: list[CheckResult] = []
 
-    # consistency: the trace layout, then the ladder law and the alpha chain between rows
+    # consistency: the trace layout, then the exact laws
     fault = _layout_fault(report, K)
     if fault is not None:
         checks.append(CheckResult("consistency", FAILED, math.inf, *fault))
     else:
-        # the largest relative deviation of the three laws (abs commutes with /scale)
-        dev = np.abs(_normalized(eff_next, derived_next))
-        for a, b in ((report.alpha[1 : K + 1], eff_next), (eff_step, beta * eff_next)):
-            np.maximum(dev, np.abs(_normalized(a, b)), out=dev)
-        a1, a1_cfg = float(alpha[0]), cfg.alpha1  # Python floats: no one-entry arrays
-        if a1 != a1_cfg:
-            dev[0] = np.maximum(dev[0], abs(a1 - a1_cfg) / max(1.0, abs(a1), abs(a1_cfg)))
-        expected = gamma_values(cfg.gamma, K + 1)
-        if (report.gamma != expected).any():  # exact first: a matching column costs one pass
-            # the landed row counts too: rate_tail reads its gamma
-            dev = np.maximum(np.abs(_normalized(report.gamma, expected)), np.append(dev, 0.0))
-        checks.append(_worst("consistency", dev, np.zeros(len(dev)), report.k[: len(dev)]))
+        # (recorded, expected) over rows from 1; rate_tail reads the landed row's gamma
+        laws = [(eff_next, derived_next), (report.alpha[1 : K + 1], eff_next),
+                (eff_step, beta * eff_next), (alpha[:1], cfg.alpha1),
+                (report.gamma, gamma_values(cfg.gamma, K + 1))]
+        f_star = problem.f_star
+        if x1 is not None:
+            laws.append((f[:1], problem.value(x1)))
+        if problem.x_star is not None and f_star is not None:  # planted: f >= f* on C
+            laws.append((np.fmin(f, f_star), f_star))
+        if fbest_gap is not None and f_star is not None:
+            laws.append((fbest_gap, np.array(_best_gaps(f, f_star))))
+        dev = np.zeros(K + 1)  # each row's largest relative deviation
+        for recorded, expected in laws:
+            if not (recorded == expected).all():  # exact first: a law that holds costs one ==
+                span = dev[: len(recorded)]  # abs commutes with /scale
+                np.maximum(span, np.abs(_normalized(recorded, expected)), out=span)
+        checks.append(_worst("consistency", dev, np.zeros(K + 1), report.k))
 
     checks.append(_worst("step_upper_bound", eff_next, c * gamma, ks))
 

@@ -478,14 +478,15 @@ def _audit_config(args) -> SolverConfig:
 
 
 def cmd_check(args) -> int:
-    report, _ = read_trace_csv(args.trace)
+    report, gaps = read_trace_csv(args.trace)
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
     cfg = _audit_config(args)
     tc = None if problem.L is None else constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
+    x1 = _start_point(problem, None)
     merged = merge_reports(
-        audit_stepwise(report, problem, cfg, tc),
-        audit_rate_bounds(report, problem, cfg, tc, x1=_start_point(problem, None)),
+        audit_stepwise(report, problem, cfg, tc, x1=x1, fbest_gap=gaps),
+        audit_rate_bounds(report, problem, cfg, tc, x1=x1),
     )
     for ch in merged.checks:
         loc = f" (worst at k={ch.worst_index})" if ch.worst_index is not None else ""

@@ -225,17 +225,26 @@ _COLUMNS = tuple(c for c in _GAP_COLUMNS if c != "fbest_gap")
 _INT_COLUMNS = ("k", "ell")
 
 
+def _best_gaps(f: np.ndarray, f_star: float) -> list[float]:
+    """The fbest_gap column: the running best of f minus f_star. A Python
+    loop, not np.fmin.accumulate, whose signed zeros and leading NaN differ;
+    the CSV writer and the stepwise audit both call it, so a written column
+    is checked with the bits it was written with."""
+    f_star = float(f_star)
+    best, gaps = math.inf, []
+    for v in f.tolist():
+        best = min(best, v)
+        gaps.append(best - f_star)
+    return gaps
+
+
 def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -> None:
     """The trace's columns, with the best gap so far when f_star is given;
     each cell is the repr of its float, so reading it back is exact."""
     if f_star is None:
         cols = {name: getattr(report, name).tolist() for name in _COLUMNS}
     else:
-        f_star = float(f_star)
-        best, gaps = math.inf, []
-        for v in report.f.tolist():
-            best = min(best, v)
-            gaps.append(best - f_star)
+        gaps = _best_gaps(report.f, f_star)
         cols = {name: gaps if name == "fbest_gap" else getattr(report, name).tolist()
                 for name in _GAP_COLUMNS}
     cells = [map(str if name in _INT_COLUMNS else repr, col) for name, col in cols.items()]

@@ -325,6 +325,77 @@ def test_step_row_with_ell_zero_fails_consistency():
     assert ch.detail == "step row with ell < 1"
 
 
+# a planted f* is the minimum over C, and every iterate lies in C
+def test_f_below_a_planted_optimum_fails_consistency():
+    prob, cfg, rep = _planted_run(seed=3)
+    assert audit_stepwise(rep, prob, cfg).passed
+    bad = _tampered(rep, "f", 150, prob.f_star - 1e-3)
+    ch = audit_stepwise(bad, prob, cfg)["consistency"]
+    assert (ch.status, ch.worst_index) == ("failed", 151)
+
+
+# a reference value (weiszfeld's, or a gap baseline) certifies no optimum,
+# so rows below it are no fault of the trace
+def test_f_below_a_reference_f_star_is_no_law():
+    prob, cfg, rep = _planted_run(seed=3)
+    ref = dataclasses.replace(prob, x_star=None, f_star=rep.f_best + 1.0)
+    assert audit_stepwise(rep, ref, cfg)["consistency"].status == "passed"
+
+
+# row 1's decrease bound has gamma_1 of slack, so only f(x1) pins row 1's f
+def test_x1_pins_the_first_f():
+    prob, cfg, rep = _planted_run(seed=3)
+    x1 = np.zeros(prob.n)
+    assert audit_stepwise(rep, prob, cfg, x1=x1)["consistency"].status == "passed"
+    bad = _tampered(rep, "f", 0, rep.f[0] * 1.5)
+    assert audit_stepwise(bad, prob, cfg).passed
+    ch = audit_stepwise(bad, prob, cfg, x1=x1)["consistency"]
+    assert (ch.status, ch.worst_index) == ("failed", 1)
+
+
+# the column the CSV writer wrote passes bit for bit; a bent cell fails at its row
+def test_fbest_gap_column_is_the_running_best_gap(tmp_path):
+    prob, cfg, rep = _planted_run(seed=3)
+    path = str(tmp_path / "t.csv")
+    write_trace_csv(rep, path, prob.f_star)
+    csv_rep, gaps = read_trace_csv(path)
+    assert audit_stepwise(csv_rep, prob, cfg, fbest_gap=gaps).passed
+    gaps[40] *= 1.5
+    ch = audit_stepwise(csv_rep, prob, cfg, fbest_gap=gaps)["consistency"]
+    assert (ch.status, ch.worst_index) == ("failed", 41)
+
+
+class _CountingProblem:
+    """A problem whose value and eval calls are counted in calls."""
+
+    def __init__(self, problem):
+        self._problem = problem
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(self._problem, name)
+        if name not in ("value", "eval"):
+            return attr
+
+        def counted(x):
+            self.calls.append(name)
+            return attr(x)
+
+        return counted
+
+
+# the benchmark's traced oracle counts and its tracer rest on this
+def test_audits_call_no_oracle_without_x1():
+    prob, cfg, rep = _planted_run(seed=3)
+    counting = _CountingProblem(prob)
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    assert merge_reports(audit_stepwise(rep, counting, cfg, tc),
+                         audit_rate_bounds(rep, counting, cfg, tc)).passed
+    assert counting.calls == []
+    audit_stepwise(rep, counting, cfg, tc, x1=np.zeros(prob.n))
+    assert counting.calls == ["value"]
+
+
 def test_quasi_fejer_skips_at_rho_half_and_below():
     prob, _, _ = _planted_run()
     cfg = SolverConfig(c=1.0, beta=0.9, rho=0.5, alpha1=0.1, max_iters=50)

@@ -405,15 +405,19 @@ def tamper_trace(tmp_path_factory):
     return inst, trace
 
 
-def _check_bent_copy(tamper_trace, tmp_path, row, col, bend):
+def _check_bent_copy(tamper_trace, tmp_path, rows, bends):
     """check's exit code on a copy of the trace, beside a copy of its summary,
-    whose column col holds bend(cell) in row."""
+    whose column col holds bend(cell) in each of rows, for each col, bend in
+    bends."""
     inst, trace = tamper_trace
     lines = Path(trace).read_text().splitlines()
-    cells = lines[row].split(",")
-    i = lines[0].split(",").index(col)
-    cells[i] = bend(cells[i])
-    lines[row] = ",".join(cells)
+    header = lines[0].split(",")
+    for row in rows:
+        cells = lines[row].split(",")
+        for col, bend in bends.items():
+            i = header.index(col)
+            cells[i] = bend(cells[i])
+        lines[row] = ",".join(cells)
     (tmp_path / "b.csv").write_text("\n".join(lines) + "\n")
     (tmp_path / "b.summary.json").write_text(Path(trace).with_suffix(".summary.json").read_text())
     return run_cli("check", str(tmp_path / "b.csv"), inst)
@@ -430,7 +434,7 @@ def _check_bent_copy(tamper_trace, tmp_path, row, col, bend):
 def test_check_catches_a_break_of_the_trace_layout(tamper_trace, tmp_path, capsys, row, col,
                                                    cell, why):
     capsys.readouterr()
-    assert _check_bent_copy(tamper_trace, tmp_path, row, col, lambda _: cell) == 1
+    assert _check_bent_copy(tamper_trace, tmp_path, [row], {col: lambda _: cell}) == 1
     out = capsys.readouterr().out
     assert f"consistency: failed (worst at k={row}) [{why}]" in out
     assert out.splitlines()[-1] == "audit FAILED (7 of 10 checks ran)"
@@ -445,12 +449,6 @@ _TAMPER_EDITS = [f"{col}-{row}-{way}" for col in ("k", "f", "fbest_gap", "alpha"
                                                   "snorm")
                  for row in _TAMPER_ROWS for way in ("up", "down")]
 _UNCAUGHT = {
-    # row 1's decrease bound has gamma_1 = 1 of slack, more than either bend
-    "f-first-up", "f-first-down",
-    # the landed row's f set below f*: no law bounds f from below
-    "f-landed-down",
-    # cmd_check discards the column
-    *(f"fbest_gap-{row}-{way}" for row in _TAMPER_ROWS for way in ("up", "down")),
     # a step row's snorm lowered within (0, true value] eases the decrease
     # bound, and row 1's slack covers a raised one
     "snorm-first-up", "snorm-first-down", "snorm-middle-down",
@@ -469,8 +467,26 @@ def test_check_tamper_matrix(tamper_trace, tmp_path, edit):
             return str(int(cell) + sign)
         return repr(float(cell) + sign * (abs(float(cell)) / 2 or 0.5))
 
-    rc = _check_bent_copy(tamper_trace, tmp_path, _TAMPER_ROWS[row], col, bend)
+    rc = _check_bent_copy(tamper_trace, tmp_path, [_TAMPER_ROWS[row]], {col: bend})
     assert rc == (0 if edit in _UNCAUGHT else 1)
+
+
+_NO_STEP_ROWS = "skipped [no line-search rows (prefixed-step trace or single-iterate run)]"
+
+
+# whole columns of tamper_trace rewritten: a prefixed trace carries both ell
+# = 0 on every row and gamma NaN on every row, so one of them alone fails;
+# both together pass as a prefixed trace until check reads the summary's rule
+@pytest.mark.parametrize("cols, rc, first_line", [
+    ({"ell": "0"}, 1, "consistency: failed (worst at k=1) [step row with ell < 1]"),
+    ({"gamma": "nan"}, 1, "consistency: failed (worst at k=1) [non-finite comparison]"),
+    ({"ell": "0", "gamma": "nan"}, 0, f"consistency: {_NO_STEP_ROWS}"),
+], ids=["ell-zeroed", "gamma-nan", "both-uncaught"])
+def test_check_whole_column_edits(tamper_trace, tmp_path, capsys, cols, rc, first_line):
+    bends = {col: lambda _, cell=cell: cell for col, cell in cols.items()}
+    capsys.readouterr()
+    assert _check_bent_copy(tamper_trace, tmp_path, range(1, 202), bends) == rc
+    assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
 # a constant objective has L = 0: the run stops at x_1 and check audits the
@@ -523,7 +539,6 @@ def test_check_out_of_range_int_cell_is_exit_2(planted_instance, tmp_path, capsy
 
 # check's stdout and report JSON (by its sha256) for one gen -> run round
 # trip per kind of trace, pinned byte for byte
-_NO_STEP_ROWS = "skipped [no line-search rows (prefixed-step trace or single-iterate run)]"
 _CHECK_OUT = {
     "nonmonotone": """\
 consistency: passed (worst at k=1)
