@@ -129,14 +129,15 @@ def _skip(name: str, why: str) -> CheckResult:
     return CheckResult(name, SKIPPED, detail=why)
 
 
-def _no_step_rows(report: RunReport) -> str | None:
+def _no_step_rows(report: RunReport, method: str | None) -> str | None:
     """Why both audits skip all their checks of report, or None if it has a
     line-search row. A trace is prefixed only with both marks the prefixed
     driver writes, no step row with ell >= 1 and gamma NaN on every row
-    (fmax skips NaN), so a zeroed ell column alone fails the layout law."""
+    (fmax skips NaN), so a zeroed ell column alone fails the layout law. It
+    is never prefixed when method, the one its run recorded, is "nonmonotone"."""
     K = len(report.k) - 1
     # direct ufunc and method calls: numpy's Python wrappers are cold after a solve
-    if K < 1 or (np.maximum.reduce(report.ell[:K]) < 1
+    if K < 1 or (method != "nonmonotone" and np.maximum.reduce(report.ell[:K]) < 1
                  and np.isnan(np.fmax.reduce(report.gamma))):
         return "no line-search rows (prefixed-step trace or single-iterate run)"
     return None
@@ -172,6 +173,7 @@ def audit_stepwise(
     tc: TheoryConstants | None = None,
     x1: np.ndarray | None = None,
     fbest_gap: np.ndarray | None = None,
+    method: str | None = None,
 ) -> AuditReport:
     """Per-iteration laws of the accepted steps.
 
@@ -212,12 +214,13 @@ def audit_stepwise(
 
     A CSV trace carries no alpha_next or step: a column that is NaN
     throughout takes the derived law, and a NaN cell in a recorded column
-    fails consistency. Without x1 the audit calls no oracle.
+    fails consistency. Without x1 the audit calls no oracle. method, when
+    given, names the method the run recorded; see _no_step_rows.
     """
     K = len(report.k) - 1  # rows 1..K are steps, row K+1 is the landed iterate
     names = ["consistency", "step_upper_bound", "step_lower_bound",
              "sufficient_decrease", "quasi_fejer"]
-    why = _no_step_rows(report)
+    why = _no_step_rows(report, method)
     if why is not None:
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
 
@@ -302,6 +305,7 @@ def audit_rate_bounds(
     cfg: SolverConfig,
     tc: TheoryConstants | None = None,
     x1: np.ndarray | None = None,
+    method: str | None = None,
 ) -> AuditReport:
     """For every prefix N of the trace, the best gap so far must sit under
     each applicable bound; the reported worst_index is the tightest N.
@@ -338,7 +342,7 @@ def audit_rate_bounds(
     sum 1/sqrt(k+1) >= ceil(N/2)/sqrt(N+1) >= sqrt(N+2)/4 for N >= 2. None
     uses theta but through step 5. rate_strongly_convex's telescoping needs
     the schedule's big_theta to be step 5's theta, so it runs only when they
-    match.
+    match. method is audit_stepwise's.
     """
     K = len(report.k) - 1
     names = ["rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
@@ -352,7 +356,7 @@ def audit_rate_bounds(
         why = "no known optimal value"
     else:
         why = None
-    why = _no_step_rows(report) or why  # the first reason to skip
+    why = _no_step_rows(report, method) or why  # the first reason to skip
     if why is not None:
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
 

@@ -5,8 +5,9 @@ trace and a summary), bench (run a plan of configs x methods x seeds, write
 per-config tables), check (audit a trace against its instance, under the
 config that the summary beside the trace records).
 
-Exit codes: 0 success, 1 at least one audit check failed, 2 usage or input
-errors, an input too large to allocate among them. All outputs are deterministic for fixed inputs and written atomically.
+Exit codes: 0 on success, 1 when at least one audit check failed, and 2 on a
+usage or input error, an input too large to allocate included. All outputs
+are deterministic for fixed inputs and written atomically.
 """
 
 from __future__ import annotations
@@ -459,10 +460,11 @@ def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
 # ----- check -----
 
 
-def _audit_config(args) -> SolverConfig:
+def _audit_config(args) -> tuple[SolverConfig, str | None]:
     """The config the summary beside the trace records, or the defaults when
-    there is none, with the check's flags in place of its fields."""
-    base = SolverConfig()
+    there is none, with the check's flags in place of its fields; and the
+    method the summary names, None without one."""
+    base, method = SolverConfig(), None
     spath = _summary_path(args.trace)
     if os.path.exists(spath):
         what = f"summary file {spath!r}"
@@ -474,19 +476,20 @@ def _audit_config(args) -> SolverConfig:
             base = _config_from_items(summary.get("config", {}))
         except ConfigError as exc:
             raise ConfigError(f"{what}: {exc}") from None
-    return _override(base, args, _CHECK_FLAGS)
+        method = summary.get("method")
+    return _override(base, args, _CHECK_FLAGS), method
 
 
 def cmd_check(args) -> int:
     report, gaps = read_trace_csv(args.trace)
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
-    cfg = _audit_config(args)
+    cfg, method = _audit_config(args)
     tc = None if problem.L is None else constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
     x1 = _start_point(problem, None)
     merged = merge_reports(
-        audit_stepwise(report, problem, cfg, tc, x1=x1, fbest_gap=gaps),
-        audit_rate_bounds(report, problem, cfg, tc, x1=x1),
+        audit_stepwise(report, problem, cfg, tc, x1=x1, fbest_gap=gaps, method=method),
+        audit_rate_bounds(report, problem, cfg, tc, x1=x1, method=method),
     )
     for ch in merged.checks:
         loc = f" (worst at k={ch.worst_index})" if ch.worst_index is not None else ""

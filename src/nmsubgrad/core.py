@@ -70,7 +70,7 @@ def as_point(x) -> np.ndarray:
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"point must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("point has non-finite entries")
     return arr
 

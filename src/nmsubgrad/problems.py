@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Union
 
@@ -161,8 +161,11 @@ class MaxAffineInstance:
             raise ValueError(f"A must be a non-empty 2-D array, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b must have shape ({A.shape[0]},), got {b.shape}")
-        # NaN propagates through min and max, so no (m, n) mask is needed
-        if not all(map(math.isfinite, (A.min(), A.max(), b.min(), b.max()))):
+        # argmin and argmax stop at the first NaN, so no (m, n) mask is needed,
+        # and on small arrays they cost a fraction of a min or max reduction;
+        # the extrema also give the planted check its max |a_ij|
+        lo, hi = A.item(A.argmin()), A.item(A.argmax())
+        if not all(map(math.isfinite, (lo, hi, b.item(b.argmin()), b.item(b.argmax())))):
             raise ValueError("A and b must be finite")
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
@@ -176,7 +179,7 @@ class MaxAffineInstance:
             raise ValueError("x_star and f_star must be planted together")
         if self.f_star is not None:
             object.__setattr__(self, "f_star", float(self.f_star))
-            _check_planted(self)
+            _check_planted(self, max(hi, -lo))
 
     @property
     def n(self) -> int:
@@ -187,7 +190,8 @@ class MaxAffineInstance:
         return self.A.shape[0]
 
 
-def _check_planted(inst: MaxAffineInstance) -> None:
+def _check_planted(inst: MaxAffineInstance, abs_max: float) -> None:
+    """abs_max is max |a_ij|; it scales the certificate's tolerance."""
     val = _kernels.max_affine_eval(inst.A, inst.b, inst.sigma, inst.x_star)[0]
     scale = max(1.0, abs(inst.f_star))
     if abs(val - inst.f_star) > PLANT_TOL * scale:
@@ -195,25 +199,25 @@ def _check_planted(inst: MaxAffineInstance) -> None:
             f"planted value mismatch: f(x_star) = {val!r} but f_star = {inst.f_star!r}"
         )
     resid = planted_certificate_residual(inst)
-    if resid > PLANT_TOL * max(1.0, _abs_max(inst.A)):
+    if resid > PLANT_TOL * max(1.0, abs_max):
         raise ValueError(f"planted certificate fails: |mean active grad + sigma*x*| = {resid}")
-
-
-def _abs_max(A: np.ndarray) -> float:
-    """max |a_ij|, equal to np.abs(A).max() without an |A| temporary."""
-    return max(float(A.max()), float(-A.min()))
 
 
 def planted_certificate_residual(inst: MaxAffineInstance) -> float:
     """Norm of (mean of active-piece gradients + sigma * x_star); ~0 certifies
-    that the zero vector lies in the subdifferential at x_star."""
+    that the zero vector lies in the subdifferential at x_star. The mean is
+    numpy's: a sum over the rows divided by their count."""
     if inst.x_star is None:
         raise ValueError("instance has no planted optimum")
-    vals = inst.A @ inst.x_star + inst.b
-    top = vals.max()
-    active = vals >= top - 1e-9 * max(1.0, abs(top))
-    mean_grad = inst.A[active].mean(axis=0)
-    return float(np.linalg.norm(mean_grad + inst.sigma * inst.x_star))
+    vals = inst.A.dot(inst.x_star)
+    vals += inst.b
+    top = vals.item(vals.argmax())
+    active = inst.A[vals >= top - 1e-9 * max(1.0, abs(top))]
+    g = np.add.reduce(active, axis=0)
+    g /= active.shape[0]
+    if inst.sigma > 0.0:  # at sigma = 0 the term only flips the sign of zeros
+        g += inst.sigma * inst.x_star
+    return math.sqrt(g.dot(g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,16 +301,17 @@ def plant_optimum_max_affine(
         raise ValueError(f"active_scale must be positive, got {active_scale}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(n)
-    x_star = spread * direction / float(np.linalg.norm(direction))
+    x_star = spread * direction
+    x_star /= math.sqrt(direction.dot(direction))
     f_star = float(rng.standard_normal())
     A = rng.standard_normal((m, n))
     A[: t - 1] *= active_scale
-    A[t - 1] = -(t * sigma * x_star + A[: t - 1].sum(axis=0))
-    quad = 0.5 * sigma * float(np.dot(x_star, x_star))
+    np.negative(t * sigma * x_star + np.add.reduce(A[: t - 1], axis=0), out=A[t - 1])
+    quad = 0.5 * sigma * x_star.dot(x_star)
     b = np.empty(m)
-    b[:t] = f_star - A[:t] @ x_star - quad
+    b[:t] = f_star - A[:t].dot(x_star) - quad
     slacks = spread * rng.uniform(0.1, 1.0, size=m - t)
-    b[t:] = f_star - A[t:] @ x_star - quad - slacks
+    b[t:] = f_star - A[t:].dot(x_star) - quad - slacks
     return MaxAffineInstance(A=A, b=b, sigma=sigma, x_star=x_star, f_star=f_star)
 
 
@@ -391,14 +396,18 @@ def lipschitz_bound(inst: Instance, cset: SetDescriptor | None = None) -> float:
 
     The row norms stream over blocks of whole rows, at most _ROW_BLOCK entries
     each (one row when a row is longer), so no temporary the size of A is
-    made. The bits equal np.sqrt((A**2).sum(axis=1)).max(): each norm is still
-    one reduction over one contiguous row, and max is exact.
+    made. The bits equal np.sqrt((A**2).sum(axis=1)).max(): each squared norm
+    is still one reduction over one contiguous row, max is exact, and the
+    square root, correctly rounded and monotone, is taken of the largest.
     """
     if isinstance(inst, MaxAffineInstance):
         A = inst.A
         rows = max(1, _ROW_BLOCK // A.shape[1])
-        base = max(float(np.sqrt((A[i : i + rows] ** 2).sum(axis=1)).max())
-                   for i in range(0, A.shape[0], rows))
+        base = 0.0  # the largest squared row norm
+        for i in range(0, A.shape[0], rows):
+            sq = np.add.reduce(np.square(A[i : i + rows]), axis=1)
+            base = max(base, sq.item(sq.argmax()))
+        base = math.sqrt(base)
         if inst.sigma > 0.0:
             if cset is None or radius_bound(cset) is None:
                 raise ValueError(
@@ -500,10 +509,9 @@ def make_problem(inst: Instance, cset: SetDescriptor | None = None) -> ProblemSp
         sigma = 0.0
     else:
         raise TypeError(f"not an instance: {inst!r}")
-    for f in fields(cset):
-        v = getattr(cset, f.name)
+    for name, v in vars(cset).items():  # the set's dataclass fields
         if isinstance(v, np.ndarray) and v.shape != (inst.n,):
-            raise ValueError(f"{type(cset).__name__} field {f.name!r} has length {len(v)}, "
+            raise ValueError(f"{type(cset).__name__} field {name!r} has length {len(v)}, "
                              f"but the instance has n = {inst.n}")
     if x_star is not None and not contains(cset, x_star):
         raise ValueError("planted optimum lies outside the requested set")

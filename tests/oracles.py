@@ -108,8 +108,40 @@ def lipschitz_full_ref(A):
     return float(np.sqrt((A**2).sum(axis=1)).max())
 
 
-def abs_max_full_ref(A):
-    return float(np.abs(A).max())
+# the planted builder in its operator and wrapper forms (np.linalg.norm, @,
+# .sum and .mean over axis 0, and max |a_ij| as two passes of its own): the
+# bits that plant_optimum_max_affine and the planted checks must reproduce
+
+
+def plant_optimum_max_affine_ref(seed, n, m, active_count=None, spread=1.0, sigma=0.0,
+                                 active_scale=1.0):
+    """(A, b, x_star, f_star) of the planted generator, from the same draws."""
+    t = n + 1 if active_count is None else int(active_count)
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal(n)
+    x_star = spread * direction / float(np.linalg.norm(direction))
+    f_star = float(rng.standard_normal())
+    A = rng.standard_normal((m, n))
+    A[: t - 1] *= active_scale
+    A[t - 1] = -(t * sigma * x_star + A[: t - 1].sum(axis=0))
+    quad = 0.5 * sigma * float(np.dot(x_star, x_star))
+    b = np.empty(m)
+    b[:t] = f_star - A[:t] @ x_star - quad
+    slacks = spread * rng.uniform(0.1, 1.0, size=m - t)
+    b[t:] = f_star - A[t:] @ x_star - quad - slacks
+    return A, b, x_star, f_star
+
+
+def planted_certificate_residual_ref(A, b, sigma, x_star):
+    vals = A @ x_star + b
+    top = vals.max()
+    active = vals >= top - 1e-9 * max(1.0, abs(top))
+    return float(np.linalg.norm(A[active].mean(axis=0) + sigma * x_star))
+
+
+def planted_certificate_tol_ref(A, plant_tol):
+    """The certificate's tolerance, plant_tol scaled by max(1, max |a_ij|)."""
+    return plant_tol * max(1.0, max(float(A.max()), float(-A.min())))
 
 
 def fermat_weber_value_dot_ref(anchors, weights, x):

@@ -127,6 +127,28 @@ def test_stepwise_audit_skips_prefixed_trace():
     assert all(ch.status == "skipped" for ch in audit.checks)
 
 
+# a trace whose run recorded the nonmonotone method is never read as
+# prefixed, unless it has no step row
+def test_a_nonmonotone_method_is_never_read_as_prefixed():
+    prob, _, _ = _planted_run()
+    cfg = SolverConfig(**PARAMS)
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    rep = solve_prefixed(prob, ConstantStep(0.1), 50)
+    stepwise = audit_stepwise(rep, prob, cfg, tc, method="nonmonotone")
+    assert (stepwise["consistency"].status, stepwise["consistency"].worst_index,
+            stepwise["consistency"].detail) == ("failed", 1, "step row with ell < 1")
+    rate = audit_rate_bounds(rep, prob, cfg, tc, method="nonmonotone")
+    assert not any("line-search" in (ch.detail or "") for ch in rate.checks)
+    assert not rate.passed
+    # a constant objective stops at x_1 with a zero subgradient
+    flat = make_problem(MaxAffineInstance(A=np.zeros((2, 3)), b=np.array([0.0, -1.0])))
+    one_row = solve_nonmonotone(flat, cfg)
+    assert len(one_row.k) == 1
+    for audit in (audit_stepwise, audit_rate_bounds):
+        assert all(ch.status == "skipped"
+                   for ch in audit(one_row, flat, cfg, tc, method="nonmonotone").checks)
+
+
 def test_stepwise_audit_without_constants_skips_lower_bound():
     prob, cfg, rep = _planted_run(seed=1)
     audit = audit_stepwise(rep, prob, cfg, tc=None)

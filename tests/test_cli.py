@@ -476,17 +476,41 @@ _NO_STEP_ROWS = "skipped [no line-search rows (prefixed-step trace or single-ite
 
 # whole columns of tamper_trace rewritten: a prefixed trace carries both ell
 # = 0 on every row and gamma NaN on every row, so one of them alone fails;
-# both together pass as a prefixed trace until check reads the summary's rule
+# both together fail too, since the summary beside the copy says nonmonotone
 @pytest.mark.parametrize("cols, rc, first_line", [
     ({"ell": "0"}, 1, "consistency: failed (worst at k=1) [step row with ell < 1]"),
     ({"gamma": "nan"}, 1, "consistency: failed (worst at k=1) [non-finite comparison]"),
-    ({"ell": "0", "gamma": "nan"}, 0, f"consistency: {_NO_STEP_ROWS}"),
-], ids=["ell-zeroed", "gamma-nan", "both-uncaught"])
+    ({"ell": "0", "gamma": "nan"}, 1, "consistency: failed (worst at k=1) [step row with ell < 1]"),
+], ids=["ell-zeroed", "gamma-nan", "both-summary-nonmonotone"])
 def test_check_whole_column_edits(tamper_trace, tmp_path, capsys, cols, rc, first_line):
     bends = {col: lambda _, cell=cell: cell for col, cell in cols.items()}
     capsys.readouterr()
     assert _check_bent_copy(tamper_trace, tmp_path, range(1, 202), bends) == rc
     assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
+# the same two-column edit still reads as prefixed where no summary says
+# nonmonotone: without a summary, without its "method", or under a prefixed one
+@pytest.mark.parametrize("summary", ["absent", "no-method", "constant"])
+def test_two_column_edit_reads_as_prefixed_unless_the_summary_says_nonmonotone(
+        tamper_trace, tmp_path, capsys, summary):
+    bends = {"ell": lambda _: "0", "gamma": lambda _: "nan"}
+    assert _check_bent_copy(tamper_trace, tmp_path, range(1, 202), bends) == 1
+    spath = tmp_path / "b.summary.json"
+    obj = json.loads(spath.read_text())
+    assert obj["method"] == "nonmonotone"
+    if summary == "absent":
+        spath.unlink()
+    elif summary == "no-method":
+        del obj["method"]
+        spath.write_text(json.dumps(obj))
+    else:
+        spath.write_text(json.dumps(dict(obj, method=summary)))
+    capsys.readouterr()
+    assert run_cli("check", str(tmp_path / "b.csv"), tamper_trace[0]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"consistency: {_NO_STEP_ROWS}"
+    assert out[-1] == "audit passed (none of 10 checks ran)"
 
 
 # a constant objective has L = 0: the run stops at x_1 and check audits the

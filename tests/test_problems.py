@@ -37,7 +37,13 @@ from nmsubgrad.problems import (
     radius_bound,
 )
 
-from oracles import abs_max_full_ref, grid_min_2d, lipschitz_full_ref
+from oracles import (
+    grid_min_2d,
+    lipschitz_full_ref,
+    plant_optimum_max_affine_ref,
+    planted_certificate_residual_ref,
+    planted_certificate_tol_ref,
+)
 
 
 # ----- constraint sets -----
@@ -267,13 +273,105 @@ def test_streamed_passes_match_full_array_forms(shape):
     inst = MaxAffineInstance(A=A, b=np.zeros(shape[0]))
     L = lipschitz_bound(inst)
     assert L.hex() == lipschitz_full_ref(inst.A).hex()
-    assert problems._abs_max(inst.A).hex() == abs_max_full_ref(inst.A).hex()
-    assert problems._abs_max(-inst.A).hex() == abs_max_full_ref(inst.A).hex()
 
 
 def test_lipschitz_of_the_kernel_heavy_instance_keeps_its_bits():
     inst = plant_optimum_max_affine(0, 200, 5000)
     assert lipschitz_bound(inst).hex() == "0x1.a5e72ab428e4cp+7"
+
+
+# (seeds, n, m, keywords, ball radius): the acceptance fixture's three shapes,
+# sigma > 0 instances on a ball, and the benchmark's 200x5000 instance on its
+# ball. At sigma = 0 the active gradients sum to exactly 0, so only the sigma
+# > 0 cases give the certificate's mean and norm bits to compare
+_BUILDER_CASES = {
+    "fixture-2x10": (range(20), 2, 10, dict(spread=0.02, active_scale=2.0), None),
+    "fixture-5x30": (range(20), 5, 30, dict(spread=0.05, active_scale=6.0), None),
+    "fixture-10x50": (range(20), 10, 50, dict(spread=0.05, active_scale=10.0), None),
+    "sigma-ball": (range(20), 4, 12,
+                   dict(active_count=7, spread=0.7, sigma=0.5, active_scale=3.0), 2.0),
+    "kernel-heavy-ball": ([0], 200, 5000, dict(spread=1.0), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", _BUILDER_CASES)
+def test_planted_builder_keeps_its_bits(case):
+    seeds, n, m, kw, radius = _BUILDER_CASES[case]
+    cset = None if radius is None else Ball(center=np.zeros(n), radius=radius)
+    for seed in seeds:
+        inst = plant_optimum_max_affine(seed, n, m, **kw)
+        A, b, x_star, f_star = plant_optimum_max_affine_ref(seed, n, m, **kw)
+        for got, want in ((inst.A, A), (inst.b, b), (inst.x_star, x_star)):
+            assert got.tobytes() == want.tobytes()
+        assert inst.f_star.hex() == f_star.hex()
+        resid = planted_certificate_residual_ref(A, b, inst.sigma, x_star)
+        assert planted_certificate_residual(inst).hex() == resid.hex()
+        L = lipschitz_full_ref(A)
+        if inst.sigma > 0.0:
+            L += inst.sigma * (float(np.linalg.norm(cset.center)) + cset.radius)
+        assert lipschitz_bound(inst, cset).hex() == L.hex()
+        assert make_problem(inst, cset).L.hex() == L.hex()
+
+
+def _lopsided_pair(d):
+    """A one-dimensional plant at x* = 0 whose two pieces, both active there,
+    have gradients 1000 and -1000 + d: the certificate's residual is about
+    d/2, and its tolerance is PLANT_TOL * 1000."""
+    return dict(A=np.array([[1000.0], [-1000.0 + d]]), b=np.zeros(2), x_star=np.zeros(1),
+                f_star=0.0)
+
+
+# d in steps of a thousandth around the tolerance, so the residual crosses it
+@pytest.mark.parametrize("step", range(-8, 9))
+def test_planted_certificate_tolerance_is_scaled_by_the_largest_entry(step):
+    plant = _lopsided_pair(2000 * problems.PLANT_TOL * (1.0 + step / 1000))
+    resid = planted_certificate_residual_ref(plant["A"], plant["b"], 0.0, plant["x_star"])
+    if resid <= planted_certificate_tol_ref(plant["A"], problems.PLANT_TOL):
+        MaxAffineInstance(**plant)  # well above the unscaled tolerance PLANT_TOL
+    else:
+        with pytest.raises(ValueError) as err:
+            MaxAffineInstance(**plant)
+        assert str(err.value) == (
+            f"planted certificate fails: |mean active grad + sigma*x*| = {resid}")
+
+
+def _rejection(what):
+    inst = plant_optimum_max_affine(3, 2, 5)
+    plant = dict(A=inst.A.copy(), b=inst.b.copy(), x_star=inst.x_star.copy(),
+                 f_star=inst.f_star)
+    if what == "value":
+        plant["f_star"] += 1.0
+        val = problems._kernels.max_affine_eval(inst.A, inst.b, 0.0, inst.x_star)[0]
+        return plant, (f"planted value mismatch: f(x_star) = {val!r} "
+                       f"but f_star = {inst.f_star + 1.0!r}")
+    if what == "certificate":
+        plant["A"][0, 0] += 0.5
+        plant["b"][0] -= 0.5 * inst.x_star[0]  # keeps piece 0's value at x*, bends its gradient
+        resid = planted_certificate_residual_ref(plant["A"], plant["b"], 0.0, plant["x_star"])
+        return plant, f"planted certificate fails: |mean active grad + sigma*x*| = {resid}"
+    if what == "x_star-nan":
+        plant["x_star"][1] = math.nan
+        return plant, "point has non-finite entries"
+    if what == "x_star-length":
+        plant["x_star"] = np.zeros(3)
+        return plant, "x_star dimension does not match A"
+    if what == "x_star-2d":
+        plant["x_star"] = inst.x_star[None, :]
+        return plant, "point must be 1-D, got shape (1, 2)"
+    if what == "A-inf":
+        plant["A"][4, 1] = math.inf
+        return plant, "A and b must be finite"
+    plant["b"][4] = math.nan
+    return plant, "A and b must be finite"
+
+
+@pytest.mark.parametrize("what", ["value", "certificate", "x_star-nan", "x_star-length",
+                                  "x_star-2d", "A-inf", "b-nan"])
+def test_planted_rejections_keep_their_messages(what):
+    plant, message = _rejection(what)
+    with pytest.raises(ValueError) as err:
+        MaxAffineInstance(**plant)
+    assert str(err.value) == message
 
 
 def _traced_peak(call):
