@@ -1,4 +1,4 @@
-"""Hot numeric kernels: objective evaluations and projections.
+"""Hot numeric kernels: objective evaluations, projections and row norms.
 
 Each kernel is one vectorized numpy function over plain arrays; the oracles in
 `problems` call them with an instance's arrays. Each objective formula is
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 BACKEND = "numpy"
+_ROW_BLOCK = 1 << 14  # entries per block of rows in row_sq_norms
 
 
 def max_affine_eval(A, b, sigma, x):
@@ -86,6 +87,20 @@ def row_sums(r):
         return np.zeros(r.shape[0])
     # + 0.0 turns a -0.0 total into +0.0 and copies the strided last column
     return np.add.accumulate(r, axis=1, out=r)[:, -1] + 0.0
+
+
+def row_sq_norms(M, center=0.0):
+    """||M_i - center||^2 for each row M_i of the 2-D array M, streamed over
+    blocks of whole rows, at most _ROW_BLOCK entries each (one row when a row
+    is longer), so no temporary the size of M is made. The bits equal
+    np.add.reduce((M - center) ** 2, axis=1): each row is still one reduction
+    over one contiguous row, and subtracting 0.0 changes no square."""
+    rows = max(1, _ROW_BLOCK // M.shape[1])
+    out = np.empty(M.shape[0])
+    for i in range(0, M.shape[0], rows):
+        d = M[i : i + rows] - center
+        np.add.reduce(np.multiply(d, d, out=d), axis=1, out=out[i : i + rows])
+    return out
 
 
 def max_affine_value(A, b, sigma, x):

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._kernels import row_sq_norms
 from .core import RunReport, SolverConfig, SqrtInverse, StronglyConvexHarmonic, gamma_values
 from .problems import ProblemSpec, diameter_sq
 from .solver import _best_gaps
@@ -34,7 +35,6 @@ __all__ = [
 ]
 
 REL_SLACK = 1e-9
-_ROW_BLOCK = 1 << 12  # iterate entries per block: the squared distances' temporary stays small
 
 PASSED = "passed"
 FAILED = "failed"
@@ -284,11 +284,7 @@ def audit_stepwise(
     elif rho <= 0.5:
         checks.append(_skip("quasi_fejer", "rho <= 1/2"))
     else:
-        rows = max(1, _ROW_BLOCK // problem.n)
-        dist_sq = np.empty(K + 1)
-        for i in range(0, K + 1, rows):
-            d = report.xs[i : i + rows] - problem.x_star
-            np.add.reduce(np.multiply(d, d, out=d), axis=1, out=dist_sq[i : i + rows])
+        dist_sq = row_sq_norms(report.xs, problem.x_star)
         rhs = dist_sq[:K] + (beta * c / rho) * (gamma * gamma)
         checks.append(_worst("quasi_fejer", dist_sq[1 : K + 1], rhs, ks))
 

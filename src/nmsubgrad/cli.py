@@ -318,9 +318,11 @@ def cmd_bench(args) -> int:
     entry_cls = _ENTRIES.get(plan.problem)
     if entry_cls is None:
         raise ConfigError(f"unknown problem kind {plan.problem!r}")
-    for m in plan.methods:
+    for i, m in enumerate(plan.methods):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
+        if m in plan.methods[:i]:
+            raise ConfigError(f"plan names method {m!r} twice")
     base = _bench_solver(plan.solver)
     consts = _read_fields("plan field 'step_constants'", plan.step_constants, _STEP_CONSTANTS)
     rules = {m: _make_rule(m, consts.get(m), f"plan field 'step_constants', {m!r}")
@@ -328,8 +330,9 @@ def cmd_bench(args) -> int:
     out_dir = args.out_dir or plan.out_dir
     if not out_dir:
         raise ConfigError("no output directory: pass --out-dir or set out_dir in the plan")
-    if not plan.configs:
-        raise ConfigError("plan has no configs")
+    for name in ("configs", "methods"):
+        if not getattr(plan, name):
+            raise ConfigError(f"plan has no {name}")
     benches = [_bench_config(f"'configs'[{i}]", entry_cls, conf, base)
                for i, conf in enumerate(plan.configs)]
     # every table is built before anything is written, so a run that fails
@@ -460,10 +463,10 @@ def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
 # ----- check -----
 
 
-def _audit_config(args) -> tuple[SolverConfig, str | None]:
+def _audit_config(args, rows: int) -> tuple[SolverConfig, str | None]:
     """The config the summary beside the trace records, or the defaults when
     there is none, with the check's flags in place of its fields; and the
-    method the summary names, None without one."""
+    method it names, None or one of METHODS. Its n_rows must be the integer rows."""
     base, method = SolverConfig(), None
     spath = _summary_path(args.trace)
     if os.path.exists(spath):
@@ -476,7 +479,12 @@ def _audit_config(args) -> tuple[SolverConfig, str | None]:
             base = _config_from_items(summary.get("config", {}))
         except ConfigError as exc:
             raise ConfigError(f"{what}: {exc}") from None
-        method = summary.get("method")
+        method, n_rows = summary.get("method"), summary.get("n_rows")
+        if method is not None and method not in METHODS:
+            raise ConfigError(f"{what}: field 'method' must be one of {', '.join(METHODS)}, "
+                              f"got {method!r}")
+        if n_rows is not None and (type(n_rows) is not int or n_rows != rows):
+            raise ConfigError(f"{what}: field 'n_rows' is {n_rows!r}, not the trace's {rows} rows")
     return _override(base, args, _CHECK_FLAGS), method
 
 
@@ -484,7 +492,7 @@ def cmd_check(args) -> int:
     report, gaps = read_trace_csv(args.trace)
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
-    cfg, method = _audit_config(args)
+    cfg, method = _audit_config(args, len(report.k))
     tc = None if problem.L is None else constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
     x1 = _start_point(problem, None)
     merged = merge_reports(

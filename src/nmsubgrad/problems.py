@@ -46,7 +46,6 @@ __all__ = [
 
 FEASIBILITY_TOL = 1e-9
 PLANT_TOL = 1e-12
-_ROW_BLOCK = 1 << 16  # entries per row block when a pass over A needs a temporary
 
 
 # ----- constraint sets -----
@@ -390,30 +389,19 @@ def weiszfeld(
 def lipschitz_bound(inst: Instance, cset: SetDescriptor | None = None) -> float:
     """Upper bound on subgradient norms, valid on the given set.
 
-    Max-affine: max_j ||a_j||, plus sigma * sup||x|| over a bounded set when
-    the quadratic term is present (unbounded set -> error then).
+    Max-affine: max_j ||a_j||, the square root (correctly rounded and
+    monotone) of the largest squared row norm, so the bits equal
+    np.sqrt((A**2).sum(axis=1)).max(); plus sigma * sup||x|| over a bounded
+    set when the quadratic term is present (unbounded set -> error then).
     Fermat-Weber: sum of the weights.
-
-    The row norms stream over blocks of whole rows, at most _ROW_BLOCK entries
-    each (one row when a row is longer), so no temporary the size of A is
-    made. The bits equal np.sqrt((A**2).sum(axis=1)).max(): each squared norm
-    is still one reduction over one contiguous row, max is exact, and the
-    square root, correctly rounded and monotone, is taken of the largest.
     """
     if isinstance(inst, MaxAffineInstance):
-        A = inst.A
-        rows = max(1, _ROW_BLOCK // A.shape[1])
-        base = 0.0  # the largest squared row norm
-        for i in range(0, A.shape[0], rows):
-            sq = np.add.reduce(np.square(A[i : i + rows]), axis=1)
-            base = max(base, sq.item(sq.argmax()))
-        base = math.sqrt(base)
+        base = math.sqrt(_kernels.row_sq_norms(inst.A).max())
         if inst.sigma > 0.0:
-            if cset is None or radius_bound(cset) is None:
-                raise ValueError(
-                    "sigma > 0 has no finite Lipschitz constant on an unbounded set"
-                )
-            base += inst.sigma * radius_bound(cset)
+            radius = None if cset is None else radius_bound(cset)
+            if radius is None:
+                raise ValueError("sigma > 0 has no finite Lipschitz constant on an unbounded set")
+            base += inst.sigma * radius
         return base
     if isinstance(inst, FermatWeberInstance):
         return float(inst.weights.sum())
@@ -459,15 +447,14 @@ class ProblemSpec:
         return project(self.cset, y)
 
 
-def _parked_oracles(kernel, data: tuple, n: int):
-    """value and eval closures over one (value, subgradient) kernel called as
-    kernel(*data, x), with data bound once. value parks what the kernel
+def _parked_oracles(kernel, n: int):
+    """value and eval closures over kernel(x), a (value, subgradient) kernel
+    with its instance's arrays bound. value parks what the kernel
     returned, keyed on the point's bytes and dtype; eval takes it back once on
     a match, so an accepted line-search trial costs one kernel call, and an
     in-place change to the point between the two calls is a miss, never a
     stale hit."""
     shape = (n,)
-    kernel = partial(kernel, *data)
     parked = None  # (x bytes, x dtype, (f, g)) of the last value call
 
     def value(x: np.ndarray) -> float:
@@ -496,19 +483,14 @@ def make_problem(inst: Instance, cset: SetDescriptor | None = None) -> ProblemSp
     problem. A box's or ball's vectors must have the instance's dimension."""
     cset = WholeSpace() if cset is None else cset
     if isinstance(inst, MaxAffineInstance):
-        value, evaluate = _parked_oracles(
-            _kernels.max_affine_eval, (inst.A, inst.b, inst.sigma), inst.n
-        )
-        x_star, f_star = inst.x_star, inst.f_star
-        sigma = inst.sigma
+        kernel = partial(_kernels.max_affine_eval, inst.A, inst.b, inst.sigma)
+        x_star, f_star, sigma = inst.x_star, inst.f_star, inst.sigma
     elif isinstance(inst, FermatWeberInstance):
-        value, evaluate = _parked_oracles(
-            _kernels.fermat_weber_eval, (inst.anchors, inst.weights), inst.n
-        )
-        x_star, f_star = None, None
-        sigma = 0.0
+        kernel = partial(_kernels.fermat_weber_eval, inst.anchors, inst.weights)
+        x_star, f_star, sigma = None, None, 0.0
     else:
         raise TypeError(f"not an instance: {inst!r}")
+    value, evaluate = _parked_oracles(kernel, inst.n)
     for name, v in vars(cset).items():  # the set's dataclass fields
         if isinstance(v, np.ndarray) and v.shape != (inst.n,):
             raise ValueError(f"{type(cset).__name__} field {name!r} has length {len(v)}, "
@@ -519,16 +501,8 @@ def make_problem(inst: Instance, cset: SetDescriptor | None = None) -> ProblemSp
         L = lipschitz_bound(inst, cset)
     except ValueError:
         L = None
-    return ProblemSpec(
-        n=inst.n,
-        value=value,
-        eval=evaluate,
-        cset=cset,
-        sigma=sigma,
-        L=L,
-        x_star=x_star,
-        f_star=f_star,
-    )
+    return ProblemSpec(n=inst.n, value=value, eval=evaluate, cset=cset, sigma=sigma, L=L,
+                       x_star=x_star, f_star=f_star)
 
 
 # ----- serialization -----
@@ -579,9 +553,8 @@ def read_anchor_csv(path: str) -> np.ndarray:
             line = raw.strip()
             if not line:
                 continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                vals = [float(p) for p in parts]
+            try:  # float() ignores the whitespace around each part
+                vals = [float(p) for p in line.split(",")]
             except ValueError:
                 if lineno == 1:
                     continue  # header

@@ -241,12 +241,9 @@ def _best_gaps(f: np.ndarray, f_star: float) -> list[float]:
 def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -> None:
     """The trace's columns, with the best gap so far when f_star is given;
     each cell is the repr of its float, so reading it back is exact."""
-    if f_star is None:
-        cols = {name: getattr(report, name).tolist() for name in _COLUMNS}
-    else:
-        gaps = _best_gaps(report.f, f_star)
-        cols = {name: gaps if name == "fbest_gap" else getattr(report, name).tolist()
-                for name in _GAP_COLUMNS}
+    names = _COLUMNS if f_star is None else _GAP_COLUMNS
+    cols = {name: _best_gaps(report.f, f_star) if name == "fbest_gap"
+            else getattr(report, name).tolist() for name in names}
     cells = [map(str if name in _INT_COLUMNS else repr, col) for name, col in cols.items()]
     lines = [",".join(cols)]
     lines += map(",".join, zip(*cells))
@@ -255,20 +252,31 @@ def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -
 
 def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
     """Rebuild a RunReport (no iterates, termination = "unknown") plus the
-    fbest_gap column when present."""
+    fbest_gap column when present. A fault names the file's line, blank
+    lines counted, and a cell that does not parse its column too."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(no, ln) for no, ln in enumerate(map(str.strip, fh), start=1) if ln]
     if len(lines) < 2:
         raise ValueError(f"{path}: trace has no rows")
-    header = tuple(lines[0].split(","))
+    header = tuple(lines[0][1].split(","))
     if header not in (_GAP_COLUMNS, _COLUMNS):
         raise ValueError(f"{path}: unrecognized trace header {list(header)!r}")
-    rows = [line.split(",") for line in lines[1:]]
-    for lineno, cells in enumerate(rows, start=2):
-        if len(cells) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-    col = {name: list(map(int if name in _INT_COLUMNS else float, cells))
-           for name, cells in zip(header, zip(*rows))}
+    rows = [line.split(",") for _, line in lines[1:]]
+    parse = [int if name in _INT_COLUMNS else float for name in header]
+    try:  # the strict zips raise on a row of another width
+        col = {name: list(map(read, cells)) for name, read, cells
+               in zip(header, parse, zip(*rows, strict=True), strict=True)}
+    except ValueError:  # the fault is found only now, so a clean read costs nothing more
+        for (lineno, _), cells in zip(lines[1:], rows):
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
+                                 f"got {len(cells)}") from None
+            for name, read, cell in zip(header, parse, cells):
+                try:
+                    read(cell)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: column {name!r}: {cell!r} is not "
+                                     f"{'an integer' if read is int else 'a number'}") from None
     # step/alpha_next are not serialized; auditors re-derive them from
     # (alpha, ell) and beta, so corrupt columns stay detectable
     missing = [math.nan] * len(rows)

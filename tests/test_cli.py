@@ -490,8 +490,9 @@ def test_check_whole_column_edits(tamper_trace, tmp_path, capsys, cols, rc, firs
 
 
 # the same two-column edit still reads as prefixed where no summary says
-# nonmonotone: without a summary, without its "method", or under a prefixed one
-@pytest.mark.parametrize("summary", ["absent", "no-method", "constant"])
+# nonmonotone: without a summary, without its "method" (or with it null), or
+# under a prefixed one
+@pytest.mark.parametrize("summary", ["absent", "no-method", "null-method", "constant"])
 def test_two_column_edit_reads_as_prefixed_unless_the_summary_says_nonmonotone(
         tamper_trace, tmp_path, capsys, summary):
     bends = {"ell": lambda _: "0", "gamma": lambda _: "nan"}
@@ -504,6 +505,8 @@ def test_two_column_edit_reads_as_prefixed_unless_the_summary_says_nonmonotone(
     elif summary == "no-method":
         del obj["method"]
         spath.write_text(json.dumps(obj))
+    elif summary == "null-method":  # null means absent, as in every other field
+        spath.write_text(json.dumps(dict(obj, method=None)))
     else:
         spath.write_text(json.dumps(dict(obj, method=summary)))
     capsys.readouterr()
@@ -548,6 +551,41 @@ def test_check_trace_without_rows_is_exit_2(planted_instance, tmp_path, capsys, 
     trace.write_text(text)
     line = _assert_usage_error(run_cli("check", str(trace), planted_instance), capsys)
     assert line == f"error: {trace}: trace has no rows"
+
+
+# a bad cell names its file, line and column
+@pytest.mark.parametrize("row, col, cell, named", [
+    (1, 0, "1.0", ":2: column 'k': '1.0' is not an integer"),
+    (3, 1, "", ":4: column 'f': '' is not a number"),
+], ids=["k_float", "f_empty"])
+def test_check_unparsable_cell_is_exit_2(planted_instance, tmp_path, capsys, row, col, cell,
+                                         named):
+    trace = tmp_path / "t.csv"
+    assert run_cli("run", planted_instance, "--iters", "20", "--out", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = cell
+    lines[row] = ",".join(cells)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    line = _assert_usage_error(run_cli("check", str(trace), planted_instance), capsys)
+    assert line == f"error: {trace}{named}"
+
+
+# a trace cut short or grown no longer has the row count its summary records
+@pytest.mark.parametrize("edit", [lambda lines: lines[:2], lambda lines: lines + lines[-1:]],
+                         ids=["first_row", "grown"])
+def test_check_trace_of_another_length_than_its_summary_is_exit_2(
+        planted_instance, tmp_path, capsys, edit):
+    trace = tmp_path / "t.csv"
+    assert run_cli("run", planted_instance, "--iters", "50", "--out", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 52  # the header and 51 rows
+    lines = edit(lines)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    line = _assert_usage_error(run_cli("check", str(trace), planted_instance), capsys)
+    assert f"field 'n_rows' is 51, not the trace's {len(lines) - 1} rows" in line
 
 
 def test_check_out_of_range_int_cell_is_exit_2(planted_instance, tmp_path, capsys):
@@ -713,7 +751,13 @@ def test_check_without_a_summary_takes_the_flags_given(planted_instance, tmp_pat
     ("[]", "must be a JSON object, got list"),
     ('{"config": []}', "config must be a JSON object, got list"),
     ('{"config": {"rho": "x"}}', "config field 'rho'"),
-], ids=["invalid_json", "non_object", "config_list", "config_field"])
+    ('{"method": "bogus"}', "field 'method' must be one of nonmonotone, constant"),
+    ('{"method": 5}', "field 'method' must be one of"),
+    ('{"method": ["nonmonotone"]}', "field 'method' must be one of"),
+    ('{"n_rows": 51.0}', "field 'n_rows' is 51.0, not the trace's 51 rows"),
+    ('{"n_rows": "51"}', "field 'n_rows' is '51', not the trace's 51 rows"),
+], ids=["invalid_json", "non_object", "config_list", "config_field",
+        "method_unknown", "method_number", "method_list", "n_rows_float", "n_rows_string"])
 def test_check_malformed_summary_is_exit_2(planted_instance, tmp_path, capsys, text, named):
     trace, summary = str(tmp_path / "t.csv"), tmp_path / "t.summary.json"
     assert run_cli("run", planted_instance, "--iters", "50", "--out", trace) == 0
@@ -864,8 +908,10 @@ def test_bench_entry_without_an_anchor_file_builds_each_seed(tmp_path, monkeypat
     ({"methods": ["nonmonotone", "bogus"]}, "unknown method 'bogus'"),
     ({"out_dir": None}, "no output directory"),
     ({"configs": []}, "plan has no configs"),
+    ({"methods": []}, "plan has no methods"),
+    ({"methods": ["sqrsum", "nonmonotone", "sqrsum"]}, "plan names method 'sqrsum' twice"),
     ({"config": {"seeds": []}}, "'configs'[0] has an empty seed list"),
-], ids=["problem", "method", "no_out_dir", "no_configs", "no_seeds"])
+], ids=["problem", "method", "no_out_dir", "no_configs", "no_methods", "twice", "no_seeds"])
 def test_bench_plan_without_work_is_exit_2(tmp_path, capsys, monkeypatch, fields, named):
     path = _plan_with(tmp_path, **fields)
     monkeypatch.chdir(tmp_path)  # where anything written without out_dir would land

@@ -176,6 +176,33 @@ def test_fermat_weber_sums_run_in_index_order(n, m):
         assert g.tobytes() == np.asarray(want).tobytes()
 
 
+# ----- row norms: the streamed blocks give the one-shot form's bits -----
+
+_PER_BLOCK = K._ROW_BLOCK // 100  # rows of 100 entries in one block
+_ROW_SHAPES = pytest.mark.parametrize("shape", [
+    (5, 8),
+    (3 * _PER_BLOCK - 7, 100),
+    (2 * _PER_BLOCK + 1, 100),
+    (3, K._ROW_BLOCK + 5),
+], ids=["one_block", "short_last_block", "one_row_last_block", "rows_over_a_block"])
+
+
+@_ROW_SHAPES
+def test_row_sq_norms_bits_match_one_shot_form(shape):
+    rng = np.random.default_rng(shape[0])
+    M, c = rng.standard_normal(shape), rng.standard_normal(shape[1])
+    want = np.add.reduce((M - c) ** 2, axis=1)
+    assert K.row_sq_norms(M, c).tobytes() == want.tobytes()
+
+
+@_ROW_SHAPES
+def test_row_sq_norms_about_the_origin_match_squares(shape):
+    M = np.random.default_rng(shape[0]).standard_normal(shape)
+    M[0, 0] = -0.0
+    want = np.add.reduce(np.square(M), axis=1)
+    assert K.row_sq_norms(M).tobytes() == want.tobytes()
+
+
 # ----- projections -----
 
 

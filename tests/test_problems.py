@@ -404,7 +404,7 @@ def test_max_affine_rejects_non_finite_in_last_block_or_b(bad, where):
     if where == "b":
         b[-1] = bad
     else:
-        A[-1, -1] = bad  # rows 981..999 are the last block of 327 rows
+        A[-1, -1] = bad  # the entry a pass over blocks of rows reads last
     with pytest.raises(ValueError, match="must be finite"):
         MaxAffineInstance(A=A, b=b)
 

@@ -333,6 +333,23 @@ def test_read_trace_csv_rejects_garbage(tmp_path):
         read_trace_csv(str(p2))
 
 
+# the first fault in the file names its own line, blank lines counted, and a bad
+# cell its column
+@pytest.mark.parametrize("body, where", [
+    ("\n1,2.0,0.1,1,0.5,1.0\n\n2,2.0,0.1\n", ":5: expected 6 cells, got 3"),
+    ("1.0,2.0,0.1,1,0.5,1.0\n", ":2: column 'k': '1.0' is not an integer"),
+    ("1,2.0,0.1,1,0.5,1.0\n\n2,,0.1,1,0.5,1.0\n", ":4: column 'f': '' is not a number"),
+    ("1,2.0,0.1,1,0.5,1.0\n2,2.0,0.1,x,0.5,1.0\n", ":3: column 'ell': 'x' is not an integer"),
+    ("1,x,0.1,1,0.5,1.0\n2,2.0\n", ":2: column 'f': 'x' is not a number"),
+], ids=["ragged", "int_column", "float_column", "last_row", "first_fault_first"])
+def test_read_trace_csv_names_the_line_and_the_cell(tmp_path, body, where):
+    p = tmp_path / "t.csv"
+    p.write_text("k,f,alpha,ell,gamma,snorm\n" + body)
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(str(p))
+    assert str(exc.value) == f"{p}{where}"
+
+
 _TRACE_HEADERS = ["k,f,alpha,ell,gamma,snorm", "k,f,fbest_gap,alpha,ell,gamma,snorm"]
 # cells a trace holds, and ones it should not: ints of any size, float reprs
 # (NaN and infinities included) and short strings of number-like characters
