@@ -89,17 +89,21 @@ def row_sums(r):
     return np.add.accumulate(r, axis=1, out=r)[:, -1] + 0.0
 
 
-def row_sq_norms(M, center=0.0):
-    """||M_i - center||^2 for each row M_i of the 2-D array M, streamed over
-    blocks of whole rows, at most _ROW_BLOCK entries each (one row when a row
-    is longer), so no temporary the size of M is made. The bits equal
-    np.add.reduce((M - center) ** 2, axis=1): each row is still one reduction
-    over one contiguous row, and subtracting 0.0 changes no square."""
+def row_sq_norms(M, center=None):
+    """||M_i - center||^2 for each row M_i of the 2-D array M, ||M_i||^2 when
+    center is None, streamed over blocks of whole rows, at most _ROW_BLOCK
+    entries each (one row when a row is longer), through one block buffer, so
+    no temporary the size of M is made. The bits equal
+    np.add.reduce((M - center) ** 2, axis=1), and np.add.reduce(M**2, axis=1)
+    without a center: each row is still one reduction over one contiguous row."""
     rows = max(1, _ROW_BLOCK // M.shape[1])
     out = np.empty(M.shape[0])
+    buf = np.empty((min(rows, M.shape[0]), M.shape[1]))
     for i in range(0, M.shape[0], rows):
-        d = M[i : i + rows] - center
-        np.add.reduce(np.multiply(d, d, out=d), axis=1, out=out[i : i + rows])
+        block = M[i : i + rows]
+        d = buf[: len(block)]
+        src = block if center is None else np.subtract(block, center, out=d)
+        np.add.reduce(np.multiply(src, src, out=d), axis=1, out=out[i : i + rows])
     return out
 
 

@@ -212,10 +212,10 @@ def audit_stepwise(
     was. audit_rate_bounds turns it into the paper's form with an effective
     theta.
 
-    A CSV trace carries no alpha_next or step: a column that is NaN
-    throughout takes the derived law, and a NaN cell in a recorded column
-    fails consistency. Without x1 the audit calls no oracle. method, when
-    given, names the method the run recorded; see _no_step_rows.
+    A CSV trace's alpha_next and step are None and take the derived law; a
+    NaN in a recorded column, even on every row, fails consistency. Without
+    x1 the audit calls no oracle. method, when given, names the method the
+    run recorded; see _no_step_rows.
     """
     K = len(report.k) - 1  # rows 1..K are steps, row K+1 is the landed iterate
     names = ["consistency", "step_upper_bound", "step_lower_bound",
@@ -235,11 +235,9 @@ def audit_stepwise(
     derived_next = alpha.copy()  # beta**0 * alpha is alpha exactly, so only
     hop = ell != 1               # the rows past rung 1 need the power
     derived_next[hop] = beta ** (ell[hop] - 1).astype(np.float64) * alpha[hop]
-    eff_next, eff_step = report.alpha_next[:K], report.step[:K]
-    if np.isnan(np.fmax.reduce(eff_next)):  # fmax skips NaN: only an absent column is NaN
-        eff_next = derived_next
-    if np.isnan(np.fmax.reduce(eff_step)):
-        eff_step = beta * eff_next
+    # the one CSV-only path: a column the trace lacks is None and takes its law
+    eff_next = derived_next if report.alpha_next is None else report.alpha_next[:K]
+    eff_step = beta * eff_next if report.step is None else report.step[:K]
 
     checks: list[CheckResult] = []
 

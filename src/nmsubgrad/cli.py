@@ -475,8 +475,9 @@ def _audit_config(args, rows: int) -> tuple[SolverConfig, str | None]:
             summary = _json_value(fh.read(), what)
         if not isinstance(summary, dict):
             raise ConfigError(f"{what} must be a JSON object, got {type(summary).__name__}")
-        try:
-            base = _config_from_items(summary.get("config", {}))
+        try:  # null means absent, as in every field
+            if summary.get("config") is not None:
+                base = _config_from_items(summary["config"])
         except ConfigError as exc:
             raise ConfigError(f"{what}: {exc}") from None
         method, n_rows = summary.get("method"), summary.get("n_rows")

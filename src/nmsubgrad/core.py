@@ -407,7 +407,7 @@ class IterationRecord(NamedTuple):
     alpha_next = beta**(ell-1) * alpha and step = beta * alpha_next. The final
     landed iterate (and every row of a prefixed-step run) uses the ell = 0
     sentinel; prefixed rows store the applied step size in both alpha and step.
-    x is None for traces re-read from CSV, which does not serialize iterates.
+    x, step and alpha_next are None in a trace re-read from CSV.
     """
 
     k: int
@@ -416,12 +416,13 @@ class IterationRecord(NamedTuple):
     gamma: float
     alpha: float
     ell: int
-    step: float
+    step: float | None
     snorm: float
-    alpha_next: float
+    alpha_next: float | None
 
 
 _RECORD_FIELDS = IterationRecord._fields
+_COLUMN_OF = {"x": "xs"}  # a record field's RunReport column, where the names differ
 
 
 class _Records(Sequence):
@@ -446,11 +447,10 @@ class _Records(Sequence):
         return self._build(slice(None))
 
     def _build(self, rows: slice):
-        """The records of rows, one column per IterationRecord field."""
-        r = self._report
-        xs = repeat(None) if r.xs is None else r.xs[rows]
-        return map(IterationRecord, *(xs if name == "x" else getattr(r, name)[rows].tolist()
-                                      for name in _RECORD_FIELDS))
+        """The records of rows, one column per IterationRecord field (None if absent)."""
+        cols = (getattr(self._report, _COLUMN_OF.get(name, name)) for name in _RECORD_FIELDS)
+        return map(IterationRecord, *(repeat(None) if col is None else col[rows] if col.ndim > 1
+                                      else col[rows].tolist() for col in cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,14 +460,15 @@ class RunReport:
 
     k and ell are int64 arrays; f, gamma, alpha, step, snorm and alpha_next
     are float64 arrays. xs is one C-contiguous float64 array of shape
-    (rows, n) whose row i is the i-th visited iterate, or None for a trace
-    re-read from CSV.
+    (rows, n) whose row i is the i-th visited iterate. A column the source
+    lacks is None (a CSV trace's xs, step and alpha_next), so a NaN in a
+    recorded column is always a fault.
 
     records is a read-only Sequence view of the rows as IterationRecords,
     made anew on every access and holding no record itself: len(records) is
     len(k) and builds none, records[i] (negative i too) builds one, and a
     slice (a tuple) or an iteration builds only the rows it covers. Each
-    record holds Python scalars, and its x is a row of xs (None without xs).
+    record holds Python scalars, its x a row of xs, and None for a None column.
 
     f_best is the minimum recorded objective value and it_best the first k
     attaining it. termination is one of the TERMINATION_* constants ("unknown"
@@ -480,9 +481,9 @@ class RunReport:
     gamma: np.ndarray
     alpha: np.ndarray
     ell: np.ndarray
-    step: np.ndarray
+    step: np.ndarray | None
     snorm: np.ndarray
-    alpha_next: np.ndarray
+    alpha_next: np.ndarray | None
     f_best: float
     it_best: int
     termination: str
@@ -498,16 +499,15 @@ class RunReport:
 
 def _report(columns, termination: str) -> RunReport:
     """A report from columns, a mapping from each IterationRecord field name
-    to a sequence of Python values, except x: a sequence of equal-length
-    vectors stacked here into one (rows, n) block, or None. Other keys are
+    to None (a column the source lacks) or a sequence of Python values, for x
+    of equal-length vectors stacked into one (rows, n) block. Other keys are
     ignored. f_best and it_best are min() and the first index() over f as
     given, so a NaN keeps the meaning it has for them."""
-    k, xs, f = columns["k"], columns["x"], columns["f"]
+    k, f = columns["k"], columns["f"]
     if not k:
         raise ValueError("a run must visit at least one iterate")
     best = min(f)
-    arrays = {name: np.array(columns[name], dtype=np.int64 if name in ("k", "ell") else np.float64)
-              for name in _RECORD_FIELDS if name != "x"}
-    block = None if xs is None else np.array(xs, dtype=np.float64)
-    return RunReport(**arrays, xs=block, f_best=best, it_best=k[f.index(best)],
-                     termination=termination)
+    arrays = {_COLUMN_OF.get(name, name): None if columns[name] is None else np.array(
+        columns[name], dtype=np.int64 if name in ("k", "ell") else np.float64)
+        for name in _RECORD_FIELDS}
+    return RunReport(**arrays, f_best=best, it_best=k[f.index(best)], termination=termination)

@@ -251,9 +251,11 @@ def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -
 
 
 def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
-    """Rebuild a RunReport (no iterates, termination = "unknown") plus the
-    fbest_gap column when present. A fault names the file's line, blank
-    lines counted, and a cell that does not parse its column too."""
+    """Rebuild a RunReport (termination = "unknown") plus the fbest_gap
+    column when present. The report's xs, step and alpha_next, which a trace
+    does not serialize, are None; the audits re-derive the step columns from
+    (alpha, ell) and beta. A fault names the file's line, blank lines
+    counted, and a cell that does not parse its column too."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate(map(str.strip, fh), start=1) if ln]
     if len(lines) < 2:
@@ -277,11 +279,8 @@ def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: column {name!r}: {cell!r} is not "
                                      f"{'an integer' if read is int else 'a number'}") from None
-    # step/alpha_next are not serialized; auditors re-derive them from
-    # (alpha, ell) and beta, so corrupt columns stay detectable
-    missing = [math.nan] * len(rows)
     try:
-        report = _report({**col, "x": None, "step": missing, "alpha_next": missing}, "unknown")
+        report = _report({**col, "x": None, "step": None, "alpha_next": None}, "unknown")
     except OverflowError:  # an int cell outside int64
         raise ValueError(f"{path}: integer cell out of range for int64") from None
     gaps = col.get("fbest_gap")

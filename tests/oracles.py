@@ -287,11 +287,11 @@ def worst_ref(lhs, rhs) -> tuple[float, int]:
 
 def build_report(records: list[IterationRecord], termination: str):
     """A RunReport from IterationRecord rows, through the package's column
-    constructor; if any row has no iterate, the report has none."""
+    constructor; a field that is None in any row is a column the report
+    lacks (None), as in a report read from CSV."""
     columns = {name: [getattr(r, name) for r in records] for name in IterationRecord._fields}
-    if any(x is None for x in columns["x"]):
-        columns["x"] = None
-    return _report(columns, termination)
+    return _report({name: None if any(v is None for v in col) else col
+                    for name, col in columns.items()}, termination)
 
 
 # ----- slack-sequence diagnostics -----

@@ -301,7 +301,7 @@ def test_nan_cell_fails_its_check_as_non_finite():
     assert ch.detail == "non-finite comparison"
 
 
-# only a column that is NaN throughout (a CSV trace) takes the derived law
+# only a column the report lacks (None, as in a CSV trace) takes the derived law
 @pytest.mark.parametrize("column", ["alpha_next", "step"])
 def test_nan_cell_in_a_recorded_column_fails_consistency(column):
     prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5))
@@ -332,11 +332,50 @@ def test_gamma_cell_off_the_config_fails_consistency(row, bend):
 def test_first_alpha_off_the_config_fails_consistency():
     prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5))
     cfg = SolverConfig(max_iters=100)
-    nan = np.full(101, math.nan)
     rep = dataclasses.replace(solve_nonmonotone(prob, cfg), alpha=np.zeros(101),
-                              alpha_next=nan, step=nan)
+                              alpha_next=None, step=None)
     ch = audit_stepwise(rep, prob, cfg)["consistency"]
     assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", 0.1, 1)
+
+
+def _planted_200():
+    prob = make_problem(plant_optimum_max_affine(3, 2, 4))
+    cfg = SolverConfig(max_iters=200)
+    rep = solve_nonmonotone(prob, cfg)
+    assert len(rep.k) == 201 and audit_stepwise(rep, prob, cfg).passed
+    return prob, cfg, rep
+
+
+# NaN on every row of a recorded column is a fault, not a column the trace lacks
+@pytest.mark.parametrize("columns", [("alpha_next",), ("step",), ("alpha_next", "step")],
+                         ids=["alpha_next", "step", "both"])
+def test_nan_throughout_a_recorded_column_fails_consistency(columns):
+    prob, cfg, rep = _planted_200()
+    bad = dataclasses.replace(rep, **dict.fromkeys(columns, np.full(201, math.nan)))
+    ch = audit_stepwise(bad, prob, cfg)["consistency"]
+    assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", math.inf, 1)
+    assert ch.detail == "non-finite comparison"
+
+
+# the CSV of the same run audits to the same results, bit for bit; only
+# quasi_fejer, which needs the iterates a trace does not carry, is skipped
+def test_csv_round_trip_keeps_every_check_result(tmp_path):
+    prob, cfg, rep = _planted_200()
+    path = str(tmp_path / "t.csv")
+    write_trace_csv(rep, path, prob.f_star)
+    csv_rep, gaps = read_trace_csv(path)
+    tc, x1 = constants(cfg.rho, cfg.beta, prob.L, cfg.c), np.zeros(prob.n)
+
+    def checks(report, **kw):
+        return {ch.name: ch for ch in merge_reports(
+            audit_stepwise(report, prob, cfg, tc, x1=x1, **kw),
+            audit_rate_bounds(report, prob, cfg, tc, x1=x1)).checks}
+
+    kept, read = checks(rep), checks(csv_rep, fbest_gap=gaps)
+    assert kept.pop("quasi_fejer").status == "passed"
+    assert read.pop("quasi_fejer").status == "skipped"
+    assert read == kept
+    assert sum(ch.status == "passed" for ch in kept.values()) == 7
 
 
 def test_step_row_with_ell_zero_fails_consistency():

@@ -750,13 +750,17 @@ def test_check_without_a_summary_takes_the_flags_given(planted_instance, tmp_pat
     ('{"config": {"rho": 0.7},}', "not valid JSON"),
     ("[]", "must be a JSON object, got list"),
     ('{"config": []}', "config must be a JSON object, got list"),
+    ('{"config": 0}', "config must be a JSON object, got int"),
+    ('{"config": false}', "config must be a JSON object, got bool"),
+    ('{"config": ""}', "config must be a JSON object, got str"),
     ('{"config": {"rho": "x"}}', "config field 'rho'"),
     ('{"method": "bogus"}', "field 'method' must be one of nonmonotone, constant"),
     ('{"method": 5}', "field 'method' must be one of"),
     ('{"method": ["nonmonotone"]}', "field 'method' must be one of"),
     ('{"n_rows": 51.0}', "field 'n_rows' is 51.0, not the trace's 51 rows"),
     ('{"n_rows": "51"}', "field 'n_rows' is '51', not the trace's 51 rows"),
-], ids=["invalid_json", "non_object", "config_list", "config_field",
+], ids=["invalid_json", "non_object", "config_list", "config_zero", "config_false",
+        "config_empty_string", "config_field",
         "method_unknown", "method_number", "method_list", "n_rows_float", "n_rows_string"])
 def test_check_malformed_summary_is_exit_2(planted_instance, tmp_path, capsys, text, named):
     trace, summary = str(tmp_path / "t.csv"), tmp_path / "t.summary.json"
@@ -768,6 +772,22 @@ def test_check_malformed_summary_is_exit_2(planted_instance, tmp_path, capsys, t
                                capsys)
     assert repr(str(summary)) in line and named in line, line
     assert not report.exists()
+
+
+# "config": null means absent, as null does in every summary field: the
+# audit runs under the defaults, which a run under other flags fails
+@pytest.mark.parametrize("flags, code", [([], 0), (["--beta", "0.5"], 1)],
+                         ids=["default_run", "beta_run"])
+def test_check_reads_a_null_summary_config_as_the_defaults(planted_instance, tmp_path, capsys,
+                                                           flags, code):
+    trace, summary = str(tmp_path / "t.csv"), tmp_path / "t.summary.json"
+    assert run_cli("run", planted_instance, *flags, "--iters", "50", "--out", trace) == 0
+    summary.write_text(json.dumps({**json.loads(summary.read_text()), "config": None}))
+    capsys.readouterr()
+    assert run_cli("check", trace, planted_instance) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ("consistency: failed" in captured.out) == bool(code)
 
 
 # a failed check prints its detail, and the audit decides an inf cell

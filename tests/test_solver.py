@@ -235,8 +235,7 @@ def test_trace_csv_roundtrip(tmp_path):
         assert back.ell == orig.ell
         assert back.gamma == orig.gamma
         assert back.snorm == orig.snorm
-        assert back.x is None
-        assert math.isnan(back.step) and math.isnan(back.alpha_next)
+        assert back.x is None and back.step is None and back.alpha_next is None
     assert gaps is not None
     assert gaps[-1] == pytest.approx(report.f_best - prob.f_star, rel=1e-15)
     assert all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:]))  # non-increasing
@@ -259,12 +258,12 @@ def test_records_and_csv_rebuild_the_columns(tmp_path):
     path = str(tmp_path / "trace.csv")
     write_trace_csv(report, path, f_star=prob.f_star)
     loaded, _ = read_trace_csv(path)
-    assert loaded.xs is None
+    # the columns a trace does not carry are None, in the report and its records
+    assert loaded.xs is None and loaded.step is None and loaded.alpha_next is None
     for name in ("k", "f", "gamma", "alpha", "ell", "snorm"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(report, name))
         assert getattr(loaded, name).dtype == getattr(report, name).dtype
-    assert np.isnan(loaded.step).all() and np.isnan(loaded.alpha_next).all()
-    assert all(r.x is None for r in loaded.records)
+    assert all(r.x is None and r.step is None and r.alpha_next is None for r in loaded.records)
 
     for rep in (report, loaded):  # an index or a slice gives the columns' rows
         records, n = rep.records, len(rep.k)
@@ -285,8 +284,10 @@ def _cells(record):
 
 
 def _column_cells(report, i):
-    return _cells([(None if report.xs is None else report.xs[i]) if name == "x"
-                   else getattr(report, name)[i].item() for name in IterationRecord._fields])
+    cols = (report.xs if name == "x" else getattr(report, name)
+            for name in IterationRecord._fields)
+    return _cells([None if col is None else col[i] if col.ndim > 1 else col[i].item()
+                   for col in cols])
 
 
 def test_records_view_builds_only_the_rows_asked_for(monkeypatch):
