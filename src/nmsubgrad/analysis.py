@@ -187,7 +187,8 @@ def audit_stepwise(
                        is given; no f lies below a planted f* (a NaN f is
                        sufficient_decrease's); and a given fbest_gap column
                        is the running best of f minus f*, as the CSV writer
-                       computes it
+                       computes it, and fails at row 1 without f*, since the
+                       writer gives it only when f* is known
     step_upper_bound   alpha_{k+1} <= c * gamma_k
     step_lower_bound   min(alpha_1, min(theta, beta*c)*gamma_k) <= alpha_{k+1}
                        (needs tc)
@@ -255,8 +256,9 @@ def audit_stepwise(
             laws.append((f[:1], problem.value(x1)))
         if problem.x_star is not None and f_star is not None:  # planted: f >= f* on C
             laws.append((np.fmin(f, f_star), f_star))
-        if fbest_gap is not None and f_star is not None:
-            laws.append((fbest_gap, np.array(_best_gaps(f, f_star))))
+        if fbest_gap is not None:  # written only with f*, so without it no cell holds
+            gaps = math.nan if f_star is None else np.array(_best_gaps(f, f_star))
+            laws.append((fbest_gap, gaps))
         dev = np.zeros(K + 1)  # each row's largest relative deviation
         for recorded, expected in laws:
             if not (recorded == expected).all():  # exact first: a law that holds costs one ==

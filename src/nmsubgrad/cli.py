@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--zeta", type=float, default=None, help="gamma_k = zeta/sqrt(k)")
     for name in _RUN_FLAGS:
         r.add_argument("--" + name, type=float)
-    r.add_argument("--backtrack-cap", type=int, default=None)
+    r.add_argument("--backtrack-cap", type=int, default=None,
+                   help="bound on the rung ell of one line search (default 500)")
     r.add_argument("--iters", type=int, default=None, dest="max_iters", metavar="ITERS")
     r.add_argument("--step-const", type=float, default=None,
                    help="constant of the prefixed rule (method-specific default)")

@@ -9,9 +9,11 @@ size beta**(ell-1) * alpha_k satisfies both
         <= f(x_k) - rho*(beta*candidate)*||s_k||^2 + gamma_k   (decrease)
 
 The applied step is beta*candidate and the accepted candidate becomes the
-next iteration's trial size, so the next candidate ladder restarts one rung
-above the accepted step. The decrease test uses <= with no epsilon; the
-additive gamma_k slack is what lets the objective increase between iterates.
+next iteration's trial size, so the next search restarts one rung above the
+accepted step. Each rung's candidate is formed when the search reaches it;
+cfg.backtrack_cap only bounds ell and costs nothing until it is reached. The
+decrease test uses <= with no epsilon; the additive gamma_k slack is what lets
+the objective increase between iterates.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .core import BacktrackFailureError, OracleError, SolverConfig
 
-__all__ = ["LineSearchOutcome", "beta_ladder", "nonmonotone_backtrack"]
+__all__ = ["LineSearchOutcome", "nonmonotone_backtrack"]
 
 
 class LineSearchOutcome(NamedTuple):
@@ -39,13 +41,6 @@ class LineSearchOutcome(NamedTuple):
     trials: int
 
 
-def beta_ladder(cfg: SolverConfig) -> list[float]:
-    """[beta**0, ..., beta**(cap-1)], the rung factors of every search in a
-    run, in Python float arithmetic (bit-identical to beta ** (ell - 1))."""
-    beta = cfg.beta
-    return [beta**j for j in range(cfg.backtrack_cap)]
-
-
 def nonmonotone_backtrack(
     value: Callable[[np.ndarray], float],
     projector: Callable[[np.ndarray], np.ndarray],
@@ -56,12 +51,12 @@ def nonmonotone_backtrack(
     alpha_k: float,
     gamma_k: float,
     cfg: SolverConfig,
-    ladder: list[float],
 ) -> LineSearchOutcome:
-    """Smallest-ell search over the rungs of ladder (beta_ladder(cfg));
-    snorm_sq is ||s_k||^2 as the caller computed it. Raises
-    BacktrackFailureError past the last rung and OracleError on a non-finite
-    trial value or snorm_sq."""
+    """Smallest-ell search, forming candidate beta**(ell-1) * alpha_k at each
+    rung it reaches, for ell = 1, ..., cfg.backtrack_cap; snorm_sq is
+    ||s_k||^2 as the caller computed it. Raises BacktrackFailureError past
+    rung cfg.backtrack_cap and OracleError on a non-finite trial value or
+    snorm_sq."""
     if not 0.0 < snorm_sq < math.inf:
         if snorm_sq == 0.0:
             raise ValueError("zero subgradient: caller must stop before searching")
@@ -69,8 +64,8 @@ def nonmonotone_backtrack(
     beta, rho = cfg.beta, cfg.rho
     size_cap = cfg.c * gamma_k
     trials = 0
-    for ell, rung in enumerate(ladder, 1):
-        candidate = rung * alpha_k
+    for ell in range(1, cfg.backtrack_cap + 1):
+        candidate = beta ** (ell - 1) * alpha_k
         if candidate > size_cap:
             continue  # size cap fails; shrinking beta**ell will fix it, no oracle call
         step = beta * candidate
@@ -82,6 +77,6 @@ def nonmonotone_backtrack(
         if f_trial <= f_k - rho * step * snorm_sq + gamma_k:
             return LineSearchOutcome._make((ell, x_trial, float(f_trial), candidate, step, trials))
     raise BacktrackFailureError(
-        f"no acceptable step within {len(ladder)} backtracking trials "
+        f"no acceptable step within backtrack_cap={cfg.backtrack_cap} rungs "
         f"(alpha_k={alpha_k!r}, gamma_k={gamma_k!r})"
     )

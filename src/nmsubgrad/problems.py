@@ -571,7 +571,16 @@ def read_anchor_csv(path: str) -> np.ndarray:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write text to path through path + ".tmp" and one rename, so path never
+    holds half a file. A failure leaves no temp file, and its OSError names
+    path, the file asked for."""
+    tmp, made = path + ".tmp", False
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            made = True
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if made:  # a failed open made nothing, so a file already there stays
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from None

@@ -125,13 +125,12 @@ def solve_nonmonotone(
     the partial trace is returned with the matching termination tag. Warns
     with TheoryRegimeWarning when rho <= 1/2.
     """
-    from .linesearch import beta_ladder, nonmonotone_backtrack
+    from .linesearch import nonmonotone_backtrack
 
     if cfg.rho <= 0.5:
         warnings.warn(f"rho = {cfg.rho} <= 1/2: complexity constants are non-positive, "
                       "rate audits will not apply", TheoryRegimeWarning, stacklevel=2)
     gammas = gamma_values(cfg.gamma, cfg.max_iters + 1).tolist()  # fails fast on short tables
-    ladder = beta_ladder(cfg)
     max_iters = cfg.max_iters
     value, evaluate, project = problem.value, problem.eval, problem.project
     x = _start_point(problem, x0)
@@ -160,7 +159,7 @@ def solve_nonmonotone(
             break
         try:
             ell, x_next, f_next, alpha_next, step, _ = nonmonotone_backtrack(
-                value, project, x, f, s, snorm_sq, alpha, gamma_k, cfg, ladder
+                value, project, x, f, s, snorm_sq, alpha, gamma_k, cfg
             )
         except BacktrackFailureError:
             tag = TERMINATION_BACKTRACK_FAILURE

@@ -288,6 +288,22 @@ def test_run_missing_instance_is_exit_2(tmp_path):
     assert rc == 2
 
 
+# a write that fails names the file asked for, not its temp file, and leaves
+# no temp file behind: a directory in the way fails the rename, a missing
+# directory the open
+def test_run_failed_write_names_out_and_leaves_no_temp_file(planted_instance, tmp_path,
+                                                            capsys):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    for out, why in ((adir, "[Errno 21] Is a directory"),
+                     (tmp_path / "nowhere" / "t.csv", "[Errno 2] No such file or directory")):
+        capsys.readouterr()
+        assert run_cli("run", planted_instance, "--iters", "5", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {why}: {str(out)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "inst.json"]
+    assert list(adir.iterdir()) == []
+
+
 # ----- check -----
 
 
@@ -469,6 +485,27 @@ def test_check_tamper_matrix(tamper_trace, tmp_path, edit):
 
     rc = _check_bent_copy(tamper_trace, tmp_path, [_TAMPER_ROWS[row]], {col: bend})
     assert rc == (0 if edit in _UNCAUGHT else 1)
+
+
+# run writes fbest_gap only when f* is known, so a gap column beside a
+# Fermat-Weber instance, which has no f*, fails whatever its cells hold
+def test_check_catches_a_gap_column_without_f_star(tmp_path, capsys):
+    inst, trace = str(tmp_path / "fw.json"), str(tmp_path / "fw.csv")
+    assert run_cli("gen", "fermatweber", "--seed", "1", "--out", inst) == 0
+    assert run_cli("run", inst, "--iters", "50", "--out", trace) == 0
+    capsys.readouterr()
+    assert run_cli("check", trace, inst) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "audit passed (4 of 10 checks ran)"
+    lines = Path(trace).read_text().splitlines()
+    assert lines[0] == "k,f,alpha,ell,gamma,snorm"
+    rows = [ln.split(",") for ln in lines[1:]]
+    bent = ["k,f,fbest_gap,alpha,ell,gamma,snorm", *(",".join([*r[:2], "-7.5", *r[2:]])
+                                                     for r in rows)]
+    Path(trace).write_text("\n".join(bent) + "\n")
+    assert run_cli("check", trace, inst) == 1
+    out = capsys.readouterr().out
+    assert "consistency: failed (worst at k=1)" in out
+    assert out.splitlines()[-1] == "audit FAILED (4 of 10 checks ran)"
 
 
 _NO_STEP_ROWS = "skipped [no line-search rows (prefixed-step trace or single-iterate run)]"

@@ -9,7 +9,6 @@ from nmsubgrad import (
     BacktrackFailureError,
     OracleError,
     SolverConfig,
-    beta_ladder,
     make_problem,
     nonmonotone_backtrack,
     plant_optimum_max_affine,
@@ -37,7 +36,7 @@ def test_first_rung_accepted():
     out = nonmonotone_backtrack(
         _linear_value, _identity_projector,
         x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]), snorm_sq=1.0,
-        alpha_k=0.05, gamma_k=0.1, cfg=CFG, ladder=beta_ladder(CFG),
+        alpha_k=0.05, gamma_k=0.1, cfg=CFG,
     )
     assert out.ell == 1
     assert out.alpha_next == 0.05  # beta**0 * alpha
@@ -54,7 +53,7 @@ def test_size_cap_forces_eighth_rung():
     out = nonmonotone_backtrack(
         _linear_value, _identity_projector,
         x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]), snorm_sq=1.0,
-        alpha_k=0.2, gamma_k=0.1, cfg=CFG, ladder=beta_ladder(CFG),
+        alpha_k=0.2, gamma_k=0.1, cfg=CFG,
     )
     # smallest ell with 0.9**(ell-1) * 0.2 <= 0.1 is 8
     assert out.ell == 8
@@ -68,7 +67,7 @@ def test_outcome_internal_laws():
     out = nonmonotone_backtrack(
         _linear_value, _identity_projector,
         x_k=np.array([1.0]), f_k=1.0, s_k=np.array([1.0]), snorm_sq=1.0,
-        alpha_k=0.37, gamma_k=0.05, cfg=CFG, ladder=beta_ladder(CFG),
+        alpha_k=0.37, gamma_k=0.05, cfg=CFG,
     )
     assert out.step == pytest.approx(CFG.beta * out.alpha_next, rel=1e-15)
     assert out.alpha_next == pytest.approx(
@@ -102,8 +101,7 @@ def test_matches_reference_scan(seed, alpha, gamma, c, rho, beta):
         return
     cfg = SolverConfig(c=c, beta=beta, rho=rho, alpha1=alpha)
     out = nonmonotone_backtrack(
-        prob.value, prob.project, x_k, f_k, s_k, float(np.dot(s_k, s_k)), alpha, gamma,
-        cfg, beta_ladder(cfg),
+        prob.value, prob.project, x_k, f_k, s_k, float(np.dot(s_k, s_k)), alpha, gamma, cfg
     )
     ref = backtrack_ref(
         prob.value, lambda p: prob.project(np.asarray(p)),
@@ -132,8 +130,7 @@ def test_accepted_rung_is_minimal(seed, alpha, gamma):
     if snorm_sq == 0.0:
         return
     out = nonmonotone_backtrack(
-        prob.value, prob.project, x_k, f_k, s_k, snorm_sq, alpha, gamma, CFG,
-        beta_ladder(CFG),
+        prob.value, prob.project, x_k, f_k, s_k, snorm_sq, alpha, gamma, CFG
     )
     beta, c, rho = CFG.beta, CFG.c, CFG.rho
     # the accepted rung satisfies both conditions
@@ -156,7 +153,7 @@ def test_zero_subgradient_is_callers_problem():
         nonmonotone_backtrack(
             _linear_value, _identity_projector,
             x_k=np.array([0.0]), f_k=0.0, s_k=np.array([0.0]), snorm_sq=0.0,
-            alpha_k=0.1, gamma_k=0.1, cfg=CFG, ladder=beta_ladder(CFG),
+            alpha_k=0.1, gamma_k=0.1, cfg=CFG,
         )
 
 
@@ -166,7 +163,7 @@ def test_overflowed_subgradient_norm_raises_oracle_error():
         nonmonotone_backtrack(
             _linear_value, _identity_projector,
             x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1e200]), snorm_sq=math.inf,
-            alpha_k=0.1, gamma_k=0.1, cfg=CFG, ladder=beta_ladder(CFG),
+            alpha_k=0.1, gamma_k=0.1, cfg=CFG,
         )
 
 
@@ -178,7 +175,7 @@ def test_nan_objective_raises_oracle_error():
         nonmonotone_backtrack(
             bad_value, _identity_projector,
             x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]), snorm_sq=1.0,
-            alpha_k=0.05, gamma_k=0.1, cfg=CFG, ladder=beta_ladder(CFG),
+            alpha_k=0.05, gamma_k=0.1, cfg=CFG,
         )
 
 
@@ -187,9 +184,9 @@ def test_cap_exhaustion_raises():
         return 1e6  # never satisfies any decrease test
 
     cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=0.1, backtrack_cap=25)
-    with pytest.raises(BacktrackFailureError):
+    with pytest.raises(BacktrackFailureError, match=r"backtrack_cap=25 rungs"):
         nonmonotone_backtrack(
             stubborn, _identity_projector,
             x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]), snorm_sq=1.0,
-            alpha_k=0.05, gamma_k=0.1, cfg=cfg, ladder=beta_ladder(cfg),
+            alpha_k=0.05, gamma_k=0.1, cfg=cfg,
         )

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,23 @@ def test_runs_are_deterministic():
         assert ra.alpha == rb.alpha
         assert ra.ell == rb.ell
         np.testing.assert_array_equal(ra.x, rb.x)
+
+
+def test_backtrack_cap_only_bounds_ell():
+    # a cap of 10**6 gives the default cap's columns, and the search builds
+    # nothing its size: a 10**6-entry float list alone would take ~32 MB
+    prob = _planted(seed=8)
+    ref = solve_nonmonotone(prob, CFG)
+    tracemalloc.start()
+    try:
+        big = solve_nonmonotone(prob, dataclasses.replace(CFG, backtrack_cap=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert big.termination == ref.termination
+    for name in ("k", "f", "gamma", "alpha", "ell", "step", "snorm", "alpha_next", "xs"):
+        np.testing.assert_array_equal(getattr(big, name), getattr(ref, name))
 
 
 # ----- csv round trip -----
