@@ -129,16 +129,12 @@ def _skip(name: str, why: str) -> CheckResult:
     return CheckResult(name, SKIPPED, detail=why)
 
 
-def _no_step_rows(report: RunReport, method: str | None) -> str | None:
+def _no_step_rows(report: RunReport) -> str | None:
     """Why both audits skip all their checks of report, or None if it has a
-    line-search row. A trace is prefixed only with both marks the prefixed
-    driver writes, no step row with ell >= 1 and gamma NaN on every row
-    (fmax skips NaN), so a zeroed ell column alone fails the layout law. It
-    is never prefixed when method, the one its run recorded, is "nonmonotone"."""
-    K = len(report.k) - 1
-    # direct ufunc and method calls: numpy's Python wrappers are cold after a solve
-    if K < 1 or (method != "nonmonotone" and np.maximum.reduce(report.ell[:K]) < 1
-                 and np.isnan(np.fmax.reduce(report.gamma))):
+    line-search row: a one-row report and one of a prefixed method have none.
+    An unknown method (a CSV trace that no summary names) is audited as run's
+    default, "nonmonotone", as a missing config is the default config."""
+    if len(report.k) < 2 or report.method not in (None, "nonmonotone"):
         return "no line-search rows (prefixed-step trace or single-iterate run)"
     return None
 
@@ -172,8 +168,6 @@ def audit_stepwise(
     cfg: SolverConfig,
     tc: TheoryConstants | None = None,
     x1: np.ndarray | None = None,
-    fbest_gap: np.ndarray | None = None,
-    method: str | None = None,
 ) -> AuditReport:
     """Per-iteration laws of the accepted steps.
 
@@ -185,10 +179,11 @@ def audit_stepwise(
                        alpha is cfg.alpha1, every row's gamma (the landed
                        row's too) is cfg.gamma's; row 1's f is f(x1) when x1
                        is given; no f lies below a planted f* (a NaN f is
-                       sufficient_decrease's); and a given fbest_gap column
-                       is the running best of f minus f*, as the CSV writer
-                       computes it, and fails at row 1 without f*, since the
-                       writer gives it only when f* is known
+                       sufficient_decrease's); and the report's fbest_gap
+                       column, when it has one, is the running best of f
+                       minus f*, as the CSV writer computes it, and fails at
+                       row 1 without f*, since the writer gives it only when
+                       f* is known
     step_upper_bound   alpha_{k+1} <= c * gamma_k
     step_lower_bound   min(alpha_1, min(theta, beta*c)*gamma_k) <= alpha_{k+1}
                        (needs tc)
@@ -215,13 +210,13 @@ def audit_stepwise(
 
     A CSV trace's alpha_next and step are None and take the derived law; a
     NaN in a recorded column, even on every row, fails consistency. Without
-    x1 the audit calls no oracle. method, when given, names the method the
-    run recorded; see _no_step_rows.
+    x1 the audit calls no oracle. A report of a prefixed method skips every
+    check; see _no_step_rows.
     """
     K = len(report.k) - 1  # rows 1..K are steps, row K+1 is the landed iterate
     names = ["consistency", "step_upper_bound", "step_lower_bound",
              "sufficient_decrease", "quasi_fejer"]
-    why = _no_step_rows(report, method)
+    why = _no_step_rows(report)
     if why is not None:
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
 
@@ -256,9 +251,9 @@ def audit_stepwise(
             laws.append((f[:1], problem.value(x1)))
         if problem.x_star is not None and f_star is not None:  # planted: f >= f* on C
             laws.append((np.fmin(f, f_star), f_star))
-        if fbest_gap is not None:  # written only with f*, so without it no cell holds
+        if report.fbest_gap is not None:  # written only with f*, so without it no cell holds
             gaps = math.nan if f_star is None else np.array(_best_gaps(f, f_star))
-            laws.append((fbest_gap, gaps))
+            laws.append((report.fbest_gap, gaps))
         dev = np.zeros(K + 1)  # each row's largest relative deviation
         for recorded, expected in laws:
             if not (recorded == expected).all():  # exact first: a law that holds costs one ==
@@ -301,7 +296,6 @@ def audit_rate_bounds(
     cfg: SolverConfig,
     tc: TheoryConstants | None = None,
     x1: np.ndarray | None = None,
-    method: str | None = None,
 ) -> AuditReport:
     """For every prefix N of the trace, the best gap so far must sit under
     each applicable bound; the reported worst_index is the tightest N.
@@ -338,7 +332,7 @@ def audit_rate_bounds(
     sum 1/sqrt(k+1) >= ceil(N/2)/sqrt(N+1) >= sqrt(N+2)/4 for N >= 2. None
     uses theta but through step 5. rate_strongly_convex's telescoping needs
     the schedule's big_theta to be step 5's theta, so it runs only when they
-    match. method is audit_stepwise's.
+    match. A report of a prefixed method skips all five, as in audit_stepwise.
     """
     K = len(report.k) - 1
     names = ["rate_general", "rate_sqrt_log", "rate_tail", "rate_compact",
@@ -352,7 +346,7 @@ def audit_rate_bounds(
         why = "no known optimal value"
     else:
         why = None
-    why = _no_step_rows(report, method) or why  # the first reason to skip
+    why = _no_step_rows(report) or why  # the first reason to skip
     if why is not None:
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
 

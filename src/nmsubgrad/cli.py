@@ -57,25 +57,14 @@ from .problems import (
     FermatWeberInstance,
 )
 from .solver import (
-    ConstantLength,
-    ConstantStep,
-    NonsummableDiminishing,
-    SquareSummable,
+    METHODS,
+    _RULES,
     _start_point,
+    _trace_text,
     read_trace_csv,
     solve_nonmonotone,
     solve_prefixed,
-    write_trace_csv,
 )
-
-_RULES = {
-    "constant": ConstantStep,
-    "fixedlength": ConstantLength,
-    "nonsum": NonsummableDiminishing,
-    "sqrsum": SquareSummable,
-}
-
-METHODS = ("nonmonotone", *_RULES)
 
 # run's and check's float flags, besides --zeta: each overrides the config field of its name
 _RUN_FLAGS = ("c", "beta", "rho", "alpha1")
@@ -282,7 +271,6 @@ def cmd_run(args) -> int:
     rule = _make_rule(args.method, args.step_const, "--step-const")
     report = _solve(problem, cfg, args.method, rule)
     f_star = problem.f_star
-    write_trace_csv(report, args.out, f_star=f_star)
     summary = {
         "config": _config_items(cfg),
         "method": args.method,
@@ -298,7 +286,8 @@ def cmd_run(args) -> int:
         summary["f_star"] = f_star
         summary["gap"] = report.f_best - f_star
     spath = _summary_path(args.out)
-    _atomic_write(spath, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _atomic_write({args.out: _trace_text(report, f_star),  # both files or neither
+                   spath: json.dumps(summary, sort_keys=True, indent=2) + "\n"})
     print(args.out)
     print(spath)
     return 0
@@ -341,8 +330,8 @@ def cmd_bench(args) -> int:
     tables = [_bench_one_config(plan.problem, *bench, plan.methods, rules, out_dir)
               for bench in benches]
     os.makedirs(out_dir, exist_ok=True)
-    for path, lines in tables:
-        _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write({path: "\n".join(lines) + "\n" for path, lines in tables})
+    for path, _ in tables:
         print(path)
     return 0
 
@@ -491,22 +480,23 @@ def _audit_config(args, rows: int) -> tuple[SolverConfig, str | None]:
 
 
 def cmd_check(args) -> int:
-    report, gaps = read_trace_csv(args.trace)
+    report = read_trace_csv(args.trace)
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
     cfg, method = _audit_config(args, len(report.k))
+    report = dataclasses.replace(report, method=method)
     tc = None if problem.L is None else constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
-    x1 = _start_point(problem, None)
+    x1 = _start_point(problem, None)  # run's start, which a trace does not carry
     merged = merge_reports(
-        audit_stepwise(report, problem, cfg, tc, x1=x1, fbest_gap=gaps, method=method),
-        audit_rate_bounds(report, problem, cfg, tc, x1=x1, method=method),
+        audit_stepwise(report, problem, cfg, tc, x1=x1),
+        audit_rate_bounds(report, problem, cfg, tc, x1=x1),
     )
     for ch in merged.checks:
         loc = f" (worst at k={ch.worst_index})" if ch.worst_index is not None else ""
         why = f" [{ch.detail}]" if ch.detail else ""
         print(f"{ch.name}: {ch.status}{loc}{why}")
     if args.out:
-        _atomic_write(args.out, audit_report_to_json(merged) + "\n")
+        _atomic_write({args.out: audit_report_to_json(merged) + "\n"})
     ran = sum(ch.status != SKIPPED for ch in merged.checks)
     verdict = "passed" if merged.passed else "FAILED"
     print(f"audit {verdict} ({ran or 'none'} of {len(merged.checks)} checks ran)")

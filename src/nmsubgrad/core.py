@@ -215,9 +215,9 @@ class SolverConfig:
             problems.append(f"rho must lie in (0, 1), got {self.rho}")
         if not (self.alpha1 > 0.0 and math.isfinite(self.alpha1)):
             problems.append(f"alpha1 must be positive and finite, got {self.alpha1}")
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+        if type(self.max_iters) is not int or self.max_iters < 1:  # a bool is no count
             problems.append(f"max_iters must be an integer >= 1, got {self.max_iters}")
-        if not isinstance(self.backtrack_cap, int) or self.backtrack_cap < 1:
+        if type(self.backtrack_cap) is not int or self.backtrack_cap < 1:
             problems.append(f"backtrack_cap must be an integer >= 1, got {self.backtrack_cap}")
         if not isinstance(self.gamma, _GAMMA_TYPES):
             problems.append(f"gamma is not a recognized sequence: {self.gamma!r}")
@@ -458,11 +458,12 @@ class RunReport:
     """A full run: one column per IterationRecord field, with one entry per
     visited iterate, plus how the run ended.
 
-    k and ell are int64 arrays; f, gamma, alpha, step, snorm and alpha_next
-    are float64 arrays. xs is one C-contiguous float64 array of shape
-    (rows, n) whose row i is the i-th visited iterate. A column the source
-    lacks is None (a CSV trace's xs, step and alpha_next), so a NaN in a
-    recorded column is always a fault.
+    k and ell are int64 arrays; f, gamma, alpha, step, snorm, alpha_next and
+    fbest_gap (a CSV trace's running-best gap) are float64 arrays. xs is one
+    C-contiguous float64 array of shape (rows, n) whose row i is the i-th
+    visited iterate. A column the source lacks is None (a CSV trace's xs,
+    step and alpha_next, and fbest_gap but in a trace that carries it), so a
+    NaN in a recorded column is always a fault.
 
     records is a read-only Sequence view of the rows as IterationRecords,
     made anew on every access and holding no record itself: len(records) is
@@ -472,7 +473,9 @@ class RunReport:
 
     f_best is the minimum recorded objective value and it_best the first k
     attaining it. termination is one of the TERMINATION_* constants ("unknown"
-    only for traces reconstructed from CSV).
+    only for traces reconstructed from CSV). method names the run's method
+    as run's --method does (a rule outside that table by its class name),
+    or is None for a CSV trace until check reads its summary.
     """
 
     k: np.ndarray
@@ -484,9 +487,11 @@ class RunReport:
     step: np.ndarray | None
     snorm: np.ndarray
     alpha_next: np.ndarray | None
+    fbest_gap: np.ndarray | None
     f_best: float
     it_best: int
     termination: str
+    method: str | None
 
     @property
     def records(self) -> Sequence[IterationRecord]:
@@ -497,17 +502,18 @@ class RunReport:
         return len(self.k) - 1  # every run ends with its landed row
 
 
-def _report(columns, termination: str) -> RunReport:
-    """A report from columns, a mapping from each IterationRecord field name
-    to None (a column the source lacks) or a sequence of Python values, for x
-    of equal-length vectors stacked into one (rows, n) block. Other keys are
-    ignored. f_best and it_best are min() and the first index() over f as
-    given, so a NaN keeps the meaning it has for them."""
+def _report(columns, termination: str, method: str | None = None) -> RunReport:
+    """A report of method from columns, a mapping from IterationRecord field
+    names and "fbest_gap" to sequences of Python values, for x of equal-length
+    vectors stacked into one (rows, n) block; a column absent or None is one
+    the source lacks. Other keys are ignored. f_best and it_best are min()
+    and the first index() over f as given, so a NaN keeps their meaning."""
     k, f = columns["k"], columns["f"]
     if not k:
         raise ValueError("a run must visit at least one iterate")
     best = min(f)
-    arrays = {_COLUMN_OF.get(name, name): None if columns[name] is None else np.array(
+    arrays = {_COLUMN_OF.get(name, name): None if columns.get(name) is None else np.array(
         columns[name], dtype=np.int64 if name in ("k", "ell") else np.float64)
-        for name in _RECORD_FIELDS}
-    return RunReport(**arrays, f_best=best, it_best=k[f.index(best)], termination=termination)
+        for name in (*_RECORD_FIELDS, "fbest_gap")}
+    return RunReport(**arrays, f_best=best, it_best=k[f.index(best)], termination=termination,
+                     method=method)

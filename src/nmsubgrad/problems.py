@@ -531,7 +531,7 @@ def instance_from_obj(obj: dict) -> tuple[Instance, SetDescriptor]:
 
 def save_instance(path: str, inst: Instance, cset: SetDescriptor | None = None) -> None:
     text = json.dumps(instance_to_obj(inst, cset), sort_keys=True, indent=2)
-    _atomic_write(path, text + "\n")
+    _atomic_write({path: text + "\n"})
 
 
 def load_instance(path: str) -> tuple[Instance, SetDescriptor]:
@@ -570,17 +570,24 @@ def read_anchor_csv(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path through path + ".tmp" and one rename, so path never
-    holds half a file. A failure leaves no temp file, and its OSError names
-    path, the file asked for."""
-    tmp, made = path + ".tmp", False
+def _atomic_write(texts: dict[str, str]) -> None:
+    """Write each text of texts to its path through path + ".tmp" and one
+    rename, every temp file before the first rename, so no path holds half a
+    file and a failure writes none of them: it removes the temp files made
+    and the paths already renamed, and its OSError names the path asked for."""
+    made, renamed = [], []
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            made = True
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            with open(path + ".tmp", "w", encoding="utf-8") as fh:
+                made.append(path)
+                fh.write(text)
+        for path in made:
+            os.replace(path + ".tmp", path)
+            renamed.append(path)
     except OSError as exc:
-        if made:  # a failed open made nothing, so a file already there stays
-            os.remove(tmp)
+        # a failed open made nothing, so a file already there stays
+        for done in made[len(renamed):]:
+            os.remove(done + ".tmp")
+        for done in renamed:
+            os.remove(done)
         raise OSError(exc.errno, exc.strerror, path) from None

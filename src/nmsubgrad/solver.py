@@ -102,6 +102,16 @@ class SquareSummable(StepRule):
         return self.a / k
 
 
+_RULES = {  # each rule's `run --method` name
+    "constant": ConstantStep,
+    "fixedlength": ConstantLength,
+    "nonsum": NonsummableDiminishing,
+    "sqrsum": SquareSummable,
+}
+
+METHODS = ("nonmonotone", *_RULES)
+
+
 # ----- starting point -----
 
 
@@ -169,7 +179,7 @@ def solve_nonmonotone(
         rows.append((k, x, f, gamma_k, alpha, ell, step, snorm, alpha_next))
         x, f, alpha = x_next, f_next, alpha_next
     rows.append((k, x, f, gamma_k, alpha, 0, 0.0, snorm, alpha))
-    return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag)
+    return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag, "nonmonotone")
 
 
 # ----- prefixed-step solver -----
@@ -209,7 +219,8 @@ def solve_prefixed(
         rows.append((k, x, f, nan, size, 0, size, snorm, nan))
         x = problem.project(x - s * size)
     rows.append((k, x, f, nan, nan, 0, 0.0, snorm, nan))
-    return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag)
+    method = next((m for m, cls in _RULES.items() if type(rule) is cls), type(rule).__name__)
+    return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag, method)
 
 
 # ----- trace serialization -----
@@ -237,8 +248,8 @@ def _best_gaps(f: np.ndarray, f_star: float) -> list[float]:
     return gaps
 
 
-def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -> None:
-    """The trace's columns, with the best gap so far when f_star is given;
+def _trace_text(report: RunReport, f_star: float | None = None) -> str:
+    """The trace's CSV text, with the best gap so far when f_star is given;
     each cell is the repr of its float, so reading it back is exact."""
     names = _COLUMNS if f_star is None else _GAP_COLUMNS
     cols = {name: _best_gaps(report.f, f_star) if name == "fbest_gap"
@@ -246,15 +257,20 @@ def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -
     cells = [map(str if name in _INT_COLUMNS else repr, col) for name, col in cols.items()]
     lines = [",".join(cols)]
     lines += map(",".join, zip(*cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
-    """Rebuild a RunReport (termination = "unknown") plus the fbest_gap
-    column when present. The report's xs, step and alpha_next, which a trace
-    does not serialize, are None; the audits re-derive the step columns from
-    (alpha, ell) and beta. A fault names the file's line, blank lines
-    counted, and a cell that does not parse its column too."""
+def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -> None:
+    """Write the trace's CSV text (see _trace_text) to path."""
+    _atomic_write({path: _trace_text(report, f_star)})
+
+
+def read_trace_csv(path: str) -> RunReport:
+    """Rebuild a RunReport (termination "unknown", method None), with the
+    fbest_gap column when present. The report's xs, step and alpha_next,
+    which a trace does not serialize, are None; the audits re-derive the step
+    columns from (alpha, ell) and beta. A fault names the file's line, blank
+    lines counted, and a cell that does not parse its column too."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate(map(str.strip, fh), start=1) if ln]
     if len(lines) < 2:
@@ -279,8 +295,6 @@ def read_trace_csv(path: str) -> tuple[RunReport, np.ndarray | None]:
                     raise ValueError(f"{path}:{lineno}: column {name!r}: {cell!r} is not "
                                      f"{'an integer' if read is int else 'a number'}") from None
     try:
-        report = _report({**col, "x": None, "step": None, "alpha_next": None}, "unknown")
+        return _report(col, "unknown")
     except OverflowError:  # an int cell outside int64
         raise ValueError(f"{path}: integer cell out of range for int64") from None
-    gaps = col.get("fbest_gap")
-    return report, (None if gaps is None else np.asarray(gaps))

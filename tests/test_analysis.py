@@ -31,6 +31,7 @@ from nmsubgrad import (
     write_trace_csv,
 )
 from nmsubgrad.analysis import REL_SLACK, CheckResult, _worst
+from nmsubgrad.solver import METHODS, _RULES, _best_gaps
 from conftest import ITERS, _benchmark_configs
 from oracles import (
     build_report,
@@ -127,26 +128,67 @@ def test_stepwise_audit_skips_prefixed_trace():
     assert all(ch.status == "skipped" for ch in audit.checks)
 
 
-# a trace whose run recorded the nonmonotone method is never read as
-# prefixed, unless it has no step row
+# a report whose method is nonmonotone is never read as prefixed, unless it
+# has no step row
 def test_a_nonmonotone_method_is_never_read_as_prefixed():
     prob, _, _ = _planted_run()
     cfg = SolverConfig(**PARAMS)
     tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
-    rep = solve_prefixed(prob, ConstantStep(0.1), 50)
-    stepwise = audit_stepwise(rep, prob, cfg, tc, method="nonmonotone")
+    rep = dataclasses.replace(solve_prefixed(prob, ConstantStep(0.1), 50), method="nonmonotone")
+    stepwise = audit_stepwise(rep, prob, cfg, tc)
     assert (stepwise["consistency"].status, stepwise["consistency"].worst_index,
             stepwise["consistency"].detail) == ("failed", 1, "step row with ell < 1")
-    rate = audit_rate_bounds(rep, prob, cfg, tc, method="nonmonotone")
+    rate = audit_rate_bounds(rep, prob, cfg, tc)
     assert not any("line-search" in (ch.detail or "") for ch in rate.checks)
     assert not rate.passed
     # a constant objective stops at x_1 with a zero subgradient
     flat = make_problem(MaxAffineInstance(A=np.zeros((2, 3)), b=np.array([0.0, -1.0])))
     one_row = solve_nonmonotone(flat, cfg)
-    assert len(one_row.k) == 1
+    assert (len(one_row.k), one_row.method) == (1, "nonmonotone")
     for audit in (audit_stepwise, audit_rate_bounds):
-        assert all(ch.status == "skipped"
-                   for ch in audit(one_row, flat, cfg, tc, method="nonmonotone").checks)
+        assert all(ch.status == "skipped" for ch in audit(one_row, flat, cfg, tc).checks)
+
+
+# each solver stamps its run --method name, and the audits skip exactly the
+# prefixed ones
+def test_every_method_names_its_report_and_only_prefixed_ones_are_skipped():
+    prob, cfg, _ = _planted_run(iters=50)
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    skipped = {}
+    for method in METHODS:
+        rule = None if method == "nonmonotone" else _RULES[method]()
+        rep = solve_nonmonotone(prob, cfg) if rule is None else solve_prefixed(prob, rule, 50)
+        assert rep.method == method
+        audit = merge_reports(audit_stepwise(rep, prob, cfg, tc),
+                              audit_rate_bounds(rep, prob, cfg, tc))
+        assert audit.passed
+        skipped[method] = all(ch.status == "skipped" for ch in audit.checks)
+    assert skipped == {method: method != "nonmonotone" for method in METHODS}
+
+
+# a rule outside run's table is named by its class, and is prefixed all the same
+def test_a_rule_outside_the_table_is_named_by_its_class():
+    prob, cfg, _ = _planted_run(iters=50)
+
+    @dataclasses.dataclass(frozen=True)
+    class HalfStep(ConstantStep):
+        a: float = 0.05
+
+    rep = solve_prefixed(prob, HalfStep(), 50)
+    assert rep.method == "HalfStep"
+    assert all(ch.status == "skipped" for ch in audit_stepwise(rep, prob, cfg).checks)
+
+
+# a report of no known method is audited as the default method's, so both
+# prefixed marks together no longer make it prefixed
+def test_a_report_of_no_method_is_audited_as_nonmonotone():
+    prob, cfg, _ = _planted_run(iters=50)
+    prefixed = solve_prefixed(prob, ConstantStep(0.1), 50)
+    rep = build_report(list(prefixed.records), prefixed.termination)
+    assert rep.method is None
+    assert (rep.ell == 0).all() and np.isnan(rep.gamma).all()  # both prefixed marks
+    ch = audit_stepwise(rep, prob, cfg)["consistency"]
+    assert (ch.status, ch.worst_index, ch.detail) == ("failed", 1, "step row with ell < 1")
 
 
 def test_stepwise_audit_without_constants_skips_lower_bound():
@@ -363,15 +405,16 @@ def test_csv_round_trip_keeps_every_check_result(tmp_path):
     prob, cfg, rep = _planted_200()
     path = str(tmp_path / "t.csv")
     write_trace_csv(rep, path, prob.f_star)
-    csv_rep, gaps = read_trace_csv(path)
+    csv_rep = read_trace_csv(path)
+    assert csv_rep.fbest_gap is not None
     tc, x1 = constants(cfg.rho, cfg.beta, prob.L, cfg.c), np.zeros(prob.n)
 
-    def checks(report, **kw):
+    def checks(report):
         return {ch.name: ch for ch in merge_reports(
-            audit_stepwise(report, prob, cfg, tc, x1=x1, **kw),
+            audit_stepwise(report, prob, cfg, tc, x1=x1),
             audit_rate_bounds(report, prob, cfg, tc, x1=x1)).checks}
 
-    kept, read = checks(rep), checks(csv_rep, fbest_gap=gaps)
+    kept, read = checks(rep), checks(csv_rep)
     assert kept.pop("quasi_fejer").status == "passed"
     assert read.pop("quasi_fejer").status == "skipped"
     assert read == kept
@@ -414,15 +457,18 @@ def test_x1_pins_the_first_f():
     assert (ch.status, ch.worst_index) == ("failed", 1)
 
 
-# the column the CSV writer wrote passes bit for bit; a bent cell fails at its row
+# a CSV report carries the column the CSV writer wrote, which passes bit for
+# bit; a bent cell fails at its row
 def test_fbest_gap_column_is_the_running_best_gap(tmp_path):
     prob, cfg, rep = _planted_run(seed=3)
+    assert rep.fbest_gap is None
     path = str(tmp_path / "t.csv")
     write_trace_csv(rep, path, prob.f_star)
-    csv_rep, gaps = read_trace_csv(path)
-    assert audit_stepwise(csv_rep, prob, cfg, fbest_gap=gaps).passed
-    gaps[40] *= 1.5
-    ch = audit_stepwise(csv_rep, prob, cfg, fbest_gap=gaps)["consistency"]
+    csv_rep = read_trace_csv(path)
+    assert csv_rep.fbest_gap.tolist() == _best_gaps(rep.f, prob.f_star)
+    assert audit_stepwise(csv_rep, prob, cfg).passed
+    bad = _tampered(csv_rep, "fbest_gap", 40, csv_rep.fbest_gap[40] * 1.5)
+    ch = audit_stepwise(bad, prob, cfg)["consistency"]
     assert (ch.status, ch.worst_index) == ("failed", 41)
 
 
@@ -770,7 +816,7 @@ def golden_audit_json(tmp_path_factory):
     prob, cfg, rep = runs[10, 0]
     path = str(tmp_path_factory.mktemp("golden") / "trace.csv")
     write_trace_csv(rep, path, prob.f_star)
-    out["csv-round-trip-n10"] = _audit_json(read_trace_csv(path)[0], prob, cfg,
+    out["csv-round-trip-n10"] = _audit_json(read_trace_csv(path), prob, cfg,
                                             x1=np.zeros(prob.n))
 
     bad = {

@@ -304,6 +304,21 @@ def test_run_failed_write_names_out_and_leaves_no_temp_file(planted_instance, tm
     assert list(adir.iterdir()) == []
 
 
+# run writes the trace and its summary both or neither: a directory in the
+# place of either fails the write, which names it and leaves no new file and
+# no temp file
+@pytest.mark.parametrize("blocked", ["t.csv", "t.summary.json"])
+def test_run_writes_both_files_or_neither(planted_instance, tmp_path, capsys, blocked):
+    (tmp_path / blocked).mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    rc = run_cli("run", planted_instance, "--iters", "5", "--out", str(tmp_path / "t.csv"))
+    line = _assert_usage_error(rc, capsys)
+    assert line == f"error: [Errno 21] Is a directory: {str(tmp_path / blocked)!r}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list((tmp_path / blocked).iterdir()) == []
+
+
 # ----- check -----
 
 
@@ -380,7 +395,7 @@ def test_check_catches_a_gamma_cell_bent_to_hide_a_bent_f(tmp_path, capsys):
     assert run_cli("gen", "maxaffine", "--n", "2", "--m", "4", "--planted", "--seed", "3",
                    "--out", inst) == 0
     assert run_cli("run", inst, "--iters", "200", "--out", trace) == 0
-    rep, _ = nmsubgrad.read_trace_csv(trace)
+    rep = nmsubgrad.read_trace_csv(trace)
     f, alpha, gamma, snorm = (float(col[39]) for col in (rep.f, rep.alpha, rep.gamma, rep.snorm))
     step = 0.9 * float(rep.alpha[40])  # the default beta and rho
     margin = f - 0.8 * step * snorm * snorm + gamma - float(rep.f[40])
@@ -526,11 +541,12 @@ def test_check_whole_column_edits(tamper_trace, tmp_path, capsys, cols, rc, firs
     assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
-# the same two-column edit still reads as prefixed where no summary says
-# nonmonotone: without a summary, without its "method" (or with it null), or
-# under a prefixed one
+# the same two-column edit reads as prefixed only under a summary that names
+# a prefixed method: without a summary, or without its "method" (or with it
+# null), the trace is audited as run's default method, as a missing config
+# is the default config, and fails that method's layout
 @pytest.mark.parametrize("summary", ["absent", "no-method", "null-method", "constant"])
-def test_two_column_edit_reads_as_prefixed_unless_the_summary_says_nonmonotone(
+def test_two_column_edit_reads_as_prefixed_only_under_a_prefixed_method(
         tamper_trace, tmp_path, capsys, summary):
     bends = {"ell": lambda _: "0", "gamma": lambda _: "nan"}
     assert _check_bent_copy(tamper_trace, tmp_path, range(1, 202), bends) == 1
@@ -547,10 +563,15 @@ def test_two_column_edit_reads_as_prefixed_unless_the_summary_says_nonmonotone(
     else:
         spath.write_text(json.dumps(dict(obj, method=summary)))
     capsys.readouterr()
-    assert run_cli("check", str(tmp_path / "b.csv"), tamper_trace[0]) == 0
+    prefixed = summary == "constant"
+    assert run_cli("check", str(tmp_path / "b.csv"), tamper_trace[0]) == (0 if prefixed else 1)
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == f"consistency: {_NO_STEP_ROWS}"
-    assert out[-1] == "audit passed (none of 10 checks ran)"
+    if prefixed:
+        assert out[0] == f"consistency: {_NO_STEP_ROWS}"
+        assert out[-1] == "audit passed (none of 10 checks ran)"
+    else:
+        assert out[0] == "consistency: failed (worst at k=1) [step row with ell < 1]"
+        assert out[-1] == "audit FAILED (7 of 10 checks ran)"
 
 
 # a constant objective has L = 0: the run stops at x_1 and check audits the
@@ -877,6 +898,20 @@ def _small_plan(tmp_path, problem="maxaffine"):
     with open(path, "w") as fh:
         json.dump(plan, fh)
     return path
+
+
+# bench writes every table or none: a directory in the place of the second
+# fails the write before the first lands
+def test_bench_writes_every_table_or_none(tmp_path, capsys):
+    plan = _small_plan(tmp_path)
+    obj = json.loads(Path(plan).read_text())
+    obj["configs"].append(dict(obj["configs"][0], m=12))
+    Path(plan).write_text(json.dumps(obj))
+    blocked = tmp_path / "out" / "bench_maxaffine_n2_m12.csv"
+    blocked.mkdir(parents=True)
+    line = _assert_usage_error(run_cli("bench", plan), capsys)
+    assert line == f"error: [Errno 21] Is a directory: {str(blocked)!r}"
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [blocked.name]
 
 
 def test_bench_writes_expected_csv(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -250,6 +251,18 @@ def test_validate_config_collects_every_violation():
 def test_config_rejects_backtrack_cap_and_gamma(changes, named):
     with pytest.raises(ConfigError, match=named):
         SolverConfig(**changes)
+
+
+# a bool is an int to Python but no count, as the JSON reader already says;
+# a config made by dataclasses.replace checks itself too
+@pytest.mark.parametrize("field", ["max_iters", "backtrack_cap"])
+@pytest.mark.parametrize("make", [lambda **kw: SolverConfig(**kw),
+                                  lambda **kw: dataclasses.replace(SolverConfig(), **kw)],
+                         ids=["constructor", "replace"])
+def test_config_rejects_a_bool_count(make, field):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1, got True"):
+        make(**{field: True})
+    assert getattr(make(**{field: 1}), field) == 1
 
 
 # ----- config serialization -----

@@ -241,9 +241,9 @@ def test_trace_csv_roundtrip(tmp_path):
     report = solve_nonmonotone(prob, CFG)
     path = str(tmp_path / "trace.csv")
     write_trace_csv(report, path, f_star=prob.f_star)
-    loaded, gaps = read_trace_csv(path)
+    loaded = read_trace_csv(path)
     assert len(loaded.records) == len(report.records)
-    assert loaded.termination == "unknown"
+    assert (loaded.termination, loaded.method) == ("unknown", None)
     assert loaded.f_best == report.f_best
     assert loaded.it_best == report.it_best
     for orig, back in zip(report.records, loaded.records):
@@ -254,6 +254,7 @@ def test_trace_csv_roundtrip(tmp_path):
         assert back.gamma == orig.gamma
         assert back.snorm == orig.snorm
         assert back.x is None and back.step is None and back.alpha_next is None
+    gaps = loaded.fbest_gap
     assert gaps is not None
     assert gaps[-1] == pytest.approx(report.f_best - prob.f_star, rel=1e-15)
     assert all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:]))  # non-increasing
@@ -275,7 +276,7 @@ def test_records_and_csv_rebuild_the_columns(tmp_path):
 
     path = str(tmp_path / "trace.csv")
     write_trace_csv(report, path, f_star=prob.f_star)
-    loaded, _ = read_trace_csv(path)
+    loaded = read_trace_csv(path)
     # the columns a trace does not carry are None, in the report and its records
     assert loaded.xs is None and loaded.step is None and loaded.alpha_next is None
     for name in ("k", "f", "gamma", "alpha", "ell", "snorm"):
@@ -336,8 +337,8 @@ def test_trace_csv_without_fstar_drops_gap_column(tmp_path):
     with open(path) as fh:
         header = fh.readline().strip()
     assert header == "k,f,alpha,ell,gamma,snorm"
-    loaded, gaps = read_trace_csv(path)
-    assert gaps is None
+    loaded = read_trace_csv(path)
+    assert loaded.fbest_gap is None
     assert loaded.f_best == report.f_best
 
 
@@ -398,7 +399,7 @@ def test_read_trace_csv_returns_or_raises_value_error(text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         try:
-            report, _ = read_trace_csv(path)
+            report = read_trace_csv(path)
         except ValueError:
             return
     assert isinstance(report, RunReport)
@@ -726,7 +727,7 @@ def test_every_run_passes_its_audit(seed, family, n, extra, set_kind, sigma, bet
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")
         write_trace_csv(report, path, f_star=prob.f_star)
-        back, _ = read_trace_csv(path)
+        back = read_trace_csv(path)
     for name in ("k", "f", "alpha", "ell", "gamma", "snorm"):
         np.testing.assert_array_equal(getattr(back, name), getattr(report, name))
     audit = audit_stepwise(back, prob, cfg, tc)
