@@ -47,6 +47,9 @@ __all__ = [
 
 BACKEND = "numpy"
 _ROW_BLOCK = 1 << 14  # entries per block of rows in row_sq_norms
+# np.vdot's C function: the ddot of v.dot(w), with no overflow warning and
+# no array-function dispatch
+_ddot = getattr(np.vdot, "_implementation", np.vdot)
 
 
 def max_affine_eval(A, b, sigma, x):
@@ -69,22 +72,17 @@ def fermat_weber_distances(anchors, weights, x):
 
 
 def fermat_weber_eval(anchors, weights, x):
-    """Value and one subgradient; terms whose anchor coincides with x
-    contribute zero (any unit-ball choice is valid there, zero is taken)."""
+    """Value and one subgradient; an anchor at x weighs w/inf = 0 (any
+    unit-ball choice is valid there), and a NaN point gives NaN."""
     diff, d, v = fermat_weber_distances(anchors, weights, x)
-    nz = d > 0.0
-    if nz.all():
-        diff *= weights / d
-        return v, row_sums(diff)
-    # anchor-coincident terms contribute nothing to the subgradient
-    return v, row_sums(diff[:, nz] * (weights[nz] / d[nz]))
+    d[d == 0.0] = np.inf  # its terms are +-0.0, which leave a sum's bits
+    diff *= weights / d
+    return v, row_sums(diff)
 
 
 def row_sums(r):
     """Sum of each row of the 2-D array r, added first to last from +0.0, as
-    numpy reduces across rows; r is overwritten. Zero columns sum to zero."""
-    if r.shape[1] == 0:
-        return np.zeros(r.shape[0])
+    numpy reduces across rows; r is overwritten."""
     # + 0.0 turns a -0.0 total into +0.0 and copies the strided last column
     return np.add.accumulate(r, axis=1, out=r)[:, -1] + 0.0
 
@@ -117,10 +115,18 @@ def fermat_weber_value(anchors, weights, x):
 
 def project_ball(center, radius, y):
     diff = y - center
-    dist = math.sqrt(diff.dot(diff))
+    dist = math.sqrt(_ddot(diff, diff))
     if dist <= radius:
         return y.copy()
-    return center + (radius / dist) * diff
+    if not dist < math.inf:  # the squared norm overflowed, or y is not finite
+        if not np.isfinite(y).all():
+            return np.full_like(y, math.nan)  # no projection; NaN ends the run
+        diff = 0.5 * y - 0.5 * center  # halved, so the difference cannot overflow
+        diff /= np.abs(diff).max()
+        dist = math.sqrt(diff.dot(diff))
+    diff *= radius / dist
+    diff += center
+    return diff
 
 
 def project_box(lo, hi, y):

@@ -423,7 +423,7 @@ def _bench_config(what: str, entry_cls, conf, base: SolverConfig):
     try:
         runs = list(entry.problems())
     except (ValueError, OSError, MemoryError) as exc:  # the entry names the culprit
-        raise ConfigError(f"{what} = {conf!r}: {exc}") from None
+        raise ConfigError(f"{what} = {conf!r}: {_describe(exc)}") from None
     return entry, cfg, runs
 
 
@@ -506,6 +506,14 @@ def cmd_check(args) -> int:
 # ----- entry point -----
 
 
+def _describe(exc: Exception) -> str:
+    """exc's message; a MemoryError raised bare, as `.tolist()` raises it, is
+    named instead of printing an empty line."""
+    if str(exc) or not isinstance(exc, MemoryError):
+        return str(exc)
+    return f"out of memory ({type(exc).__name__})"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -515,7 +523,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 2
 
 

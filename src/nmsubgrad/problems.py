@@ -365,8 +365,8 @@ def weiszfeld(
         hit = np.nonzero(d == 0.0)[0]
         if hit.size:
             j = int(hit[0])
-            # the kernel's subgradient drops the coincident terms: the force
-            # of the other anchors
+            # the kernel's subgradient weighs the coincident terms zero: the
+            # force of the other anchors
             resid = _kernels.fermat_weber_eval(anchors, weights, x)[1]
             rnorm = float(np.linalg.norm(resid))
             if rnorm <= weights[j]:

@@ -125,6 +125,7 @@ def _start_point(problem: ProblemSpec, x0) -> np.ndarray:
 # ----- non-monotone solver -----
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite oracle ends the run
 def solve_nonmonotone(
     problem: ProblemSpec, cfg: SolverConfig, x0=None
 ) -> RunReport:
@@ -132,8 +133,8 @@ def solve_nonmonotone(
 
     Stops early only on an exactly zero subgradient, an exhausted
     backtracking cap or a non-finite value or subgradient norm, in which case
-    the partial trace is returned with the matching termination tag. Warns
-    with TheoryRegimeWarning when rho <= 1/2.
+    the partial trace is returned with the matching termination tag, without
+    a numpy warning. Warns with TheoryRegimeWarning when rho <= 1/2.
     """
     from .linesearch import nonmonotone_backtrack
 
@@ -185,6 +186,7 @@ def solve_nonmonotone(
 # ----- prefixed-step solver -----
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite oracle ends the run
 def solve_prefixed(
     problem: ProblemSpec, rule: StepRule, max_iters: int, x0=None
 ) -> RunReport:
@@ -192,7 +194,8 @@ def solve_prefixed(
 
     Every row uses the ell = 0 sentinel and stores the applied size in both
     alpha and step; gamma is recorded as NaN (no slack sequence exists here).
-    A zero subgradient stops the run before any division by ||s_k||.
+    A zero subgradient stops the run before any division by ||s_k||, and a
+    step that overflows ends it as nonfinite_oracle, without a numpy warning.
     """
     if not isinstance(rule, StepRule):
         raise TypeError(f"not a step rule: {rule!r}")

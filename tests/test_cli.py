@@ -588,6 +588,26 @@ def test_check_of_a_constant_objective_passes(tmp_path, capsys, method):
     assert capsys.readouterr().out.splitlines()[-1] == "audit passed (none of 10 checks ran)"
 
 
+# on a Fermat-Weber ball, raw steps of length 1e308 land on the sphere, not
+# at the center, and a step of size 1.7e308 sends x_2 to inf, whose
+# projection and subgradient are NaN, so the run ends nonfinite_oracle, not
+# zero_subgradient; neither run prints a numpy warning
+@pytest.mark.parametrize("method, const, termination, n_rows", [
+    ("fixedlength", "1e308", "max_iters", 6),
+    ("constant", "1.7e308", "nonfinite_oracle", 2),
+])
+def test_prefixed_far_steps_on_a_ball(tmp_path, capsys, method, const, termination, n_rows):
+    inst, trace = str(tmp_path / "fw.json"), tmp_path / "t.csv"
+    assert run_cli("gen", "fermatweber", "--seed", "1", "--set", "ball", "--out", inst) == 0
+    assert run_cli("run", inst, "--method", method, "--step-const", const,
+                   "--iters", "5", "--out", str(trace)) == 0
+    summary = json.loads((tmp_path / "t.summary.json").read_text())
+    assert (summary["termination"], summary["n_rows"]) == (termination, n_rows)
+    f = [line.split(",")[1] for line in trace.read_text().splitlines()[1:]]
+    assert f[0] not in f[1:]  # x_1 is the center
+    assert capsys.readouterr().err == ""
+
+
 def test_check_prefixed_trace_skips_cleanly(planted_instance, tmp_path, capsys):
     trace = str(tmp_path / "t.csv")
     assert run_cli("run", planted_instance, "--method", "sqrsum",
@@ -1141,6 +1161,29 @@ def test_bench_budget_too_large_to_allocate_is_exit_2(tmp_path, capsys):
     with open(path, "w") as fh:
         json.dump(plan, fh)
     assert "allocate" in _assert_usage_error(run_cli("bench", path), capsys)
+    assert not os.path.exists(tmp_path / "out")
+
+
+# .tolist() of a slack table too large for the address space raises a bare
+# MemoryError(), whose text is empty; the error line names it instead.
+# Patched in, so nothing large is allocated.
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError()
+
+
+def test_run_bare_memory_error_is_named(planted_instance, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_nonmonotone", _out_of_memory)
+    out = tmp_path / "t.csv"
+    line = _assert_usage_error(run_cli("run", planted_instance, "--out", str(out)), capsys)
+    assert line == "error: out of memory (MemoryError)"
+    assert not out.exists() and not (tmp_path / "t.summary.json").exists()
+
+
+def test_bench_bare_memory_error_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "make_problem", _out_of_memory)
+    line = _assert_usage_error(run_cli("bench", _small_plan(tmp_path)), capsys)
+    assert line.startswith("error: 'configs'[0] = {")
+    assert line.endswith("}: out of memory (MemoryError)")
     assert not os.path.exists(tmp_path / "out")
 
 

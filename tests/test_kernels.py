@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,8 +88,16 @@ def test_fermat_weber_at_an_anchor():
     x = np.array([0.0, 0.0])  # sits on anchor 0
     assert K.fermat_weber_value(anchors, w, x) == pytest.approx(15.0, rel=1e-15)
     _, g = K.fermat_weber_eval(anchors, w, x)
-    # the coincident term is dropped; only anchor 1 pulls
+    # the coincident term weighs zero; only anchor 1 pulls
     np.testing.assert_allclose(g, [-5.0, 0.0], rtol=1e-15)
+
+
+def test_fermat_weber_at_a_nan_point_is_nan():
+    # a NaN point has no zero subgradient: the driver must see it non-finite
+    anchors = np.array([[0.0, 0.0], [3.0, 0.0]])
+    x = np.array([0.0, np.nan])
+    v, g = K.fermat_weber_eval(anchors, np.array([2.0, 5.0]), x)
+    assert math.isnan(v) and np.isnan(g).all()
 
 
 # ----- the hot-path call forms give the operator forms' bits -----
@@ -139,9 +149,9 @@ _FW_SHAPES = [(n, m) for n in (1, 2, 3, 7, 8, 10) for m in (1, 7, 8, 300)]
 
 
 def _fermat_weber_points(n, m):
-    """(anchors, weights, x) cases: x off every anchor, x on one anchor (the
-    masked path), every anchor on x, and x[0] = -0.0 against anchors whose
-    first coordinate is +0.0, so every term of g[0] is -0.0."""
+    """(anchors, weights, x) cases: x off every anchor, x on one anchor,
+    every anchor on x, and x[0] = -0.0 against anchors whose first coordinate
+    is +0.0, so every term of g[0] is -0.0."""
     rng = np.random.default_rng(1000 * n + m)
     anchors = 10.0 * rng.standard_normal((m, n))
     w = rng.uniform(0.5, 2.0, m)
@@ -174,6 +184,46 @@ def test_fermat_weber_sums_run_in_index_order(n, m):
         _, g = K.fermat_weber_eval(np.asfortranarray(anchors), w, x)
         want = fermat_weber_subgrad_in_order_ref(anchors.tolist(), w.tolist(), x.tolist())
         assert g.tobytes() == np.asarray(want).tobytes()
+
+
+# the families where a distance is 0 and its terms are +-0.0: x on some
+# anchors; the same with +-0.0 coordinates on both sides (-0.0 - +0.0 is
+# -0.0), among anchors with +-0.0 coordinates of their own; anchors within
+# 1e-170 of x, whose squared distance underflows to 0, among anchors at a
+# subnormal squared distance; and m = 1
+def _zero_distance_points(rng, n, m):
+    anchors = 10.0 * rng.standard_normal((m, n))
+    w = rng.uniform(0.5, 2.0, m)
+    x = rng.standard_normal(n)
+    on = rng.random(m) < 0.5  # the anchors at (or next to) x
+    coincide = anchors.copy()
+    coincide[on] = x
+    def signed_zeros(a):
+        return np.copysign(np.where(rng.random(a.shape) < 0.5, 0.0, a),
+                           rng.standard_normal(a.shape))
+    x_signed = signed_zeros(x)
+    signed = signed_zeros(anchors)
+    signed[on] = np.where(x_signed == 0.0, signed_zeros(np.zeros((on.sum(), n))), x_signed)
+    tiny = x * 1e-160
+    near = anchors.copy()
+    near[on] = tiny + 1e-170 * rng.standard_normal((on.sum(), n))
+    near[~on] = tiny + 1e-155 * rng.standard_normal(((~on).sum(), n))
+    return [(coincide, w, x), (signed, w, x_signed), (near, w, tiny),
+            (anchors[:1], w[:1], anchors[0].copy())]
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n, m in _FW_SHAPES if m > 1 or n < 8])
+def test_fermat_weber_zero_distances_keep_index_order_bits(n, m):
+    rng = np.random.default_rng(7000 + 100 * n + m)
+    for _ in range(20):
+        for anchors, w, x in _zero_distance_points(rng, n, m):
+            if anchors.shape[0] == 1 and n >= 8:
+                continue  # numpy sums the (n, 1) squares pairwise
+            want = np.asarray(fermat_weber_subgrad_in_order_ref(
+                anchors.tolist(), w.tolist(), x.tolist()))
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                _, g = K.fermat_weber_eval(layout(anchors), w, x)
+                assert g.tobytes() == want.tobytes()
 
 
 # ----- row norms: the streamed blocks give the one-shot form's bits -----
@@ -216,6 +266,28 @@ def test_project_ball_matches_reference(seed):
         K.project_ball(c, r, y), project_ball_ref(c.tolist(), r, y.tolist()),
         rtol=1e-12, atol=1e-15,
     )
+
+
+def test_project_ball_far_point_lands_on_the_sphere():
+    # ||y - c||^2 overflows: the direction comes from y - c scaled down
+    c = np.array([1.0, -2.0, 0.5])
+    y = np.array([1e200, -2e200, 5e199])
+    got = K.project_ball(c, 10.0, y)
+    assert np.linalg.norm(got - c) == pytest.approx(10.0, rel=1e-15)
+    u = (y / 1e200) / np.linalg.norm(y / 1e200)  # c is lost next to y
+    np.testing.assert_allclose((got - c) / 10.0, u, rtol=1e-15)
+    # and when y - c itself overflows, which the subtraction warns of
+    with np.errstate(over="ignore"):
+        got = K.project_ball(np.array([-1e308, 0.0]), 1.0, np.array([1e308, 1.0]))
+    np.testing.assert_allclose(got, [-1e308, 5e-309], rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_project_ball_non_finite_point_is_nan(bad):
+    # no projection exists; NaN ends a run as nonfinite_oracle, and pytest
+    # makes any numpy warning an error
+    y = np.array([1e300, bad, 0.0])
+    assert np.isnan(K.project_ball(np.zeros(3), 10.0, y)).all()
 
 
 def test_project_ball_interior_point_unmoved():

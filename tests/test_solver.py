@@ -590,6 +590,37 @@ def test_prefixed_infinite_subgradient_is_nonfinite_oracle():
     assert math.isfinite(last.f) and last.snorm == math.inf
 
 
+# a first trial x_1 - s_1 * 0.9e308 overflows: its value is NaN, which ends
+# the run at its first row, and numpy's warnings stay silent (pytest makes
+# them errors)
+def test_overflowing_trial_is_nonfinite_oracle_without_a_warning():
+    inst = MaxAffineInstance(A=np.array([[5.0, 3.0], [-4.0, 1.0]]), b=np.zeros(2))
+    report = solve_nonmonotone(make_problem(inst), SolverConfig(alpha1=1e308, c=1e308))
+    assert report.termination == TERMINATION_NONFINITE_ORACLE
+    assert len(report.records) == 1
+
+
+# real overflows on a Fermat-Weber ball, not injected ones: a raw step of
+# length 1e308 lands each iterate on the sphere, and a step of size 1.7e308
+# sends x_2 to inf, whose projection is NaN, and so is the subgradient there
+_FW_BALL = make_problem(gen_fermat_weber(1, 3, 20), Ball(center=np.zeros(3), radius=10.0))
+
+
+def test_prefixed_far_steps_land_on_the_sphere():
+    report = solve_prefixed(_FW_BALL, ConstantLength(1e308), 5)
+    assert report.termination == TERMINATION_MAX_ITERS
+    dist = np.linalg.norm(report.xs[1:], axis=1)
+    np.testing.assert_allclose(dist, 10.0, rtol=1e-15)
+
+
+def test_prefixed_overflow_on_a_ball_is_nonfinite_oracle():
+    report = solve_prefixed(_FW_BALL, ConstantStep(1.7e308), 5)
+    assert report.termination == TERMINATION_NONFINITE_ORACLE
+    last = report.records[-1]
+    assert len(report.records) == 2 and math.isnan(last.f) and last.snorm == math.inf
+    assert np.isnan(last.x).all()
+
+
 # ----- the iterate block -----
 
 
