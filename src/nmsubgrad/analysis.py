@@ -312,7 +312,8 @@ def audit_rate_bounds(
     theta is the effective min(theta, beta*c, alpha_1/gamma_1), alpha_1 being
     row 1's alpha, which is theta itself when alpha_1 >= theta*gamma_1 and
     theta <= beta*c; Gamma = theta*(2beta - beta/rho), and all five are
-    skipped when rho <= 1/2 leaves it non-positive. Why the bounds hold,
+    skipped when rho <= 1/2 leaves it non-positive or a positive theta
+    underflows it to 0. Why the bounds hold,
     with the applied step t_k = beta*alpha_{k+1} and x* in C:
     1. projection is nonexpansive and <s_k, x_k - x*> >= f_k - f*, so
        ||x_{k+1}-x*||^2 <= ||x_k-x*||^2 - 2*t_k*(f_k - f*) + t_k^2*||s_k||^2;
@@ -357,6 +358,9 @@ def audit_rate_bounds(
     beta, c, rho = cfg.beta, cfg.c, cfg.rho
     theta = min(tc.theta, beta * c, report.alpha[0] / report.gamma[0])
     Gamma = theta * (2.0 * beta - beta / rho)  # the expression constants() uses
+    if Gamma == 0.0 < theta:  # theta = 0, a bent alpha_1, still fails as non-finite
+        why = "effective Gamma = theta*(2beta - beta/rho) underflows to 0"
+        return AuditReport(checks=tuple(_skip(n, why) for n in names))
     gap = np.minimum.accumulate(report.f[:K]) - f_star  # best gap over iterates 1..N
     Ns = np.arange(1, K + 1, dtype=np.int64)
     gamma = report.gamma

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
-    "OracleError",
     "BacktrackFailureError",
     "TheoryRegimeWarning",
     "as_point",
@@ -45,10 +44,6 @@ class ConfigError(ValueError):
     field. SolverConfig and each gamma sequence raise it from their own
     constructors, the readers for bad JSON or a missing, unknown or mistyped
     field; the command line prints it as one error line with exit 2."""
-
-
-class OracleError(RuntimeError):
-    """An objective evaluation returned a non-finite value."""
 
 
 class BacktrackFailureError(RuntimeError):

@@ -12,8 +12,9 @@ The applied step is beta*candidate and the accepted candidate becomes the
 next iteration's trial size, so the next search restarts one rung above the
 accepted step. Each rung's candidate is formed when the search reaches it;
 cfg.backtrack_cap only bounds ell and costs nothing until it is reached. The
-decrease test uses <= with no epsilon; the additive gamma_k slack is what lets
-the objective increase between iterates.
+decrease test, <= with no epsilon, is the only acceptance test: a NaN or +inf
+trial value fails it, so that rung is rejected. The additive gamma_k slack is
+what lets the objective increase between iterates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import BacktrackFailureError, OracleError, SolverConfig
+from .core import BacktrackFailureError, SolverConfig
 
 __all__ = ["LineSearchOutcome", "nonmonotone_backtrack"]
 
@@ -54,13 +55,11 @@ def nonmonotone_backtrack(
 ) -> LineSearchOutcome:
     """Smallest-ell search, forming candidate beta**(ell-1) * alpha_k at each
     rung it reaches, for ell = 1, ..., cfg.backtrack_cap; snorm_sq is
-    ||s_k||^2 as the caller computed it. Raises BacktrackFailureError past
-    rung cfg.backtrack_cap and OracleError on a non-finite trial value or
-    snorm_sq."""
+    ||s_k||^2 as the caller computed it. Raises ValueError unless snorm_sq is
+    positive and finite, and BacktrackFailureError past rung cfg.backtrack_cap."""
     if not 0.0 < snorm_sq < math.inf:
-        if snorm_sq == 0.0:
-            raise ValueError("zero subgradient: caller must stop before searching")
-        raise OracleError("subgradient norm overflowed")
+        raise ValueError(f"zero subgradient or overflowed norm (snorm_sq={snorm_sq!r}): "
+                         "caller must stop before searching")
     beta, rho = cfg.beta, cfg.rho
     size_cap = cfg.c * gamma_k
     trials = 0
@@ -72,8 +71,6 @@ def nonmonotone_backtrack(
         x_trial = projector(x_k - s_k * step)
         f_trial = value(x_trial)
         trials += 1
-        if not math.isfinite(f_trial):
-            raise OracleError(f"objective value {f_trial!r} at trial ell={ell}")
         if f_trial <= f_k - rho * step * snorm_sq + gamma_k:
             return LineSearchOutcome._make((ell, x_trial, float(f_trial), candidate, step, trials))
     raise BacktrackFailureError(

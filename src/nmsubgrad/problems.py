@@ -265,6 +265,7 @@ Instance = Union[MaxAffineInstance, FermatWeberInstance]
 # ----- generators -----
 
 
+@np.errstate(over="ignore", invalid="ignore")  # MaxAffineInstance refuses a non-finite A or b
 def plant_optimum_max_affine(
     seed: int,
     n: int,
@@ -386,6 +387,7 @@ def weiszfeld(
 # ----- Lipschitz constants -----
 
 
+@np.errstate(over="ignore")  # an overflowed bound is refused below
 def lipschitz_bound(inst: Instance, cset: SetDescriptor | None = None) -> float:
     """Upper bound on subgradient norms, valid on the given set.
 
@@ -393,19 +395,22 @@ def lipschitz_bound(inst: Instance, cset: SetDescriptor | None = None) -> float:
     monotone) of the largest squared row norm, so the bits equal
     np.sqrt((A**2).sum(axis=1)).max(); plus sigma * sup||x|| over a bounded
     set when the quadratic term is present (unbounded set -> error then).
-    Fermat-Weber: sum of the weights.
+    Fermat-Weber: sum of the weights. A bound that overflows is an error.
     """
     if isinstance(inst, MaxAffineInstance):
-        base = math.sqrt(_kernels.row_sq_norms(inst.A).max())
+        L = math.sqrt(_kernels.row_sq_norms(inst.A).max())
         if inst.sigma > 0.0:
             radius = None if cset is None else radius_bound(cset)
             if radius is None:
                 raise ValueError("sigma > 0 has no finite Lipschitz constant on an unbounded set")
-            base += inst.sigma * radius
-        return base
-    if isinstance(inst, FermatWeberInstance):
-        return float(inst.weights.sum())
-    raise TypeError(f"not an instance: {inst!r}")
+            L += inst.sigma * radius
+    elif isinstance(inst, FermatWeberInstance):
+        L = float(inst.weights.sum())
+    else:
+        raise TypeError(f"not an instance: {inst!r}")
+    if not math.isfinite(L):
+        raise ValueError(f"the Lipschitz bound overflows to {L}")
+    return L
 
 
 # ----- problem bundle consumed by the solvers -----

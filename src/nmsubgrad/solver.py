@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     BacktrackFailureError,
     ConfigError,
-    OracleError,
     RunReport,
     SolverConfig,
     TERMINATION_BACKTRACK_FAILURE,
@@ -132,9 +131,10 @@ def solve_nonmonotone(
     """Run the backtracking method for cfg.max_iters steps.
 
     Stops early only on an exactly zero subgradient, an exhausted
-    backtracking cap or a non-finite value or subgradient norm, in which case
-    the partial trace is returned with the matching termination tag, without
-    a numpy warning. Warns with TheoryRegimeWarning when rho <= 1/2.
+    backtracking cap or a non-finite f or ||s_k|| at an iterate, returning the
+    partial trace with that termination tag and no numpy warning. A NaN or
+    +inf trial is a rejected rung; a -inf one is accepted and stops the run
+    on the next row. Warns with TheoryRegimeWarning when rho <= 1/2.
     """
     from .linesearch import nonmonotone_backtrack
 
@@ -174,8 +174,6 @@ def solve_nonmonotone(
             )
         except BacktrackFailureError:
             tag = TERMINATION_BACKTRACK_FAILURE
-            break
-        except OracleError:
             break
         rows.append((k, x, f, gamma_k, alpha, ell, step, snorm, alpha_next))
         x, f, alpha = x_next, f_next, alpha_next

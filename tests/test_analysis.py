@@ -255,6 +255,19 @@ def test_zero_first_alpha_fails_the_rate_checks():
         assert (rates[name].status, rates[name].detail) == ("failed", "non-finite comparison")
 
 
+# a real run with a tiny beta has a positive effective theta ~ beta*c whose
+# Gamma underflows to 0: no rate bound is finite, so all five are skipped with
+# that reason instead of raising ZeroDivisionError
+@pytest.mark.parametrize("beta", [1e-300, 1e-320])
+def test_underflowed_gamma_skips_the_rate_checks(beta):
+    prob = make_problem(plant_optimum_max_affine(1, 3, 6))
+    cfg = SolverConfig(beta=beta, max_iters=20)
+    rep = solve_nonmonotone(prob, cfg)
+    rates = audit_rate_bounds(rep, prob, cfg, constants(cfg.rho, cfg.beta, prob.L, cfg.c))
+    assert {(ch.status, ch.detail) for ch in rates.checks} == {
+        ("skipped", "effective Gamma = theta*(2beta - beta/rho) underflows to 0")}
+
+
 def test_unrolled_lower_bound_catches_shrunk_steps():
     prob, cfg, tc, rep = _outside_regime_run(iters=200)
     records = [r._replace(alpha=r.alpha * 1e-6, alpha_next=r.alpha_next * 1e-6,

@@ -165,6 +165,23 @@ def test_gen_infeasible_plant_is_reported(tmp_path):
     assert rc == 2
 
 
+# a plant 1e300 from the origin overflows the builder's arithmetic; the
+# instance's finite check then prints the one error line, and numpy's warnings
+# stay silent (pytest makes them errors)
+def test_gen_overflowing_plant_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = run_cli("gen", "maxaffine", "--n", "2", "--m", "4", "--planted",
+                 "--spread", "1e300", "--out", str(out))
+    assert "A and b must be finite" in _assert_usage_error(rc, capsys)
+    assert not out.exists()
+
+
+def test_bench_overflowing_plant_is_one_error_line(tmp_path, capsys):
+    path = _plan_with(tmp_path, config={"spread": 1e308})
+    assert "A and b must be finite" in _assert_usage_error(run_cli("bench", path), capsys)
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_gen_planted_maxaffine_on_a_box(tmp_path, capsys):
     out = tmp_path / "inst.json"
     assert run_cli("gen", "maxaffine", "--n", "2", "--m", "8", "--planted", "--set", "box",
@@ -606,6 +623,48 @@ def test_prefixed_far_steps_on_a_ball(tmp_path, capsys, method, const, terminati
     f = [line.split(",")[1] for line in trace.read_text().splitlines()[1:]]
     assert f[0] not in f[1:]  # x_1 is the center
     assert capsys.readouterr().err == ""
+
+
+# the rate bounds divide by Gamma = theta*(2beta - beta/rho), which underflows
+# to 0 when beta is tiny: check of run's own output skips them with that
+# reason, and a summary bent to beta = 1e-320 fails the audit, neither with a
+# traceback
+@pytest.mark.parametrize("summary_beta, rc, last", [
+    (None, 0, "audit passed (4 of 10 checks ran)"),
+    (1e-320, 1, "audit FAILED (4 of 10 checks ran)"),
+])
+def test_check_of_a_run_whose_gamma_underflows(tmp_path, capsys, summary_beta, rc, last):
+    inst, trace = str(tmp_path / "inst.json"), str(tmp_path / "t.csv")
+    assert run_cli("gen", "maxaffine", "--n", "3", "--m", "6", "--planted", "--seed", "1",
+                   "--out", inst) == 0
+    beta = ["--beta", "1e-300"] if summary_beta is None else []
+    assert run_cli("run", inst, "--iters", "20", *beta, "--out", trace) == 0
+    if summary_beta is not None:
+        summary = tmp_path / "t.summary.json"
+        obj = json.loads(summary.read_text())
+        obj["config"]["beta"] = summary_beta
+        summary.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli("check", trace, inst) == rc
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == last
+    assert "rate_general: skipped [effective Gamma = theta*(2beta - beta/rho) underflows to 0]" in out
+
+
+# a squared row norm of 1e308**2 overflows, so the instance has no Lipschitz
+# bound: run prints no numpy warning, and check accepts the file run accepted
+def test_run_and_check_of_an_instance_whose_lipschitz_bound_overflows(tmp_path, capsys):
+    inst, trace = tmp_path / "inst.json", str(tmp_path / "t.csv")
+    assert run_cli("gen", "maxaffine", "--n", "3", "--m", "6", "--seed", "1",
+                   "--out", str(inst)) == 0
+    obj = json.loads(inst.read_text())
+    obj["A"][0][0] = -1e308
+    inst.write_text(json.dumps(obj))
+    assert run_cli("run", str(inst), "--out", trace) == 0
+    assert run_cli("check", trace, str(inst)) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "audit passed (3 of 10 checks ran)"
+    assert err == ""
 
 
 def test_check_prefixed_trace_skips_cleanly(planted_instance, tmp_path, capsys):

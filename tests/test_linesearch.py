@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nmsubgrad import (
     BacktrackFailureError,
-    OracleError,
     SolverConfig,
     make_problem,
     nonmonotone_backtrack,
@@ -157,9 +156,10 @@ def test_zero_subgradient_is_callers_problem():
         )
 
 
-def test_overflowed_subgradient_norm_raises_oracle_error():
-    # the caller's ||s_k||^2 of s_k = [1e200] overflows to inf
-    with pytest.raises(OracleError, match="subgradient norm overflowed"):
+def test_overflowed_subgradient_norm_is_callers_problem():
+    # the caller's ||s_k||^2 of s_k = [1e200] overflows to inf; the driver
+    # stops on it before searching
+    with pytest.raises(ValueError, match="overflowed norm"):
         nonmonotone_backtrack(
             _linear_value, _identity_projector,
             x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1e200]), snorm_sq=math.inf,
@@ -167,16 +167,36 @@ def test_overflowed_subgradient_norm_raises_oracle_error():
         )
 
 
-def test_nan_objective_raises_oracle_error():
-    def bad_value(x):
+# NaN and +inf fail the decrease test like any other value: the search moves
+# on to the next rung, and one that never sees a finite trial spends the cap
+def test_non_finite_trial_values_are_rejected_rungs():
+    bad = [math.nan, math.inf]
+
+    def value(x):
+        return bad.pop(0) if bad else _linear_value(x)
+
+    out = nonmonotone_backtrack(
+        value, _identity_projector,
+        x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]), snorm_sq=1.0,
+        alpha_k=0.05, gamma_k=0.1, cfg=CFG,
+    )
+    assert (out.ell, out.trials) == (3, 3)
+    assert out.f_next == -out.step  # the third trial, f(x) = x
+
+    calls = []
+
+    def nan_value(x):
+        calls.append(x)
         return math.nan
 
-    with pytest.raises(OracleError):
+    cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=0.1, backtrack_cap=25)
+    with pytest.raises(BacktrackFailureError, match=r"backtrack_cap=25 rungs"):
         nonmonotone_backtrack(
-            bad_value, _identity_projector,
+            nan_value, _identity_projector,
             x_k=np.array([0.0]), f_k=0.0, s_k=np.array([1.0]), snorm_sq=1.0,
-            alpha_k=0.05, gamma_k=0.1, cfg=CFG,
+            alpha_k=0.05, gamma_k=0.1, cfg=cfg,
         )
+    assert len(calls) == 25
 
 
 def test_cap_exhaustion_raises():

@@ -261,6 +261,16 @@ def test_lipschitz_adds_quadratic_on_bounded_set():
         lipschitz_bound(inst)  # unbounded set, sigma > 0
 
 
+# a squared row norm of 1e308**2 overflows: that is no bound, so make_problem
+# records L = None, and numpy's overflow warning stays silent (pytest makes it
+# an error)
+def test_overflowing_lipschitz_bound_is_no_bound():
+    inst = MaxAffineInstance(A=np.array([[-1e308, 1.0], [0.0, 1.0]]), b=np.zeros(2))
+    with pytest.raises(ValueError, match="Lipschitz bound overflows"):
+        lipschitz_bound(inst)
+    assert make_problem(inst).L is None
+
+
 # the last has one row per block; 1000 rows are not a multiple of the block
 _LARGE_SHAPES = [(1, 1), (3, 7), (1000, 200), (5000, 200), (3, 70000)]
 

@@ -472,14 +472,16 @@ def test_one_kernel_call_per_trial_point(kind, monkeypatch):
 class FailingOracles:
     """A real problem's oracles that break on command. Calls count from 1:
     value call number nan_value_at returns NaN, computed by the real oracle at
-    a NaN point so it is parked like any trial value; eval call number
-    nan_eval_at returns a NaN value, eval call number inf_eval_at an infinite
-    subgradient, and eval call number zero_eval_at a zero one."""
+    a NaN point so it is parked like any trial value, and value call number
+    neg_inf_value_at returns -inf; eval call number nan_eval_at returns a NaN
+    value, eval call number inf_eval_at an infinite subgradient, and eval call
+    number zero_eval_at a zero one."""
 
     def __init__(self, problem, nan_value_at=None, nan_eval_at=None, inf_eval_at=None,
-                 zero_eval_at=None):
+                 zero_eval_at=None, neg_inf_value_at=None):
         self.problem = problem
         self.nan_value_at = nan_value_at
+        self.neg_inf_value_at = neg_inf_value_at
         self.nan_eval_at = nan_eval_at
         self.inf_eval_at = inf_eval_at
         self.zero_eval_at = zero_eval_at
@@ -490,6 +492,8 @@ class FailingOracles:
         self.values += 1
         if self.values == self.nan_value_at:
             return self.problem.value(np.full_like(x, np.nan))
+        if self.values == self.neg_inf_value_at:
+            return -math.inf
         return self.problem.value(x)
 
     def eval(self, x):
@@ -530,15 +534,17 @@ def test_nan_at_start_is_nonfinite_oracle():
     _assert_partial_trace_audits(report, prob, CFG)
 
 
-def test_nan_trial_mid_run_is_nonfinite_oracle():
+# a NaN trial fails the decrease test, so its rung is rejected and the run
+# goes on to its budget
+def test_nan_trial_mid_run_is_a_rejected_rung():
     prob = _planted(seed=11)
     oracles = FailingOracles(prob, nan_value_at=20)
     report = solve_nonmonotone(oracles.spec(), CFG)
-    assert report.termination == TERMINATION_NONFINITE_ORACLE
-    assert oracles.values == 20
-    assert 2 <= len(report.records) <= 19
+    assert report.termination == TERMINATION_MAX_ITERS
+    assert oracles.values > 20
+    assert len(report.records) == CFG.max_iters + 1
+    assert np.isfinite(report.f).all()
     last = report.records[-1]
-    assert math.isfinite(last.f)
     _assert_partial_trace_audits(report, prob, CFG)
     # the NaN trial's parked value is never picked up at a real point
     v, g = prob.eval(last.x)
@@ -590,14 +596,40 @@ def test_prefixed_infinite_subgradient_is_nonfinite_oracle():
     assert math.isfinite(last.f) and last.snorm == math.inf
 
 
-# a first trial x_1 - s_1 * 0.9e308 overflows: its value is NaN, which ends
-# the run at its first row, and numpy's warnings stay silent (pytest makes
-# them errors)
-def test_overflowing_trial_is_nonfinite_oracle_without_a_warning():
-    inst = MaxAffineInstance(A=np.array([[5.0, 3.0], [-4.0, 1.0]]), b=np.zeros(2))
-    report = solve_nonmonotone(make_problem(inst), SolverConfig(alpha1=1e308, c=1e308))
-    assert report.termination == TERMINATION_NONFINITE_ORACLE
+# a first trial x_1 - s_1 * 0.9e308 overflows, and its value is NaN (inf - inf
+# arises inside A x); each rejected rung shrinks the step by beta, and the
+# first that passes is rung 6768, past the default cap of 500, so the run ends
+# at its first row with the real cause; numpy's warnings stay silent (pytest
+# makes them errors)
+_OVERFLOWING = make_problem(MaxAffineInstance(A=np.array([[5.0, 3.0], [-4.0, 1.0]]),
+                                              b=np.zeros(2)))
+
+
+def test_overflowing_trials_exhaust_the_cap_without_a_warning():
+    report = solve_nonmonotone(_OVERFLOWING, SolverConfig(alpha1=1e308, c=1e308, max_iters=50))
+    assert report.termination == TERMINATION_BACKTRACK_FAILURE
     assert len(report.records) == 1
+
+
+def test_overflowing_trials_are_passed_over_under_a_large_cap():
+    cfg = SolverConfig(alpha1=1e308, c=1e308, max_iters=50, backtrack_cap=10000)
+    report = solve_nonmonotone(_OVERFLOWING, cfg)
+    assert report.termination == TERMINATION_MAX_ITERS
+    assert len(report.records) == 51
+    assert report.ell[:4].tolist() == [6768, 1, 1, 2]
+    assert report.f_best == -1.1605313662771428
+
+
+# -inf passes the decrease test as written, so the trial is accepted; the
+# driver's check on f then ends the run on the next row, which records it
+def test_minus_inf_trial_is_accepted_and_ends_the_next_row():
+    oracles = FailingOracles(_planted(seed=18), neg_inf_value_at=20)
+    report = solve_nonmonotone(oracles.spec(), CFG)
+    assert report.termination == TERMINATION_NONFINITE_ORACLE
+    assert oracles.values == 20
+    assert report.ell[-2] >= 1 and report.ell[-1] == 0
+    assert report.f[-1] == -math.inf and np.isfinite(report.f[:-1]).all()
+    assert math.isnan(report.snorm[-1])
 
 
 # real overflows on a Fermat-Weber ball, not injected ones: a raw step of
