@@ -19,6 +19,7 @@ import numpy as np
 
 from ._kernels import row_sq_norms
 from .core import RunReport, SolverConfig, SqrtInverse, StronglyConvexHarmonic, gamma_values
+from .linesearch import rung
 from .problems import ProblemSpec, diameter_sq
 from .solver import _best_gaps
 
@@ -208,8 +209,11 @@ def audit_stepwise(
     was. audit_rate_bounds turns it into the paper's form with an effective
     theta.
 
-    A CSV trace's alpha_next and step are None and take the derived law; a
-    NaN in a recorded column, even on every row, fails consistency. Without
+    The derived alpha_next is linesearch.rung(alpha, beta, ell), the code
+    the search formed it with, so it equals a recorded one bit for bit on any
+    CPU; a row with ell < 1 has none (NaN). A CSV trace's alpha_next and
+    step are None and take the derived law; a NaN in a recorded column, even
+    on every row, fails consistency. Without
     x1 the audit calls no oracle. A report of a prefixed method skips every
     check; see _no_step_rows.
     """
@@ -228,9 +232,12 @@ def audit_stepwise(
     snorm = report.snorm[:K]
     f = report.f
 
-    derived_next = alpha.copy()  # beta**0 * alpha is alpha exactly, so only
-    hop = ell != 1               # the rows past rung 1 need the power
-    derived_next[hop] = beta ** (ell[hop] - 1).astype(np.float64) * alpha[hop]
+    # rung 1 is alpha itself; every other row takes the search's own rung(),
+    # except a row off the ladder (ell < 1, a layout fault), which has none
+    derived_next = alpha.copy()
+    hop = np.flatnonzero(ell != 1)
+    derived_next[hop] = [rung(a, beta, e) if e > 1 else math.nan
+                         for a, e in zip(alpha[hop].tolist(), ell[hop].tolist())]
     # the one CSV-only path: a column the trace lacks is None and takes its law
     eff_next = derived_next if report.alpha_next is None else report.alpha_next[:K]
     eff_step = beta * eff_next if report.step is None else report.step[:K]
@@ -313,7 +320,8 @@ def audit_rate_bounds(
     row 1's alpha, which is theta itself when alpha_1 >= theta*gamma_1 and
     theta <= beta*c; Gamma = theta*(2beta - beta/rho), and all five are
     skipped when rho <= 1/2 leaves it non-positive or a positive theta
-    underflows it to 0. Why the bounds hold,
+    underflows it to 0. With theta > 0 a bound that overflows to +inf holds,
+    as one no double can exceed; with theta = 0 it fails. Why the bounds hold,
     with the applied step t_k = beta*alpha_{k+1} and x* in C:
     1. projection is nonexpansive and <s_k, x_k - x*> >= f_k - f*, so
        ||x_{k+1}-x*||^2 <= ||x_k-x*||^2 - 2*t_k*(f_k - f*) + t_k^2*||s_k||^2;
@@ -361,6 +369,14 @@ def audit_rate_bounds(
     if Gamma == 0.0 < theta:  # theta = 0, a bent alpha_1, still fails as non-finite
         why = "effective Gamma = theta*(2beta - beta/rho) underflows to 0"
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
+    # with theta > 0 every factor of a bound is positive, so a bound that
+    # overflows to +inf holds and is read as the largest double; at theta = 0
+    # (a bent alpha_1) each bound divides by 0 and still fails as non-finite
+    cap = np.finfo(np.float64).max if theta > 0.0 else math.inf
+
+    def rate(name: str, lhs: np.ndarray, bound: np.ndarray, ns: np.ndarray) -> CheckResult:
+        return _worst(name, lhs, np.minimum(bound, cap), ns)
+
     gap = np.minimum.accumulate(report.f[:K]) - f_star  # best gap over iterates 1..N
     Ns = np.arange(1, K + 1, dtype=np.int64)
     gamma = report.gamma
@@ -376,16 +392,16 @@ def audit_rate_bounds(
     else:
         dist_sq = float(np.dot(x1 - x_star, x1 - x_star))
         numer = dist_sq + (beta / rho) * c * sum_sq
-        checks.append(_worst("rate_general", gap, numer / (Gamma * sum_shift), Ns))
+        checks.append(rate("rate_general", gap, numer / (Gamma * sum_shift), Ns))
         if zeta is None:
             checks.append(_skip("rate_sqrt_log", "gamma is not the sqrt-inverse kind"))
         else:
             bound = (4.0 / Gamma) * (
                 dist_sq / zeta + zeta * beta / rho * c + zeta * beta / rho * c * np.log(Ns)
             ) / np.sqrt(Ns)
-            checks.append(_worst("rate_sqrt_log", gap, bound, Ns))
+            checks.append(rate("rate_sqrt_log", gap, bound, Ns))
         checks.append(
-            _worst("rate_tail", gap, numer / (Gamma * Ns * gamma[1 : K + 1]), Ns)
+            rate("rate_tail", gap, numer / (Gamma * Ns * gamma[1 : K + 1]), Ns)
         )
 
     D = diameter_sq(problem.cset)
@@ -399,7 +415,7 @@ def audit_rate_bounds(
         Ns2 = Ns[1:]
         bound = 4.0 * (D / zeta + zeta * beta * c / rho * math.log(3.0)) / (
             Gamma * np.sqrt(Ns2 + 2.0))
-        checks.append(_worst("rate_compact", gap[1:], bound, Ns2))
+        checks.append(rate("rate_compact", gap[1:], bound, Ns2))
 
     sigma = problem.sigma
     seq = cfg.gamma
@@ -415,6 +431,6 @@ def audit_rate_bounds(
         checks.append(_skip("rate_strongly_convex", "gamma parameters do not match the run"))
     else:
         bound = (8.0 * beta * c) / (rho * sigma * beta * theta * Gamma * (Ns + 1.0))
-        checks.append(_worst("rate_strongly_convex", gap, bound, Ns))
+        checks.append(rate("rate_strongly_convex", gap, bound, Ns))
 
     return AuditReport(checks=tuple(checks))

@@ -10,11 +10,13 @@ size beta**(ell-1) * alpha_k satisfies both
 
 The applied step is beta*candidate and the accepted candidate becomes the
 next iteration's trial size, so the next search restarts one rung above the
-accepted step. Each rung's candidate is formed when the search reaches it;
-cfg.backtrack_cap only bounds ell and costs nothing until it is reached. The
-decrease test, <= with no epsilon, is the only acceptance test: a NaN or +inf
-trial value fails it, so that rung is rejected. The additive gamma_k slack is
-what lets the objective increase between iterates.
+accepted step. Each rung's candidate is formed by rung() when the search
+reaches it; analysis.audit_stepwise derives a recorded rung with the same
+rung(), so the two agree bit for bit whatever vector power the CPU's numpy
+dispatches. cfg.backtrack_cap only bounds ell and costs nothing until it is
+reached. The decrease test, <= with no epsilon, is the only acceptance test:
+a NaN or +inf trial value fails it, so that rung is rejected. The additive
+gamma_k slack is what lets the objective increase between iterates.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .core import BacktrackFailureError, SolverConfig
 
-__all__ = ["LineSearchOutcome", "nonmonotone_backtrack"]
+__all__ = ["LineSearchOutcome", "nonmonotone_backtrack", "rung"]
 
 
 class LineSearchOutcome(NamedTuple):
@@ -40,6 +42,12 @@ class LineSearchOutcome(NamedTuple):
     alpha_next: float
     step: float
     trials: int
+
+
+def rung(alpha_k: float, beta: float, ell: int) -> float:
+    """The candidate size of rung ell >= 1: beta**(ell-1) * alpha_k, with
+    Python's float pow of an int ell."""
+    return beta ** (ell - 1) * alpha_k
 
 
 def nonmonotone_backtrack(
@@ -64,7 +72,7 @@ def nonmonotone_backtrack(
     size_cap = cfg.c * gamma_k
     trials = 0
     for ell in range(1, cfg.backtrack_cap + 1):
-        candidate = beta ** (ell - 1) * alpha_k
+        candidate = rung(alpha_k, beta, ell)
         if candidate > size_cap:
             continue  # size cap fails; shrinking beta**ell will fix it, no oracle call
         step = beta * candidate

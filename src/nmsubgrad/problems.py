@@ -117,11 +117,15 @@ def contains(cset: SetDescriptor, x: np.ndarray, tol: float = FEASIBILITY_TOL) -
 
 
 def diameter_sq(cset: SetDescriptor) -> float | None:
-    """max ||x - y||^2 over the set, None when unbounded."""
+    """max ||x - y||^2 over the set, None when unbounded and +inf when it
+    overflows, as for a ball of radius 1e160."""
     if isinstance(cset, Box):
         return float(((cset.hi - cset.lo) ** 2).sum())
     if isinstance(cset, Ball):
-        return float((2.0 * cset.radius) ** 2)
+        try:
+            return float((2.0 * cset.radius) ** 2)
+        except OverflowError:  # float pow raises where a product would give +inf
+            return math.inf
     return None
 
 

@@ -478,7 +478,8 @@ def _check_bent_copy(tamper_trace, tmp_path, rows, bends):
     (201, "ell", "3", "landed row with ell != 0"),
     (120, "snorm", "0.0", "step row with snorm not > 0"),
     (120, "snorm", "nan", "step row with snorm not > 0"),
-], ids=["k", "landed_ell", "step_snorm_zero", "step_snorm_nan"])
+    (120, "ell", "-100000", "step row with ell < 1"),
+], ids=["k", "landed_ell", "step_snorm_zero", "step_snorm_nan", "step_ell_far_below_1"])
 def test_check_catches_a_break_of_the_trace_layout(tamper_trace, tmp_path, capsys, row, col,
                                                    cell, why):
     capsys.readouterr()
@@ -649,6 +650,32 @@ def test_check_of_a_run_whose_gamma_underflows(tmp_path, capsys, summary_beta, r
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == last
     assert "rate_general: skipped [effective Gamma = theta*(2beta - beta/rho) underflows to 0]" in out
+
+
+# a rate bound that overflows to +inf holds while the effective theta is
+# positive: a subnormal Gamma (beta = 1e-155) overflows the three x1 bounds,
+# and a huge box or ball overflows rate_compact's diameter, which for a ball
+# of radius 1e160 or 1e200 raised OverflowError from float pow
+@pytest.mark.parametrize("gen_flags, run_flags, last", [
+    ([], ["--iters", "20", "--beta", "1e-155"], "audit passed (7 of 10 checks ran)"),
+    (["--set", "box", "--box-lo=-1e160", "--box-hi=1e160"], ["--iters", "50"],
+     "audit passed (8 of 10 checks ran)"),
+    (["--set", "box", "--box-lo=-1e308", "--box-hi=1e308"], ["--iters", "50"],
+     "audit passed (8 of 10 checks ran)"),
+    (["--set", "ball", "--radius", "1e308"], ["--iters", "50"], "audit passed (8 of 10 checks ran)"),
+    (["--set", "ball", "--radius", "1e160"], ["--iters", "50"], "audit passed (8 of 10 checks ran)"),
+    (["--set", "ball", "--radius", "1e200"], ["--iters", "50"], "audit passed (8 of 10 checks ran)"),
+], ids=["beta-1e-155", "box-1e160", "box-1e308", "ball-1e308", "ball-1e160", "ball-1e200"])
+def test_check_of_a_run_whose_rate_bound_overflows(tmp_path, capsys, gen_flags, run_flags, last):
+    inst, trace = str(tmp_path / "inst.json"), str(tmp_path / "t.csv")
+    assert run_cli("gen", "maxaffine", "--n", "3", "--m", "6", "--planted", "--seed", "1",
+                   *gen_flags, "--out", inst) == 0
+    assert run_cli("run", inst, *run_flags, "--out", trace) == 0
+    capsys.readouterr()
+    assert run_cli("check", trace, inst) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == last
+    assert err == ""
 
 
 # a squared row norm of 1e308**2 overflows, so the instance has no Lipschitz

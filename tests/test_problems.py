@@ -94,6 +94,18 @@ def test_diameter_and_radius_bounds():
     assert radius_bound(box) == pytest.approx(5.0)
 
 
+# a ball's squared diameter that overflows is +inf, where float pow raised
+# OverflowError; every finite one keeps the bits of (2r)**2
+@pytest.mark.parametrize("radius", [1e153, 6.7e153, 6.71e153, 1e160, 1e200, 1e308])
+def test_ball_diameter_overflows_to_inf(radius):
+    ball = Ball(center=np.zeros(2), radius=radius)
+    try:
+        expected = (2.0 * radius) ** 2
+    except OverflowError:
+        expected = math.inf
+    assert diameter_sq(ball) == expected
+
+
 # ----- instance validation -----
 
 
