@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 REL_SLACK = 1e-9
+DBL_MAX = np.finfo(np.float64).max
 
 PASSED = "passed"
 FAILED = "failed"
@@ -126,6 +127,13 @@ def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, ks: np.ndarray) -> Check
     return CheckResult(name, status, worst, int(ks[idx]))
 
 
+def _under_bound(name: str, lhs: np.ndarray, bound: np.ndarray, ks: np.ndarray) -> CheckResult:
+    """_worst of lhs_k <= bound_k for a derived bound: one that overflowed to
+    +inf holds, read as the largest double, which no double lhs exceeds; a NaN
+    bound still fails as a non-finite comparison."""
+    return _worst(name, lhs, np.minimum(bound, DBL_MAX), ks)
+
+
 def _skip(name: str, why: str) -> CheckResult:
     return CheckResult(name, SKIPPED, detail=why)
 
@@ -209,6 +217,11 @@ def audit_stepwise(
     was. audit_rate_bounds turns it into the paper's form with an effective
     theta.
 
+    step_upper_bound and quasi_fejer read their right sides through
+    _under_bound, as audit_rate_bounds reads its bounds: one that overflows
+    to +inf holds, and a NaN fails. quasi_fejer is skipped when a squared
+    distance to x* overflows, as then neither side can be formed.
+
     The derived alpha_next is linesearch.rung(alpha, beta, ell), the code
     the search formed it with, so it equals a recorded one bit for bit on any
     CPU; a row with ell < 1 has none (NaN). A CSV trace's alpha_next and
@@ -268,7 +281,7 @@ def audit_stepwise(
                 np.maximum(span, np.abs(_normalized(recorded, expected)), out=span)
         checks.append(_worst("consistency", dev, np.zeros(K + 1), report.k))
 
-    checks.append(_worst("step_upper_bound", eff_next, c * gamma, ks))
+    checks.append(_under_bound("step_upper_bound", eff_next, c * gamma, ks))
 
     if tc is None:
         checks.append(_skip("step_lower_bound", "no Lipschitz constant supplied"))
@@ -287,8 +300,11 @@ def audit_stepwise(
         checks.append(_skip("quasi_fejer", "rho <= 1/2"))
     else:
         dist_sq = row_sq_norms(report.xs, problem.x_star)
-        rhs = dist_sq[:K] + (beta * c / rho) * (gamma * gamma)
-        checks.append(_worst("quasi_fejer", dist_sq[1 : K + 1], rhs, ks))
+        if dist_sq.max() == math.inf:  # a NaN row propagates through max and fails
+            checks.append(_skip("quasi_fejer", "a squared distance to x* overflows"))
+        else:
+            rhs = dist_sq[:K] + (beta * c / rho) * (gamma * gamma)
+            checks.append(_under_bound("quasi_fejer", dist_sq[1 : K + 1], rhs, ks))
 
     return AuditReport(checks=tuple(checks))
 
@@ -318,11 +334,14 @@ def audit_rate_bounds(
 
     theta is the effective min(theta, beta*c, alpha_1/gamma_1), alpha_1 being
     row 1's alpha, which is theta itself when alpha_1 >= theta*gamma_1 and
-    theta <= beta*c; Gamma = theta*(2beta - beta/rho), and all five are
-    skipped when rho <= 1/2 leaves it non-positive or a positive theta
-    underflows it to 0. With theta > 0 a bound that overflows to +inf holds,
-    as one no double can exceed; with theta = 0 it fails. Why the bounds hold,
-    with the applied step t_k = beta*alpha_{k+1} and x* in C:
+    theta <= beta*c; Gamma = theta*(2beta - beta/rho). All five are skipped
+    when rho <= 1/2 leaves Gamma non-positive, and when alpha_1 > 0, which
+    makes theta and Gamma positive, and Gamma underflows to 0 (theta itself
+    may, as with beta*c = 1e-600). A bent alpha_1 <= 0 or NaN makes Gamma
+    NaN, so every bound fails as a non-finite comparison. Each bound is read
+    through _under_bound, as in audit_stepwise: one that overflows to +inf
+    holds, and a NaN fails. Why the bounds hold, with the applied step
+    t_k = beta*alpha_{k+1} and x* in C:
     1. projection is nonexpansive and <s_k, x_k - x*> >= f_k - f*, so
        ||x_{k+1}-x*||^2 <= ||x_k-x*||^2 - 2*t_k*(f_k - f*) + t_k^2*||s_k||^2;
     2. sufficient decrease gives t_k*||s_k||^2 <= (f_k - f_{k+1} + gamma_k)/rho;
@@ -332,12 +351,21 @@ def audit_rate_bounds(
     5. alpha_1 >= (alpha_1/gamma_1)*gamma_k for a non-increasing gamma, so
        step_lower_bound gives t_k >= beta*theta*gamma_{k+1}; with f_k >= f*
        and rho > 1/2, summing step 4 over k <= N gives rate_general.
-    rate_tail uses sum gamma_{k+1} >= N*gamma_{N+1}. For gamma_k = zeta/sqrt(k),
+    rate_tail uses sum gamma_{k+1} >= N*gamma_{N+1}. Where sum gamma_k^2
+    overflows, a quotient can be inf/inf. With S = sum_{k<=N} gamma_{k+1},
+    which is at most sum_{k<=N} gamma_k, Cauchy-Schwarz gives
+    sum gamma_k^2 >= S^2/N, and N*gamma_{N+1} <= S, so both rate_general and
+    rate_tail are at least (beta*c/rho)*S/(N*Gamma); once sum gamma_k^2
+    overflows, that floor, with S read as at most the largest double, stands
+    in for a smaller or NaN quotient. For gamma_k = zeta/sqrt(k),
     sum_{k<=N} gamma_k^2 = zeta^2 * sum 1/k <= zeta^2*(1 + ln N) and
     sum_{k<=N} gamma_{k+1} >= 2*zeta*(sqrt(N+2) - sqrt(2)) >= zeta*sqrt(N)/4;
-    put into rate_general, they give rate_sqrt_log. rate_compact sums step 4
-    over the window k = floor(N/2)+1..N, where ||x_M - x*||^2 <= D at its
-    first iterate M; there sum 1/k <= ln(N/floor(N/2)) <= ln 3 and
+    put into rate_general, they give rate_sqrt_log. Its row N = 1 takes no
+    kappa*ln N term (kappa = zeta*beta*c/rho), so an overflowed kappa gives
+    +inf there, not inf*0, and that bound is at least (4/Gamma)*kappa >=
+    2*kappa, as Gamma < 2. rate_compact sums step 4 over the window
+    k = floor(N/2)+1..N, where ||x_M - x*||^2 <= D at its first iterate M;
+    there sum 1/k <= ln(N/floor(N/2)) <= ln 3 and
     sum 1/sqrt(k+1) >= ceil(N/2)/sqrt(N+1) >= sqrt(N+2)/4 for N >= 2. None
     uses theta but through step 5. rate_strongly_convex's telescoping needs
     the schedule's big_theta to be step 5's theta, so it runs only when they
@@ -364,18 +392,15 @@ def audit_rate_bounds(
     x_star = problem.x_star
 
     beta, c, rho = cfg.beta, cfg.c, cfg.rho
-    theta = min(tc.theta, beta * c, report.alpha[0] / report.gamma[0])
-    Gamma = theta * (2.0 * beta - beta / rho)  # the expression constants() uses
-    if Gamma == 0.0 < theta:  # theta = 0, a bent alpha_1, still fails as non-finite
+    alpha1 = report.alpha[0]
+    theta = min(tc.theta, beta * c, alpha1 / report.gamma[0])
+    # alpha_1 > 0 makes theta and Gamma (the expression constants() uses)
+    # positive, so a Gamma of 0 is an underflow; a bent alpha_1 <= 0 or NaN
+    # gives a NaN Gamma, which fails every bound
+    Gamma = theta * (2.0 * beta - beta / rho) if alpha1 > 0.0 else math.nan
+    if Gamma == 0.0:
         why = "effective Gamma = theta*(2beta - beta/rho) underflows to 0"
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
-    # with theta > 0 every factor of a bound is positive, so a bound that
-    # overflows to +inf holds and is read as the largest double; at theta = 0
-    # (a bent alpha_1) each bound divides by 0 and still fails as non-finite
-    cap = np.finfo(np.float64).max if theta > 0.0 else math.inf
-
-    def rate(name: str, lhs: np.ndarray, bound: np.ndarray, ns: np.ndarray) -> CheckResult:
-        return _worst(name, lhs, np.minimum(bound, cap), ns)
 
     gap = np.minimum.accumulate(report.f[:K]) - f_star  # best gap over iterates 1..N
     Ns = np.arange(1, K + 1, dtype=np.int64)
@@ -392,17 +417,21 @@ def audit_rate_bounds(
     else:
         dist_sq = float(np.dot(x1 - x_star, x1 - x_star))
         numer = dist_sq + (beta / rho) * c * sum_sq
-        checks.append(rate("rate_general", gap, numer / (Gamma * sum_shift), Ns))
+        general = numer / (Gamma * sum_shift)
+        tail = numer / (Gamma * Ns * gamma[1 : K + 1])
+        if numer[-1] == math.inf:  # sum gamma_k^2 overflowed: floor both quotients
+            floor = (beta / rho) * c * np.minimum(sum_shift, DBL_MAX) / (Gamma * Ns)
+            general, tail = np.fmax(general, floor), np.fmax(tail, floor)
+        checks.append(_under_bound("rate_general", gap, general, Ns))
         if zeta is None:
             checks.append(_skip("rate_sqrt_log", "gamma is not the sqrt-inverse kind"))
         else:
-            bound = (4.0 / Gamma) * (
-                dist_sq / zeta + zeta * beta / rho * c + zeta * beta / rho * c * np.log(Ns)
-            ) / np.sqrt(Ns)
-            checks.append(rate("rate_sqrt_log", gap, bound, Ns))
-        checks.append(
-            rate("rate_tail", gap, numer / (Gamma * Ns * gamma[1 : K + 1]), Ns)
-        )
+            kappa = zeta * beta / rho * c
+            log_term = kappa * np.log(Ns)
+            log_term[0] = 0.0  # ln 1 = 0, also where kappa overflowed (inf * 0 is NaN)
+            bound = (4.0 / Gamma) * (dist_sq / zeta + kappa + log_term) / np.sqrt(Ns)
+            checks.append(_under_bound("rate_sqrt_log", gap, bound, Ns))
+        checks.append(_under_bound("rate_tail", gap, tail, Ns))
 
     D = diameter_sq(problem.cset)
     if D is None:
@@ -415,7 +444,7 @@ def audit_rate_bounds(
         Ns2 = Ns[1:]
         bound = 4.0 * (D / zeta + zeta * beta * c / rho * math.log(3.0)) / (
             Gamma * np.sqrt(Ns2 + 2.0))
-        checks.append(rate("rate_compact", gap[1:], bound, Ns2))
+        checks.append(_under_bound("rate_compact", gap[1:], bound, Ns2))
 
     sigma = problem.sigma
     seq = cfg.gamma
@@ -431,6 +460,6 @@ def audit_rate_bounds(
         checks.append(_skip("rate_strongly_convex", "gamma parameters do not match the run"))
     else:
         bound = (8.0 * beta * c) / (rho * sigma * beta * theta * Gamma * (Ns + 1.0))
-        checks.append(rate("rate_strongly_convex", gap, bound, Ns))
+        checks.append(_under_bound("rate_strongly_convex", gap, bound, Ns))
 
     return AuditReport(checks=tuple(checks))

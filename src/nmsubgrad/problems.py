@@ -165,8 +165,7 @@ class MaxAffineInstance:
         if b.shape != (A.shape[0],):
             raise ValueError(f"b must have shape ({A.shape[0]},), got {b.shape}")
         # argmin and argmax stop at the first NaN, so no (m, n) mask is needed,
-        # and on small arrays they cost a fraction of a min or max reduction;
-        # the extrema also give the planted check its max |a_ij|
+        # and on small arrays they cost a fraction of a min or max reduction
         lo, hi = A.item(A.argmin()), A.item(A.argmax())
         if not all(map(math.isfinite, (lo, hi, b.item(b.argmin()), b.item(b.argmax())))):
             raise ValueError("A and b must be finite")
@@ -182,7 +181,7 @@ class MaxAffineInstance:
             raise ValueError("x_star and f_star must be planted together")
         if self.f_star is not None:
             object.__setattr__(self, "f_star", float(self.f_star))
-            _check_planted(self, max(hi, -lo))
+            _check_planted(self)
 
     @property
     def n(self) -> int:
@@ -193,17 +192,32 @@ class MaxAffineInstance:
         return self.A.shape[0]
 
 
-def _check_planted(inst: MaxAffineInstance, abs_max: float) -> None:
-    """abs_max is max |a_ij|; it scales the certificate's tolerance."""
+def _check_planted(inst: MaxAffineInstance) -> None:
     val = _kernels.max_affine_eval(inst.A, inst.b, inst.sigma, inst.x_star)[0]
     scale = max(1.0, abs(inst.f_star))
     if abs(val - inst.f_star) > PLANT_TOL * scale:
         raise ValueError(
             f"planted value mismatch: f(x_star) = {val!r} but f_star = {inst.f_star!r}"
         )
-    resid = planted_certificate_residual(inst)
-    if resid > PLANT_TOL * max(1.0, abs_max):
+    resid, active_max = _certificate(inst)
+    if resid > PLANT_TOL * max(1.0, active_max):
         raise ValueError(f"planted certificate fails: |mean active grad + sigma*x*| = {resid}")
+
+
+def _certificate(inst: MaxAffineInstance) -> tuple[float, float]:
+    """(planted_certificate_residual, max |a_ij| over the active pieces): the
+    pieces the certificate averages scale its tolerance, so a huge entry of
+    an inactive piece cannot let a broken certificate through."""
+    vals = inst.A.dot(inst.x_star)
+    vals += inst.b
+    top = vals.item(vals.argmax())
+    active = inst.A[vals >= top - 1e-9 * max(1.0, abs(top))]
+    active_max = max(active.item(active.argmax()), -active.item(active.argmin()))
+    g = np.add.reduce(active, axis=0)
+    g /= active.shape[0]
+    if inst.sigma > 0.0:  # at sigma = 0 the term only flips the sign of zeros
+        g += inst.sigma * inst.x_star
+    return math.sqrt(g.dot(g)), active_max
 
 
 def planted_certificate_residual(inst: MaxAffineInstance) -> float:
@@ -212,15 +226,7 @@ def planted_certificate_residual(inst: MaxAffineInstance) -> float:
     numpy's: a sum over the rows divided by their count."""
     if inst.x_star is None:
         raise ValueError("instance has no planted optimum")
-    vals = inst.A.dot(inst.x_star)
-    vals += inst.b
-    top = vals.item(vals.argmax())
-    active = inst.A[vals >= top - 1e-9 * max(1.0, abs(top))]
-    g = np.add.reduce(active, axis=0)
-    g /= active.shape[0]
-    if inst.sigma > 0.0:  # at sigma = 0 the term only flips the sign of zeros
-        g += inst.sigma * inst.x_star
-    return math.sqrt(g.dot(g))
+    return _certificate(inst)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -139,9 +139,13 @@ def planted_certificate_residual_ref(A, b, sigma, x_star):
     return float(np.linalg.norm(A[active].mean(axis=0) + sigma * x_star))
 
 
-def planted_certificate_tol_ref(A, plant_tol):
-    """The certificate's tolerance, plant_tol scaled by max(1, max |a_ij|)."""
-    return plant_tol * max(1.0, max(float(A.max()), float(-A.min())))
+def planted_certificate_tol_ref(A, b, x_star, plant_tol):
+    """The certificate's tolerance, plant_tol scaled by max(1, max |a_ij|)
+    over the pieces active at x_star."""
+    vals = A @ x_star + b
+    top = vals.max()
+    active = A[vals >= top - 1e-9 * max(1.0, abs(top))]
+    return plant_tol * max(1.0, float(np.abs(active).max()))
 
 
 def fermat_weber_value_dot_ref(anchors, weights, x):

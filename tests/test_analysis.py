@@ -268,6 +268,59 @@ def test_underflowed_gamma_skips_the_rate_checks(beta):
         ("skipped", "effective Gamma = theta*(2beta - beta/rho) underflows to 0")}
 
 
+# alpha_1 decides the rate constants: a bent alpha_1 <= 0 or NaN leaves no
+# theta, so each rate bound is NaN and fails, where 4/Gamma could have raised
+@pytest.mark.parametrize("alpha1", [-0.1, math.nan, -0.0])
+def test_bent_first_alpha_fails_every_rate_check(alpha1):
+    prob, cfg, tc, rep = _outside_regime_run(iters=50)
+    rep.alpha[0] = alpha1
+    rates = audit_rate_bounds(rep, prob, cfg, tc)
+    for name in ("rate_general", "rate_sqrt_log", "rate_tail"):
+        assert (rates[name].status, rates[name].worst_index, rates[name].detail) == (
+            "failed", 1, "non-finite comparison")
+
+
+def _audits_at(inst=None, **kw):
+    """Both audits of a 30-step run of inst, the planted (3, 6) one by
+    default, under kw."""
+    prob = make_problem(inst or plant_optimum_max_affine(1, 3, 6))
+    cfg = SolverConfig(max_iters=30, **kw)
+    rep = solve_nonmonotone(prob, cfg)
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    return merge_reports(audit_stepwise(rep, prob, cfg, tc), audit_rate_bounds(rep, prob, cfg, tc))
+
+
+def _statuses(audit, *names):
+    return [(audit[n].status, audit[n].detail) for n in names]
+
+
+# a bound that overflows to +inf holds in both audits. zeta = 1e200:
+# gamma_k^2 = 1e400/k overflows quasi_fejer's right side. c = zeta = 1e300:
+# c*gamma_k overflows step_upper_bound's, and kappa = zeta*beta*c/rho
+# rate_sqrt_log's, whose row N = 1, with ln N = 0, was inf*0. zeta = 1e308:
+# sum gamma_k^2 and Gamma * sum gamma_{k+1} (with a small L, also
+# Gamma*N*gamma_{N+1}) overflow, and the Cauchy-Schwarz floor decides their inf/inf
+@pytest.mark.parametrize("kw, scale, names", [
+    (dict(gamma=SqrtInverse(1e200)), 1.0, ["quasi_fejer"]),
+    (dict(c=1e300, gamma=SqrtInverse(1e300)), 1.0, ["step_upper_bound", "rate_sqrt_log"]),
+    (dict(gamma=SqrtInverse(1e308)), 1.0, ["rate_general", "rate_tail"]),
+    (dict(alpha1=1e308, gamma=SqrtInverse(1e308)), 0.1, ["rate_general", "rate_tail"]),
+], ids=["zeta-1e200", "c-zeta-1e300", "zeta-1e308", "alpha1-zeta-1e308-small-L"])
+def test_an_overflowed_bound_holds(kw, scale, names):
+    audit = _audits_at(inst=plant_optimum_max_affine(1, 3, 6, active_scale=scale), **kw)
+    assert audit.passed
+    assert _statuses(audit, *names) == [("passed", "")] * len(names)
+
+
+# iterates near 1e299 overflow every squared distance to x*, where neither
+# side of quasi_fejer can be formed, so it is skipped with that reason
+def test_overflowed_squared_distances_skip_quasi_fejer():
+    audit = _audits_at(alpha1=1e300, gamma=SqrtInverse(1e300))
+    assert audit.passed
+    assert _statuses(audit, "quasi_fejer") == [
+        ("skipped", "a squared distance to x* overflows")]
+
+
 # the audit derives each recorded rung with the search's own rung(), so the
 # ladder law holds exactly, in memory and after a CSV round trip, where the
 # alpha chain is checked against the derived rungs; numpy's vector power

@@ -678,6 +678,48 @@ def test_check_of_a_run_whose_rate_bound_overflows(tmp_path, capsys, gen_flags, 
     assert err == ""
 
 
+# check passes run's own output at extreme constants: Gamma = 0 from a theta
+# near beta*c = 1e-600 (4/Gamma raised ZeroDivisionError) or alpha_1/gamma_1 =
+# 1e-600 skips the rate checks; c*gamma_k = 1e600 holds as step_upper_bound's
+# bound; an overflowed kappa at N = 1 and the inf/inf rows of rate_general hold
+@pytest.mark.parametrize("family, run_flags, last", [
+    ("maxaffine", ["--beta", "1e-300", "--c", "1e-300"], "audit passed (4 of 10 checks ran)"),
+    ("maxaffine", ["--alpha1", "1e-300", "--zeta", "1e300"], "audit passed (4 of 10 checks ran)"),
+    ("fermatweber", ["--c", "1e300", "--zeta", "1e300"], "audit passed (4 of 10 checks ran)"),
+    ("maxaffine", ["--c", "1e300", "--zeta", "1e300"], "audit passed (7 of 10 checks ran)"),
+    ("maxaffine", ["--zeta", "1e308"], "audit passed (7 of 10 checks ran)"),
+], ids=["beta-c-1e-300", "alpha1-1e-300-zeta-1e300", "fw-box-c-zeta-1e300", "c-zeta-1e300",
+        "zeta-1e308"])
+def test_check_of_a_run_at_extreme_constants(tmp_path, capsys, family, run_flags, last):
+    inst, trace = str(tmp_path / "inst.json"), str(tmp_path / "t.csv")
+    gen = (["--n", "3", "--m", "6", "--planted"] if family == "maxaffine"
+           else ["--set", "box"])
+    assert run_cli("gen", family, *gen, "--seed", "1", "--out", inst) == 0
+    assert run_cli("run", inst, "--iters", "30", *run_flags, "--out", trace) == 0
+    capsys.readouterr()
+    assert run_cli("check", trace, inst) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == last
+    assert err == ""
+
+
+# the certificate's tolerance scales with the pieces it averages: an entry of
+# -1e308 in a piece inactive at x* once let a residual of 0.381 through
+def test_run_refuses_a_broken_certificate_beside_a_huge_inactive_entry(tmp_path, capsys):
+    inst, trace = tmp_path / "inst.json", tmp_path / "t.csv"
+    assert run_cli("gen", "maxaffine", "--n", "3", "--m", "6", "--planted", "--seed", "1",
+                   "--out", str(inst)) == 0
+    obj = json.loads(inst.read_text())
+    obj["A"][0][0] = -1e308
+    inst.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli("run", str(inst), "--iters", "20", "--out", str(trace)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: planted certificate fails: ")
+    assert not trace.exists() and not (tmp_path / "t.summary.json").exists()
+
+
 # a squared row norm of 1e308**2 overflows, so the instance has no Lipschitz
 # bound: run prints no numpy warning, and check accepts the file run accepted
 def test_run_and_check_of_an_instance_whose_lipschitz_bound_overflows(tmp_path, capsys):

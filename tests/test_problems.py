@@ -348,7 +348,8 @@ def _lopsided_pair(d):
 def test_planted_certificate_tolerance_is_scaled_by_the_largest_entry(step):
     plant = _lopsided_pair(2000 * problems.PLANT_TOL * (1.0 + step / 1000))
     resid = planted_certificate_residual_ref(plant["A"], plant["b"], 0.0, plant["x_star"])
-    if resid <= planted_certificate_tol_ref(plant["A"], problems.PLANT_TOL):
+    if resid <= planted_certificate_tol_ref(plant["A"], plant["b"], plant["x_star"],
+                                            problems.PLANT_TOL):
         MaxAffineInstance(**plant)  # well above the unscaled tolerance PLANT_TOL
     else:
         with pytest.raises(ValueError) as err:
