@@ -47,9 +47,10 @@ SKIPPED = "skipped"
 class TheoryConstants:
     """theta = min(1, 1/((1+rho)L^2)), 1 when L = 0, and gamma_big =
     theta*(2beta - beta/rho), the constants in every complexity bound.
-    gamma_big > 0 exactly when rho > 1/2; below, the rate bounds say nothing
-    and audit_rate_bounds skips them, while the step lower bound, which needs
-    only theta, holds for every rho in (0, 1)."""
+    gamma_big > 0 when rho > 1/2, unless (1+rho)L^2 overflows and theta is 0;
+    for rho <= 1/2 the rate bounds say nothing and audit_rate_bounds skips
+    them, while the step lower bound, which needs only theta, holds for every
+    rho in (0, 1)."""
 
     theta: float
     gamma_big: float
@@ -182,17 +183,16 @@ def audit_stepwise(
 
     consistency        the layout: k_i = i, ell >= 1 and snorm > 0 on step
                        rows, ell = 0 on the landed row; then exact laws, each
-                       a (recorded, expected) pair over rows from 1:
-                       alpha_next = beta**(ell-1)*alpha, next row's alpha
-                       continues the chain, step = beta*alpha_next, row 1's
-                       alpha is cfg.alpha1, every row's gamma (the landed
-                       row's too) is cfg.gamma's; row 1's f is f(x1) when x1
-                       is given; no f lies below a planted f* (a NaN f is
-                       sufficient_decrease's); and the report's fbest_gap
-                       column, when it has one, is the running best of f
-                       minus f*, as the CSV writer computes it, and fails at
-                       row 1 without f*, since the writer gives it only when
-                       f* is known
+                       a (recorded, expected) pair over rows from 1: the
+                       next row's alpha is alpha_next = beta**(ell-1)*alpha,
+                       row 1's alpha is cfg.alpha1, every row's gamma (the
+                       landed row's too) is cfg.gamma's; row 1's f is f(x1)
+                       when x1 is given; no f lies below a planted f* (a NaN
+                       f is sufficient_decrease's); and the report's
+                       fbest_gap column, when it has one, is the running
+                       best of f minus f*, as the CSV writer computes it,
+                       and fails at row 1 without f*, since the writer gives
+                       it only when f* is known
     step_upper_bound   alpha_{k+1} <= c * gamma_k
     step_lower_bound   min(alpha_1, min(theta, beta*c)*gamma_k) <= alpha_{k+1}
                        (needs tc)
@@ -222,12 +222,11 @@ def audit_stepwise(
     to +inf holds, and a NaN fails. quasi_fejer is skipped when a squared
     distance to x* overflows, as then neither side can be formed.
 
-    The derived alpha_next is linesearch.rung(alpha, beta, ell), the code
-    the search formed it with, so it equals a recorded one bit for bit on any
-    CPU; a row with ell < 1 has none (NaN). A CSV trace's alpha_next and
-    step are None and take the derived law; a NaN in a recorded column, even
-    on every row, fails consistency. Without
-    x1 the audit calls no oracle. A report of a prefixed method skips every
+    Every report, in memory or from CSV, takes the derived ladder:
+    alpha_next is linesearch.rung(alpha, beta, ell), the code the search
+    formed it with, so it has the search's bits on any CPU, and a row with
+    ell < 1 has none (NaN); the applied step is beta*alpha_next. Without x1
+    the audit calls no oracle. A report of a prefixed method skips every
     check; see _no_step_rows.
     """
     K = len(report.k) - 1  # rows 1..K are steps, row K+1 is the landed iterate
@@ -247,13 +246,10 @@ def audit_stepwise(
 
     # rung 1 is alpha itself; every other row takes the search's own rung(),
     # except a row off the ladder (ell < 1, a layout fault), which has none
-    derived_next = alpha.copy()
+    alpha_next = alpha.copy()
     hop = np.flatnonzero(ell != 1)
-    derived_next[hop] = [rung(a, beta, e) if e > 1 else math.nan
-                         for a, e in zip(alpha[hop].tolist(), ell[hop].tolist())]
-    # the one CSV-only path: a column the trace lacks is None and takes its law
-    eff_next = derived_next if report.alpha_next is None else report.alpha_next[:K]
-    eff_step = beta * eff_next if report.step is None else report.step[:K]
+    alpha_next[hop] = [rung(a, beta, e) if e > 1 else math.nan
+                       for a, e in zip(alpha[hop].tolist(), ell[hop].tolist())]
 
     checks: list[CheckResult] = []
 
@@ -263,8 +259,7 @@ def audit_stepwise(
         checks.append(CheckResult("consistency", FAILED, math.inf, *fault))
     else:
         # (recorded, expected) over rows from 1; rate_tail reads the landed row's gamma
-        laws = [(eff_next, derived_next), (report.alpha[1 : K + 1], eff_next),
-                (eff_step, beta * eff_next), (alpha[:1], cfg.alpha1),
+        laws = [(report.alpha[1 : K + 1], alpha_next), (alpha[:1], cfg.alpha1),
                 (report.gamma, gamma_values(cfg.gamma, K + 1))]
         f_star = problem.f_star
         if x1 is not None:
@@ -281,15 +276,15 @@ def audit_stepwise(
                 np.maximum(span, np.abs(_normalized(recorded, expected)), out=span)
         checks.append(_worst("consistency", dev, np.zeros(K + 1), report.k))
 
-    checks.append(_under_bound("step_upper_bound", eff_next, c * gamma, ks))
+    checks.append(_under_bound("step_upper_bound", alpha_next, c * gamma, ks))
 
     if tc is None:
         checks.append(_skip("step_lower_bound", "no Lipschitz constant supplied"))
     else:
         unrolled = np.minimum(alpha[0], min(tc.theta, beta * c) * gamma)
-        checks.append(_worst("step_lower_bound", unrolled, eff_next, ks))
+        checks.append(_worst("step_lower_bound", unrolled, alpha_next, ks))
 
-    decrease_rhs = f[:K] - rho * eff_step * (snorm * snorm) + gamma
+    decrease_rhs = f[:K] - rho * (beta * alpha_next) * (snorm * snorm) + gamma
     checks.append(_worst("sufficient_decrease", f[1 : K + 1], decrease_rhs, ks))
 
     if report.xs is None:
@@ -337,11 +332,12 @@ def audit_rate_bounds(
     theta <= beta*c; Gamma = theta*(2beta - beta/rho). All five are skipped
     when rho <= 1/2 leaves Gamma non-positive, and when alpha_1 > 0, which
     makes theta and Gamma positive, and Gamma underflows to 0 (theta itself
-    may, as with beta*c = 1e-600). A bent alpha_1 <= 0 or NaN makes Gamma
-    NaN, so every bound fails as a non-finite comparison. Each bound is read
-    through _under_bound, as in audit_stepwise: one that overflows to +inf
-    holds, and a NaN fails. Why the bounds hold, with the applied step
-    t_k = beta*alpha_{k+1} and x* in C:
+    may, as with beta*c = 1e-600, or an L whose (1+rho)L^2 overflows). The
+    regime is cfg.rho's, since such an L leaves gamma_big 0 at any rho. A
+    bent alpha_1 <= 0 or NaN makes Gamma NaN, so every bound fails as a
+    non-finite comparison. Each bound is read through _under_bound, as in
+    audit_stepwise: one that overflows to +inf holds, and a NaN fails. Why
+    the bounds hold, with the applied step t_k = beta*alpha_{k+1} and x* in C:
     1. projection is nonexpansive and <s_k, x_k - x*> >= f_k - f*, so
        ||x_{k+1}-x*||^2 <= ||x_k-x*||^2 - 2*t_k*(f_k - f*) + t_k^2*||s_k||^2;
     2. sufficient decrease gives t_k*||s_k||^2 <= (f_k - f_{k+1} + gamma_k)/rho;
@@ -377,7 +373,7 @@ def audit_rate_bounds(
     f_star = problem.f_star
     if tc is None:
         why = "no theory constants supplied"
-    elif tc.gamma_big <= 0.0:
+    elif cfg.rho <= 0.5:
         why = "rho <= 1/2 leaves Gamma = theta*(2beta - beta/rho) non-positive"
     elif f_star is None:
         why = "no known optimal value"

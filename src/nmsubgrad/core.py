@@ -396,14 +396,11 @@ def config_from_keyvalues(text: str) -> SolverConfig:
 
 
 class IterationRecord(NamedTuple):
-    """One visited iterate.
-
-    Rows where a line-search step was taken carry ell >= 1 and satisfy
-    alpha_next = beta**(ell-1) * alpha and step = beta * alpha_next. The final
-    landed iterate (and every row of a prefixed-step run) uses the ell = 0
-    sentinel; prefixed rows store the applied step size in both alpha and step.
-    x, step and alpha_next are None in a trace re-read from CSV.
-    """
+    """One visited iterate. A line-search row has ell >= 1; the landed row,
+    and every row of a prefixed run (its alpha the applied size), has the
+    ell = 0 sentinel. x is None in a CSV trace. step and alpha_next are
+    always None: audit_stepwise derives alpha_next = beta**(ell-1)*alpha and
+    step = beta*alpha_next from the choices a report records."""
 
     k: int
     x: np.ndarray | None
@@ -416,8 +413,10 @@ class IterationRecord(NamedTuple):
     alpha_next: float | None
 
 
-_RECORD_FIELDS = IterationRecord._fields
+_RECORD_FIELDS = ("k", "x", "f", "gamma", "alpha", "ell", "snorm")  # a solver's row
 _COLUMN_OF = {"x": "xs"}  # a record field's RunReport column, where the names differ
+# the column each IterationRecord field is built from; step and alpha_next have none
+_RECORD_COLUMNS = tuple(_COLUMN_OF.get(name, name) for name in IterationRecord._fields)
 
 
 class _Records(Sequence):
@@ -443,28 +442,29 @@ class _Records(Sequence):
 
     def _build(self, rows: slice):
         """The records of rows, one column per IterationRecord field (None if absent)."""
-        cols = (getattr(self._report, _COLUMN_OF.get(name, name)) for name in _RECORD_FIELDS)
+        cols = (getattr(self._report, name, None) for name in _RECORD_COLUMNS)
         return map(IterationRecord, *(repeat(None) if col is None else col[rows] if col.ndim > 1
                                       else col[rows].tolist() for col in cols))
 
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """A full run: one column per IterationRecord field, with one entry per
-    visited iterate, plus how the run ended.
+    """A full run: one column per _RECORD_FIELDS name (x as xs), with one
+    entry per visited iterate, plus how the run ended.
 
-    k and ell are int64 arrays; f, gamma, alpha, step, snorm, alpha_next and
-    fbest_gap (a CSV trace's running-best gap) are float64 arrays. xs is one
-    C-contiguous float64 array of shape (rows, n) whose row i is the i-th
-    visited iterate. A column the source lacks is None (a CSV trace's xs,
-    step and alpha_next, and fbest_gap but in a trace that carries it), so a
-    NaN in a recorded column is always a fault.
+    k and ell are int64 arrays; f, gamma, alpha, snorm and fbest_gap (a CSV
+    trace's running-best gap) are float64 arrays. xs is one C-contiguous
+    float64 array of shape (rows, n) whose row i is the i-th visited
+    iterate. A column the source lacks is None (a CSV trace's xs, and
+    fbest_gap but in a trace that carries it), so a NaN in a recorded column
+    is always a fault.
 
     records is a read-only Sequence view of the rows as IterationRecords,
     made anew on every access and holding no record itself: len(records) is
     len(k) and builds none, records[i] (negative i too) builds one, and a
     slice (a tuple) or an iteration builds only the rows it covers. Each
-    record holds Python scalars, its x a row of xs, and None for a None column.
+    record holds Python scalars, its x a row of xs, and None for a column
+    the report lacks.
 
     f_best is the minimum recorded objective value and it_best the first k
     attaining it. termination is one of the TERMINATION_* constants ("unknown"
@@ -479,9 +479,7 @@ class RunReport:
     gamma: np.ndarray
     alpha: np.ndarray
     ell: np.ndarray
-    step: np.ndarray | None
     snorm: np.ndarray
-    alpha_next: np.ndarray | None
     fbest_gap: np.ndarray | None
     f_best: float
     it_best: int
@@ -498,11 +496,12 @@ class RunReport:
 
 
 def _report(columns, termination: str, method: str | None = None) -> RunReport:
-    """A report of method from columns, a mapping from IterationRecord field
-    names and "fbest_gap" to sequences of Python values, for x of equal-length
-    vectors stacked into one (rows, n) block; a column absent or None is one
-    the source lacks. Other keys are ignored. f_best and it_best are min()
-    and the first index() over f as given, so a NaN keeps their meaning."""
+    """A report of method from columns, a mapping from the names in
+    _RECORD_FIELDS and "fbest_gap" to sequences of Python values, for x of
+    equal-length vectors stacked into one (rows, n) block; a column absent or
+    None is one the source lacks. Other keys are ignored. f_best and it_best
+    are min() and the first index() over f as given, so a NaN keeps their
+    meaning."""
     k, f = columns["k"], columns["f"]
     if not k:
         raise ValueError("a run must visit at least one iterate")

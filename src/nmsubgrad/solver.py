@@ -138,16 +138,16 @@ def solve_nonmonotone(
     """
     from .linesearch import nonmonotone_backtrack
 
-    if cfg.rho <= 0.5:
+    if cfg.rho <= 0.5:  # stacklevel 3 names the caller, past np.errstate's wrapper
         warnings.warn(f"rho = {cfg.rho} <= 1/2: complexity constants are non-positive, "
-                      "rate audits will not apply", TheoryRegimeWarning, stacklevel=2)
+                      "rate audits will not apply", TheoryRegimeWarning, stacklevel=3)
     gammas = gamma_values(cfg.gamma, cfg.max_iters + 1).tolist()  # fails fast on short tables
     max_iters = cfg.max_iters
     value, evaluate, project = problem.value, problem.eval, problem.project
     x = _start_point(problem, x0)
     f = value(x)
     alpha = cfg.alpha1
-    rows = []  # one tuple per step, in IterationRecord field order
+    rows = []  # one tuple per step, in _RECORD_FIELDS order
     tag = TERMINATION_NONFINITE_ORACLE  # unless a break below names another cause
 
     # every exit breaks out with the last iterate still unrecorded; past the
@@ -169,15 +169,15 @@ def solve_nonmonotone(
         if not math.isfinite(snorm_sq):
             break
         try:
-            ell, x_next, f_next, alpha_next, step, _ = nonmonotone_backtrack(
+            ell, x_next, f_next, alpha_next, _, _ = nonmonotone_backtrack(
                 value, project, x, f, s, snorm_sq, alpha, gamma_k, cfg
             )
         except BacktrackFailureError:
             tag = TERMINATION_BACKTRACK_FAILURE
             break
-        rows.append((k, x, f, gamma_k, alpha, ell, step, snorm, alpha_next))
+        rows.append((k, x, f, gamma_k, alpha, ell, snorm))
         x, f, alpha = x_next, f_next, alpha_next
-    rows.append((k, x, f, gamma_k, alpha, 0, 0.0, snorm, alpha))
+    rows.append((k, x, f, gamma_k, alpha, 0, snorm))
     return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag, "nonmonotone")
 
 
@@ -190,8 +190,8 @@ def solve_prefixed(
 ) -> RunReport:
     """x_{k+1} = P_C(x_k - alpha_k * s_k) with alpha_k from the rule.
 
-    Every row uses the ell = 0 sentinel and stores the applied size in both
-    alpha and step; gamma is recorded as NaN (no slack sequence exists here).
+    Every row uses the ell = 0 sentinel and stores the applied size in
+    alpha; gamma is recorded as NaN (no slack sequence exists here).
     A zero subgradient stops the run before any division by ||s_k||, and a
     step that overflows ends it as nonfinite_oracle, without a numpy warning.
     """
@@ -217,9 +217,9 @@ def solve_prefixed(
             tag = TERMINATION_NONFINITE_ORACLE
             break
         size = rule.size(k, snorm)
-        rows.append((k, x, f, nan, size, 0, size, snorm, nan))
+        rows.append((k, x, f, nan, size, 0, snorm))
         x = problem.project(x - s * size)
-    rows.append((k, x, f, nan, nan, 0, 0.0, snorm, nan))
+    rows.append((k, x, f, nan, nan, 0, snorm))
     method = next((m for m, cls in _RULES.items() if type(rule) is cls), type(rule).__name__)
     return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag, method)
 
@@ -268,10 +268,10 @@ def write_trace_csv(report: RunReport, path: str, f_star: float | None = None) -
 
 def read_trace_csv(path: str) -> RunReport:
     """Rebuild a RunReport (termination "unknown", method None), with the
-    fbest_gap column when present. The report's xs, step and alpha_next,
-    which a trace does not serialize, are None; the audits re-derive the step
-    columns from (alpha, ell) and beta. A fault names the file's line, blank
-    lines counted, and a cell that does not parse its column too."""
+    fbest_gap column when present, and xs None: a trace does not serialize
+    the iterates. It has every other column a solver report has. A fault
+    names the file's line, blank lines counted, and a cell that does not
+    parse its column too."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate(map(str.strip, fh), start=1) if ln]
     if len(lines) < 2:

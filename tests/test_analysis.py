@@ -218,7 +218,7 @@ def _outside_regime_run(iters=500):
 def test_default_run_passes_lower_bound_and_rate_bounds():
     prob, cfg, tc, rep = _outside_regime_run()
     # the run breaks theta*gamma_{k+1} <= alpha_{k+1}, as the regime allows
-    assert tc.theta * rep.gamma[1] > rep.alpha_next[0]
+    assert tc.theta * rep.gamma[1] > rep.alpha[1]  # row 2's alpha is alpha_2
     audit = audit_stepwise(rep, prob, cfg, tc)
     assert audit.passed
     assert audit["step_lower_bound"].status == "passed"
@@ -266,6 +266,27 @@ def test_underflowed_gamma_skips_the_rate_checks(beta):
     rates = audit_rate_bounds(rep, prob, cfg, constants(cfg.rho, cfg.beta, prob.L, cfg.c))
     assert {(ch.status, ch.detail) for ch in rates.checks} == {
         ("skipped", "effective Gamma = theta*(2beta - beta/rho) underflows to 0")}
+
+
+# an L whose (1+rho)L^2 overflows gives theta = 0 and so gamma_big = 0 at
+# rho = 0.8: the regime is rho's, so the rate checks name the skip's real
+# cause, no f* on the first instance and an underflowed Gamma on the planted one
+@pytest.mark.parametrize("A, b, planted, why", [
+    ([[1.2e154, 0.0], [1.0, 0.5], [-1.0, 0.2], [0.3, 1.0], [0.1, -1.0]],
+     [-1e160, 0.0, 0.0, 0.0, 0.0], False, "no known optimal value"),
+    ([[1.2e154, 0.0], [-1.2e154, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0] * 4, True,
+     "effective Gamma = theta*(2beta - beta/rho) underflows to 0"),
+], ids=["no-f-star", "planted"])
+def test_overflowed_theta_keeps_the_rho_regime(A, b, planted, why):
+    optimum = dict(x_star=np.zeros(2), f_star=0.0) if planted else {}
+    prob = make_problem(MaxAffineInstance(A=np.array(A), b=np.array(b), **optimum))
+    cfg = SolverConfig(max_iters=30)
+    rep = solve_nonmonotone(prob, cfg, x0=np.array([1e-160, 1.0]))
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+    assert rep.termination == "max_iters" and (tc.theta, tc.gamma_big) == (0.0, 0.0)
+    assert audit_stepwise(rep, prob, cfg, tc).passed
+    assert {(ch.status, ch.detail) for ch in audit_rate_bounds(rep, prob, cfg, tc).checks} == {
+        ("skipped", why)}
 
 
 # alpha_1 decides the rate constants: a bent alpha_1 <= 0 or NaN leaves no
@@ -341,9 +362,7 @@ def test_derived_rungs_match_the_search_bit_for_bit(seed, tmp_path):
 
 def test_unrolled_lower_bound_catches_shrunk_steps():
     prob, cfg, tc, rep = _outside_regime_run(iters=200)
-    records = [r._replace(alpha=r.alpha * 1e-6, alpha_next=r.alpha_next * 1e-6,
-                          step=r.step * 1e-6) if r.k >= 100 else r
-               for r in rep.records]
+    records = [r._replace(alpha=r.alpha * 1e-6) if r.k >= 100 else r for r in rep.records]
     audit = audit_stepwise(build_report(records, rep.termination), prob, cfg, tc)
     assert audit["step_lower_bound"].status == "failed"
     assert audit["step_lower_bound"].worst_index >= 100
@@ -382,9 +401,9 @@ def test_f_perturbation_caught_at_tight_row():
     K = len(rep.records) - 1
     f = np.array([r.f for r in rep.records])
     gam = np.array([r.gamma for r in rep.records])
-    step = np.array([r.step for r in rep.records])
+    step = cfg.beta * np.array([r.alpha for r in rep.records[1:]])  # beta * alpha_next
     sn = np.array([r.snorm for r in rep.records])
-    slack = (f[:K] - cfg.rho * step[:K] * sn[:K] ** 2 + gam[:K]) - f[1 : K + 1]
+    slack = (f[:K] - cfg.rho * step * sn[:K] ** 2 + gam[:K]) - f[1 : K + 1]
     j = int(np.argmin(slack / np.maximum(1.0, np.abs(f[1 : K + 1]))))
     target = j + 1
     bad = _replace_record(
@@ -427,18 +446,6 @@ def test_nan_cell_fails_its_check_as_non_finite():
     assert ch.detail == "non-finite comparison"
 
 
-# only a column the report lacks (None, as in a CSV trace) takes the derived law
-@pytest.mark.parametrize("column", ["alpha_next", "step"])
-def test_nan_cell_in_a_recorded_column_fails_consistency(column):
-    prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5))
-    cfg = SolverConfig(max_iters=100)
-    rep = solve_nonmonotone(prob, cfg)
-    getattr(rep, column)[7] = math.nan
-    ch = audit_stepwise(rep, prob, cfg)["consistency"]
-    assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", math.inf, 8)
-    assert ch.detail == "non-finite comparison"
-
-
 # gamma is fixed by the config: a bent or NaN cell fails consistency at its
 # row, the landed row (whose gamma rate_tail reads) included
 @pytest.mark.parametrize("row, bend", [(7, 1.2), (7, math.nan), (100, 1.2)],
@@ -453,13 +460,12 @@ def test_gamma_cell_off_the_config_fails_consistency(row, bend):
     assert (ch.status, ch.worst_index) == ("failed", row + 1)
 
 
-# a CSV-like trace (no alpha_next or step) whose alpha column is zeroed keeps
-# every ladder and chain law; only row 1's alpha against cfg.alpha1 fails
+# a report whose alpha column is zeroed keeps every ladder and chain law;
+# only row 1's alpha against cfg.alpha1 fails
 def test_first_alpha_off_the_config_fails_consistency():
     prob = make_problem(plant_optimum_max_affine(0, 5, 30, spread=0.5))
     cfg = SolverConfig(max_iters=100)
-    rep = dataclasses.replace(solve_nonmonotone(prob, cfg), alpha=np.zeros(101),
-                              alpha_next=None, step=None)
+    rep = dataclasses.replace(solve_nonmonotone(prob, cfg), alpha=np.zeros(101))
     ch = audit_stepwise(rep, prob, cfg)["consistency"]
     assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", 0.1, 1)
 
@@ -470,17 +476,6 @@ def _planted_200():
     rep = solve_nonmonotone(prob, cfg)
     assert len(rep.k) == 201 and audit_stepwise(rep, prob, cfg).passed
     return prob, cfg, rep
-
-
-# NaN on every row of a recorded column is a fault, not a column the trace lacks
-@pytest.mark.parametrize("columns", [("alpha_next",), ("step",), ("alpha_next", "step")],
-                         ids=["alpha_next", "step", "both"])
-def test_nan_throughout_a_recorded_column_fails_consistency(columns):
-    prob, cfg, rep = _planted_200()
-    bad = dataclasses.replace(rep, **dict.fromkeys(columns, np.full(201, math.nan)))
-    ch = audit_stepwise(bad, prob, cfg)["consistency"]
-    assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", math.inf, 1)
-    assert ch.detail == "non-finite comparison"
 
 
 # the CSV of the same run audits to the same results, bit for bit; only
@@ -503,6 +498,31 @@ def test_csv_round_trip_keeps_every_check_result(tmp_path):
     assert read.pop("quasi_fejer").status == "skipped"
     assert read == kept
     assert sum(ch.status == "passed" for ch in kept.values()) == 7
+
+
+# a report stores what the run decided, as its CSV trace does, so a bent
+# cell that both can carry audits alike in memory and read back from CSV;
+# only quasi_fejer, which needs the iterates, differs
+@pytest.mark.parametrize("column, bend", [
+    ("ell", lambda v: 0), ("alpha", lambda v: v * (1 + 1e-3)), ("f", lambda v: math.nan),
+    ("gamma", lambda v: v * 1.2), ("snorm", lambda v: math.inf), ("k", lambda v: v + 1),
+], ids=["ell-zero", "alpha-up", "f-nan", "gamma-up", "snorm-inf", "k-up"])
+def test_bent_report_audits_alike_in_memory_and_from_csv(tmp_path, column, bend):
+    prob, cfg, rep = _planted_200()
+    bad = _tampered(rep, column, 17, bend(getattr(rep, column)[17]))
+    path = str(tmp_path / "t.csv")
+    write_trace_csv(bad, path, prob.f_star)
+    tc, x1 = constants(cfg.rho, cfg.beta, prob.L, cfg.c), np.zeros(prob.n)
+
+    def results(report):
+        return {ch.name: repr((ch.status, ch.worst_index, ch.worst_violation))
+                for ch in merge_reports(audit_stepwise(report, prob, cfg, tc, x1=x1),
+                                        audit_rate_bounds(report, prob, cfg, tc, x1=x1)).checks
+                if ch.name != "quasi_fejer"}
+
+    in_memory = results(bad)
+    assert any("failed" in r for r in in_memory.values())  # each edit is caught
+    assert results(read_trace_csv(path)) == in_memory
 
 
 def test_step_row_with_ell_zero_fails_consistency():
@@ -826,7 +846,11 @@ def test_quasi_fejer_has_the_bits_of_the_plain_distances(n, iters):
 # sqrt-inverse bounds were written in zeta, and fixture-n10-seed1 when the
 # audit took the line search's own rung(): numpy's vector power had given a
 # 5.4e-20 deviation at its ell = 13 row on CPUs whose numpy dispatches an
-# AVX-512 power loop, and none without one. The JSON writes every float
+# AVX-512 power loop, and none without one; ell-zero when a report stopped
+# storing alpha_next and step: in memory, as from its CSV trace, the bent
+# row's derived rung is NaN, so step_upper_bound, step_lower_bound and
+# sufficient_decrease fail there as a non-finite comparison, where the
+# recorded columns had passed all three. The JSON writes every float
 # with its shortest round-trip repr, so any changed bit of a worst_violation,
 # and any changed status, index or detail, changes the digest.
 
@@ -854,7 +878,7 @@ GOLDEN_AUDITS = {
     "inflated-alpha":
         "c72f8071eaf870486a4ee0d32975f7a705ed98f14f7183d38b53f78fdf4b52e4",
     "ell-zero":
-        "90ce5dcd489606a72bff1c2f581034c6ead51611805766b18b82f6aa202c49ea",
+        "7759a1b35b1c01191c0841f3d22beca1c83ad6ee336e0949040ffe17bbdfe001",
     "inf-snorm":
         "6eb8f28724eea02f5e9908ed37891159e0199de2e6e6c840dde34f0b62d853eb",
 }

@@ -235,6 +235,14 @@ def test_validate_config_warns_small_rho():
         solve_nonmonotone(_tiny_problem(), cfg)
 
 
+# the solver runs under np.errstate's wrapper; the warning names its caller
+def test_small_rho_warning_names_the_caller():
+    cfg = SolverConfig(rho=0.4, max_iters=5)
+    with pytest.warns(TheoryRegimeWarning) as seen:
+        solve_nonmonotone(_tiny_problem(), cfg)
+    assert [w.filename for w in seen] == [__file__]
+
+
 def test_validate_config_collects_every_violation():
     with pytest.raises(ConfigError) as err:
         SolverConfig(c=-1.0, beta=2.0, rho=0.0, alpha1=0.0, max_iters=0)

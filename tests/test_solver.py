@@ -111,10 +111,11 @@ def test_prefixed_rows_use_sentinel_and_nan_gamma():
     for r in report.records:
         assert r.ell == 0
         assert math.isnan(r.gamma)
-        assert math.isnan(r.alpha_next)
-    # step rows store the applied size in alpha; k = 2 uses 0.5/2
+        assert r.alpha_next is None and r.step is None  # a report stores no derived column
+    # step rows store the applied size in alpha; k = 2 uses 0.5/2, and the
+    # landed row applies none
     assert report.records[1].alpha == pytest.approx(0.25)
-    assert report.records[-1].step == 0.0
+    assert math.isnan(report.records[-1].alpha)
 
 
 # every report ends with its landed row, so both solvers count rows - 1 steps
@@ -141,13 +142,16 @@ def test_trace_shape_and_terminal_row():
     report = solve_nonmonotone(prob, CFG)
     assert len(report.records) == CFG.max_iters + 1
     assert report.termination == TERMINATION_MAX_ITERS
-    for r in report.records[:-1]:
+    for r, nxt in zip(report.records, report.records[1:]):
         assert r.ell >= 1
-        assert r.step == pytest.approx(CFG.beta * r.alpha_next, rel=1e-15)
+        # on R^n the applied step beta*alpha_next moves x by step*||s_k||
+        step = CFG.beta * nxt.alpha
+        assert np.linalg.norm(nxt.x - r.x) == pytest.approx(step * r.snorm, rel=1e-12)
     last = report.records[-1]
     assert last.ell == 0
-    assert last.step == 0.0
-    assert last.alpha_next == last.alpha
+    # the landed row carries the last search's alpha_next as its alpha
+    prev = report.records[-2]
+    assert last.alpha == linesearch.rung(prev.alpha, CFG.beta, prev.ell)
     assert last.k == CFG.max_iters + 1
 
 
@@ -156,7 +160,8 @@ def test_alpha_chain_and_monotonicity():
     report = solve_nonmonotone(prob, CFG)
     alphas = [r.alpha for r in report.records]
     for prev, nxt in zip(report.records, report.records[1:]):
-        assert nxt.alpha == pytest.approx(prev.alpha_next, rel=1e-15)
+        # the search's alpha_next, bit for bit
+        assert nxt.alpha == linesearch.rung(prev.alpha, CFG.beta, prev.ell)
     assert all(b <= a * (1 + 1e-15) for a, b in zip(alphas, alphas[1:]))
 
 
@@ -229,7 +234,7 @@ def test_backtrack_cap_only_bounds_ell():
         tracemalloc.stop()
     assert peak < 2**20, peak
     assert big.termination == ref.termination
-    for name in ("k", "f", "gamma", "alpha", "ell", "step", "snorm", "alpha_next", "xs"):
+    for name in ("k", "f", "gamma", "alpha", "ell", "snorm", "xs"):
         np.testing.assert_array_equal(getattr(big, name), getattr(ref, name))
 
 
@@ -263,9 +268,12 @@ def test_trace_csv_roundtrip(tmp_path):
 def test_records_and_csv_rebuild_the_columns(tmp_path):
     prob = _planted(seed=9)
     report = solve_nonmonotone(prob, CFG)
-    names = ("k", "f", "gamma", "alpha", "ell", "step", "snorm", "alpha_next")
+    names = ("k", "f", "gamma", "alpha", "ell", "snorm")
+    # a report stores what the run decided; step and alpha_next are derived
+    assert not hasattr(report, "step") and not hasattr(report, "alpha_next")
     records = report.records
     assert len(records) == len(report.k) == len(report.xs)
+    assert all(r.step is None and r.alpha_next is None for r in records)
     for name in names:
         column = getattr(report, name)
         assert column.dtype == (np.int64 if name in ("k", "ell") else np.float64)
@@ -277,9 +285,10 @@ def test_records_and_csv_rebuild_the_columns(tmp_path):
     path = str(tmp_path / "trace.csv")
     write_trace_csv(report, path, f_star=prob.f_star)
     loaded = read_trace_csv(path)
-    # the columns a trace does not carry are None, in the report and its records
-    assert loaded.xs is None and loaded.step is None and loaded.alpha_next is None
-    for name in ("k", "f", "gamma", "alpha", "ell", "snorm"):
+    # the column a trace does not carry is None, in the report and its records;
+    # every other column is the solver report's
+    assert loaded.xs is None
+    for name in names:
         np.testing.assert_array_equal(getattr(loaded, name), getattr(report, name))
         assert getattr(loaded, name).dtype == getattr(report, name).dtype
     assert all(r.x is None and r.step is None and r.alpha_next is None for r in loaded.records)
@@ -303,7 +312,7 @@ def _cells(record):
 
 
 def _column_cells(report, i):
-    cols = (report.xs if name == "x" else getattr(report, name)
+    cols = (report.xs if name == "x" else getattr(report, name, None)
             for name in IterationRecord._fields)
     return _cells([None if col is None else col[i] if col.ndim > 1 else col[i].item()
                    for col in cols])
