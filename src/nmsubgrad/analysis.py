@@ -115,24 +115,24 @@ def _normalized(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.divide(lhs - rhs, scale, out=scale)
 
 
-def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, ks: np.ndarray) -> CheckResult:
-    """Check lhs_k <= rhs_k for all k; the worst normalized violation decides."""
+def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, first: int = 1) -> CheckResult:
+    """Check lhs_i <= rhs_i for all i; the worst violation decides, at row first + i."""
     viol = _normalized(lhs, rhs)
     # finite entries are at most 2(1+eps), so this is finite exactly when all are
     if not math.isfinite(viol.dot(viol)):
         idx = int((~np.isfinite(viol)).argmax())
-        return CheckResult(name, FAILED, math.inf, int(ks[idx]), "non-finite comparison")
+        return CheckResult(name, FAILED, math.inf, first + idx, "non-finite comparison")
     idx = int(viol.argmax())
     worst = float(viol[idx])
     status = PASSED if worst <= REL_SLACK else FAILED
-    return CheckResult(name, status, worst, int(ks[idx]))
+    return CheckResult(name, status, worst, first + idx)
 
 
-def _under_bound(name: str, lhs: np.ndarray, bound: np.ndarray, ks: np.ndarray) -> CheckResult:
+def _under_bound(name: str, lhs: np.ndarray, bound: np.ndarray, first: int = 1) -> CheckResult:
     """_worst of lhs_k <= bound_k for a derived bound: one that overflowed to
     +inf holds, read as the largest double, which no double lhs exceeds; a NaN
     bound still fails as a non-finite comparison."""
-    return _worst(name, lhs, np.minimum(bound, DBL_MAX), ks)
+    return _worst(name, lhs, np.minimum(bound, DBL_MAX), first)
 
 
 def _skip(name: str, why: str) -> CheckResult:
@@ -219,8 +219,10 @@ def audit_stepwise(
 
     step_upper_bound and quasi_fejer read their right sides through
     _under_bound, as audit_rate_bounds reads its bounds: one that overflows
-    to +inf holds, and a NaN fails. quasi_fejer is skipped when a squared
-    distance to x* overflows, as then neither side can be formed.
+    to +inf holds, and a NaN fails; where only gamma_k^2 overflows,
+    quasi_fejer forms its term as ((beta*c/rho)*gamma_k)*gamma_k. It is
+    skipped when a squared distance to x* overflows, as then neither side
+    can be formed.
 
     Every report, in memory or from CSV, takes the derived ladder:
     alpha_next is linesearch.rung(alpha, beta, ell), the code the search
@@ -237,7 +239,6 @@ def audit_stepwise(
         return AuditReport(checks=tuple(_skip(n, why) for n in names))
 
     beta, c, rho = cfg.beta, cfg.c, cfg.rho
-    ks = report.k[:K]
     ell = report.ell[:K]
     alpha = report.alpha[:K]
     gamma = report.gamma[:K]
@@ -274,18 +275,18 @@ def audit_stepwise(
             if not (recorded == expected).all():  # exact first: a law that holds costs one ==
                 span = dev[: len(recorded)]  # abs commutes with /scale
                 np.maximum(span, np.abs(_normalized(recorded, expected)), out=span)
-        checks.append(_worst("consistency", dev, np.zeros(K + 1), report.k))
+        checks.append(_worst("consistency", dev, np.zeros(K + 1)))
 
-    checks.append(_under_bound("step_upper_bound", alpha_next, c * gamma, ks))
+    checks.append(_under_bound("step_upper_bound", alpha_next, c * gamma))
 
     if tc is None:
         checks.append(_skip("step_lower_bound", "no Lipschitz constant supplied"))
     else:
         unrolled = np.minimum(alpha[0], min(tc.theta, beta * c) * gamma)
-        checks.append(_worst("step_lower_bound", unrolled, alpha_next, ks))
+        checks.append(_worst("step_lower_bound", unrolled, alpha_next))
 
     decrease_rhs = f[:K] - rho * (beta * alpha_next) * (snorm * snorm) + gamma
-    checks.append(_worst("sufficient_decrease", f[1 : K + 1], decrease_rhs, ks))
+    checks.append(_worst("sufficient_decrease", f[1 : K + 1], decrease_rhs))
 
     if report.xs is None:
         checks.append(_skip("quasi_fejer", "trace carries no iterates (CSV round-trip)"))
@@ -298,8 +299,12 @@ def audit_stepwise(
         if dist_sq.max() == math.inf:  # a NaN row propagates through max and fails
             checks.append(_skip("quasi_fejer", "a squared distance to x* overflows"))
         else:
-            rhs = dist_sq[:K] + (beta * c / rho) * (gamma * gamma)
-            checks.append(_under_bound("quasi_fejer", dist_sq[1 : K + 1], rhs, ks))
+            term = (beta * c / rho) * (gamma * gamma)
+            if term.max() == math.inf:  # gamma_k^2 overflowed, where the term may not
+                over = term == math.inf
+                term[over] = beta * c / rho * gamma[over] * gamma[over]
+            rhs = dist_sq[:K] + term
+            checks.append(_under_bound("quasi_fejer", dist_sq[1 : K + 1], rhs))
 
     return AuditReport(checks=tuple(checks))
 
@@ -348,13 +353,14 @@ def audit_rate_bounds(
        step_lower_bound gives t_k >= beta*theta*gamma_{k+1}; with f_k >= f*
        and rho > 1/2, summing step 4 over k <= N gives rate_general.
     rate_tail uses sum gamma_{k+1} >= N*gamma_{N+1}. Where sum gamma_k^2
-    overflows, a quotient can be inf/inf. With S = sum_{k<=N} gamma_{k+1},
-    which is at most sum_{k<=N} gamma_k, Cauchy-Schwarz gives
-    sum gamma_k^2 >= S^2/N, and N*gamma_{N+1} <= S, so both rate_general and
-    rate_tail are at least (beta*c/rho)*S/(N*Gamma); once sum gamma_k^2
-    overflows, that floor, with S read as at most the largest double, stands
-    in for a smaller or NaN quotient. For gamma_k = zeta/sqrt(k),
-    sum_{k<=N} gamma_k^2 = zeta^2 * sum 1/k <= zeta^2*(1 + ln N) and
+    overflows, their numerator is formed again as ((beta*c/rho)*s)*(s*sum
+    (gamma_k/s)^2) with s = gamma_1, so only a numerator that overflows itself
+    is +inf, and a quotient can be inf/inf. With S = sum_{k<=N} gamma_{k+1},
+    at most sum_{k<=N} gamma_k, Cauchy-Schwarz gives sum gamma_k^2 >= S^2/N,
+    and N*gamma_{N+1} <= S, so both are at least (beta*c/rho)*S/(N*Gamma);
+    once the numerator overflows, that floor, with S read as at most the
+    largest double, stands in for a smaller or NaN quotient. For
+    gamma_k = zeta/sqrt(k), sum_{k<=N} gamma_k^2 <= zeta^2*(1 + ln N) and
     sum_{k<=N} gamma_{k+1} >= 2*zeta*(sqrt(N+2) - sqrt(2)) >= zeta*sqrt(N)/4;
     put into rate_general, they give rate_sqrt_log. Its row N = 1 takes no
     kappa*ln N term (kappa = zeta*beta*c/rho), so an overflowed kappa gives
@@ -413,12 +419,16 @@ def audit_rate_bounds(
     else:
         dist_sq = float(np.dot(x1 - x_star, x1 - x_star))
         numer = dist_sq + (beta / rho) * c * sum_sq
+        if numer[-1] == math.inf:  # sum gamma_k^2 overflowed: scale it by s = gamma_1
+            over, s = numer == math.inf, gamma[0]
+            scaled = np.add.accumulate(np.square(gamma[:K] / s))[over]
+            numer[over] = dist_sq + ((beta / rho) * c * s) * (s * scaled)
         general = numer / (Gamma * sum_shift)
         tail = numer / (Gamma * Ns * gamma[1 : K + 1])
-        if numer[-1] == math.inf:  # sum gamma_k^2 overflowed: floor both quotients
+        if numer[-1] == math.inf:  # the numerator overflows: floor both quotients
             floor = (beta / rho) * c * np.minimum(sum_shift, DBL_MAX) / (Gamma * Ns)
             general, tail = np.fmax(general, floor), np.fmax(tail, floor)
-        checks.append(_under_bound("rate_general", gap, general, Ns))
+        checks.append(_under_bound("rate_general", gap, general))
         if zeta is None:
             checks.append(_skip("rate_sqrt_log", "gamma is not the sqrt-inverse kind"))
         else:
@@ -426,8 +436,8 @@ def audit_rate_bounds(
             log_term = kappa * np.log(Ns)
             log_term[0] = 0.0  # ln 1 = 0, also where kappa overflowed (inf * 0 is NaN)
             bound = (4.0 / Gamma) * (dist_sq / zeta + kappa + log_term) / np.sqrt(Ns)
-            checks.append(_under_bound("rate_sqrt_log", gap, bound, Ns))
-        checks.append(_under_bound("rate_tail", gap, tail, Ns))
+            checks.append(_under_bound("rate_sqrt_log", gap, bound))
+        checks.append(_under_bound("rate_tail", gap, tail))
 
     D = diameter_sq(problem.cset)
     if D is None:
@@ -437,10 +447,9 @@ def audit_rate_bounds(
     elif K < 2:
         checks.append(_skip("rate_compact", "needs at least two steps"))
     else:
-        Ns2 = Ns[1:]
         bound = 4.0 * (D / zeta + zeta * beta * c / rho * math.log(3.0)) / (
-            Gamma * np.sqrt(Ns2 + 2.0))
-        checks.append(_under_bound("rate_compact", gap[1:], bound, Ns2))
+            Gamma * np.sqrt(Ns[1:] + 2.0))
+        checks.append(_under_bound("rate_compact", gap[1:], bound, first=2))
 
     sigma = problem.sigma
     seq = cfg.gamma
@@ -456,6 +465,6 @@ def audit_rate_bounds(
         checks.append(_skip("rate_strongly_convex", "gamma parameters do not match the run"))
     else:
         bound = (8.0 * beta * c) / (rho * sigma * beta * theta * Gamma * (Ns + 1.0))
-        checks.append(_under_bound("rate_strongly_convex", gap, bound, Ns))
+        checks.append(_under_bound("rate_strongly_convex", gap, bound))
 
     return AuditReport(checks=tuple(checks))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import repeat
 from typing import NamedTuple, Union
@@ -396,11 +395,11 @@ def config_from_keyvalues(text: str) -> SolverConfig:
 
 
 class IterationRecord(NamedTuple):
-    """One visited iterate. A line-search row has ell >= 1; the landed row,
-    and every row of a prefixed run (its alpha the applied size), has the
-    ell = 0 sentinel. x is None in a CSV trace. step and alpha_next are
-    always None: audit_stepwise derives alpha_next = beta**(ell-1)*alpha and
-    step = beta*alpha_next from the choices a report records."""
+    """One visited iterate, as RunReport.records builds it; no solve or audit
+    builds one. A line-search row has ell >= 1; the landed row, and every row
+    of a prefixed run (its alpha the applied size), has the ell = 0 sentinel.
+    x is None in a CSV trace. step and alpha_next are always None:
+    audit_stepwise derives alpha_next = beta**(ell-1)*alpha and its step."""
 
     k: int
     x: np.ndarray | None
@@ -419,32 +418,20 @@ _COLUMN_OF = {"x": "xs"}  # a record field's RunReport column, where the names d
 _RECORD_COLUMNS = tuple(_COLUMN_OF.get(name, name) for name in IterationRecord._fields)
 
 
-class _Records(Sequence):
-    """RunReport.records: the report's rows as IterationRecords, each built
-    from the columns only when asked for."""
+@dataclass(frozen=True)
+class _Records:
+    """RunReport.records: the report's rows as IterationRecords, built from
+    the columns as the view is iterated; len builds none."""
 
-    __slots__ = ("_report",)
-
-    def __init__(self, report: RunReport):
-        self._report = report
+    _report: RunReport
 
     def __len__(self) -> int:
         return len(self._report.k)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self._build(index))
-        index = range(len(self))[index]  # IndexError past either end
-        return next(self._build(slice(index, index + 1)))
-
     def __iter__(self):
-        return self._build(slice(None))
-
-    def _build(self, rows: slice):
-        """The records of rows, one column per IterationRecord field (None if absent)."""
         cols = (getattr(self._report, name, None) for name in _RECORD_COLUMNS)
-        return map(IterationRecord, *(repeat(None) if col is None else col[rows] if col.ndim > 1
-                                      else col[rows].tolist() for col in cols))
+        return map(IterationRecord, *(repeat(None) if col is None else col if col.ndim > 1
+                                      else col.tolist() for col in cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,18 +446,18 @@ class RunReport:
     fbest_gap but in a trace that carries it), so a NaN in a recorded column
     is always a fault.
 
-    records is a read-only Sequence view of the rows as IterationRecords,
-    made anew on every access and holding no record itself: len(records) is
-    len(k) and builds none, records[i] (negative i too) builds one, and a
-    slice (a tuple) or an iteration builds only the rows it covers. Each
-    record holds Python scalars, its x a row of xs, and None for a column
-    the report lacks.
+    A row is named by its 1-based position, which a well-formed report's k
+    column repeats. records is an iterable view of the rows as
+    IterationRecords, made anew on every access: len(records) is len(k) and
+    builds none, and a loop builds each record as it reaches it, of Python
+    scalars, its x a row of xs, and None for a column the report lacks.
 
-    f_best is the minimum recorded objective value and it_best the first k
-    attaining it. termination is one of the TERMINATION_* constants ("unknown"
-    only for traces reconstructed from CSV). method names the run's method
-    as run's --method does (a rule outside that table by its class name),
-    or is None for a CSV trace until check reads its summary.
+    f_best is the minimum recorded objective value and it_best the position
+    of the first row attaining it. termination is one of the TERMINATION_*
+    constants ("unknown" only for traces reconstructed from CSV). method
+    names the run's method as run's --method does (a rule outside that table
+    by its class name), or is None for a CSV trace until check reads its
+    summary.
     """
 
     k: np.ndarray
@@ -487,7 +474,7 @@ class RunReport:
     method: str | None
 
     @property
-    def records(self) -> Sequence[IterationRecord]:
+    def records(self) -> _Records:
         return _Records(self)
 
     @property
@@ -500,8 +487,8 @@ def _report(columns, termination: str, method: str | None = None) -> RunReport:
     _RECORD_FIELDS and "fbest_gap" to sequences of Python values, for x of
     equal-length vectors stacked into one (rows, n) block; a column absent or
     None is one the source lacks. Other keys are ignored. f_best and it_best
-    are min() and the first index() over f as given, so a NaN keeps their
-    meaning."""
+    are min() and one past the first index() over f as given, so a NaN keeps
+    their meaning."""
     k, f = columns["k"], columns["f"]
     if not k:
         raise ValueError("a run must visit at least one iterate")
@@ -509,5 +496,5 @@ def _report(columns, termination: str, method: str | None = None) -> RunReport:
     arrays = {_COLUMN_OF.get(name, name): None if columns.get(name) is None else np.array(
         columns[name], dtype=np.int64 if name in ("k", "ell") else np.float64)
         for name in (*_RECORD_FIELDS, "fbest_gap")}
-    return RunReport(**arrays, f_best=best, it_best=k[f.index(best)], termination=termination,
+    return RunReport(**arrays, f_best=best, it_best=f.index(best) + 1, termination=termination,
                      method=method)

@@ -193,31 +193,35 @@ class MaxAffineInstance:
 
 
 def _check_planted(inst: MaxAffineInstance) -> None:
-    val = _kernels.max_affine_eval(inst.A, inst.b, inst.sigma, inst.x_star)[0]
-    scale = max(1.0, abs(inst.f_star))
-    if abs(val - inst.f_star) > PLANT_TOL * scale:
+    val, resid, active_max = _certificate(inst)
+    if not abs(val - inst.f_star) <= PLANT_TOL * max(1.0, abs(inst.f_star)):  # NaN fails too
         raise ValueError(
             f"planted value mismatch: f(x_star) = {val!r} but f_star = {inst.f_star!r}"
         )
-    resid, active_max = _certificate(inst)
     if resid > PLANT_TOL * max(1.0, active_max):
         raise ValueError(f"planted certificate fails: |mean active grad + sigma*x*| = {resid}")
 
 
-def _certificate(inst: MaxAffineInstance) -> tuple[float, float]:
-    """(planted_certificate_residual, max |a_ij| over the active pieces): the
-    pieces the certificate averages scale its tolerance, so a huge entry of
-    an inactive piece cannot let a broken certificate through."""
-    vals = inst.A.dot(inst.x_star)
+@np.errstate(over="ignore")  # an A x_star that overflows fails the value check, silently
+def _certificate(inst: MaxAffineInstance) -> tuple[float, float, float]:
+    """(f(x_star) as max_affine_eval forms it, planted_certificate_residual,
+    max |a_ij| over the active pieces) from one A x_star + b: a huge entry of
+    an inactive piece cannot let a broken certificate through. A top piece of
+    +inf or NaN has no active set, and the last two are NaN."""
+    x = inst.x_star
+    vals = inst.A.dot(x)
     vals += inst.b
     top = vals.item(vals.argmax())
+    value = top + 0.5 * inst.sigma * float(x.dot(x)) if inst.sigma > 0.0 else top
+    if not top < math.inf:
+        return value, math.nan, math.nan
     active = inst.A[vals >= top - 1e-9 * max(1.0, abs(top))]
     active_max = max(active.item(active.argmax()), -active.item(active.argmin()))
     g = np.add.reduce(active, axis=0)
     g /= active.shape[0]
     if inst.sigma > 0.0:  # at sigma = 0 the term only flips the sign of zeros
-        g += inst.sigma * inst.x_star
-    return math.sqrt(g.dot(g)), active_max
+        g += inst.sigma * x
+    return value, math.sqrt(g.dot(g)), active_max
 
 
 def planted_certificate_residual(inst: MaxAffineInstance) -> float:
@@ -226,7 +230,7 @@ def planted_certificate_residual(inst: MaxAffineInstance) -> float:
     numpy's: a sum over the rows divided by their count."""
     if inst.x_star is None:
         raise ValueError("instance has no planted optimum")
-    return _certificate(inst)[0]
+    return _certificate(inst)[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -169,7 +169,7 @@ def solve_nonmonotone(
         if not math.isfinite(snorm_sq):
             break
         try:
-            ell, x_next, f_next, alpha_next, _, _ = nonmonotone_backtrack(
+            ell, x_next, f_next, alpha_next, _ = nonmonotone_backtrack(
                 value, project, x, f, s, snorm_sq, alpha, gamma_k, cfg
             )
         except BacktrackFailureError:
@@ -281,21 +281,20 @@ def read_trace_csv(path: str) -> RunReport:
         raise ValueError(f"{path}: unrecognized trace header {list(header)!r}")
     rows = [line.split(",") for _, line in lines[1:]]
     parse = [int if name in _INT_COLUMNS else float for name in header]
-    try:  # the strict zips raise on a row of another width
-        col = {name: list(map(read, cells)) for name, read, cells
-               in zip(header, parse, zip(*rows, strict=True), strict=True)}
-    except ValueError:  # the fault is found only now, so a clean read costs nothing more
+    try:  # the strict zips raise on a row of another width, _report on an int outside int64
+        return _report({name: list(map(read, cells)) for name, read, cells
+                        in zip(header, parse, zip(*rows, strict=True), strict=True)}, "unknown")
+    except (ValueError, OverflowError):  # found only now, so a clean read costs nothing more
         for (lineno, _), cells in zip(lines[1:], rows):
             if len(cells) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
                                  f"got {len(cells)}") from None
             for name, read, cell in zip(header, parse, cells):
                 try:
-                    read(cell)
+                    value = read(cell)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: column {name!r}: {cell!r} is not "
                                      f"{'an integer' if read is int else 'a number'}") from None
-    try:
-        return _report(col, "unknown")
-    except OverflowError:  # an int cell outside int64
-        raise ValueError(f"{path}: integer cell out of range for int64") from None
+                if read is int and not -2**63 <= value < 2**63:
+                    raise ValueError(f"{path}:{lineno}: column {name!r}: {cell!r} is out of "
+                                     "range for int64") from None

@@ -17,7 +17,6 @@ import numpy as np
 
 from nmsubgrad.analysis import REL_SLACK
 from nmsubgrad.core import (
-    IterationRecord,
     _config_from_items,
     _config_items,
     _json_value,
@@ -289,13 +288,11 @@ def worst_ref(lhs, rhs) -> tuple[float, int]:
     return viol[i], i
 
 
-def build_report(records: list[IterationRecord], termination: str):
-    """A RunReport from IterationRecord rows, through the package's column
-    constructor; a field that is None in any row is a column the report
-    lacks (None), as in a report read from CSV."""
-    columns = {name: [getattr(r, name) for r in records] for name in IterationRecord._fields}
-    return _report({name: None if any(v is None for v in col) else col
-                    for name, col in columns.items()}, termination)
+def build_report(termination: str, **columns):
+    """A RunReport of the given columns, lists of Python values named as in
+    core._RECORD_FIELDS, through the package's column constructor; a column
+    not given is one the report lacks, as xs in a report read from CSV."""
+    return _report(columns, termination)
 
 
 # ----- slack-sequence diagnostics -----

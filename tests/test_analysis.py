@@ -34,7 +34,6 @@ from nmsubgrad.analysis import REL_SLACK, CheckResult, _worst
 from nmsubgrad.solver import METHODS, _RULES, _best_gaps
 from conftest import ITERS, _benchmark_configs
 from oracles import (
-    build_report,
     check_sum_lemmas,
     sum_lemma_sides_ref,
     sum_lemma_sweep,
@@ -184,7 +183,7 @@ def test_a_rule_outside_the_table_is_named_by_its_class():
 def test_a_report_of_no_method_is_audited_as_nonmonotone():
     prob, cfg, _ = _planted_run(iters=50)
     prefixed = solve_prefixed(prob, ConstantStep(0.1), 50)
-    rep = build_report(list(prefixed.records), prefixed.termination)
+    rep = dataclasses.replace(prefixed, method=None)
     assert rep.method is None
     assert (rep.ell == 0).all() and np.isnan(rep.gamma).all()  # both prefixed marks
     ch = audit_stepwise(rep, prob, cfg)["consistency"]
@@ -342,6 +341,37 @@ def test_overflowed_squared_distances_skip_quasi_fejer():
         ("skipped", "a squared distance to x* overflows")]
 
 
+# a bound that overflows only in an intermediate product is formed again in a
+# scaled order. With c = 1e-100 and zeta = 1e200, gamma_1^2 and sum gamma_k^2
+# overflow, though quasi_fejer's term (beta*c/rho)*gamma_1^2 is about 1e300
+# and rate_general's bound at N = 1 about 10^301.4. A gap of 1e302 at row 1,
+# or a squared distance of about 3e302 at row 18, lies between such a bound
+# and the largest double, which the overflowed bound was read as
+@pytest.mark.parametrize("column, names, row", [
+    ("f", ["rate_general", "rate_tail"], 1), ("xs", ["quasi_fejer"], 17),
+])
+def test_a_bound_that_overflows_only_in_a_product_is_checked(column, names, row):
+    prob = make_problem(plant_optimum_max_affine(1, 3, 6))
+    cfg = SolverConfig(max_iters=30, c=1e-100, gamma=SqrtInverse(1e200))
+    rep = solve_nonmonotone(prob, cfg)
+    tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
+
+    def audit(report):
+        return merge_reports(audit_stepwise(report, prob, cfg, tc),
+                             audit_rate_bounds(report, prob, cfg, tc))
+
+    assert audit(rep).passed
+    if column == "f":
+        bad = _tampered(rep, "f", 0, prob.f_star + 1e302)
+    else:
+        bad = _tampered(rep, "xs", 17, prob.x_star + 1e151)
+    checks = audit(bad)
+    for name in names:
+        ch = checks[name]
+        assert (ch.status, ch.worst_index, ch.detail) == ("failed", row, "")
+        assert 0.5 < ch.worst_violation < 1.0
+
+
 # the audit derives each recorded rung with the search's own rung(), so the
 # ladder law holds exactly, in memory and after a CSV round trip, where the
 # alpha chain is checked against the derived rungs; numpy's vector power
@@ -362,8 +392,9 @@ def test_derived_rungs_match_the_search_bit_for_bit(seed, tmp_path):
 
 def test_unrolled_lower_bound_catches_shrunk_steps():
     prob, cfg, tc, rep = _outside_regime_run(iters=200)
-    records = [r._replace(alpha=r.alpha * 1e-6) if r.k >= 100 else r for r in rep.records]
-    audit = audit_stepwise(build_report(records, rep.termination), prob, cfg, tc)
+    alpha = rep.alpha.copy()
+    alpha[99:] *= 1e-6  # rows 100 on
+    audit = audit_stepwise(dataclasses.replace(rep, alpha=alpha), prob, cfg, tc)
     assert audit["step_lower_bound"].status == "failed"
     assert audit["step_lower_bound"].worst_index >= 100
 
@@ -376,16 +407,10 @@ def test_unrolled_lower_bound_catches_shrunk_steps():
 # by a sound checker, so the tight row is the meaningful target).
 
 
-def _replace_record(report, idx, **changes):
-    records = list(report.records)
-    records[idx] = records[idx]._replace(**changes)
-    return build_report(records, report.termination)
-
-
 @pytest.mark.parametrize("row", [0, 17, 150, 299, 300])
 def test_alpha_perturbation_always_caught(row):
     prob, cfg, rep = _planted_run(seed=3)
-    bad = _replace_record(rep, row, alpha=rep.records[row].alpha * (1 + 1e-3))
+    bad = _tampered(rep, "alpha", row, rep.alpha[row] * (1 + 1e-3))
     audit = audit_stepwise(bad, prob, cfg)
     assert not audit.passed
     assert audit["consistency"].status == "failed"
@@ -398,20 +423,16 @@ def test_f_perturbation_caught_at_tight_row():
     prob = make_problem(inst)
     cfg = SolverConfig(gamma=SqrtInverse(0.01), max_iters=3000, **PARAMS)
     rep = solve_nonmonotone(prob, cfg)
-    K = len(rep.records) - 1
-    f = np.array([r.f for r in rep.records])
-    gam = np.array([r.gamma for r in rep.records])
-    step = cfg.beta * np.array([r.alpha for r in rep.records[1:]])  # beta * alpha_next
-    sn = np.array([r.snorm for r in rep.records])
+    K = len(rep.k) - 1
+    f, gam, sn = rep.f, rep.gamma, rep.snorm
+    step = cfg.beta * rep.alpha[1:]  # beta * alpha_next
     slack = (f[:K] - cfg.rho * step * sn[:K] ** 2 + gam[:K]) - f[1 : K + 1]
     j = int(np.argmin(slack / np.maximum(1.0, np.abs(f[1 : K + 1]))))
     target = j + 1
-    bad = _replace_record(
-        rep, target, f=f[target] + 1e-3 * abs(f[target])
-    )
+    bad = _tampered(rep, "f", target, f[target] + 1e-3 * abs(f[target]))
     audit = audit_stepwise(bad, prob, cfg)
     assert audit["sufficient_decrease"].status == "failed"
-    assert audit["sufficient_decrease"].worst_index == rep.records[j].k
+    assert audit["sufficient_decrease"].worst_index == j + 1  # the step into the bent row
 
 
 def test_x_perturbation_caught_at_tight_row():
@@ -425,21 +446,20 @@ def test_x_perturbation_caught_at_tight_row():
     cfg = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=5e-4,
                        gamma=SqrtInverse(0.001), max_iters=200)
     rep = solve_nonmonotone(prob, cfg, x0=np.array([10.0]))
-    K = len(rep.records) - 1
-    X = np.vstack([r.x for r in rep.records])
+    K = len(rep.k) - 1
+    X, gam = rep.xs, rep.gamma
     d2 = (X**2).sum(axis=1)
-    gam = np.array([r.gamma for r in rep.records])
     slack = d2[:K] + (cfg.beta * cfg.c / cfg.rho) * gam[:K] ** 2 - d2[1 : K + 1]
     j = int(np.argmin(slack / np.maximum(1.0, d2[1 : K + 1])))
     target = j + 1
-    bad = _replace_record(rep, target, x=X[target] * (1 + 1e-3))
+    bad = _tampered(rep, "xs", target, X[target] * (1 + 1e-3))
     audit = audit_stepwise(bad, prob, cfg)
     assert audit["quasi_fejer"].status == "failed"
 
 
 def test_nan_cell_fails_its_check_as_non_finite():
     prob, cfg, rep = _planted_run(seed=3)
-    bad = _replace_record(rep, 40, f=math.nan)
+    bad = _tampered(rep, "f", 40, math.nan)
     audit = audit_stepwise(bad, prob, cfg)
     ch = audit["sufficient_decrease"]
     assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", math.inf, 40)
@@ -527,7 +547,7 @@ def test_bent_report_audits_alike_in_memory_and_from_csv(tmp_path, column, bend)
 
 def test_step_row_with_ell_zero_fails_consistency():
     prob, cfg, rep = _planted_run(seed=3)
-    bad = _replace_record(rep, 17, ell=0)
+    bad = _tampered(rep, "ell", 17, 0)
     ch = audit_stepwise(bad, prob, cfg)["consistency"]
     assert (ch.status, ch.worst_violation, ch.worst_index) == ("failed", math.inf, 18)
     assert ch.detail == "step row with ell < 1"
@@ -790,7 +810,7 @@ def test_worst_reports_the_first_non_finite_comparison(side, bad):
     rhs = np.zeros(5)
     (lhs if side == "lhs" else rhs)[[2, 4]] = bad
     with np.errstate(invalid="ignore"):
-        ch = _worst("check", lhs, rhs, np.arange(10, 15))
+        ch = _worst("check", lhs, rhs, first=10)
     assert ch == CheckResult("check", "failed", math.inf, 12, "non-finite comparison")
 
 
@@ -798,7 +818,7 @@ def test_worst_reports_an_overflowing_difference_as_non_finite():
     lhs = np.array([0.0, 5.0, 1e308, -1e308])
     rhs = np.array([0.0, 0.0, -1e308, 1e308])
     with np.errstate(over="ignore"):
-        ch = _worst("check", lhs, rhs, np.arange(1, 5))
+        ch = _worst("check", lhs, rhs)
     assert ch == CheckResult("check", "failed", math.inf, 3, "non-finite comparison")
 
 
@@ -815,7 +835,7 @@ def test_worst_matches_the_elementwise_reference(pairs):
     rhs = np.array([b for _, b in pairs])
     worst, i = worst_ref(lhs, rhs)
     with np.errstate(all="ignore"):
-        ch = _worst("check", lhs, rhs, np.arange(1, len(pairs) + 1))
+        ch = _worst("check", lhs, rhs)
     status = "passed" if worst <= REL_SLACK else "failed"
     assert (ch.status, repr(ch.worst_violation), ch.worst_index) == (status, repr(worst), i + 1)
     assert ch.detail == ("non-finite comparison" if worst == math.inf else "")
@@ -834,7 +854,7 @@ def test_quasi_fejer_has_the_bits_of_the_plain_distances(n, iters):
     K = len(rep.k) - 1
     dist_sq = ((rep.xs - inst.x_star[None, :]) ** 2).sum(axis=1)
     rhs = dist_sq[:K] + (cfg.beta * cfg.c / cfg.rho) * rep.gamma[:K] ** 2
-    expected = _worst("quasi_fejer", dist_sq[1:], rhs, rep.k[:K])
+    expected = _worst("quasi_fejer", dist_sq[1:], rhs)
     assert audit_stepwise(rep, prob, cfg)["quasi_fejer"] == expected
 
 

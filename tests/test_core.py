@@ -22,7 +22,7 @@ from nmsubgrad import (
     plant_optimum_max_affine,
     solve_nonmonotone,
 )
-from nmsubgrad.core import IterationRecord, as_point
+from nmsubgrad.core import as_point
 
 from oracles import (
     GammaDiagnostics,
@@ -476,22 +476,18 @@ def test_package_all_is_the_modules_lists():
 # ----- run reports -----
 
 
-def _rec(k, f):
-    return IterationRecord(k=k, x=None, f=f, gamma=1.0, alpha=0.1,
-                           ell=1, step=0.09, snorm=1.0, alpha_next=0.1)
-
-
 def test_build_report_best_is_first_minimum():
-    rep = build_report([_rec(1, 3.0), _rec(2, 1.0), _rec(3, 1.0), _rec(4, 2.0)],
-                       "max_iters")
+    rep = build_report("max_iters", k=[1, 2, 3, 4], f=[3.0, 1.0, 1.0, 2.0])
     assert rep.f_best == 1.0
     assert rep.it_best == 2
     assert rep.n_steps == 3  # the last row is read as the landed iterate
+    # it_best is a position, whatever a bent k column holds
+    assert build_report("unknown", k=[7, 7, 7], f=[3.0, 1.0, 2.0]).it_best == 2
 
 
 def test_build_report_requires_records():
     with pytest.raises(ValueError):
-        build_report([], "max_iters")
+        build_report("max_iters", k=[], f=[])
 
 
 # f_best and it_best are min() and list.index() over the f values as given:
@@ -501,7 +497,7 @@ def test_build_report_requires_records():
     ([3.0, math.nan, 1.0, 2.0], 3),
 ], ids=["nan_first", "nan_mid"])
 def test_build_report_best_with_nan(fs, it_best):
-    rep = build_report([_rec(k, f) for k, f in enumerate(fs, 1)], "backtrack_failure")
+    rep = build_report("backtrack_failure", k=list(range(1, len(fs) + 1)), f=fs)
     assert rep.it_best == it_best
     best = fs[it_best - 1]
     assert rep.f_best == best or (math.isnan(rep.f_best) and math.isnan(best))

@@ -39,7 +39,7 @@ def test_first_rung_accepted():
     )
     assert out.ell == 1
     assert out.alpha_next == 0.05  # beta**0 * alpha
-    assert out.step == pytest.approx(0.045, rel=1e-15)
+    assert CFG.beta * out.alpha_next == pytest.approx(0.045, rel=1e-15)  # the applied step
     np.testing.assert_allclose(out.x_next, [-0.045], rtol=1e-15)
     assert out.f_next == pytest.approx(-0.045, rel=1e-15)
     assert out.trials == 1
@@ -68,7 +68,7 @@ def test_outcome_internal_laws():
         x_k=np.array([1.0]), f_k=1.0, s_k=np.array([1.0]), snorm_sq=1.0,
         alpha_k=0.37, gamma_k=0.05, cfg=CFG,
     )
-    assert out.step == pytest.approx(CFG.beta * out.alpha_next, rel=1e-15)
+    assert out.x_next.tolist() == [1.0 - CFG.beta * out.alpha_next]  # x_k - s_k * step
     assert out.alpha_next == pytest.approx(
         CFG.beta ** (out.ell - 1) * 0.37, rel=1e-15
     )
@@ -108,7 +108,7 @@ def test_matches_reference_scan(seed, alpha, gamma, c, rho, beta):
     )
     assert out.ell == ref["ell"]
     assert out.alpha_next == pytest.approx(ref["alpha_next"], rel=1e-12)
-    assert out.step == pytest.approx(ref["step"], rel=1e-12)
+    assert cfg.beta * out.alpha_next == pytest.approx(ref["step"], rel=1e-12)
     np.testing.assert_allclose(out.x_next, ref["x_next"], rtol=1e-12, atol=1e-15)
     assert out.f_next == pytest.approx(ref["f_next"], rel=1e-12, abs=1e-12)
 
@@ -134,7 +134,7 @@ def test_accepted_rung_is_minimal(seed, alpha, gamma):
     beta, c, rho = CFG.beta, CFG.c, CFG.rho
     # the accepted rung satisfies both conditions
     assert out.alpha_next <= c * gamma * (1 + 1e-12)
-    assert out.f_next <= f_k - rho * out.step * snorm_sq + gamma + 1e-12
+    assert out.f_next <= f_k - rho * (beta * out.alpha_next) * snorm_sq + gamma + 1e-12
     if out.ell >= 2:
         # the rung below fails at least one of them
         cand = beta ** (out.ell - 2) * alpha
@@ -181,7 +181,7 @@ def test_non_finite_trial_values_are_rejected_rungs():
         alpha_k=0.05, gamma_k=0.1, cfg=CFG,
     )
     assert (out.ell, out.trials) == (3, 3)
-    assert out.f_next == -out.step  # the third trial, f(x) = x
+    assert out.f_next == -(CFG.beta * out.alpha_next)  # the third trial, f(x) = x
 
     calls = []
 

@@ -397,6 +397,17 @@ def test_planted_rejections_keep_their_messages(what):
     assert str(err.value) == message
 
 
+# the value check reads f(x*) from the certificate's pass over A x* + b; a top
+# piece that overflows there has no active set, and its value fails first,
+# without numpy's overflow warning (pytest makes it an error)
+def test_planted_value_that_overflows_is_a_mismatch():
+    plant = dict(A=np.array([[1e308, 0.0], [1.0, 0.0]]), b=np.zeros(2),
+                 x_star=np.array([10.0, 0.0]), f_star=0.0)
+    with pytest.raises(ValueError) as err:
+        MaxAffineInstance(**plant)
+    assert str(err.value) == "planted value mismatch: f(x_star) = inf but f_star = 0.0"
+
+
 def _traced_peak(call):
     """Bytes call() allocates beyond what is live when it starts."""
     tracemalloc.start()

@@ -93,7 +93,7 @@ def test_prefixed_budget_validation():
 def test_constant_step_oscillation():
     prob = _abs_value_problem()
     report = solve_prefixed(prob, ConstantStep(0.1), 10, x0=np.array([0.25]))
-    xs = [float(r.x[0]) for r in report.records]
+    xs = report.xs[:, 0].tolist()
     assert xs[0] == 0.25
     assert xs[1] == pytest.approx(0.15, rel=1e-12)
     assert xs[2] == pytest.approx(0.05, rel=1e-12)
@@ -107,15 +107,14 @@ def test_constant_step_oscillation():
 def test_prefixed_rows_use_sentinel_and_nan_gamma():
     prob = _abs_value_problem()
     report = solve_prefixed(prob, SquareSummable(0.5), 6, x0=np.array([1.0]))
-    assert len(report.records) == 7
-    for r in report.records:
-        assert r.ell == 0
-        assert math.isnan(r.gamma)
-        assert r.alpha_next is None and r.step is None  # a report stores no derived column
+    assert len(report.k) == 7
+    assert (report.ell == 0).all()
+    assert np.isnan(report.gamma).all()
+    assert not hasattr(report, "alpha_next") and not hasattr(report, "step")  # no derived column
     # step rows store the applied size in alpha; k = 2 uses 0.5/2, and the
     # landed row applies none
-    assert report.records[1].alpha == pytest.approx(0.25)
-    assert math.isnan(report.records[-1].alpha)
+    assert report.alpha[1] == pytest.approx(0.25)
+    assert math.isnan(report.alpha[-1])
 
 
 # every report ends with its landed row, so both solvers count rows - 1 steps
@@ -140,35 +139,33 @@ CFG = SolverConfig(c=1.0, beta=0.9, rho=0.8, alpha1=0.1,
 def test_trace_shape_and_terminal_row():
     prob = _planted()
     report = solve_nonmonotone(prob, CFG)
-    assert len(report.records) == CFG.max_iters + 1
+    assert len(report.k) == CFG.max_iters + 1
     assert report.termination == TERMINATION_MAX_ITERS
-    for r, nxt in zip(report.records, report.records[1:]):
-        assert r.ell >= 1
-        # on R^n the applied step beta*alpha_next moves x by step*||s_k||
-        step = CFG.beta * nxt.alpha
-        assert np.linalg.norm(nxt.x - r.x) == pytest.approx(step * r.snorm, rel=1e-12)
-    last = report.records[-1]
-    assert last.ell == 0
+    assert (report.ell[:-1] >= 1).all()
+    # on R^n the applied step beta*alpha_next moves x by step*||s_k||
+    moves = np.linalg.norm(np.diff(report.xs, axis=0), axis=1)
+    np.testing.assert_allclose(moves, CFG.beta * report.alpha[1:] * report.snorm[:-1], rtol=1e-12)
+    assert report.ell[-1] == 0
     # the landed row carries the last search's alpha_next as its alpha
-    prev = report.records[-2]
-    assert last.alpha == linesearch.rung(prev.alpha, CFG.beta, prev.ell)
-    assert last.k == CFG.max_iters + 1
+    alpha, ell = report.alpha.tolist(), report.ell.tolist()
+    assert alpha[-1] == linesearch.rung(alpha[-2], CFG.beta, ell[-2])
+    assert report.k[-1] == CFG.max_iters + 1
 
 
 def test_alpha_chain_and_monotonicity():
     prob = _planted(seed=4)
     report = solve_nonmonotone(prob, CFG)
-    alphas = [r.alpha for r in report.records]
-    for prev, nxt in zip(report.records, report.records[1:]):
+    alphas = report.alpha.tolist()
+    for alpha, ell, nxt in zip(alphas, report.ell.tolist(), alphas[1:]):
         # the search's alpha_next, bit for bit
-        assert nxt.alpha == linesearch.rung(prev.alpha, CFG.beta, prev.ell)
+        assert nxt == linesearch.rung(alpha, CFG.beta, ell)
     assert all(b <= a * (1 + 1e-15) for a, b in zip(alphas, alphas[1:]))
 
 
 def test_f_best_is_running_minimum():
     prob = _planted(seed=5)
     report = solve_nonmonotone(prob, CFG)
-    fs = [r.f for r in report.records]
+    fs = report.f.tolist()
     assert report.f_best == min(fs)
     assert report.it_best == fs.index(min(fs)) + 1
 
@@ -178,10 +175,10 @@ def test_iterates_stay_feasible_on_ball():
     ball = Ball(center=np.zeros(3), radius=1.0)
     prob = make_problem(inst, ball)
     report = solve_nonmonotone(prob, CFG, x0=np.full(3, 9.0))
-    for r in report.records:
-        assert np.linalg.norm(r.x) <= 1.0 + 1e-9
+    for x in report.xs:
+        assert np.linalg.norm(x) <= 1.0 + 1e-9
     # the infeasible start was projected before the first evaluation
-    assert np.linalg.norm(report.records[0].x) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(report.xs[0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_default_start_is_projected_origin():
@@ -191,7 +188,7 @@ def test_default_start_is_projected_origin():
     inst2 = MaxAffineInstance(A=inst.A, b=inst.b)
     prob = make_problem(inst2, ball)
     report = solve_nonmonotone(prob, SolverConfig(max_iters=3))
-    np.testing.assert_allclose(report.records[0].x, [2.0, 0.0], rtol=1e-12)
+    np.testing.assert_allclose(report.xs[0], [2.0, 0.0], rtol=1e-12)
 
 
 def test_zero_subgradient_terminates_immediately():
@@ -199,13 +196,13 @@ def test_zero_subgradient_terminates_immediately():
     prob = make_problem(inst)
     report = solve_nonmonotone(prob, CFG)
     assert report.termination == TERMINATION_ZERO_SUBGRADIENT
-    assert len(report.records) == 1
-    assert report.records[0].ell == 0
+    assert len(report.k) == 1
+    assert report.ell[0] == 0
     assert report.f_best == 4.0
 
     ref2 = solve_prefixed(prob, ConstantLength(0.2), 10)
     assert ref2.termination == TERMINATION_ZERO_SUBGRADIENT
-    assert len(ref2.records) == 1
+    assert len(ref2.k) == 1
 
 
 def test_runs_are_deterministic():
@@ -214,11 +211,10 @@ def test_runs_are_deterministic():
     b = solve_nonmonotone(prob, CFG)
     assert a.f_best == b.f_best
     assert a.it_best == b.it_best
-    for ra, rb in zip(a.records, b.records):
-        assert ra.f == rb.f
-        assert ra.alpha == rb.alpha
-        assert ra.ell == rb.ell
-        np.testing.assert_array_equal(ra.x, rb.x)
+    assert a.f.tolist() == b.f.tolist()
+    assert a.alpha.tolist() == b.alpha.tolist()
+    assert a.ell.tolist() == b.ell.tolist()
+    np.testing.assert_array_equal(a.xs, b.xs)
 
 
 def test_backtrack_cap_only_bounds_ell():
@@ -247,62 +243,40 @@ def test_trace_csv_roundtrip(tmp_path):
     path = str(tmp_path / "trace.csv")
     write_trace_csv(report, path, f_star=prob.f_star)
     loaded = read_trace_csv(path)
-    assert len(loaded.records) == len(report.records)
+    assert len(loaded.k) == len(report.k)
     assert (loaded.termination, loaded.method) == ("unknown", None)
     assert loaded.f_best == report.f_best
     assert loaded.it_best == report.it_best
-    for orig, back in zip(report.records, loaded.records):
-        assert back.k == orig.k
-        assert back.f == orig.f  # repr round-trips exactly
-        assert back.alpha == orig.alpha
-        assert back.ell == orig.ell
-        assert back.gamma == orig.gamma
-        assert back.snorm == orig.snorm
-        assert back.x is None and back.step is None and back.alpha_next is None
+    for name in ("k", "f", "alpha", "ell", "gamma", "snorm"):  # repr round-trips exactly
+        assert getattr(loaded, name).tolist() == getattr(report, name).tolist(), name
+    assert loaded.xs is None
     gaps = loaded.fbest_gap
     assert gaps is not None
     assert gaps[-1] == pytest.approx(report.f_best - prob.f_star, rel=1e-15)
     assert all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:]))  # non-increasing
 
 
-def test_records_and_csv_rebuild_the_columns(tmp_path):
+def test_report_and_its_csv_hold_the_same_columns(tmp_path):
     prob = _planted(seed=9)
     report = solve_nonmonotone(prob, CFG)
     names = ("k", "f", "gamma", "alpha", "ell", "snorm")
     # a report stores what the run decided; step and alpha_next are derived
     assert not hasattr(report, "step") and not hasattr(report, "alpha_next")
-    records = report.records
-    assert len(records) == len(report.k) == len(report.xs)
-    assert all(r.step is None and r.alpha_next is None for r in records)
+    assert len(report.k) == len(report.xs)
     for name in names:
         column = getattr(report, name)
+        assert len(column) == len(report.k)
         assert column.dtype == (np.int64 if name in ("k", "ell") else np.float64)
-        np.testing.assert_array_equal(np.array([getattr(r, name) for r in records]), column)
-    for r, x in zip(records, report.xs):  # rows of the iterate block, bit for bit
-        assert r.x.tobytes() == x.tobytes()
-    assert records is not report.records  # a view, rebuilt on each access
 
     path = str(tmp_path / "trace.csv")
     write_trace_csv(report, path, f_star=prob.f_star)
     loaded = read_trace_csv(path)
-    # the column a trace does not carry is None, in the report and its records;
-    # every other column is the solver report's
+    # the column a trace does not carry is None; every other column is the
+    # solver report's
     assert loaded.xs is None
     for name in names:
         np.testing.assert_array_equal(getattr(loaded, name), getattr(report, name))
         assert getattr(loaded, name).dtype == getattr(report, name).dtype
-    assert all(r.x is None and r.step is None and r.alpha_next is None for r in loaded.records)
-
-    for rep in (report, loaded):  # an index or a slice gives the columns' rows
-        records, n = rep.records, len(rep.k)
-        want = [_column_cells(rep, i) for i in range(n)]
-        assert _cells(records[0]) == want[0] and _cells(records[-1]) == want[-1]
-        assert type(records[1:]) is tuple
-        assert [_cells(r) for r in records[1:]] == want[1:]
-        assert [_cells(r) for r in records[:-1]] == want[:-1]
-        for past_the_end in (n, -n - 1):
-            with pytest.raises(IndexError):
-                records[past_the_end]
 
 
 def _cells(record):
@@ -318,8 +292,18 @@ def _column_cells(report, i):
                    for col in cols])
 
 
-def test_records_view_builds_only_the_rows_asked_for(monkeypatch):
-    report = solve_nonmonotone(_planted(seed=9), dataclasses.replace(CFG, max_iters=40))
+def test_records_view_builds_only_the_rows_asked_for(tmp_path, monkeypatch):
+    prob = _planted(seed=9)
+    report = solve_nonmonotone(prob, dataclasses.replace(CFG, max_iters=40))
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(report, path, f_star=prob.f_star)
+    # a loop gives the columns' rows, with None for a column the report
+    # lacks (x in a CSV trace; step and alpha_next always)
+    for rep in (report, read_trace_csv(path)):
+        assert [_cells(r) for r in rep.records] == [
+            _column_cells(rep, i) for i in range(len(rep.k))]
+    assert report.records is not report.records  # a view, rebuilt on each access
+
     built = []
 
     def counting(*fields):
@@ -329,11 +313,6 @@ def test_records_view_builds_only_the_rows_asked_for(monkeypatch):
     monkeypatch.setattr(core, "IterationRecord", counting)
     records = report.records
     assert len(records) == len(report.k) == 41 and built == []
-    records[-1]
-    assert built == [41]
-    built.clear()
-    assert len(records[5:9]) == 4 and built == [6, 7, 8, 9]
-    built.clear()
     next(iter(records))
     assert built == [1]
 
@@ -466,13 +445,13 @@ def test_one_kernel_call_per_trial_point(kind, monkeypatch):
     assert report.termination == TERMINATION_MAX_ITERS
     assert seen["searches"] == CFG.max_iters
     assert calls["value"] == seen["trials"] + 1
-    assert calls["eval"] == len(report.records)
+    assert calls["eval"] == len(report.k)
     # every eval took the subgradient parked by the value call at its point
     assert calls["kernel"] == calls["value"]
     # and the trace is the one a problem without counting wrappers gives
     plain = solve_nonmonotone(prob, CFG)
-    assert [r.f for r in plain.records] == [r.f for r in report.records]
-    assert [r.snorm for r in plain.records] == [r.snorm for r in report.records]
+    assert plain.f.tolist() == report.f.tolist()
+    assert plain.snorm.tolist() == report.snorm.tolist()
 
 
 # ----- every termination path of the backtracking solver -----
@@ -526,9 +505,8 @@ def _assert_partial_trace_audits(report, prob, cfg):
     tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
     audit = audit_stepwise(report, prob, cfg, tc)
     assert audit.passed, [(ch.name, ch.status, ch.detail) for ch in audit.checks]
-    last = report.records[-1]
-    assert last.ell == 0
-    assert all(r.ell >= 1 for r in report.records[:-1])
+    assert report.ell[-1] == 0
+    assert (report.ell[:-1] >= 1).all()
 
 
 def test_nan_at_start_is_nonfinite_oracle():
@@ -536,9 +514,9 @@ def test_nan_at_start_is_nonfinite_oracle():
     oracles = FailingOracles(prob, nan_value_at=1)
     report = solve_nonmonotone(oracles.spec(), CFG)
     assert report.termination == TERMINATION_NONFINITE_ORACLE
-    assert len(report.records) == 1
-    assert math.isnan(report.records[0].f)
-    assert math.isnan(report.records[0].snorm)
+    assert len(report.k) == 1
+    assert math.isnan(report.f[0])
+    assert math.isnan(report.snorm[0])
     assert oracles.evals == 0
     _assert_partial_trace_audits(report, prob, CFG)
 
@@ -551,14 +529,13 @@ def test_nan_trial_mid_run_is_a_rejected_rung():
     report = solve_nonmonotone(oracles.spec(), CFG)
     assert report.termination == TERMINATION_MAX_ITERS
     assert oracles.values > 20
-    assert len(report.records) == CFG.max_iters + 1
+    assert len(report.k) == CFG.max_iters + 1
     assert np.isfinite(report.f).all()
-    last = report.records[-1]
     _assert_partial_trace_audits(report, prob, CFG)
     # the NaN trial's parked value is never picked up at a real point
-    v, g = prob.eval(last.x)
-    v_fresh, g_fresh = _planted(seed=11).eval(last.x.copy())
-    assert v == v_fresh == last.f
+    v, g = prob.eval(report.xs[-1])
+    v_fresh, g_fresh = _planted(seed=11).eval(report.xs[-1].copy())
+    assert v == v_fresh == report.f[-1]
     np.testing.assert_array_equal(g, g_fresh)
 
 
@@ -567,8 +544,8 @@ def test_infinite_subgradient_is_nonfinite_oracle():
     oracles = FailingOracles(prob, inf_eval_at=10)
     report = solve_nonmonotone(oracles.spec(), CFG)
     assert report.termination == TERMINATION_NONFINITE_ORACLE
-    assert len(report.records) == 10
-    assert report.records[-1].snorm == math.inf
+    assert len(report.k) == 10
+    assert report.snorm[-1] == math.inf
     _assert_partial_trace_audits(report, prob, CFG)
 
 
@@ -580,8 +557,8 @@ def test_backtrack_cap_exhaustion_is_backtrack_failure():
     prob = _planted(seed=13)
     report = solve_nonmonotone(prob, cfg)
     assert report.termination == TERMINATION_BACKTRACK_FAILURE
-    assert 2 <= len(report.records) <= 26
-    assert all(r.ell == 1 for r in report.records[:-1])
+    assert 2 <= len(report.k) <= 26
+    assert (report.ell[:-1] == 1).all()
     _assert_partial_trace_audits(report, prob, cfg)
 
 
@@ -591,8 +568,8 @@ def test_prefixed_nan_value_is_nonfinite_oracle():
     oracles = FailingOracles(_planted(seed=16), nan_eval_at=7)
     report = solve_prefixed(oracles.spec(), ConstantStep(0.1), 40)
     assert report.termination == TERMINATION_NONFINITE_ORACLE
-    assert oracles.evals == len(report.records) == 7
-    assert math.isnan(report.records[-1].f)
+    assert oracles.evals == len(report.k) == 7
+    assert math.isnan(report.f[-1])
     assert math.isfinite(report.f_best)
 
 
@@ -600,9 +577,8 @@ def test_prefixed_infinite_subgradient_is_nonfinite_oracle():
     oracles = FailingOracles(_planted(seed=17), inf_eval_at=7)
     report = solve_prefixed(oracles.spec(), ConstantStep(0.1), 40)
     assert report.termination == TERMINATION_NONFINITE_ORACLE
-    assert oracles.evals == len(report.records) == 7
-    last = report.records[-1]
-    assert math.isfinite(last.f) and last.snorm == math.inf
+    assert oracles.evals == len(report.k) == 7
+    assert math.isfinite(report.f[-1]) and report.snorm[-1] == math.inf
 
 
 # a first trial x_1 - s_1 * 0.9e308 overflows, and its value is NaN (inf - inf
@@ -617,14 +593,14 @@ _OVERFLOWING = make_problem(MaxAffineInstance(A=np.array([[5.0, 3.0], [-4.0, 1.0
 def test_overflowing_trials_exhaust_the_cap_without_a_warning():
     report = solve_nonmonotone(_OVERFLOWING, SolverConfig(alpha1=1e308, c=1e308, max_iters=50))
     assert report.termination == TERMINATION_BACKTRACK_FAILURE
-    assert len(report.records) == 1
+    assert len(report.k) == 1
 
 
 def test_overflowing_trials_are_passed_over_under_a_large_cap():
     cfg = SolverConfig(alpha1=1e308, c=1e308, max_iters=50, backtrack_cap=10000)
     report = solve_nonmonotone(_OVERFLOWING, cfg)
     assert report.termination == TERMINATION_MAX_ITERS
-    assert len(report.records) == 51
+    assert len(report.k) == 51
     assert report.ell[:4].tolist() == [6768, 1, 1, 2]
     assert report.f_best == -1.1605313662771428
 
@@ -657,9 +633,8 @@ def test_prefixed_far_steps_land_on_the_sphere():
 def test_prefixed_overflow_on_a_ball_is_nonfinite_oracle():
     report = solve_prefixed(_FW_BALL, ConstantStep(1.7e308), 5)
     assert report.termination == TERMINATION_NONFINITE_ORACLE
-    last = report.records[-1]
-    assert len(report.records) == 2 and math.isnan(last.f) and last.snorm == math.inf
-    assert np.isnan(last.x).all()
+    assert len(report.k) == 2 and math.isnan(report.f[-1]) and report.snorm[-1] == math.inf
+    assert np.isnan(report.xs[-1]).all()
 
 
 # ----- the iterate block -----
@@ -705,10 +680,9 @@ def test_zero_subgradient_at_landed_iterate():
     oracles = FailingOracles(prob, zero_eval_at=CFG.max_iters + 1)
     report = solve_nonmonotone(oracles.spec(), CFG)
     assert report.termination == TERMINATION_ZERO_SUBGRADIENT
-    assert len(report.records) == CFG.max_iters + 1
+    assert len(report.k) == CFG.max_iters + 1
     assert oracles.evals == CFG.max_iters + 1
-    last = report.records[-1]
-    assert (last.k, last.ell, last.snorm) == (CFG.max_iters + 1, 0, 0.0)
+    assert (report.k[-1], report.ell[-1], report.snorm[-1]) == (CFG.max_iters + 1, 0, 0.0)
     _assert_partial_trace_audits(report, prob, CFG)
 
 
@@ -717,9 +691,8 @@ def test_infinite_subgradient_at_landed_iterate_is_max_iters():
     oracles = FailingOracles(prob, inf_eval_at=CFG.max_iters + 1)
     report = solve_nonmonotone(oracles.spec(), CFG)
     assert report.termination == TERMINATION_MAX_ITERS
-    assert len(report.records) == CFG.max_iters + 1
-    last = report.records[-1]
-    assert (last.k, last.ell, last.snorm) == (CFG.max_iters + 1, 0, math.inf)
+    assert len(report.k) == CFG.max_iters + 1
+    assert (report.k[-1], report.ell[-1], report.snorm[-1]) == (CFG.max_iters + 1, 0, math.inf)
 
 
 # ----- property: every run the solver makes passes its own audit -----
