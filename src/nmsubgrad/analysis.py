@@ -45,15 +45,11 @@ SKIPPED = "skipped"
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """theta = min(1, 1/((1+rho)L^2)), 1 when L = 0, and gamma_big =
-    theta*(2beta - beta/rho), the constants in every complexity bound.
-    gamma_big > 0 when rho > 1/2, unless (1+rho)L^2 overflows and theta is 0;
-    for rho <= 1/2 the rate bounds say nothing and audit_rate_bounds skips
-    them, while the step lower bound, which needs only theta, holds for every
-    rho in (0, 1)."""
+    """theta = min(1, 1/((1+rho)L^2)), 1 when L = 0 and 0 when (1+rho)L^2
+    overflows: the constant in the step lower bound, which holds for every rho
+    in (0, 1). audit_rate_bounds forms its Gamma from an effective theta."""
 
     theta: float
-    gamma_big: float
 
 
 def constants(rho: float, beta: float, L: float, c: float = 1.0) -> TheoryConstants:
@@ -67,8 +63,7 @@ def constants(rho: float, beta: float, L: float, c: float = 1.0) -> TheoryConsta
         raise ValueError(f"c must be positive and finite, got {c}")
     s = (1.0 + rho) * L * L
     theta = 1.0 / s if s > 1.0 else 1.0  # the bits of min(1, 1/s) for L > 0
-    gamma_big = theta * (2.0 * beta - beta / rho)
-    return TheoryConstants(theta=theta, gamma_big=gamma_big)
+    return TheoryConstants(theta=theta)
 
 
 @dataclass(frozen=True)
@@ -217,9 +212,10 @@ def audit_stepwise(
     was. audit_rate_bounds turns it into the paper's form with an effective
     theta.
 
-    step_upper_bound and quasi_fejer read their right sides through
-    _under_bound, as audit_rate_bounds reads its bounds: one that overflows
-    to +inf holds, and a NaN fails; where only gamma_k^2 overflows,
+    step_upper_bound, sufficient_decrease and quasi_fejer read their right
+    sides through _under_bound, as audit_rate_bounds reads its bounds: one
+    that overflows to +inf holds (a gamma_k of +inf lets the search accept
+    any trial), and a NaN fails; where only gamma_k^2 overflows,
     quasi_fejer forms its term as ((beta*c/rho)*gamma_k)*gamma_k. It is
     skipped when a squared distance to x* overflows, as then neither side
     can be formed.
@@ -286,7 +282,7 @@ def audit_stepwise(
         checks.append(_worst("step_lower_bound", unrolled, alpha_next))
 
     decrease_rhs = f[:K] - rho * (beta * alpha_next) * (snorm * snorm) + gamma
-    checks.append(_worst("sufficient_decrease", f[1 : K + 1], decrease_rhs))
+    checks.append(_under_bound("sufficient_decrease", f[1 : K + 1], decrease_rhs))
 
     if report.xs is None:
         checks.append(_skip("quasi_fejer", "trace carries no iterates (CSV round-trip)"))
@@ -338,7 +334,7 @@ def audit_rate_bounds(
     when rho <= 1/2 leaves Gamma non-positive, and when alpha_1 > 0, which
     makes theta and Gamma positive, and Gamma underflows to 0 (theta itself
     may, as with beta*c = 1e-600, or an L whose (1+rho)L^2 overflows). The
-    regime is cfg.rho's, since such an L leaves gamma_big 0 at any rho. A
+    regime is cfg.rho's, since such an L leaves Gamma 0 at any rho. A
     bent alpha_1 <= 0 or NaN makes Gamma NaN, so every bound fails as a
     non-finite comparison. Each bound is read through _under_bound, as in
     audit_stepwise: one that overflows to +inf holds, and a NaN fails. Why

@@ -39,7 +39,6 @@ from .core import (
     _json_value,
     _read_fields,
     _to_obj,
-    config_from_keyvalues,
 )
 from .problems import (
     Ball,
@@ -119,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--step-const", type=float, default=None,
                    help="constant of the prefixed rule (method-specific default)")
     r.add_argument("--config", default=None,
-                   help="JSON or key=value config file; explicit flags override it")
+                   help="JSON config file, keyed as a summary's config; explicit flags override it")
     r.add_argument("--out", required=True, help="trace path; summary lands beside it")
 
     b = sub.add_parser("bench", help="run a benchmark plan")
@@ -219,13 +218,7 @@ def _run_config(args) -> SolverConfig:
     base = SolverConfig()
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        # text opening with "{" or "[" is JSON, so a JSON syntax error is
-        # reported as one, with the file and the position
-        if text.lstrip()[:1] in ("{", "["):
-            base = _config_from_items(_json_value(text, f"config file {args.config!r}"))
-        else:
-            base = config_from_keyvalues(text)
+            base = _config_from_items(_json_value(fh.read(), f"config file {args.config!r}"))
     return _override(base, args, (*_RUN_FLAGS, "max_iters", "backtrack_cap"))
 
 

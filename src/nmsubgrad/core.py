@@ -28,7 +28,6 @@ __all__ = [
     "GammaSequence",
     "gamma_values",
     "SolverConfig",
-    "config_from_keyvalues",
     "IterationRecord",
     "RunReport",
     "TERMINATION_MAX_ITERS",
@@ -362,33 +361,6 @@ def _config_from_items(items: dict) -> SolverConfig:
     if gamma:
         given["gamma"] = _from_obj("config", "gamma.kind", _GAMMA_KINDS, gamma, "gamma.")
     return SolverConfig(**given)
-
-
-def _text_value(text: str):
-    """Text as the JSON value it stands for: an int, else a float, else the
-    text itself."""
-    for parse in (int, float):
-        try:
-            return parse(text)
-        except ValueError:
-            pass
-    return text
-
-
-def config_from_keyvalues(text: str) -> SolverConfig:
-    """The config of `key = value` lines, each value read as a JSON config
-    would hold it: comma-separated values are a list."""
-    items: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        parts = [_text_value(part.strip()) for part in value.split(",")]
-        items[key.strip()] = parts if len(parts) > 1 else parts[0]
-    return _config_from_items(items)
 
 
 # ----- run records -----

@@ -338,6 +338,7 @@ def gen_max_affine(seed: int, n: int, m: int, sigma: float = 0.0) -> MaxAffineIn
     )
 
 
+@np.errstate(over="ignore")  # FermatWeberInstance refuses non-finite anchors
 def gen_fermat_weber(seed: int, n: int, m: int, scale: float = 10.0) -> FermatWeberInstance:
     """Random anchors ~ scale * N(0, I), unit weights."""
     rng = np.random.default_rng(seed)

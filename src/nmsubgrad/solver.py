@@ -234,6 +234,14 @@ def solve_prefixed(
 _GAP_COLUMNS = ("k", "f", "fbest_gap", "alpha", "ell", "gamma", "snorm")
 _COLUMNS = tuple(c for c in _GAP_COLUMNS if c != "fbest_gap")
 _INT_COLUMNS = ("k", "ell")
+# what int() and float() read past but repr never writes: '_' between digits
+# and the ASCII whitespace a stripped line can still hold
+_UNWRITTEN = ("_", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _written(text: str) -> bool:
+    """Whether text is ASCII and holds no character of _UNWRITTEN."""
+    return text.isascii() and not any(ch in text for ch in _UNWRITTEN)
 
 
 def _best_gaps(f: np.ndarray, f_star: float) -> list[float]:
@@ -271,7 +279,7 @@ def read_trace_csv(path: str) -> RunReport:
     fbest_gap column when present, and xs None: a trace does not serialize
     the iterates. It has every other column a solver report has. A fault
     names the file's line, blank lines counted, and a cell that does not
-    parse its column too."""
+    parse its column too; a row cell that is not _written does not parse."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate(map(str.strip, fh), start=1) if ln]
     if len(lines) < 2:
@@ -279,9 +287,12 @@ def read_trace_csv(path: str) -> RunReport:
     header = tuple(lines[0][1].split(","))
     if header not in (_GAP_COLUMNS, _COLUMNS):
         raise ValueError(f"{path}: unrecognized trace header {list(header)!r}")
-    rows = [line.split(",") for _, line in lines[1:]]
+    body = [line for _, line in lines[1:]]  # the rows, so not the header's '_'
+    rows = [line.split(",") for line in body]
     parse = [int if name in _INT_COLUMNS else float for name in header]
     try:  # the strict zips raise on a row of another width, _report on an int outside int64
+        if not _written(",".join(body)):
+            raise ValueError
         return _report({name: list(map(read, cells)) for name, read, cells
                         in zip(header, parse, zip(*rows, strict=True), strict=True)}, "unknown")
     except (ValueError, OverflowError):  # found only now, so a clean read costs nothing more
@@ -291,6 +302,8 @@ def read_trace_csv(path: str) -> RunReport:
                                  f"got {len(cells)}") from None
             for name, read, cell in zip(header, parse, cells):
                 try:
+                    if not _written(cell):
+                        raise ValueError
                     value = read(cell)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: column {name!r}: {cell!r} is not "

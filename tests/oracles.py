@@ -333,23 +333,13 @@ def sequence_diagnostics(seq, N: int) -> GammaDiagnostics:
 
 
 def config_to_json(cfg) -> str:
-    """The config's items as a JSON object, as a JSON --config file holds them."""
+    """The config's items as a JSON object, as a --config file holds them."""
     return json.dumps(_config_items(cfg), sort_keys=True, indent=2)
 
 
 def config_from_json(text: str):
-    """The config of JSON text, read as run reads a JSON --config file."""
+    """The config of JSON text, read as run reads a --config file."""
     return _config_from_items(_json_value(text, "config"))
-
-
-def config_to_keyvalues(cfg) -> str:
-    """`key = value` lines; the table kind writes values comma-separated."""
-    lines = []
-    for key, value in sorted(_config_items(cfg).items()):
-        if isinstance(value, list):
-            value = ",".join(repr(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 # ----- summation lemmas over a grid -----

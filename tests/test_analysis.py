@@ -49,19 +49,16 @@ PARAMS = dict(c=1.0, beta=0.9, rho=0.8, alpha1=0.1)
 def test_constants_frozen_first():
     tc = constants(rho=0.8, beta=0.9, L=1.0)
     assert tc.theta == pytest.approx(1.0 / 1.8, rel=1e-15)
-    assert tc.gamma_big == pytest.approx(0.375, rel=1e-15)
 
 
 def test_constants_frozen_second():
     tc = constants(rho=0.6, beta=0.5, L=2.0)
     assert tc.theta == pytest.approx(0.15625, rel=1e-15)
-    assert tc.gamma_big == pytest.approx(0.0260416666667, rel=1e-9)
 
 
 def test_constants_theta_saturates_for_small_l():
     tc = constants(rho=0.8, beta=0.9, L=0.1)
     assert tc.theta == 1.0
-    assert tc.gamma_big == pytest.approx(0.675, rel=1e-15)
     # theta never increases with L
     ls = [0.1, 0.5, 1.0, 2.0, 10.0]
     thetas = [constants(0.8, 0.9, L).theta for L in ls]
@@ -83,19 +80,9 @@ def test_constants_reject_rho_outside_the_unit_interval():
             constants(rho=0.8, beta=0.9, L=1.0, c=c)
 
 
-# below 1/2 theta is as for any rho, and Gamma = theta*(2beta - beta/rho) is
-# zero at rho = 1/2 and negative below
-def test_constants_below_rho_half_give_non_positive_gamma_big():
-    tc = constants(0.4, 0.9, 2.0)
-    assert tc.theta == pytest.approx(1.0 / 5.6, rel=1e-15)
-    assert tc.gamma_big == pytest.approx(tc.theta * -0.45, rel=1e-15)
-    assert tc.gamma_big < 0.0
-    assert constants(0.5, 0.9, 2.0).gamma_big == 0.0
-
-
-def test_constants_hold_only_theta_and_gamma_big():
+def test_constants_hold_only_theta():
     tc = constants(rho=0.8, beta=0.9, L=1.0, c=2.0)
-    assert [f.name for f in dataclasses.fields(tc)] == ["theta", "gamma_big"]
+    assert [f.name for f in dataclasses.fields(tc)] == ["theta"]
 
 
 # ----- stepwise audit on real runs -----
@@ -267,7 +254,7 @@ def test_underflowed_gamma_skips_the_rate_checks(beta):
         ("skipped", "effective Gamma = theta*(2beta - beta/rho) underflows to 0")}
 
 
-# an L whose (1+rho)L^2 overflows gives theta = 0 and so gamma_big = 0 at
+# an L whose (1+rho)L^2 overflows gives theta = 0 and so Gamma = 0 at
 # rho = 0.8: the regime is rho's, so the rate checks name the skip's real
 # cause, no f* on the first instance and an underflowed Gamma on the planted one
 @pytest.mark.parametrize("A, b, planted, why", [
@@ -282,7 +269,7 @@ def test_overflowed_theta_keeps_the_rho_regime(A, b, planted, why):
     cfg = SolverConfig(max_iters=30)
     rep = solve_nonmonotone(prob, cfg, x0=np.array([1e-160, 1.0]))
     tc = constants(cfg.rho, cfg.beta, prob.L, cfg.c)
-    assert rep.termination == "max_iters" and (tc.theta, tc.gamma_big) == (0.0, 0.0)
+    assert rep.termination == "max_iters" and tc.theta == 0.0
     assert audit_stepwise(rep, prob, cfg, tc).passed
     assert {(ch.status, ch.detail) for ch in audit_rate_bounds(rep, prob, cfg, tc).checks} == {
         ("skipped", why)}

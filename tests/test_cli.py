@@ -165,20 +165,26 @@ def test_gen_infeasible_plant_is_reported(tmp_path):
     assert rc == 2
 
 
-# a plant 1e300 from the origin overflows the builder's arithmetic; the
-# instance's finite check then prints the one error line, and numpy's warnings
-# stay silent (pytest makes them errors)
+# a plant 1e300 from the origin, or anchors scaled by 1e308, overflow the
+# builder's arithmetic; the instance's finite check then prints the one error
+# line, and numpy's warnings stay silent (pytest makes them errors)
 def test_gen_overflowing_plant_is_one_error_line(tmp_path, capsys):
     out = tmp_path / "x.json"
     rc = run_cli("gen", "maxaffine", "--n", "2", "--m", "4", "--planted",
                  "--spread", "1e300", "--out", str(out))
     assert "A and b must be finite" in _assert_usage_error(rc, capsys)
     assert not out.exists()
+    rc = run_cli("gen", "fermatweber", "--scale", "1e308", "--out", str(out))
+    assert "anchors must be finite" in _assert_usage_error(rc, capsys)
+    assert not out.exists()
 
 
 def test_bench_overflowing_plant_is_one_error_line(tmp_path, capsys):
     path = _plan_with(tmp_path, config={"spread": 1e308})
     assert "A and b must be finite" in _assert_usage_error(run_cli("bench", path), capsys)
+    assert not os.path.exists(tmp_path / "out")
+    path = _plan_with(tmp_path, "fermatweber", config={"anchor_scale": 1e308})
+    assert "anchors must be finite" in _assert_usage_error(run_cli("bench", path), capsys)
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -267,6 +273,9 @@ def test_run_config_file_with_flag_override(planted_instance, tmp_path):
                    "gamma.kind": "sqrt_inverse", "gamma.zeta": 2.0,
                    "max_iters": 30, "backtrack_cap": 400, "seed": 0}, fh)
     trace = str(tmp_path / "t.csv")
+    assert run_cli("run", planted_instance, "--config", cfg_path, "--out", trace) == 0
+    summary = json.loads((tmp_path / "t.summary.json").read_text())
+    assert summary["n_rows"] == 31
     # --iters overrides the file's max_iters
     rc = run_cli("run", planted_instance, "--config", cfg_path,
                  "--iters", "55", "--out", trace)
@@ -846,8 +855,9 @@ def test_check_output_is_pinned(tmp_path, capsys, method):
 
 
 def test_check_reads_a_power_inverse_trace_as_a_table(planted_instance, tmp_path, capsys):
-    config, trace = tmp_path / "pi.cfg", str(tmp_path / "t.csv")
-    config.write_text("gamma.kind = power_inverse\ngamma.zeta = 0.5\ngamma.theta = 0.5\n")
+    config, trace = tmp_path / "pi.json", str(tmp_path / "t.csv")
+    config.write_text(json.dumps({"gamma.kind": "power_inverse", "gamma.zeta": 0.5,
+                                  "gamma.theta": 0.5}))
     assert run_cli("run", planted_instance, "--config", str(config), "--iters", "200",
                    "--out", trace) == 0
     capsys.readouterr()
@@ -869,10 +879,10 @@ _OFF_DEFAULT = ("--c", "0.5", "--beta", "0.5", "--rho", "0.7", "--alpha1", "0.3"
 
 @pytest.mark.parametrize("method", METHODS)
 def test_check_reads_the_run_config_from_the_summary(planted_instance, tmp_path, capsys, method):
-    trace, config = str(tmp_path / "t.csv"), tmp_path / "off.cfg"
+    trace, config = str(tmp_path / "t.csv"), tmp_path / "off.json"
     # a prefixed rule reads none of those flags, but a config file may set them
-    config.write_text("c = 0.5\nbeta = 0.5\nrho = 0.7\nalpha1 = 0.3\n"
-                      "gamma.kind = sqrt_inverse\ngamma.zeta = 0.7\n")
+    config.write_text(json.dumps({"c": 0.5, "beta": 0.5, "rho": 0.7, "alpha1": 0.3,
+                                  "gamma.kind": "sqrt_inverse", "gamma.zeta": 0.7}))
     off = _OFF_DEFAULT if method == "nonmonotone" else ("--config", str(config))
     assert run_cli("run", planted_instance, "--method", method, *off,
                    "--iters", "300", "--out", trace) == 0
@@ -1383,10 +1393,10 @@ def test_bench_malformed_plan_is_exit_2(tmp_path, capsys, monkeypatch, field, va
     ("[0.5, 0.9]", "list"),
     ('{"gamma.kind": "power_inverse"}', "'gamma.zeta'"),
     ('{"rho": 0.7, "max_iter": 5}', "'max_iter'"),
-    ("rho = 0.7\nrh0 = 0.3\n", "'rh0'"),
+    ("rho = 0.7\nrh0 = 0.3\n", "not valid JSON"),
     ('{"max_iters": 2.5}', "'max_iters'"),
     ('{"max_iters": true}', "'max_iters'"),
-], ids=["list", "missing_field", "unknown_json_field", "unknown_keyvalue_field",
+], ids=["list", "missing_field", "unknown_json_field", "keyvalue_text",
         "max_iters_float", "max_iters_bool"])
 def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text, named):
     cfg_path = tmp_path / "cfg.json"
@@ -1398,24 +1408,14 @@ def test_run_malformed_config_is_exit_2(planted_instance, tmp_path, capsys, text
 
 
 def test_run_config_json_syntax_error_is_reported_as_json(planted_instance, tmp_path, capsys):
-    # a trailing comma: the JSON error and its position, not a key=value error
+    # a trailing comma: the JSON error and its position
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"rho": 0.7,\n "c": 1.0,}\n')
     rc = run_cli("run", planted_instance, "--config", str(cfg_path),
                  "--out", str(tmp_path / "t.csv"))
     line = _assert_usage_error(rc, capsys)
-    assert "line 2 column 11" in line and "key = value" not in line, line
+    assert "not valid JSON" in line and "line 2 column 11" in line, line
     assert not os.path.exists(tmp_path / "t.csv")
-
-
-def test_run_config_keyvalue_text_is_read(planted_instance, tmp_path):
-    cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text("\n# solver settings\nmax_iters = 7\nrho = 0.7\n")
-    trace = tmp_path / "t.csv"
-    assert run_cli("run", planted_instance, "--config", str(cfg_path),
-                   "--out", str(trace)) == 0
-    summary = json.loads((tmp_path / "t.summary.json").read_text())
-    assert summary["n_rows"] == 8
 
 
 @pytest.mark.parametrize("cset, named", [

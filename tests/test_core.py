@@ -16,7 +16,6 @@ from nmsubgrad import (
     SqrtInverse,
     StronglyConvexHarmonic,
     TheoryRegimeWarning,
-    config_from_keyvalues,
     gamma_values,
     make_problem,
     plant_optimum_max_affine,
@@ -29,7 +28,6 @@ from oracles import (
     build_report,
     config_from_json,
     config_to_json,
-    config_to_keyvalues,
     gamma_ref,
     sequence_diagnostics,
 )
@@ -294,19 +292,11 @@ def test_config_json_roundtrip_all_kinds():
         PowerInverse(2.0, 0.75),
         StronglyConvexHarmonic(1.0, 0.9, 0.5),
         ExplicitTable((2.0, 1.0, 1.0)),
-        ExplicitTable((0.5,)),  # keyvalues writes a one-entry table as a bare number
+        ExplicitTable((0.5,)),
     ):
         cfg = SolverConfig(c=1.25, beta=0.85, rho=0.7, alpha1=0.3,
                            gamma=gamma, max_iters=17, backtrack_cap=33, seed=5)
         assert config_from_json(config_to_json(cfg)) == cfg
-        assert config_from_keyvalues(config_to_keyvalues(cfg)) == cfg
-
-
-def test_config_keyvalues_roundtrip():
-    cfg = SolverConfig(gamma=SqrtInverse(3.0), seed=11)
-    text = config_to_keyvalues(cfg)
-    assert "gamma.kind = sqrt_inverse" in text
-    assert config_from_keyvalues(text) == cfg
 
 
 @pytest.mark.filterwarnings("ignore::nmsubgrad.core.TheoryRegimeWarning")
@@ -326,7 +316,6 @@ def test_config_roundtrip_property(c, beta, rho, alpha1, zeta, max_iters, cap, s
                        gamma=SqrtInverse(zeta), max_iters=max_iters,
                        backtrack_cap=cap, seed=seed)
     assert config_from_json(config_to_json(cfg)) == cfg
-    assert config_from_keyvalues(config_to_keyvalues(cfg)) == cfg
 
 
 def test_config_from_json_rejects_unknown_gamma():
@@ -350,9 +339,6 @@ def test_config_from_json_rejects_unknown_gamma():
 def test_config_rejects_unknown_or_malformed_fields(items, named):
     with pytest.raises(ConfigError, match=named):
         config_from_json(json.dumps(items))
-    text = "".join(f"{key} = {value}\n" for key, value in items.items())
-    with pytest.raises(ConfigError, match=named):
-        config_from_keyvalues(text)
 
 
 # ----- config reader fuzzing -----
@@ -403,7 +389,6 @@ def _read_or_config_error(read, text):
         return None
     assert isinstance(cfg, SolverConfig)
     assert config_from_json(config_to_json(cfg)) == cfg
-    assert config_from_keyvalues(config_to_keyvalues(cfg)) == cfg
     return cfg
 
 
@@ -417,41 +402,6 @@ def _read_or_config_error(read, text):
 @example({"c": 10**400})
 def test_config_from_json_returns_or_raises_config_error(items):
     _read_or_config_error(config_from_json, json.dumps(items))
-
-
-# values as key=value text: numbers in several spellings, lists, and words
-_TEXT_VALUES = (
-    st.text(alphabet="0123456789.,-+e_ nafity", max_size=8)
-    | _NUMBERS.map(repr)
-    | st.lists(_NUMBERS.map(repr), min_size=2, max_size=4).map(",".join)
-    | st.sampled_from(["sqrt_inverse", "table", "True", "nan", "1e999", "9" * 5000])
-)
-
-
-@st.composite
-def _keyvalue_texts(draw):
-    """A valid config's key=value text with up to three lines changed,
-    dropped or added, and now and then a line with no '='."""
-    items = {key: value for key, value in draw(_mutated_config_items()).items()
-             if isinstance(value, (int, float, str))}
-    text_items = {key: str(value) for key, value in items.items()}
-    changes = draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _TEXT_VALUES, max_size=3))
-    text_items.update(changes)
-    lines = [f"{key} = {value}" for key, value in text_items.items()]
-    lines += draw(st.lists(st.text(max_size=6), max_size=1))
-    return "\n".join(lines) + "\n"
-
-
-@settings(max_examples=300, deadline=None)
-@given(_keyvalue_texts() | st.text(max_size=20))
-@example("max_iters = 2.5\n")
-@example("max_iters = true\n")
-@example("gamma.kind = table\ngamma.values = 0.5\n")
-@example("gamma.kind = table\ngamma.values = 2.0,1.0,nan\n")
-@example("c = " + "9" * 5000 + "\n")
-@example("gamma.kind = sqrt_inverse,table\n")
-def test_config_from_keyvalues_returns_or_raises_config_error(text):
-    _read_or_config_error(config_from_keyvalues, text)
 
 
 # ----- package namespace -----

@@ -4,7 +4,9 @@ Each case bends one column of a valid 200-step planted trace at its first
 step row, a middle row and its landed row to one hostile cell text, beside
 the run's own summary. check must then exit 0, 1 or 2; exit 2 prints
 exactly one `error:` line, which names the trace line of the bent cell;
-exit 1 comes only with `audit FAILED`; and no warning escapes.
+exit 1 comes only with `audit FAILED`; and no warning escapes. A cell that
+int() and float() read but the writer never writes (an '_', a non-ASCII
+digit, whitespace) must exit 2.
 """
 
 import contextlib
@@ -19,6 +21,8 @@ from nmsubgrad import cli
 ROWS = (1, 100, 201)  # the first step row, a middle one and the landed row
 CELLS = ("", "x", "nan", "inf", "-inf", "1e400", "-0.0", "1_0", "٣", " 7 ", "1.5",
          "9223372036854775808")
+# int() and float() read these, but the writer's repr never writes them
+UNWRITTEN = ("1_0", "٣", " 7 ")
 COLUMNS = ("k", "f", "fbest_gap", "alpha", "ell", "gamma", "snorm")
 
 
@@ -62,6 +66,8 @@ def test_check_of_a_hostile_cell_exits_cleanly(trace_lines, tmp_path, column, ro
         errors = err.splitlines()
         if caught:
             faults.append((cell, "warnings", caught))
+        if cell in UNWRITTEN and rc != 2:
+            faults.append((cell, f"exit {rc}, not 2, for a cell the writer never writes"))
         if rc == 2:
             if not (len(errors) == 1 and errors[0].startswith(f"error: {path}:{row + 1}: ")):
                 faults.append((cell, "exit 2 without one error line naming the line", err))
