@@ -53,14 +53,11 @@ class TheoryConstants:
 
 
 def constants(rho: float, beta: float, L: float, c: float = 1.0) -> TheoryConstants:
+    """theta from rho and L; beta and c are unread, and checked by SolverConfig."""
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if not (L >= 0.0 and math.isfinite(L)):
         raise ValueError(f"L must be non-negative and finite, got {L}")
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"c must be positive and finite, got {c}")
     s = (1.0 + rho) * L * L
     theta = 1.0 / s if s > 1.0 else 1.0  # the bits of min(1, 1/s) for L > 0
     return TheoryConstants(theta=theta)
@@ -214,11 +211,10 @@ def audit_stepwise(
 
     step_upper_bound, sufficient_decrease and quasi_fejer read their right
     sides through _under_bound, as audit_rate_bounds reads its bounds: one
-    that overflows to +inf holds (a gamma_k of +inf lets the search accept
-    any trial), and a NaN fails; where only gamma_k^2 overflows,
-    quasi_fejer forms its term as ((beta*c/rho)*gamma_k)*gamma_k. It is
-    skipped when a squared distance to x* overflows, as then neither side
-    can be formed.
+    that overflows to +inf holds, and a NaN fails; where only gamma_k^2
+    overflows, quasi_fejer forms its term as ((beta*c/rho)*gamma_k)*gamma_k.
+    It is skipped when a squared distance to x* overflows, as then neither
+    side can be formed.
 
     Every report, in memory or from CSV, takes the derived ladder:
     alpha_next is linesearch.rung(alpha, beta, ell), the code the search

@@ -420,6 +420,17 @@ def _bench_config(what: str, entry_cls, conf, base: SolverConfig):
     return entry, cfg, runs
 
 
+def _median(col) -> float:
+    """np.median(col)'s float without its numpy.ma import: nan when a value is
+    NaN, else the middle value or the middle two's sum over 2, each sum
+    started at 0.0 as numpy's mean starts it (a -0.0 median reads 0.0)."""
+    vals = sorted(map(float, col))
+    if any(v != v for v in vals):
+        return float("nan")
+    mid = len(vals) // 2
+    return 0.0 + vals[mid] if len(vals) % 2 else (0.0 + vals[mid - 1] + vals[mid]) / 2
+
+
 def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
     """(path, lines) of one config's table: a row per method and seed, whose
     status is the run's termination, and a median row per method. Each
@@ -437,7 +448,7 @@ def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
             cells += [repr(float(gap)), str(report.it_best), report.termination]
             results += [(gap, report.it_best)] * len(seeds)
             lines += [",".join([method, str(seed), *cells]) for seed in seeds]
-        medians = [repr(float(np.median(col))) for col in zip(*results)]
+        medians = [repr(_median(col)) for col in zip(*results)]
         lines.append(",".join([method, "median", *["nan"] * len(x_cols), *medians, "aggregate"]))
     name = f"bench_{kind}_n{entry.n}_m{entry.m}.csv"
     return os.path.join(out_dir, name), lines

@@ -110,7 +110,8 @@ class PowerInverse:
 @dataclass(frozen=True)
 class StronglyConvexHarmonic:
     """gamma_k = 2 / (sigma * beta * big_theta * k), the schedule paired with
-    sigma-strongly-convex objectives."""
+    sigma-strongly-convex objectives. The sequence starts finite: the three
+    must make gamma_1, its largest value, positive and finite."""
 
     sigma: float
     beta: float
@@ -121,6 +122,11 @@ class StronglyConvexHarmonic:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be positive and finite, got {v}")
+        # _at's product at k = 1, in Python floats, which neither warn nor raise
+        p = float(self.sigma) * float(self.beta) * float(self.big_theta)
+        if not (0.0 < p < math.inf and 2.0 / p < math.inf):
+            raise ConfigError(f"gamma_1 = 2/(sigma*beta*big_theta) must be positive and "
+                              f"finite, got sigma*beta*big_theta = {p!r}")
 
     def _at(self, k):
         return 2.0 / (self.sigma * self.beta * self.big_theta * k)

@@ -69,20 +69,17 @@ def test_constants_reject_rho_outside_the_unit_interval():
     for rho in (0.0, 1.0, -0.5, math.nan):
         with pytest.raises(ValueError, match="rho must lie in"):
             constants(rho=rho, beta=0.9, L=1.0)
-    with pytest.raises(ValueError):
-        constants(rho=0.8, beta=1.0, L=1.0)
     for L in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="L must be non-negative and finite"):
             constants(rho=0.8, beta=0.9, L=L)
     assert constants(rho=0.8, beta=0.9, L=0.0).theta == 1.0  # a constant objective
-    for c in (0.0, math.inf):
-        with pytest.raises(ValueError, match="c must be positive"):
-            constants(rho=0.8, beta=0.9, L=1.0, c=c)
 
 
 def test_constants_hold_only_theta():
     tc = constants(rho=0.8, beta=0.9, L=1.0, c=2.0)
     assert [f.name for f in dataclasses.fields(tc)] == ["theta"]
+    # theta reads rho and L only: beta and c are a config's, which checked them
+    assert constants(rho=0.8, beta=1.0, L=1.0, c=math.inf) == tc
 
 
 # ----- stepwise audit on real runs -----

@@ -11,6 +11,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,15 @@ from nmsubgrad.cli import METHODS, main
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+_SRC = os.path.dirname(os.path.dirname(nmsubgrad.__file__))
+
+
+def _src_env():
+    """The environment with the imported package's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [_SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 # ----- gen -----
@@ -179,6 +189,26 @@ def test_gen_overflowing_plant_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+# f* is certified once, where the instance is made: a plant whose large
+# active gradients round f(x*) away from f* fails in gen, and a file whose f*
+# was bent fails where check loads it
+def test_inconsistent_planted_f_star_is_exit_2(planted_instance, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = run_cli("gen", "maxaffine", "--n", "2", "--m", "4", "--planted", "--seed", "0",
+                 "--active-scale", "1e6", "--out", str(out))
+    assert "planted value mismatch" in _assert_usage_error(rc, capsys)
+    assert not out.exists()
+    trace = str(tmp_path / "t.csv")
+    assert run_cli("run", planted_instance, "--iters", "20", "--out", trace) == 0
+    capsys.readouterr()
+    obj = json.loads(Path(planted_instance).read_text())
+    obj["f_star"] += 1.0
+    bent = tmp_path / "bent.json"
+    bent.write_text(json.dumps(obj))
+    rc = run_cli("check", trace, str(bent))
+    assert "planted value mismatch" in _assert_usage_error(rc, capsys)
+
+
 def test_bench_overflowing_plant_is_one_error_line(tmp_path, capsys):
     path = _plan_with(tmp_path, config={"spread": 1e308})
     assert "A and b must be finite" in _assert_usage_error(run_cli("bench", path), capsys)
@@ -282,6 +312,25 @@ def test_run_config_file_with_flag_override(planted_instance, tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "t.summary.json").read_text())
     assert summary["n_rows"] == 56
+
+
+# a slack sequence starts finite: a harmonic gamma_1 = 2/(sigma*beta*big_theta)
+# that overflows is refused at input; run with gamma_1 = +inf, this config's
+# row 1 would fail check's step_lower_bound, whose premise needs a finite gamma
+def test_run_harmonic_config_whose_gamma_1_overflows_is_exit_2(tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
+    assert run_cli("gen", "maxaffine", "--n", "2", "--m", "4", "--planted", "--seed", "3",
+                   "--out", inst) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gamma.kind": "strongly_convex_harmonic", "gamma.sigma": 1e-320, '
+                   '"gamma.beta": 0.9, "gamma.big_theta": 0.5, "alpha1": 1e308, '
+                   '"max_iters": 30}')
+    capsys.readouterr()
+    rc = run_cli("run", inst, "--config", str(cfg), "--out", str(tmp_path / "t.csv"))
+    assert _assert_usage_error(rc, capsys) == (
+        "error: gamma_1 = 2/(sigma*beta*big_theta) must be positive and finite, "
+        "got sigma*beta*big_theta = 4.5e-321")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "inst.json"]
 
 
 # a solver flag that the method never reads is exit 2, not a value the
@@ -1093,6 +1142,38 @@ def test_bench_reruns_byte_identical(tmp_path):
     assert csv_path.read_bytes() == first
 
 
+# bench forms its median rows without np.median, which imports numpy.ma; they
+# keep np.median's bits: the middle value or the two middle values' mean, each
+# sum started at 0.0 (a -0.0 median reads 0.0), and nan when any value is NaN
+_MEDIAN_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(col=st.lists(_MEDIAN_FLOATS, min_size=1, max_size=9)
+       | st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=9))
+@example(col=[-0.0])
+@example(col=[-0.0, -0.0])
+@example(col=[math.inf, -math.inf])
+@example(col=[1.7976931348623157e308, 1.7976931348623157e308])
+@example(col=[3, 8])
+def test_bench_median_is_numpy_median(col):
+    with np.errstate(all="ignore"):  # inf - inf and an overflowing sum warn in numpy
+        want = float(np.median(np.array(col)))
+    got = cli._median(col)
+    assert type(got) is float
+    assert (math.isnan(want) and math.isnan(got)) or got.hex() == want.hex()
+
+
+def test_bench_imports_no_numpy_ma(tmp_path):
+    plan = Path(_SRC).parent / "plans" / "fermatweber.json"
+    code = ("import sys; from nmsubgrad import cli; "
+            "rc = cli.main(['bench', sys.argv[1], '--out-dir', sys.argv[2]]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(plan), str(tmp_path)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
 def _plan_with(tmp_path, problem="maxaffine", config=(), **fields):
     """_small_plan's file with fields set in the plan and config's items in
     its one config entry."""
@@ -1186,14 +1267,11 @@ def test_no_arguments_is_exit_2():
 
 
 def test_module_runs_as_a_script(tmp_path):
-    src = os.path.dirname(os.path.dirname(nmsubgrad.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = tmp_path / "inst.json"
     for argv, code in ((["--n", "2"], 0), (["--n", "0"], 2)):
         proc = subprocess.run(
             [sys.executable, "-m", "nmsubgrad.cli", "gen", "maxaffine", *argv, "--m", "4",
-             "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+             "--out", str(out)], env=_src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
     assert json.loads(out.read_text())["type"] == "maxaffine"
 

@@ -163,6 +163,29 @@ def test_gamma_param_validation():
         StronglyConvexHarmonic(1.0, 0.9, 0.0)
 
 
+# a slack sequence starts finite: three positive finite parameters make a
+# harmonic sequence exactly when its gamma_1 = 2/(sigma*beta*big_theta) is
+# positive and finite, and gamma_values then gives that gamma_1
+_POSITIVE = st.floats(min_value=5e-324, max_value=1e308)
+
+
+@given(sigma=_POSITIVE, beta=_POSITIVE, big_theta=_POSITIVE)
+@example(sigma=1e-320, beta=0.9, big_theta=0.5)  # gamma_1 overflows
+@example(sigma=1e-200, beta=1e-200, big_theta=1.0)  # the product underflows to 0
+@example(sigma=1e308, beta=1e308, big_theta=1.0)  # the product overflows, gamma_1 is 0
+@example(sigma=2.0 / 1.7976931348623157e308, beta=1.0, big_theta=1.0)  # about the largest
+def test_harmonic_exists_exactly_when_gamma_1_is_finite(sigma, beta, big_theta):
+    product = sigma * beta * big_theta
+    first = 2.0 / product if product > 0.0 else math.inf
+    if 0.0 < first < math.inf:
+        seq = StronglyConvexHarmonic(sigma, beta, big_theta)
+        assert gamma_values(seq, 1)[0] == first
+    else:
+        with pytest.raises(ConfigError, match=r"gamma_1 = 2/\(sigma\*beta\*big_theta\) "
+                                              r"must be positive and finite"):
+            StronglyConvexHarmonic(sigma, beta, big_theta)
+
+
 # ----- sequence diagnostics -----
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -33,7 +34,6 @@ from nmsubgrad import problems
 from nmsubgrad.problems import (
     instance_from_obj,
     instance_to_obj,
-    planted_certificate_residual,
     radius_bound,
 )
 
@@ -127,8 +127,6 @@ def test_max_affine_rejects_bad_sigma_and_plant():
     with pytest.raises(ValueError, match="certificate fails"):
         MaxAffineInstance(A=np.array([[2.0], [-1.0]]), b=np.array([0.0, -1.0]),
                           x_star=np.zeros(1), f_star=0.0)
-    with pytest.raises(ValueError, match="no planted optimum"):
-        planted_certificate_residual(MaxAffineInstance(A=A, b=b))
 
 
 def test_instance_sizes_and_point_shape():
@@ -187,7 +185,7 @@ def test_planted_instance_structure():
     vals = inst.A @ inst.x_star + inst.b
     active = np.isclose(vals, vals.max(), rtol=0, atol=1e-10)
     assert active.sum() == 4  # n + 1 by default
-    assert planted_certificate_residual(inst) <= 1e-10
+    assert problems._certificate(inst)[1] <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,7 +205,7 @@ def test_planted_certificate_property(seed, n, extra, spread, scale, sigma):
     value = make_problem(inst).value
     assert value(inst.x_star) == pytest.approx(inst.f_star, rel=1e-9, abs=1e-9)
     assert np.linalg.norm(inst.x_star) == pytest.approx(spread, rel=1e-9)
-    assert planted_certificate_residual(inst) <= 1e-8 * max(1.0, scale * spread)
+    assert problems._certificate(inst)[1] <= 1e-8 * max(1.0, scale * spread)
     # nearby evaluations never dip below the planted value
     rng = np.random.default_rng(seed + 1)
     for _ in range(8):
@@ -237,8 +235,10 @@ def test_planted_rejects_bad_arguments():
         plant_optimum_max_affine(0, 2, 10, active_scale=-1.0)
     with pytest.raises(ValueError, match="n >= 1"):
         plant_optimum_max_affine(0, 0, 10)
-    with pytest.raises(ValueError, match="sigma"):
-        plant_optimum_max_affine(0, 2, 10, sigma=-1.0)
+    # the instance refuses sigma, also one that made the plant's A non-finite
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"sigma must be >= 0, got {sigma}"):
+            plant_optimum_max_affine(0, 2, 10, sigma=sigma)
 
 
 def test_planted_is_deterministic():
@@ -327,7 +327,7 @@ def test_planted_builder_keeps_its_bits(case):
             assert got.tobytes() == want.tobytes()
         assert inst.f_star.hex() == f_star.hex()
         resid = planted_certificate_residual_ref(A, b, inst.sigma, x_star)
-        assert planted_certificate_residual(inst).hex() == resid.hex()
+        assert problems._certificate(inst)[1].hex() == resid.hex()
         L = lipschitz_full_ref(A)
         if inst.sigma > 0.0:
             L += inst.sigma * (float(np.linalg.norm(cset.center)) + cset.radius)
@@ -758,6 +758,16 @@ def test_make_problem_carries_certificates():
     assert prob.value(inst.x_star) == pytest.approx(inst.f_star, rel=1e-12)
 
 
+# a distance that overflows is +inf, outside the ball, without numpy's
+# overflow warning (pytest makes it an error)
+def test_contains_reads_an_overflowing_distance_as_outside():
+    far = Ball(center=np.array([1e308, 0.0]), radius=5.0)
+    assert not contains(far, np.zeros(2))
+    inst = plant_optimum_max_affine(3, 2, 4)
+    with pytest.raises(ValueError, match="outside"):
+        make_problem(inst, far)
+
+
 def test_make_problem_rejects_infeasible_plant():
     inst = plant_optimum_max_affine(1, 2, 6, spread=5.0)
     tiny = Ball(center=np.zeros(2), radius=0.1)
@@ -771,14 +781,24 @@ def test_make_problem_sigma_unbounded_set_leaves_l_unset():
     assert prob.L is None
 
 
-def test_problem_spec_checks_star_consistency():
-    inst = plant_optimum_max_affine(1, 2, 6, spread=0.3)
-    prob = make_problem(inst)
-    with pytest.raises(ValueError, match="inconsistent"):
-        type(prob)(
-            n=prob.n, value=prob.value, eval=prob.eval, cset=prob.cset,
-            x_star=inst.x_star, f_star=inst.f_star + 1.0,
-        )
+# the instance certified x* and f* where it was made, so bundling it, or
+# copying the bundle with another f*, runs no oracle and parks no subgradient
+@pytest.mark.parametrize("kind", ["maxaffine", "fermatweber"])
+def test_make_problem_and_replace_call_no_oracle(kind, monkeypatch):
+    if kind == "maxaffine":
+        inst, name = plant_optimum_max_affine(1, 2, 6, spread=0.3), "max_affine_eval"
+        x = inst.x_star
+    else:
+        inst, name = gen_fermat_weber(1, 2, 6), "fermat_weber_eval"
+        x = np.array([0.1, -0.2])
+    real, calls = getattr(problems._kernels, name), []
+    monkeypatch.setattr(problems._kernels, name, lambda *a: calls.append(a) or real(*a))
+    prob = make_problem(inst, Ball(center=np.zeros(2), radius=5.0))
+    moved = dataclasses.replace(prob, f_star=-123.0)
+    assert calls == []
+    assert moved.f_star == -123.0
+    moved.eval(x)  # nothing is parked at x*, so the counting kernel runs
+    assert len(calls) == 1
 
 
 # ----- parked oracle: value(x) hands its subgradient to the next eval(x) -----
