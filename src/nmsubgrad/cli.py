@@ -33,6 +33,7 @@ from .core import (
     ConfigError,
     SolverConfig,
     SqrtInverse,
+    TERMINATION_BACKTRACK_FAILURE,
     _NUMBER_FIELDS,
     _config_from_items,
     _config_items,
@@ -59,6 +60,7 @@ from .solver import (
     METHODS,
     _RULES,
     _start_point,
+    _stop_tag,
     _trace_text,
     read_trace_csv,
     solve_nonmonotone,
@@ -352,14 +354,6 @@ class _Entry:
     seeds: list[int]
     zeta: float | None = None
 
-    fixed = False  # whether the entry fixes the instance, so that no seed changes it
-
-    def problems(self):
-        """(problem, seeds) once per distinct instance: one for all the seeds
-        when the entry fixes the instance, else one per seed."""
-        for seeds in [self.seeds] if self.fixed else [[seed] for seed in self.seeds]:
-            yield self.problem(seeds[0]), seeds
-
 
 @dataclasses.dataclass(frozen=True)
 class _MaxAffineEntry(_Entry):
@@ -376,10 +370,6 @@ class _MaxAffineEntry(_Entry):
 class _FermatWeberEntry(_Entry):
     anchor_scale: float | None = None
     anchors_csv: str | None = None
-
-    @property
-    def fixed(self) -> bool:
-        return self.anchors_csv is not None
 
     def problem(self, seed: int):
         """f_star from weiszfeld; an anchors file must hold m rows of n columns."""
@@ -407,14 +397,13 @@ def _bench_solver(solver: dict) -> SolverConfig:
 
 
 def _bench_config(what: str, entry_cls, conf, base: SolverConfig):
-    """(entry, solver config, [(problem, seeds)]) of one config entry, with
-    each distinct problem built once; a malformed entry is a ConfigError."""
+    """(entry, solver config, [(seed, problem)]) of one config entry, or a ConfigError."""
     entry = entry_cls(**_read_fields(what, conf, dataclasses.fields(entry_cls)))
     if not entry.seeds:
         raise ConfigError(f"{what} has an empty seed list")
     cfg = _override(dataclasses.replace(base, max_iters=entry.iters), entry, ())
     try:
-        runs = list(entry.problems())
+        runs = [(seed, entry.problem(seed)) for seed in entry.seeds]
     except (ValueError, OSError, MemoryError) as exc:  # the entry names the culprit
         raise ConfigError(f"{what} = {conf!r}: {_describe(exc)}") from None
     return entry, cfg, runs
@@ -433,21 +422,20 @@ def _median(col) -> float:
 
 def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
     """(path, lines) of one config's table: a row per method and seed, whose
-    status is the run's termination, and a median row per method. Each
-    problem is solved once per method, and its seeds share the row."""
+    status is the run's termination, and a median row per method."""
     fw = kind == "fermatweber"
     x_cols = [f"x{i+1}" for i in range(entry.n)] if fw else []
     header = ["method", "seed"] + x_cols + ["gap", "it_best", "status"]
     lines = [",".join(header)]
     for method in methods:
         results = []  # (gap, it_best) of each seed
-        for problem, seeds in runs:
+        for seed, problem in runs:
             report = _solve(problem, cfg, method, rules[method])
             gap = report.f_best - problem.f_star
             cells = [repr(float(v)) for v in report.xs[report.it_best - 1]] if fw else []
             cells += [repr(float(gap)), str(report.it_best), report.termination]
-            results += [(gap, report.it_best)] * len(seeds)
-            lines += [",".join([method, str(seed), *cells]) for seed in seeds]
+            results.append((gap, report.it_best))
+            lines.append(",".join([method, str(seed), *cells]))
         medians = [repr(_median(col)) for col in zip(*results)]
         lines.append(",".join([method, "median", *["nan"] * len(x_cols), *medians, "aggregate"]))
     name = f"bench_{kind}_n{entry.n}_m{entry.m}.csv"
@@ -457,14 +445,16 @@ def _bench_one_config(kind, entry, cfg, runs, methods, rules, out_dir):
 # ----- check -----
 
 
-def _audit_config(args, rows: int) -> tuple[SolverConfig, str | None]:
+def _audit_config(args, report, problem) -> tuple[SolverConfig, str | None]:
     """The config the summary beside the trace records, or the defaults when
     there is none, with the check's flags in place of its fields; and the
-    method it names, None or one of METHODS. Its n_rows must be the integer rows."""
-    base, method = SolverConfig(), None
+    method it names, None or one of METHODS. Each result the summary states
+    must be the trace's or the instance's, of its type (a bool is no int),
+    NaN equal to NaN; termination needs the summary's max_iters."""
+    base, summary = SolverConfig(), {}
     spath = _summary_path(args.trace)
+    what = f"summary file {spath!r}"
     if os.path.exists(spath):
-        what = f"summary file {spath!r}"
         with open(spath, "r", encoding="utf-8") as fh:
             summary = _json_value(fh.read(), what)
         if not isinstance(summary, dict):
@@ -474,12 +464,28 @@ def _audit_config(args, rows: int) -> tuple[SolverConfig, str | None]:
                 base = _config_from_items(summary["config"])
         except ConfigError as exc:
             raise ConfigError(f"{what}: {exc}") from None
-        method, n_rows = summary.get("method"), summary.get("n_rows")
-        if method is not None and method not in METHODS:
-            raise ConfigError(f"{what}: field 'method' must be one of {', '.join(METHODS)}, "
-                              f"got {method!r}")
-        if n_rows is not None and (type(n_rows) is not int or n_rows != rows):
-            raise ConfigError(f"{what}: field 'n_rows' is {n_rows!r}, not the trace's {rows} rows")
+    method = summary.get("method")
+    if method is not None and method not in METHODS:
+        raise ConfigError(f"{what}: field 'method' must be one of {', '.join(METHODS)}, "
+                          f"got {method!r}")
+    rows, best, f_star = len(report.k), report.it_best, problem.f_star
+    facts = {"n_rows": (rows, None), "f_best": (report.f_best, best), "it_best": (best, best),
+             "f_star": (f_star, None),  # each with the trace row that shows it, if one does
+             "gap": (None if f_star is None else report.f_best - f_star, best)}
+    if summary.get("config") is not None:  # so its max_iters is the run's
+        tag = _stop_tag(rows, base.max_iters, report.f[-1], report.snorm[-1])
+        facts["termination"] = (tag or TERMINATION_BACKTRACK_FAILURE, rows)  # None: a cap ran out
+    for name, (fact, row) in facts.items():
+        claim = summary.get(name)
+        same = type(claim) is type(fact) and (claim == fact or claim != claim and fact != fact)
+        if claim is not None and not same:
+            where = ""
+            if row is not None:  # the row's line, blank lines counted as read_trace_csv does
+                with open(args.trace, "r", encoding="utf-8") as fh:
+                    where = f"{args.trace}:{[n for n, t in enumerate(fh, 1) if t.strip()][row]}: "
+            whose = "the instance's" if name == "f_star" else "the trace's"
+            raise ConfigError(f"{where}{what}: field {name!r} is {claim!r}, not {whose} "
+                              f"{fact!r}" + " rows" * (name == "n_rows"))
     return _override(base, args, _CHECK_FLAGS), method
 
 
@@ -487,7 +493,7 @@ def cmd_check(args) -> int:
     report = read_trace_csv(args.trace)
     inst, cset = load_instance(args.instance)
     problem = make_problem(inst, cset)
-    cfg, method = _audit_config(args, len(report.k))
+    cfg, method = _audit_config(args, report, problem)
     report = dataclasses.replace(report, method=method)
     tc = None if problem.L is None else constants(cfg.rho, cfg.beta, problem.L, c=cfg.c)
     x1 = _start_point(problem, None)  # run's start, which a trace does not carry

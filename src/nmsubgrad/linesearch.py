@@ -32,13 +32,12 @@ __all__ = ["LineSearchOutcome", "nonmonotone_backtrack", "rung"]
 
 
 class LineSearchOutcome(NamedTuple):
-    """ell: accepted rung (>= 1); x_next: projected trial point; f_next: its
-    value; alpha_next = beta**(ell-1)*alpha_k, of which the applied step is
+    """ell: accepted rung (>= 1); x_next: projected trial point;
+    alpha_next = beta**(ell-1)*alpha_k, of which the applied step is
     beta*alpha_next; trials: number of objective evaluations spent."""
 
     ell: int
     x_next: np.ndarray
-    f_next: float
     alpha_next: float
     trials: int
 
@@ -79,7 +78,7 @@ def nonmonotone_backtrack(
         f_trial = value(x_trial)
         trials += 1
         if f_trial <= f_k - rho * step * snorm_sq + gamma_k:
-            return LineSearchOutcome._make((ell, x_trial, float(f_trial), candidate, trials))
+            return LineSearchOutcome._make((ell, x_trial, candidate, trials))
     raise BacktrackFailureError(
         f"no acceptable step within backtrack_cap={cfg.backtrack_cap} rungs "
         f"(alpha_k={alpha_k!r}, gamma_k={gamma_k!r})"

@@ -7,6 +7,12 @@ steps, and the final landed iterate is always recorded as a trailing row with
 the ell = 0 sentinel (prefixed runs use the sentinel on every row). A budget
 of max_iters therefore yields max_iters + 1 rows unless the run stops early.
 
+Both drivers evaluate each iterate x_k once, f(x_k) and s_k by `eval`, as
+row k, and call `value` only at line-search trials. One rule, _stop_tag, ends
+a run at row k: zero_subgradient if ||s_k|| = 0, else max_iters if k >
+max_iters, else nonfinite_oracle if f(x_k) or ||s_k|| is not finite; else
+the run steps on, and a search whose cap runs out ends it backtrack_failure.
+
 Runs are deterministic: identical (problem, config, start) give identical
 traces.
 """
@@ -121,6 +127,17 @@ def _start_point(problem: ProblemSpec, x0) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
+def _stop_tag(k: int, max_iters: int, f: float, snorm: float) -> str | None:
+    """The module docstring's rule: the tag row k ends the run with, or None."""
+    if snorm == 0.0:
+        return TERMINATION_ZERO_SUBGRADIENT
+    if k > max_iters:
+        return TERMINATION_MAX_ITERS
+    if not (math.isfinite(f) and math.isfinite(snorm)):
+        return TERMINATION_NONFINITE_ORACLE
+    return None
+
+
 # ----- non-monotone solver -----
 
 
@@ -130,11 +147,9 @@ def solve_nonmonotone(
 ) -> RunReport:
     """Run the backtracking method for cfg.max_iters steps.
 
-    Stops early only on an exactly zero subgradient, an exhausted
-    backtracking cap or a non-finite f or ||s_k|| at an iterate, returning the
-    partial trace with that termination tag and no numpy warning. A NaN or
-    +inf trial is a rejected rung; a -inf one is accepted and stops the run
-    on the next row. Warns with TheoryRegimeWarning when rho <= 1/2.
+    Stops early by _stop_tag or a spent backtracking cap, with that tag and
+    no numpy warning. A NaN or +inf trial is a rejected rung; a -inf one is
+    accepted and ends the run on the next row. TheoryRegimeWarning if rho <= 1/2.
     """
     from .linesearch import nonmonotone_backtrack
 
@@ -142,41 +157,27 @@ def solve_nonmonotone(
         warnings.warn(f"rho = {cfg.rho} <= 1/2: complexity constants are non-positive, "
                       "rate audits will not apply", TheoryRegimeWarning, stacklevel=3)
     gammas = gamma_values(cfg.gamma, cfg.max_iters + 1).tolist()  # fails fast on short tables
-    max_iters = cfg.max_iters
     value, evaluate, project = problem.value, problem.eval, problem.project
     x = _start_point(problem, x0)
-    f = value(x)
     alpha = cfg.alpha1
     rows = []  # one tuple per step, in _RECORD_FIELDS order
-    tag = TERMINATION_NONFINITE_ORACLE  # unless a break below names another cause
 
-    # every exit breaks out with the last iterate still unrecorded; past the
-    # budget, its subgradient is evaluated so the trace is uniform and a zero
-    # there is reported
+    # every exit breaks out with the last iterate, evaluated but unrecorded
     for k, gamma_k in enumerate(gammas, 1):
-        if not math.isfinite(f):
-            snorm = math.nan
-            break
-        _, s = evaluate(x)
+        f, s = evaluate(x)
         snorm_sq = float(s.dot(s))
         snorm = math.sqrt(snorm_sq) if math.isfinite(snorm_sq) else math.inf
-        if snorm_sq == 0.0:
-            tag = TERMINATION_ZERO_SUBGRADIENT
-            break
-        if k > max_iters:
-            tag = TERMINATION_MAX_ITERS
-            break
-        if not math.isfinite(snorm_sq):
+        if tag := _stop_tag(k, cfg.max_iters, f, snorm):
             break
         try:
-            ell, x_next, f_next, alpha_next, _ = nonmonotone_backtrack(
+            ell, x_next, alpha_next, _ = nonmonotone_backtrack(
                 value, project, x, f, s, snorm_sq, alpha, gamma_k, cfg
             )
         except BacktrackFailureError:
             tag = TERMINATION_BACKTRACK_FAILURE
             break
         rows.append((k, x, f, gamma_k, alpha, ell, snorm))
-        x, f, alpha = x_next, f_next, alpha_next
+        x, alpha = x_next, alpha_next
     rows.append((k, x, f, gamma_k, alpha, 0, snorm))
     return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag, "nonmonotone")
 
@@ -192,8 +193,8 @@ def solve_prefixed(
 
     Every row uses the ell = 0 sentinel and stores the applied size in
     alpha; gamma is recorded as NaN (no slack sequence exists here).
-    A zero subgradient stops the run before any division by ||s_k||, and a
-    step that overflows ends it as nonfinite_oracle, without a numpy warning.
+    _stop_tag ends the run before any division by ||s_k||, so a step that
+    overflows ends it as nonfinite_oracle, without a numpy warning.
     """
     if not isinstance(rule, StepRule):
         raise TypeError(f"not a step rule: {rule!r}")
@@ -207,14 +208,7 @@ def solve_prefixed(
         f, s = problem.eval(x)
         snorm_sq = float(s.dot(s))
         snorm = math.sqrt(snorm_sq) if math.isfinite(snorm_sq) else math.inf
-        if snorm_sq == 0.0:
-            tag = TERMINATION_ZERO_SUBGRADIENT
-            break
-        if k > max_iters:
-            tag = TERMINATION_MAX_ITERS
-            break
-        if not (math.isfinite(f) and math.isfinite(snorm_sq)):
-            tag = TERMINATION_NONFINITE_ORACLE
+        if tag := _stop_tag(k, max_iters, f, snorm):
             break
         size = rule.size(k, snorm)
         rows.append((k, x, f, nan, size, 0, snorm))

@@ -562,6 +562,9 @@ _UNCAUGHT = {
     # nothing reads the landed row's snorm
     "snorm-landed-up", "snorm-landed-down",
 }
+# these lower f below the run's best, so the copy's summary states an f_best
+# and an it_best that the bent trace does not show: exit 2, before any audit
+_SUMMARY_REFUSED = {"f-middle-down", "f-landed-down"}
 
 
 @pytest.mark.parametrize("edit", _TAMPER_EDITS)
@@ -575,7 +578,7 @@ def test_check_tamper_matrix(tamper_trace, tmp_path, edit):
         return repr(float(cell) + sign * (abs(float(cell)) / 2 or 0.5))
 
     rc = _check_bent_copy(tamper_trace, tmp_path, [_TAMPER_ROWS[row]], {col: bend})
-    assert rc == (0 if edit in _UNCAUGHT else 1)
+    assert rc == (0 if edit in _UNCAUGHT else 2 if edit in _SUMMARY_REFUSED else 1)
 
 
 # run writes fbest_gap only when f* is known, so a gap column beside a
@@ -850,6 +853,137 @@ def test_check_trace_of_another_length_than_its_summary_is_exit_2(
     capsys.readouterr()
     line = _assert_usage_error(run_cli("check", str(trace), planted_instance), capsys)
     assert f"field 'n_rows' is 51, not the trace's {len(lines) - 1} rows" in line
+
+
+# each result the summary states is held to its trace and instance before
+# any audit runs: one edit of tamper_trace's summary at a time is exit 2,
+# naming the field and the trace line that shows the fact, writing no report
+@pytest.mark.parametrize("field, claim, named", [
+    ("f_best", -5.0, "t.csv:192: summary file {s!r}: field 'f_best' is -5.0, not the trace's "
+                     "0.42976749092960254"),
+    ("it_best", 3, "t.csv:192: summary file {s!r}: field 'it_best' is 3, not the trace's 191"),
+    ("termination", "zero_subgradient", "t.csv:202: summary file {s!r}: field 'termination' "
+                                        "is 'zero_subgradient', not the trace's 'max_iters'"),
+    ("gap", 1e9, "t.csv:192: summary file {s!r}: field 'gap' is 1000000000.0, not the trace's "
+                 "0.011668644203823686"),
+    ("f_star", 123.0, "summary file {s!r}: field 'f_star' is 123.0, not the instance's "
+                      "0.41809884672577885"),
+], ids=["f_best", "it_best", "termination", "gap", "f_star"])
+def test_check_refuses_a_summary_result_its_trace_does_not_show(tamper_trace, tmp_path, capsys,
+                                                                field, claim, named):
+    inst, trace = tamper_trace
+    summary = json.loads(Path(trace).with_suffix(".summary.json").read_text())
+    assert summary[field] != claim
+    (tmp_path / "t.csv").write_text(Path(trace).read_text())
+    spath = tmp_path / "t.summary.json"
+    spath.write_text(json.dumps(dict(summary, **{field: claim})))
+    report = tmp_path / "audit.json"
+    capsys.readouterr()
+    rc = run_cli("check", str(tmp_path / "t.csv"), inst, "--out", str(report))
+    line = _assert_usage_error(rc, capsys)
+    where = str(tmp_path) + os.sep if named.startswith("t.csv") else ""
+    assert line == f"error: {where}{named.format(s=str(spath))}"
+    assert capsys.readouterr().out == "" and not report.exists()
+
+
+# a field that is absent or null is not compared, and a claim must have the
+# fact's type: neither a bool nor a float is an int
+@pytest.mark.parametrize("edit, named", [
+    ({"f_best": None, "it_best": None, "termination": None, "gap": None, "f_star": None}, None),
+    ({"it_best": True}, "field 'it_best' is True"),
+    ({"it_best": 191.0}, "field 'it_best' is 191.0"),
+    ({"n_rows": 201.0}, "field 'n_rows' is 201.0"),
+], ids=["all_null", "bool_it_best", "float_it_best", "float_n_rows"])
+def test_check_compares_summary_results_by_type(tamper_trace, tmp_path, capsys, edit, named):
+    inst, trace = tamper_trace
+    summary = json.loads(Path(trace).with_suffix(".summary.json").read_text())
+    (tmp_path / "t.csv").write_text(Path(trace).read_text())
+    (tmp_path / "t.summary.json").write_text(json.dumps(dict(summary, **edit)))
+    capsys.readouterr()
+    rc = run_cli("check", str(tmp_path / "t.csv"), inst)
+    if named is None:
+        assert rc == 0
+    else:
+        assert named in _assert_usage_error(rc, capsys)
+
+
+# an instance without f_star refuses a summary that states one, or a gap
+@pytest.mark.parametrize("field", ["f_star", "gap"])
+def test_check_refuses_an_f_star_the_instance_lacks(tmp_path, capsys, field):
+    inst, trace = str(tmp_path / "fw.json"), str(tmp_path / "fw.csv")
+    assert run_cli("gen", "fermatweber", "--seed", "1", "--out", inst) == 0
+    assert run_cli("run", inst, "--iters", "20", "--out", trace) == 0
+    spath = tmp_path / "fw.summary.json"
+    summary = json.loads(spath.read_text())
+    assert field not in summary
+    spath.write_text(json.dumps(dict(summary, **{field: 0.5})))
+    capsys.readouterr()
+    line = _assert_usage_error(run_cli("check", trace, inst), capsys)
+    whose = "instance" if field == "f_star" else "trace"
+    assert line.endswith(f"field '{field}' is 0.5, not the {whose}'s None")
+
+
+# a trace whose best row is NaN, at row 1, beside a summary that states
+# another f_best and then beside one that states NaN, which equals it
+def test_check_reads_a_nan_f_best_as_equal(tmp_path, capsys):
+    inst, trace = tmp_path / "inst.json", tmp_path / "t.csv"
+    inst.write_text(json.dumps({"type": "maxaffine", "A": [[1e200, 1e200]], "b": [0.0]}))
+    assert run_cli("run", str(inst), "--out", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 2  # ||s_1|| overflows, so x_1 is the landed row
+    cells = lines[1].split(",")
+    cells[1] = "nan"
+    trace.write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
+    spath = tmp_path / "t.summary.json"
+    summary = json.loads(spath.read_text())
+    capsys.readouterr()
+    assert run_cli("check", str(trace), str(inst)) == 2
+    assert "field 'f_best' is 0.0, not the trace's nan" in capsys.readouterr().err
+    spath.write_text(json.dumps(dict(summary, f_best=float("nan"))))
+    assert run_cli("check", str(trace), str(inst)) == 0
+
+
+# run's own output passes check on every termination path of both drivers,
+# the termination that check derives from the landed row included
+_TERMINATION_PATHS = {
+    "nonmonotone-max_iters": ("planted", ["--iters", "50"], "max_iters", 51),
+    "nonmonotone-zero_subgradient": ("kink", [], "zero_subgradient", 13),
+    "nonmonotone-backtrack_failure": ("overflow", ["--alpha1", "1e308", "--c", "1e308",
+                                                   "--iters", "50"], "backtrack_failure", 1),
+    "nonmonotone-nonfinite_oracle": ("steep", [], "nonfinite_oracle", 1),
+    "constant-max_iters": ("planted", ["--iters", "50"], "max_iters", 51),
+    "constant-zero_subgradient": ("kink", [], "zero_subgradient", 12),
+    "constant-nonfinite_oracle": ("ball", ["--step-const", "1.7e308", "--iters", "5"],
+                                  "nonfinite_oracle", 2),
+}
+# f = max(0, x + 1), max(5x + 3y, -4x + y), and one piece whose ||s||^2 overflows
+_PATH_INSTANCES = {
+    "kink": {"type": "maxaffine", "A": [[0.0], [1.0]], "b": [0.0, 1.0]},
+    "overflow": {"type": "maxaffine", "A": [[5.0, 3.0], [-4.0, 1.0]], "b": [0.0, 0.0]},
+    "steep": {"type": "maxaffine", "A": [[1e200, 1e200]], "b": [0.0]},
+}
+
+
+@pytest.mark.parametrize("path", _TERMINATION_PATHS)
+def test_check_passes_run_output_on_every_termination_path(tmp_path, capsys, path):
+    family, flags, termination, n_rows = _TERMINATION_PATHS[path]
+    inst, trace = tmp_path / "inst.json", str(tmp_path / "t.csv")
+    if family == "planted":
+        assert run_cli("gen", "maxaffine", "--n", "2", "--m", "4", "--planted", "--seed", "3",
+                       "--out", str(inst)) == 0
+    elif family == "ball":
+        assert run_cli("gen", "fermatweber", "--seed", "1", "--set", "ball",
+                       "--out", str(inst)) == 0
+    else:
+        inst.write_text(json.dumps(_PATH_INSTANCES[family]))
+    method = path.split("-")[0]
+    assert run_cli("run", str(inst), "--method", method, *flags, "--out", trace) == 0
+    summary = json.loads((tmp_path / "t.summary.json").read_text())
+    assert (summary["termination"], summary["n_rows"]) == (termination, n_rows)
+    capsys.readouterr()
+    assert run_cli("check", trace, str(inst)) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith("audit passed") and err == ""
 
 
 def test_check_out_of_range_int_cell_is_exit_2(planted_instance, tmp_path, capsys):
@@ -1198,15 +1332,15 @@ def _count_calls(monkeypatch, names) -> Counter:
     return calls
 
 
-# the seeds share one problem: the file is read, its reference value solved
-# and each method run once for both seeds
+# the seeds solve the same problem, each its own: the file is read and its
+# reference value solved once per seed, and each method run once per seed
 def test_bench_anchor_file_gives_every_seed_the_same_rows(tmp_path, monkeypatch):
     csv = tmp_path / "anchors.csv"
     csv.write_text("lat,lon\n" + "".join(f"{3 * i % 7},{i * i % 5}\n" for i in range(10)))
     calls = _count_calls(monkeypatch, ("read_anchor_csv", "weiszfeld", "_solve"))
     assert run_cli("bench", _plan_with(tmp_path, "fermatweber",
                                        config={"anchors_csv": str(csv)})) == 0
-    assert calls == {"read_anchor_csv": 1, "weiszfeld": 1, "_solve": 2}
+    assert calls == {"read_anchor_csv": 2, "weiszfeld": 2, "_solve": 4}
     lines = (tmp_path / "out" / "bench_fermatweber_n2_m10.csv").read_text().splitlines()
     for method in ("nonmonotone", "sqrsum"):
         rows = [line.split(",")[2:] for line in lines

@@ -50,6 +50,7 @@ from nmsubgrad.core import (
     TERMINATION_NONFINITE_ORACLE,
     TERMINATION_ZERO_SUBGRADIENT,
 )
+from nmsubgrad.solver import METHODS, _RULES, _stop_tag
 
 
 def _abs_value_problem():
@@ -443,10 +444,11 @@ def test_one_kernel_call_per_trial_point(kind, monkeypatch):
     report = solve_nonmonotone(counted, CFG)
     assert report.termination == TERMINATION_MAX_ITERS
     assert seen["searches"] == CFG.max_iters
-    assert calls["value"] == seen["trials"] + 1
+    assert calls["value"] == seen["trials"]
     assert calls["eval"] == len(report.k)
-    # every eval took the subgradient parked by the value call at its point
-    assert calls["kernel"] == calls["value"]
+    # every eval but the start point's took the subgradient parked by the
+    # value call at its point
+    assert calls["kernel"] == calls["value"] + 1
     # and the trace is the one a problem without counting wrappers gives
     plain = solve_nonmonotone(prob, CFG)
     assert plain.f.tolist() == report.f.tolist()
@@ -460,9 +462,11 @@ class FailingOracles:
     """A real problem's oracles that break on command. Calls count from 1:
     value call number nan_value_at returns NaN, computed by the real oracle at
     a NaN point so it is parked like any trial value, and value call number
-    neg_inf_value_at returns -inf; eval call number nan_eval_at returns a NaN
-    value, eval call number inf_eval_at an infinite subgradient, and eval call
-    number zero_eval_at a zero one."""
+    neg_inf_value_at returns -inf. An eval at the point of either returns
+    that f, as make_problem's parked oracles hand eval the f of the value
+    call before it. Eval call number nan_eval_at returns a NaN value, eval
+    call number inf_eval_at an infinite subgradient, and eval call number
+    zero_eval_at a zero one."""
 
     def __init__(self, problem, nan_value_at=None, nan_eval_at=None, inf_eval_at=None,
                  zero_eval_at=None, neg_inf_value_at=None):
@@ -474,18 +478,26 @@ class FailingOracles:
         self.zero_eval_at = zero_eval_at
         self.values = 0
         self.evals = 0
+        self.injected = None  # (point bytes, f) of the last value call, when injected
 
     def value(self, x):
         self.values += 1
+        self.injected = None
         if self.values == self.nan_value_at:
-            return self.problem.value(np.full_like(x, np.nan))
-        if self.values == self.neg_inf_value_at:
-            return -math.inf
-        return self.problem.value(x)
+            f = self.problem.value(np.full_like(x, np.nan))
+        elif self.values == self.neg_inf_value_at:
+            f = -math.inf
+        else:
+            return self.problem.value(x)
+        self.injected = (x.tobytes(), f)
+        return f
 
     def eval(self, x):
         self.evals += 1
         f, g = self.problem.eval(x)
+        hit, self.injected = self.injected, None
+        if hit is not None and hit[0] == x.tobytes():
+            f = hit[1]
         if self.evals == self.nan_eval_at:
             f = math.nan
         if self.evals == self.inf_eval_at:
@@ -508,15 +520,18 @@ def _assert_partial_trace_audits(report, prob, cfg):
     assert (report.ell[:-1] >= 1).all()
 
 
+# the start point is evaluated by eval alone, so its NaN f is recorded with
+# the subgradient's norm
 def test_nan_at_start_is_nonfinite_oracle():
     prob = _planted(seed=10)
-    oracles = FailingOracles(prob, nan_value_at=1)
+    oracles = FailingOracles(prob, nan_eval_at=1)
     report = solve_nonmonotone(oracles.spec(), CFG)
     assert report.termination == TERMINATION_NONFINITE_ORACLE
     assert len(report.k) == 1
     assert math.isnan(report.f[0])
-    assert math.isnan(report.snorm[0])
-    assert oracles.evals == 0
+    g = _planted(seed=10).eval(report.xs[0])[1]
+    assert report.snorm[0] == math.sqrt(g.dot(g)) > 0.0
+    assert (oracles.values, oracles.evals) == (0, 1)
     _assert_partial_trace_audits(report, prob, CFG)
 
 
@@ -538,16 +553,6 @@ def test_nan_trial_mid_run_is_a_rejected_rung():
     np.testing.assert_array_equal(g, g_fresh)
 
 
-def test_infinite_subgradient_is_nonfinite_oracle():
-    prob = _planted(seed=12)
-    oracles = FailingOracles(prob, inf_eval_at=10)
-    report = solve_nonmonotone(oracles.spec(), CFG)
-    assert report.termination == TERMINATION_NONFINITE_ORACLE
-    assert len(report.k) == 10
-    assert report.snorm[-1] == math.inf
-    _assert_partial_trace_audits(report, prob, CFG)
-
-
 def test_backtrack_cap_exhaustion_is_backtrack_failure():
     # with one rung the accepted size never shrinks, so the size cap
     # alpha1 <= c * zeta / sqrt(k) must fail by k = 26
@@ -559,25 +564,6 @@ def test_backtrack_cap_exhaustion_is_backtrack_failure():
     assert 2 <= len(report.k) <= 26
     assert (report.ell[:-1] == 1).all()
     _assert_partial_trace_audits(report, prob, cfg)
-
-
-# the prefixed solver stops on a non-finite value or subgradient norm with the
-# same tag; the row that stops it is the last one
-def test_prefixed_nan_value_is_nonfinite_oracle():
-    oracles = FailingOracles(_planted(seed=16), nan_eval_at=7)
-    report = solve_prefixed(oracles.spec(), ConstantStep(0.1), 40)
-    assert report.termination == TERMINATION_NONFINITE_ORACLE
-    assert oracles.evals == len(report.k) == 7
-    assert math.isnan(report.f[-1])
-    assert math.isfinite(report.f_best)
-
-
-def test_prefixed_infinite_subgradient_is_nonfinite_oracle():
-    oracles = FailingOracles(_planted(seed=17), inf_eval_at=7)
-    report = solve_prefixed(oracles.spec(), ConstantStep(0.1), 40)
-    assert report.termination == TERMINATION_NONFINITE_ORACLE
-    assert oracles.evals == len(report.k) == 7
-    assert math.isfinite(report.f[-1]) and report.snorm[-1] == math.inf
 
 
 # a first trial x_1 - s_1 * 0.9e308 overflows, and its value is NaN (inf - inf
@@ -604,16 +590,17 @@ def test_overflowing_trials_are_passed_over_under_a_large_cap():
     assert report.f_best == -1.1605313662771428
 
 
-# -inf passes the decrease test as written, so the trial is accepted; the
-# driver's check on f then ends the run on the next row, which records it
+# -inf passes the decrease test as written, so the trial is accepted; eval
+# at that point gives -inf too, and the stopping rule ends the run on the
+# next row, which records it with its subgradient's norm
 def test_minus_inf_trial_is_accepted_and_ends_the_next_row():
     oracles = FailingOracles(_planted(seed=18), neg_inf_value_at=20)
     report = solve_nonmonotone(oracles.spec(), CFG)
     assert report.termination == TERMINATION_NONFINITE_ORACLE
-    assert oracles.values == 20
+    assert oracles.values == 20 and oracles.evals == len(report.k)
     assert report.ell[-2] >= 1 and report.ell[-1] == 0
     assert report.f[-1] == -math.inf and np.isfinite(report.f[:-1]).all()
-    assert math.isnan(report.snorm[-1])
+    assert 0.0 < report.snorm[-1] < math.inf
 
 
 # real overflows on a Fermat-Weber ball, not injected ones: a raw step of
@@ -671,34 +658,54 @@ def test_iterates_are_one_block_of_the_evaluated_points(method, zero_eval_at, te
     assert np.linalg.norm(xs, axis=1).max() == pytest.approx(0.5, rel=1e-12)
 
 
-# ----- the landed iterate after the last step -----
+# ----- one stopping rule for both drivers -----
 
 
-def test_zero_subgradient_at_landed_iterate():
-    prob = _planted(seed=14)
-    oracles = FailingOracles(prob, zero_eval_at=CFG.max_iters + 1)
-    report = solve_nonmonotone(oracles.spec(), CFG)
-    assert report.termination == TERMINATION_ZERO_SUBGRADIENT
-    assert len(report.k) == CFG.max_iters + 1
-    assert oracles.evals == CFG.max_iters + 1
-    assert (report.k[-1], report.ell[-1], report.snorm[-1]) == (CFG.max_iters + 1, 0, 0.0)
-    _assert_partial_trace_audits(report, prob, CFG)
-
-
-def test_infinite_subgradient_at_landed_iterate_is_max_iters():
-    prob = _planted(seed=15)
-    oracles = FailingOracles(prob, inf_eval_at=CFG.max_iters + 1)
-    report = solve_nonmonotone(oracles.spec(), CFG)
-    assert report.termination == TERMINATION_MAX_ITERS
-    assert len(report.k) == CFG.max_iters + 1
-    assert (report.k[-1], report.ell[-1], report.snorm[-1]) == (CFG.max_iters + 1, 0, math.inf)
+# a fault injected at the eval of row 7 or of the landed row max_iters + 1
+# ends both drivers alike; past the budget only a zero subgradient is its
+# own cause. Each row is one eval, and each value call a line-search trial
+@pytest.mark.parametrize("method", ["nonmonotone", "prefixed"])
+@pytest.mark.parametrize("fault, row, termination", [
+    (None, None, TERMINATION_MAX_ITERS),
+    ("zero_eval_at", 7, TERMINATION_ZERO_SUBGRADIENT),
+    ("zero_eval_at", CFG.max_iters + 1, TERMINATION_ZERO_SUBGRADIENT),
+    ("nan_eval_at", 7, TERMINATION_NONFINITE_ORACLE),
+    ("nan_eval_at", CFG.max_iters + 1, TERMINATION_MAX_ITERS),
+    ("inf_eval_at", 7, TERMINATION_NONFINITE_ORACLE),
+    ("inf_eval_at", CFG.max_iters + 1, TERMINATION_MAX_ITERS),
+], ids=["max_iters", "zero_subgradient-mid", "zero_subgradient-landed", "nonfinite_f-mid",
+        "nonfinite_f-landed", "infinite_snorm-mid", "infinite_snorm-landed"])
+def test_termination_matrix(method, fault, row, termination, monkeypatch):
+    prob = _planted(seed=12)
+    oracles = FailingOracles(prob, **({} if fault is None else {fault: row}))
+    seen = _count_trials(monkeypatch)
+    if method == "nonmonotone":
+        report = solve_nonmonotone(oracles.spec(), CFG)
+    else:
+        report = solve_prefixed(oracles.spec(), ConstantStep(0.1), CFG.max_iters)
+    rows = CFG.max_iters + 1 if row is None else row
+    assert report.termination == termination
+    assert len(report.k) == oracles.evals == rows
+    assert oracles.values == seen["trials"]
+    f, snorm = report.f[-1], report.snorm[-1]
+    assert (report.k[-1], report.ell[-1]) == (rows, 0)
+    assert math.isnan(f) if fault == "nan_eval_at" else math.isfinite(f)
+    if fault == "zero_eval_at":
+        assert snorm == 0.0
+    elif fault == "inf_eval_at":
+        assert snorm == math.inf
+    else:
+        assert 0.0 < snorm < math.inf
+    assert np.isfinite(report.f[:-1]).all() and (report.snorm[:-1] > 0.0).all()
+    if method == "nonmonotone":
+        assert seen["searches"] == rows - 1
+    # a NaN that eval alone gives belies the value the search accepted there,
+    # which the decrease audit rightly fails
+    if method == "nonmonotone" and fault != "nan_eval_at":
+        _assert_partial_trace_audits(report, prob, CFG)
 
 
 # ----- property: every run the solver makes passes its own audit -----
-
-_KNOWN_TAGS = (TERMINATION_MAX_ITERS, TERMINATION_ZERO_SUBGRADIENT,
-               TERMINATION_BACKTRACK_FAILURE, TERMINATION_NONFINITE_ORACLE)
-
 
 def _property_problem(seed, family, n, extra, set_kind, sigma):
     """A small problem of the family on the set; a plant the set excludes is
@@ -720,15 +727,14 @@ def _property_problem(seed, family, n, extra, set_kind, sigma):
 
 
 def _assert_tag_matches_trace(report, max_iters):
+    """The run's tag is the stopping rule's of its landed row, or
+    backtrack_failure, which only a line search gives, where the rule steps."""
     rows = len(report.k)
-    assert report.termination in _KNOWN_TAGS
-    assert report.ell[-1] == 0
-    if report.termination == TERMINATION_MAX_ITERS:
-        assert rows == max_iters + 1
-    elif report.termination == TERMINATION_ZERO_SUBGRADIENT:
-        assert report.snorm[-1] == 0.0
-    else:
-        assert rows <= max_iters and report.snorm[-1] != 0.0
+    assert report.ell[-1] == 0 and rows <= max_iters + 1
+    tag = _stop_tag(rows, max_iters, report.f[-1], report.snorm[-1])
+    if tag is None:
+        assert report.method == "nonmonotone"
+    assert report.termination == (TERMINATION_BACKTRACK_FAILURE if tag is None else tag)
 
 
 @pytest.mark.filterwarnings("ignore::nmsubgrad.core.TheoryRegimeWarning")
@@ -779,6 +785,31 @@ def test_every_run_passes_its_audit(seed, family, n, extra, set_kind, sigma, bet
 
     for rule in (ConstantStep(), ConstantLength(), NonsummableDiminishing(), SquareSummable()):
         _assert_tag_matches_trace(solve_prefixed(prob, rule, iters), iters)
+
+
+# both drivers, their oracles broken at a drawn call, at steps that may
+# overflow and under caps that may run out: every run ends by the one rule
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    method=st.sampled_from(METHODS),
+    fault=st.sampled_from([None, "zero_eval_at", "nan_eval_at", "inf_eval_at",
+                           "nan_value_at", "neg_inf_value_at"]),
+    at=st.integers(1, 30),
+    alpha1=st.sampled_from([1e-3, 0.1, 10.0, 1e308]),
+    c=st.sampled_from([0.01, 1.0, 1e308]),
+    cap=st.integers(1, 40),
+    iters=st.integers(1, 25),
+)
+def test_termination_is_the_rule_of_the_landed_row(seed, method, fault, at, alpha1, c, cap,
+                                                   iters):
+    oracles = FailingOracles(_planted(seed, n=2, m=4), **({} if fault is None else {fault: at}))
+    if method == "nonmonotone":
+        cfg = SolverConfig(c=c, alpha1=alpha1, max_iters=iters, backtrack_cap=cap)
+        report = solve_nonmonotone(oracles.spec(), cfg)
+    else:
+        report = solve_prefixed(oracles.spec(), _RULES[method](alpha1), iters)
+    _assert_tag_matches_trace(report, iters)
 
 
 # ----- golden traces -----
