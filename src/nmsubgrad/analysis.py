@@ -1,12 +1,13 @@
 """Theory-audit layer: verify on recorded runs the inequalities the method
 guarantees by construction, and the complexity bounds they imply.
 
-Every check compares floats with a relative slack of 1e-9, scaled by the
-magnitudes of both sides (floored at 1), so legitimate roundoff never trips a
-check while any real violation does. Checks whose prerequisites are missing
-(no optimum, no Lipschitz constant, no iterates in a CSV-round-tripped trace,
-prefixed-step traces with no line-search law) are reported as skipped, never
-silently dropped.
+Every check compares lhs <= rhs by one rule: a row holds when it holds in IEEE
+arithmetic, as the line search's decrease test reads it, or when lhs - rhs is
+at most 1e-9 of max(1, |lhs|, |rhs|), so legitimate roundoff never trips a
+check while any real violation does; a NaN side fails. Checks whose
+prerequisites are missing (no optimum, no Lipschitz constant, no iterates in
+a CSV-round-tripped trace, prefixed-step traces with no line-search law) are
+reported as skipped, never silently dropped.
 """
 
 from __future__ import annotations
@@ -108,23 +109,20 @@ def _normalized(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _worst(name: str, lhs: np.ndarray, rhs: np.ndarray, first: int = 1) -> CheckResult:
-    """Check lhs_i <= rhs_i for all i; the worst violation decides, at row first + i."""
+    """Check lhs_i <= rhs_i for all i by the module's rule; the worst violation
+    decides, at row first + i. A violation that is not finite reads -1.0 where
+    the row holds under <=, and fails as a non-finite comparison where not."""
     viol = _normalized(lhs, rhs)
     # finite entries are at most 2(1+eps), so this is finite exactly when all are
     if not math.isfinite(viol.dot(viol)):
-        idx = int((~np.isfinite(viol)).argmax())
-        return CheckResult(name, FAILED, math.inf, first + idx, "non-finite comparison")
+        viol[~np.isfinite(viol) & (lhs <= rhs)] = -1.0  # a row that holds under <=
+        if not math.isfinite(viol.dot(viol)):
+            idx = int((~np.isfinite(viol)).argmax())
+            return CheckResult(name, FAILED, math.inf, first + idx, "non-finite comparison")
     idx = int(viol.argmax())
     worst = float(viol[idx])
     status = PASSED if worst <= REL_SLACK else FAILED
     return CheckResult(name, status, worst, first + idx)
-
-
-def _under_bound(name: str, lhs: np.ndarray, bound: np.ndarray, first: int = 1) -> CheckResult:
-    """_worst of lhs_k <= bound_k for a derived bound: one that overflowed to
-    +inf holds, read as the largest double, which no double lhs exceeds; a NaN
-    bound still fails as a non-finite comparison."""
-    return _worst(name, lhs, np.minimum(bound, DBL_MAX), first)
 
 
 def _skip(name: str, why: str) -> CheckResult:
@@ -209,12 +207,9 @@ def audit_stepwise(
     was. audit_rate_bounds turns it into the paper's form with an effective
     theta.
 
-    step_upper_bound, sufficient_decrease and quasi_fejer read their right
-    sides through _under_bound, as audit_rate_bounds reads its bounds: one
-    that overflows to +inf holds, and a NaN fails; where only gamma_k^2
-    overflows, quasi_fejer forms its term as ((beta*c/rho)*gamma_k)*gamma_k.
-    It is skipped when a squared distance to x* overflows, as then neither
-    side can be formed.
+    Where only gamma_k^2 overflows, quasi_fejer forms its term as
+    ((beta*c/rho)*gamma_k)*gamma_k. It is skipped when a squared distance to
+    x* overflows, as then neither side can be formed.
 
     Every report, in memory or from CSV, takes the derived ladder:
     alpha_next is linesearch.rung(alpha, beta, ell), the code the search
@@ -269,7 +264,7 @@ def audit_stepwise(
                 np.maximum(span, np.abs(_normalized(recorded, expected)), out=span)
         checks.append(_worst("consistency", dev, np.zeros(K + 1)))
 
-    checks.append(_under_bound("step_upper_bound", alpha_next, c * gamma))
+    checks.append(_worst("step_upper_bound", alpha_next, c * gamma))
 
     if tc is None:
         checks.append(_skip("step_lower_bound", "no Lipschitz constant supplied"))
@@ -278,7 +273,7 @@ def audit_stepwise(
         checks.append(_worst("step_lower_bound", unrolled, alpha_next))
 
     decrease_rhs = f[:K] - rho * (beta * alpha_next) * (snorm * snorm) + gamma
-    checks.append(_under_bound("sufficient_decrease", f[1 : K + 1], decrease_rhs))
+    checks.append(_worst("sufficient_decrease", f[1 : K + 1], decrease_rhs))
 
     if report.xs is None:
         checks.append(_skip("quasi_fejer", "trace carries no iterates (CSV round-trip)"))
@@ -296,7 +291,7 @@ def audit_stepwise(
                 over = term == math.inf
                 term[over] = beta * c / rho * gamma[over] * gamma[over]
             rhs = dist_sq[:K] + term
-            checks.append(_under_bound("quasi_fejer", dist_sq[1 : K + 1], rhs))
+            checks.append(_worst("quasi_fejer", dist_sq[1 : K + 1], rhs))
 
     return AuditReport(checks=tuple(checks))
 
@@ -332,8 +327,7 @@ def audit_rate_bounds(
     may, as with beta*c = 1e-600, or an L whose (1+rho)L^2 overflows). The
     regime is cfg.rho's, since such an L leaves Gamma 0 at any rho. A
     bent alpha_1 <= 0 or NaN makes Gamma NaN, so every bound fails as a
-    non-finite comparison. Each bound is read through _under_bound, as in
-    audit_stepwise: one that overflows to +inf holds, and a NaN fails. Why
+    non-finite comparison; a bound that overflows to +inf holds under <=. Why
     the bounds hold, with the applied step t_k = beta*alpha_{k+1} and x* in C:
     1. projection is nonexpansive and <s_k, x_k - x*> >= f_k - f*, so
        ||x_{k+1}-x*||^2 <= ||x_k-x*||^2 - 2*t_k*(f_k - f*) + t_k^2*||s_k||^2;
@@ -420,7 +414,7 @@ def audit_rate_bounds(
         if numer[-1] == math.inf:  # the numerator overflows: floor both quotients
             floor = (beta / rho) * c * np.minimum(sum_shift, DBL_MAX) / (Gamma * Ns)
             general, tail = np.fmax(general, floor), np.fmax(tail, floor)
-        checks.append(_under_bound("rate_general", gap, general))
+        checks.append(_worst("rate_general", gap, general))
         if zeta is None:
             checks.append(_skip("rate_sqrt_log", "gamma is not the sqrt-inverse kind"))
         else:
@@ -428,8 +422,8 @@ def audit_rate_bounds(
             log_term = kappa * np.log(Ns)
             log_term[0] = 0.0  # ln 1 = 0, also where kappa overflowed (inf * 0 is NaN)
             bound = (4.0 / Gamma) * (dist_sq / zeta + kappa + log_term) / np.sqrt(Ns)
-            checks.append(_under_bound("rate_sqrt_log", gap, bound))
-        checks.append(_under_bound("rate_tail", gap, tail))
+            checks.append(_worst("rate_sqrt_log", gap, bound))
+        checks.append(_worst("rate_tail", gap, tail))
 
     D = diameter_sq(problem.cset)
     if D is None:
@@ -441,7 +435,7 @@ def audit_rate_bounds(
     else:
         bound = 4.0 * (D / zeta + zeta * beta * c / rho * math.log(3.0)) / (
             Gamma * np.sqrt(Ns[1:] + 2.0))
-        checks.append(_under_bound("rate_compact", gap[1:], bound, first=2))
+        checks.append(_worst("rate_compact", gap[1:], bound, first=2))
 
     sigma = problem.sigma
     seq = cfg.gamma
@@ -457,6 +451,6 @@ def audit_rate_bounds(
         checks.append(_skip("rate_strongly_convex", "gamma parameters do not match the run"))
     else:
         bound = (8.0 * beta * c) / (rho * sigma * beta * theta * Gamma * (Ns + 1.0))
-        checks.append(_under_bound("rate_strongly_convex", gap, bound))
+        checks.append(_worst("rate_strongly_convex", gap, bound))
 
     return AuditReport(checks=tuple(checks))

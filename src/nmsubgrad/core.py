@@ -462,17 +462,16 @@ class RunReport:
 
 def _report(columns, termination: str, method: str | None = None) -> RunReport:
     """A report of method from columns, a mapping from the names in
-    _RECORD_FIELDS and "fbest_gap" to sequences of Python values, for x of
-    equal-length vectors stacked into one (rows, n) block; a column absent or
-    None is one the source lacks. Other keys are ignored. f_best and it_best
-    are min() and one past the first index() over f as given, so a NaN keeps
-    their meaning."""
-    k, f = columns["k"], columns["f"]
-    if not k:
+    _RECORD_FIELDS and "fbest_gap" to sequences of values (Python values or
+    arrays), for x of equal-length vectors stacked into one (rows, n) block;
+    a column absent or None is one the source lacks. Other keys are ignored.
+    f_best and it_best are min() and one past the first index() over f's
+    float64 values in order, so a NaN keeps their meaning."""
+    if not len(columns["k"]):
         raise ValueError("a run must visit at least one iterate")
-    best = min(f)
     arrays = {_COLUMN_OF.get(name, name): None if columns.get(name) is None else np.array(
         columns[name], dtype=np.int64 if name in ("k", "ell") else np.float64)
         for name in (*_RECORD_FIELDS, "fbest_gap")}
+    best = min(f := arrays["f"].tolist())
     return RunReport(**arrays, f_best=best, it_best=f.index(best) + 1, termination=termination,
                      method=method)

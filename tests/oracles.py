@@ -278,14 +278,54 @@ def check_sum_lemmas(a: float, d: float, N: int) -> tuple[bool, bool | None]:
 def worst_ref(lhs, rhs) -> tuple[float, int]:
     """The audit's comparison of lhs_i <= rhs_i, element by element in
     Python floats: the largest (lhs_i - rhs_i) / max(1, |lhs_i|, |rhs_i|)
-    and its first position, or (inf, i) for the first i whose normalized
-    violation is not finite."""
-    viol = [(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(map(float, lhs), map(float, rhs))]
-    for i, v in enumerate(viol):
+    and its first position, where a violation that is not finite reads -1.0
+    when lhs_i <= rhs_i holds, or (inf, i) for the first i whose does not."""
+    viol = []
+    for i, (a, b) in enumerate(zip(map(float, lhs), map(float, rhs))):
+        v = (a - b) / max(1.0, abs(a), abs(b))
         if not math.isfinite(v):
-            return math.inf, i
+            if not a <= b:
+                return math.inf, i
+            v = -1.0
+        viol.append(v)
     i = max(range(len(viol)), key=viol.__getitem__)
     return viol[i], i
+
+
+# the characters int() and float() read past that repr never writes
+_UNWRITTEN_REF = frozenset("_ \t\x0b\x0c\x1c\x1d\x1e\x1f")
+
+
+def read_trace_ref(path: str):
+    """A trace CSV's report read cell by cell: int() for k and ell, float()
+    for the rest, each cell first held to ASCII without a character of
+    _UNWRITTEN_REF, and built by the package's column constructor; or the
+    ValueError that names the first row of another width, or cell that does
+    not read or whose int is outside int64, in read_trace_csv's words. The
+    header is taken as given."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    header = lines[0][1].split(",")
+    columns = {name: [] for name in header}
+    for lineno, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+        for name, cell in zip(header, cells):
+            read = int if name in ("k", "ell") else float
+            try:
+                if not cell.isascii() or any(ch in _UNWRITTEN_REF for ch in cell):
+                    raise ValueError
+                value = read(cell)
+            except ValueError:
+                kind = "an integer" if read is int else "a number"
+                raise ValueError(f"{path}:{lineno}: column {name!r}: {cell!r} is not {kind}") \
+                    from None
+            if read is int and not -2**63 <= value < 2**63:
+                raise ValueError(f"{path}:{lineno}: column {name!r}: {cell!r} is out of range "
+                                 "for int64")
+            columns[name].append(value)
+    return _report(columns, "unknown")
 
 
 def build_report(termination: str, **columns):

@@ -785,8 +785,10 @@ def test_report_lookup_and_merge():
 # ----- the comparison every check makes -----
 
 
-# at the first non-finite comparison, whichever side and sign, the check
-# fails there; a larger finite violation earlier does not hide it
+# at the first non-finite comparison that fails lhs <= rhs (a NaN side, +inf
+# on the left, -inf on the right) the check fails there, and a larger finite
+# violation earlier does not hide it; a -inf left side and a +inf right side
+# hold, so row 11's finite violation decides
 @pytest.mark.parametrize("side", ["lhs", "rhs"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_worst_reports_the_first_non_finite_comparison(side, bad):
@@ -795,7 +797,10 @@ def test_worst_reports_the_first_non_finite_comparison(side, bad):
     (lhs if side == "lhs" else rhs)[[2, 4]] = bad
     with np.errstate(invalid="ignore"):
         ch = _worst("check", lhs, rhs, first=10)
-    assert ch == CheckResult("check", "failed", math.inf, 12, "non-finite comparison")
+    if (side, bad) in (("lhs", -math.inf), ("rhs", math.inf)):
+        assert ch == CheckResult("check", "failed", 1.0, 11)
+    else:
+        assert ch == CheckResult("check", "failed", math.inf, 12, "non-finite comparison")
 
 
 def test_worst_reports_an_overflowing_difference_as_non_finite():
@@ -814,6 +819,7 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
 @given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=40))
 @example([(1e308, -1e308)])
 @example([(0.0, 0.0), (-0.0, 0.0), (1.0 + 1e-9, 1.0)])
+@example([(-math.inf, -math.inf), (-math.inf, 5.0), (5.0, math.inf), (math.inf, math.inf)])
 def test_worst_matches_the_elementwise_reference(pairs):
     lhs = np.array([a for a, _ in pairs])
     rhs = np.array([b for _, b in pairs])

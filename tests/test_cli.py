@@ -951,16 +951,22 @@ _TERMINATION_PATHS = {
     "nonmonotone-backtrack_failure": ("overflow", ["--alpha1", "1e308", "--c", "1e308",
                                                    "--iters", "50"], "backtrack_failure", 1),
     "nonmonotone-nonfinite_oracle": ("steep", [], "nonfinite_oracle", 1),
+    "nonmonotone-nonfinite_oracle-minus_inf": ("linear", ["--alpha1", "1e308", "--c", "1e308",
+                                                          "--iters", "50"],
+                                               "nonfinite_oracle", 4),
     "constant-max_iters": ("planted", ["--iters", "50"], "max_iters", 51),
     "constant-zero_subgradient": ("kink", [], "zero_subgradient", 12),
     "constant-nonfinite_oracle": ("ball", ["--step-const", "1.7e308", "--iters", "5"],
                                   "nonfinite_oracle", 2),
 }
-# f = max(0, x + 1), max(5x + 3y, -4x + y), and one piece whose ||s||^2 overflows
+# f = max(0, x + 1), max(5x + 3y, -4x + y), one piece whose ||s||^2 overflows,
+# and f = x, whose search accepts a trial value of -inf, the landed row 4's f,
+# by its <= test, which the audit's sufficient_decrease reads as holding
 _PATH_INSTANCES = {
     "kink": {"type": "maxaffine", "A": [[0.0], [1.0]], "b": [0.0, 1.0]},
     "overflow": {"type": "maxaffine", "A": [[5.0, 3.0], [-4.0, 1.0]], "b": [0.0, 0.0]},
     "steep": {"type": "maxaffine", "A": [[1e200, 1e200]], "b": [0.0]},
+    "linear": {"type": "maxaffine", "A": [[1.0]], "b": [0.0]},
 }
 
 
@@ -984,6 +990,8 @@ def test_check_passes_run_output_on_every_termination_path(tmp_path, capsys, pat
     assert run_cli("check", trace, str(inst)) == 0
     out, err = capsys.readouterr()
     assert out.splitlines()[-1].startswith("audit passed") and err == ""
+    if method == "nonmonotone" and n_rows > 1:
+        assert "sufficient_decrease: passed" in out
 
 
 def test_check_out_of_range_int_cell_is_exit_2(planted_instance, tmp_path, capsys):

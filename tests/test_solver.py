@@ -51,6 +51,7 @@ from nmsubgrad.core import (
     TERMINATION_ZERO_SUBGRADIENT,
 )
 from nmsubgrad.solver import METHODS, _RULES, _stop_tag
+from oracles import read_trace_ref
 
 
 def _abs_value_problem():
@@ -392,6 +393,67 @@ def test_read_trace_csv_returns_or_raises_value_error(text):
         except ValueError:
             return
     assert isinstance(report, RunReport)
+
+
+# cells a bend writes over one cell of a valid trace: the hostile-cell set,
+# spellings the writer never writes, ints on both sides of int64's range, and
+# short strings of number-like characters (a ',' changes the row's width)
+_BENT_CELLS = (st.sampled_from(["", "x", "1_0", "\u0663", " 7 ", "+3", ".5", "5.", "07", "-0",
+                                "NaN", "-nan", "Infinity", "1e400", "1.0", "1e3", "0x10",
+                                "9223372036854775807", "9223372036854775808",
+                                "-9223372036854775809", "\x00", "#1"])
+               | st.integers().map(str) | st.floats().map(repr)
+               | st.text(alphabet="0123456789.-+eEinfaINFAtyTY_ ,x", max_size=6))
+
+
+def _report_bits(report):
+    """Everything a report holds, comparable bit for bit."""
+    cols = tuple(None if getattr(report, name) is None else getattr(report, name).tobytes()
+                 for name in ("k", "xs", "f", "gamma", "alpha", "ell", "snorm", "fbest_gap"))
+    return cols + (repr(report.f_best), report.it_best, report.termination, report.method)
+
+
+def _read_outcome(read, path):
+    try:
+        return _report_bits(read(path))
+    except ValueError as exc:
+        return str(exc)
+
+
+# the one loadtxt parse and the cell-by-cell reference read every trace of
+# both drivers alike, bent at one cell or not: equal reports bit for bit, or
+# the same message
+@settings(max_examples=200, deadline=None)
+@given(method=st.sampled_from(METHODS), seed=st.integers(0, 50),
+       iters=st.integers(1, 40), gap=st.booleans(), bend=st.booleans(),
+       where=st.tuples(st.integers(0), st.integers(0)), cell=_BENT_CELLS)
+@example(method="nonmonotone", seed=0, iters=5, gap=True, bend=True, where=(0, 0),
+         cell="9223372036854775808")
+@example(method="nonmonotone", seed=0, iters=5, gap=False, bend=True, where=(5, 5), cell=" 7 ")
+@example(method="constant", seed=0, iters=5, gap=True, bend=True, where=(2, 3), cell="1.0")
+def test_read_trace_csv_reads_as_the_cell_by_cell_reference(method, seed, iters, gap, bend,
+                                                            where, cell):
+    prob = _planted(seed=seed)
+    cfg = dataclasses.replace(CFG, max_iters=iters)
+    report = (solve_nonmonotone(prob, cfg) if method == "nonmonotone"
+              else solve_prefixed(prob, _RULES[method](), iters))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        write_trace_csv(report, path, f_star=prob.f_star if gap else None)
+        if bend:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            row = 1 + where[0] % (len(lines) - 1)
+            cells = lines[row].split(",")
+            cells[where[1] % len(cells)] = cell
+            lines[row] = ",".join(cells)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        outcome = _read_outcome(read_trace_csv, path)
+        assert outcome == _read_outcome(read_trace_ref, path)
+    if not bend:  # a valid trace reads as its run's columns
+        expected = _report_bits(report)
+        assert isinstance(outcome, tuple) and outcome[2:7] == expected[2:7]
 
 
 # ----- oracle calls per run -----
