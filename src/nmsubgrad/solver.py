@@ -142,9 +142,7 @@ def _stop_tag(k: int, max_iters: int, f: float, snorm: float) -> str | None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite oracle ends the run
-def solve_nonmonotone(
-    problem: ProblemSpec, cfg: SolverConfig, x0=None
-) -> RunReport:
+def solve_nonmonotone(problem: ProblemSpec, cfg: SolverConfig, x0=None) -> RunReport:
     """Run the backtracking method for cfg.max_iters steps.
 
     Stops early by _stop_tag or a spent backtracking cap, with that tag and
@@ -186,9 +184,7 @@ def solve_nonmonotone(
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite oracle ends the run
-def solve_prefixed(
-    problem: ProblemSpec, rule: StepRule, max_iters: int, x0=None
-) -> RunReport:
+def solve_prefixed(problem: ProblemSpec, rule: StepRule, max_iters: int, x0=None) -> RunReport:
     """x_{k+1} = P_C(x_k - alpha_k * s_k) with alpha_k from the rule.
 
     Every row uses the ell = 0 sentinel and stores the applied size in
@@ -294,7 +290,8 @@ def read_trace_csv(path: str) -> RunReport:
     fbest_gap column when present, and xs None: a trace does not serialize
     the iterates. Its rows are one np.loadtxt parse behind the _written
     screen: it reads what int() and float() read (+3, .5, NaN, 1e400, 07),
-    bar an int outside int64, and a trace it refuses raises _cell_fault's."""
+    bar an int outside int64, and a trace it refuses raises _cell_fault's.
+    numpy 1.23-1.26's int-via-float DeprecationWarning is such a refusal."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate(map(str.strip, fh), start=1) if ln]
     if len(lines) < 2:
@@ -307,7 +304,9 @@ def read_trace_csv(path: str) -> RunReport:
     try:
         if not _written(",".join(body)):
             raise ValueError("a cell that repr never writes")
-        table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError as exc:  # found only now, so a clean read costs nothing more
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning) as exc:  # named only now, at no cost to a clean read
         raise ValueError(_cell_fault(path, header, lines[1:]) or f"{path}: {exc}") from None
     return _report({name: table[name] for name in header}, "unknown")
