@@ -390,7 +390,7 @@ class IterationRecord(NamedTuple):
     alpha_next: float | None
 
 
-_RECORD_FIELDS = ("k", "x", "f", "gamma", "alpha", "ell", "snorm")  # a solver's row
+_RECORD_FIELDS = ("k", "x", "f", "gamma", "alpha", "ell", "snorm")  # the columns _report takes
 _COLUMN_OF = {"x": "xs"}  # a record field's RunReport column, where the names differ
 # the column each IterationRecord field is built from; step and alpha_next have none
 _RECORD_COLUMNS = tuple(_COLUMN_OF.get(name, name) for name in IterationRecord._fields)
@@ -462,9 +462,12 @@ class RunReport:
 
 def _report(columns, termination: str, method: str | None = None) -> RunReport:
     """A report of method from columns, a mapping from the names in
-    _RECORD_FIELDS and "fbest_gap" to sequences of values (Python values or
-    arrays), for x of equal-length vectors stacked into one (rows, n) block;
-    a column absent or None is one the source lacks. Other keys are ignored.
+    _RECORD_FIELDS and "fbest_gap" to sequences of values (Python values,
+    arrays or array.array buffers); x is either equal-length vectors, stacked
+    into one (rows, n) block, or that block itself, as the solvers pass it.
+    Each column is copied into an exact-size int64 (k, ell) or float64
+    array. A column absent or None is one the source lacks. Other keys are
+    ignored.
     f_best and it_best are min() and one past the first index() over f's
     float64 values in order, so a NaN keeps their meaning."""
     if not len(columns["k"]):

@@ -13,6 +13,11 @@ a run at row k: zero_subgradient if ||s_k|| = 0, else max_iters if k >
 max_iters, else nonfinite_oracle if f(x_k) or ||s_k|| is not finite; else
 the run steps on, and a search whose cap runs out ends it backtrack_failure.
 
+A driver appends each row's scalars to typed array.array column buffers and
+its iterate's bytes to one float64 buffer, so no per-row object outlives its
+step and the buffers grow with the rows run, never with the budget; _report
+copies them into exact-size columns at the run's one exit.
+
 Runs are deterministic: identical (problem, config, start) give identical
 traces.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +41,6 @@ from .core import (
     TERMINATION_NONFINITE_ORACLE,
     TERMINATION_ZERO_SUBGRADIENT,
     TheoryRegimeWarning,
-    _RECORD_FIELDS,
     _report,
     as_point,
     gamma_values,
@@ -138,6 +143,14 @@ def _stop_tag(k: int, max_iters: int, f: float, snorm: float) -> str | None:
     return None
 
 
+def _columns(xs: array, n: int, f: array, **rest) -> dict:
+    """_report's columns from a run's buffers: k the rows' positions, x the
+    iterate bytes xs as one (rows, n) float64 block (an iterate of another
+    itemsize fails the reshape), f and rest as they are."""
+    return {"k": np.arange(1, len(f) + 1), "x": np.frombuffer(xs).reshape(len(f), n),
+            "f": f, **rest}
+
+
 # ----- non-monotone solver -----
 
 
@@ -154,17 +167,23 @@ def solve_nonmonotone(problem: ProblemSpec, cfg: SolverConfig, x0=None) -> RunRe
     if cfg.rho <= 0.5:  # stacklevel 3 names the caller, past np.errstate's wrapper
         warnings.warn(f"rho = {cfg.rho} <= 1/2: complexity constants are non-positive, "
                       "rate audits will not apply", TheoryRegimeWarning, stacklevel=3)
-    gammas = gamma_values(cfg.gamma, cfg.max_iters + 1).tolist()  # fails fast on short tables
+    table = gamma_values(cfg.gamma, cfg.max_iters + 1)  # fails fast on short tables
     value, evaluate, project = problem.value, problem.eval, problem.project
     x = _start_point(problem, x0)
     alpha = cfg.alpha1
-    rows = []  # one tuple per step, in _RECORD_FIELDS order
+    # one buffer per column, x as its bytes: every iterate is C-contiguous
+    # float64 (_start_point makes x_1 so, and a float64 subgradient step and
+    # the set kernels keep it so), so its bytes are its row of the block
+    xs, fs, alphas, ells, snorms = array("d"), array("d"), array("d"), array("q"), array("d")
 
-    # every exit breaks out with the last iterate, evaluated but unrecorded
-    for k, gamma_k in enumerate(gammas, 1):
+    # every exit breaks out with the last row recorded but for its alpha and ell
+    for k, gamma_k in enumerate(table.tolist(), 1):
         f, s = evaluate(x)
         snorm_sq = float(s.dot(s))
         snorm = math.sqrt(snorm_sq) if math.isfinite(snorm_sq) else math.inf
+        xs.frombytes(x.tobytes())
+        fs.append(f)
+        snorms.append(snorm)
         if tag := _stop_tag(k, cfg.max_iters, f, snorm):
             break
         try:
@@ -174,10 +193,13 @@ def solve_nonmonotone(problem: ProblemSpec, cfg: SolverConfig, x0=None) -> RunRe
         except BacktrackFailureError:
             tag = TERMINATION_BACKTRACK_FAILURE
             break
-        rows.append((k, x, f, gamma_k, alpha, ell, snorm))
+        alphas.append(alpha)
+        ells.append(ell)
         x, alpha = x_next, alpha_next
-    rows.append((k, x, f, gamma_k, alpha, 0, snorm))
-    return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag, "nonmonotone")
+    alphas.append(alpha)
+    ells.append(0)
+    return _report(_columns(xs, problem.n, fs, gamma=table[:k], alpha=alphas, ell=ells,
+                            snorm=snorms), tag, "nonmonotone")
 
 
 # ----- prefixed-step solver -----
@@ -194,24 +216,27 @@ def solve_prefixed(problem: ProblemSpec, rule: StepRule, max_iters: int, x0=None
     """
     if not isinstance(rule, StepRule):
         raise TypeError(f"not a step rule: {rule!r}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if type(max_iters) is not int or max_iters < 1:  # a bool is no count, as in SolverConfig
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters}")
     x = _start_point(problem, x0)
-    nan = math.nan
-    rows = []
+    xs, fs, sizes, snorms = array("d"), array("d"), array("d"), array("d")  # as solve_nonmonotone's
 
     for k in range(1, max_iters + 2):
         f, s = problem.eval(x)
         snorm_sq = float(s.dot(s))
         snorm = math.sqrt(snorm_sq) if math.isfinite(snorm_sq) else math.inf
+        xs.frombytes(x.tobytes())
+        fs.append(f)
+        snorms.append(snorm)
         if tag := _stop_tag(k, max_iters, f, snorm):
             break
         size = rule.size(k, snorm)
-        rows.append((k, x, f, nan, size, 0, snorm))
+        sizes.append(size)
         x = problem.project(x - s * size)
-    rows.append((k, x, f, nan, nan, 0, snorm))
+    sizes.append(math.nan)  # the landed row applies no size
     method = next((m for m, cls in _RULES.items() if type(rule) is cls), type(rule).__name__)
-    return _report(dict(zip(_RECORD_FIELDS, zip(*rows))), tag, method)
+    return _report(_columns(xs, problem.n, fs, gamma=np.full(k, math.nan), alpha=sizes,
+                            ell=np.zeros(k, np.int64), snorm=snorms), tag, method)
 
 
 # ----- trace serialization -----

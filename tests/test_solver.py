@@ -85,9 +85,12 @@ def test_rule_constant_validation():
         solve_prefixed(_abs_value_problem(), "constant", 5)
 
 
+# a budget is counted as SolverConfig counts it: a bool is no count, and a
+# float is none either, though range() would take True as 1
 def test_prefixed_budget_validation():
-    with pytest.raises(ValueError, match="max_iters must be >= 1"):
-        solve_prefixed(_abs_value_problem(), ConstantStep(0.1), 0)
+    for max_iters in (0, True, 2.0):
+        with pytest.raises(ValueError, match=f"must be an integer >= 1, got {max_iters}$"):
+            solve_prefixed(_abs_value_problem(), ConstantStep(0.1), max_iters)
 
 
 # ----- worked example: constant step oscillates around the kink -----
@@ -235,6 +238,29 @@ def test_backtrack_cap_only_bounds_ell():
     assert big.termination == ref.termination
     for name in ("k", "f", "gamma", "alpha", "ell", "snorm", "xs"):
         np.testing.assert_array_equal(getattr(big, name), getattr(ref, name))
+
+
+# a run holds its rows in typed column buffers, not a tuple, an iterate array
+# and Python floats per row: at n = 10 each row's own bytes are 80 B of x and
+# 8 B per scalar column, held twice as the report copies them out (about
+# 290 B per step). The bound includes the backtracking run's slack table,
+# about 40 B per budgeted step; drivers that kept a tuple and an ndarray per
+# row peaked at 526 B (constant) and 579-644 B (nonmonotone)
+@pytest.mark.parametrize("method", ["nonmonotone", "constant"])
+def test_a_run_peaks_under_420_bytes_per_step(method):
+    prob = _planted(seed=0, n=10, m=50)
+    steps = 3000
+    tracemalloc.start()
+    try:
+        if method == "nonmonotone":
+            report = solve_nonmonotone(prob, SolverConfig(max_iters=steps))
+        else:
+            report = solve_prefixed(prob, ConstantStep(), steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_steps == steps
+    assert peak / steps < 420, peak / steps
 
 
 # ----- csv round trip -----
@@ -575,6 +601,7 @@ class FailingOracles:
         self.values = 0
         self.evals = 0
         self.injected = None  # (point bytes, f) of the last value call, when injected
+        self.points = []
 
     def value(self, x):
         self.values += 1
@@ -590,6 +617,7 @@ class FailingOracles:
 
     def eval(self, x):
         self.evals += 1
+        self.points.append(x.copy())
         f, g = self.problem.eval(x)
         hit, self.injected = self.injected, None
         if hit is not None and hit[0] == x.tobytes():
@@ -734,13 +762,7 @@ def test_iterates_are_one_block_of_the_evaluated_points(method, zero_eval_at, te
     inst = plant_optimum_max_affine(3, 4, 12, spread=0.5)
     oracles = FailingOracles(make_problem(inst, Ball(center=np.zeros(4), radius=0.5)),
                              zero_eval_at=zero_eval_at)
-    seen = []
-
-    def recording(x):
-        seen.append(x.copy())
-        return oracles.eval(x)
-
-    spec = dataclasses.replace(oracles.spec(), eval=recording)
+    spec, seen = oracles.spec(), oracles.points
     x0 = np.ones(4)  # outside the ball, so the first row is projected onto it
     if method == "nonmonotone":
         report = solve_nonmonotone(spec, CFG, x0)
@@ -785,6 +807,14 @@ def test_termination_matrix(method, fault, row, termination, monkeypatch):
     assert oracles.values == seen["trials"]
     f, snorm = report.f[-1], report.snorm[-1]
     assert (report.k[-1], report.ell[-1]) == (rows, 0)
+    assert (report.k == np.arange(1, rows + 1)).all()
+    assert report.k.dtype == report.ell.dtype == np.int64
+    assert {getattr(report, name).dtype for name in ("f", "gamma", "alpha", "snorm")} == {
+        np.dtype(np.float64)}
+    xs = report.xs
+    assert type(xs) is np.ndarray and xs.dtype == np.float64 and xs.flags.c_contiguous
+    assert xs.shape == (rows, prob.n)
+    assert [row.tobytes() for row in xs] == [x.tobytes() for x in oracles.points]
     assert math.isnan(f) if fault == "nan_eval_at" else math.isfinite(f)
     if fault == "zero_eval_at":
         assert snorm == 0.0
